@@ -89,20 +89,18 @@ def classical_trajectory(
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     rng = derive_stream(seed)
-    g = params.g
     taus = np.empty(n_steps)
     eps_out = np.empty(n_steps + 1)
     eps_out[0] = epsilon0
     eps = epsilon0
     done = 0
-    block = 65536
+    block = 8192
     while done < n_steps:
         count = min(block, n_steps - done)
         chunk, _ = sample_timing_array(timing, rng, count)
         taus[done : done + count] = chunk
-        for tau in chunk:
-            s = math.sin(eps * g * tau / 2.0)
-            eps = eps + (2.0 / eps) * s * s
+        for g_tau in (chunk * params.g).tolist():
+            eps = return_map_approx(eps, g_tau)
             done += 1
             eps_out[done] = eps
     return taus, eps_out

@@ -44,7 +44,6 @@ class SweepSpec:
     base: RunConfig
     multipliers: list[float]
     ensemble: int
-    workers: int
 
 
 @dataclass
@@ -223,7 +222,6 @@ def _canonical_run_tokens(raw: dict[str, str], command: str) -> dict[str, str]:
             raise ConfigError("spread_mults: at least one multiplier required")
         tokens["spread_mults"] = ",".join(_fmt(m) for m in parsed)
         tokens["ensemble"] = str(_get_int(raw, "ensemble", 1))
-        tokens["workers"] = str(_get_int(raw, "workers", 1))
     return tokens
 
 
@@ -320,7 +318,6 @@ def parse_config(path=None, overrides: dict[str, str] | None = None, command: st
             base=base,
             multipliers=[float(tok) for tok in canonical["spread_mults"].split(",")],
             ensemble=int(canonical["ensemble"]),
-            workers=int(canonical["workers"]),
         )
         return ParsedConfig(cmd, canonical, run=base, sweep_spec=spec)
     raise ConfigError(f"command: unknown command {cmd!r}")
@@ -522,7 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--spread-mults", help="comma-separated multiples of the critical spread")
     p_sweep.add_argument("--ensemble", type=int, help="runs per multiplier")
-    p_sweep.add_argument("--workers", type=int, help="parallel cell workers")
     p_sweep.add_argument("--out-dir", required=True)
 
     p_preset = sub.add_parser("preset", help="print a scenario preset as a config")
@@ -596,8 +592,6 @@ def _resolve(args: argparse.Namespace, command: str, flag_map: dict[str, str]) -
             tokens["spread_mults"] = args.spread_mults
         if args.ensemble is not None:
             tokens["ensemble"] = str(args.ensemble)
-        if args.workers is not None:
-            tokens["workers"] = str(args.workers)
     return parse_config(overrides=tokens, command=command)
 
 
@@ -634,7 +628,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         parsed = _resolve(args, "sweep", _RUN_FLAG_MAP)
         spec = parsed.sweep_spec
         start = time.perf_counter()
-        result = sweep(spec.base, spec.multipliers, spec.ensemble, workers=spec.workers)
+        result = sweep(spec.base, spec.multipliers, spec.ensemble)
         write_outputs(parsed, result, args.out_dir, time.perf_counter() - start)
         if any(cell.error for cell in result.cells):
             print("some sweep cells failed; see sweep.csv and manifest", file=sys.stderr)

@@ -23,6 +23,7 @@ out of them vanishes, so population piles up there from below.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -185,9 +186,17 @@ def stationary_phase_ratio(n_t: int, params: CouplingParams, omega: float) -> fl
     return 2.0 * params.g * math.sqrt(n_t + 1.0) / omega
 
 
-def _theta_array(params: CouplingParams, tau: float, n_max: int) -> np.ndarray:
-    ns = np.arange(n_max + 1, dtype=float)
-    return params.g * tau * np.sqrt(ns + 1.0)
+@functools.lru_cache(maxsize=32)
+def _level_roots(n_max: int) -> np.ndarray:
+    """sqrt(n+1) for n = 0..n_max, shared and read-only."""
+    roots = np.sqrt(np.arange(n_max + 1, dtype=float) + 1.0)
+    roots.setflags(write=False)
+    return roots
+
+
+def _theta_array(params: CouplingParams, tau, n_max: int) -> np.ndarray:
+    """Rabi phases of levels 0..n_max; a column of times gives one row per time."""
+    return params.g * tau * _level_roots(n_max)
 
 
 def _snapped_cos_sin(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +212,15 @@ def _snapped_cos_sin(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos_t, sin_t
 
 
+def rabi_cos_sin(params: CouplingParams, tau, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin of the Rabi phases theta_n, snapped at multiples of pi.
+
+    tau is one interaction time, or a column of times (shape (cells, 1))
+    giving one row per time; each row equals the one-time result bit for bit.
+    """
+    return _snapped_cos_sin(_theta_array(params, tau, n_max))
+
+
 def jcm_entangle(field: FieldState, params: CouplingParams, tau: float) -> EntangledState:
     """Entangle an excited atom with the field for an interaction time tau.
 
@@ -210,7 +228,7 @@ def jcm_entangle(field: FieldState, params: CouplingParams, tau: float) -> Entan
     (|c_{n_max} sin theta_{n_max}| > 1e-8), since that population would
     leave the truncated basis.
     """
-    cos_t, sin_t = _snapped_cos_sin(_theta_array(params, tau, field.n_max))
+    cos_t, sin_t = rabi_cos_sin(params, tau, field.n_max)
     top_leak = abs(field.amplitudes[-1]) * abs(sin_t[-1])
     if top_leak > AMPLITUDE_LEAK_TOL:
         raise LeakageError(
@@ -233,7 +251,7 @@ def nsm_step(probs: np.ndarray, params: CouplingParams, tau: float) -> np.ndarra
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"input populations sum to {total!r}, expected 1")
     n_max = p.shape[0] - 1
-    cos_t, sin_t = _snapped_cos_sin(_theta_array(params, tau, n_max))
+    cos_t, sin_t = rabi_cos_sin(params, tau, n_max)
     lost = p[-1] * sin_t[-1] ** 2
     if lost > AMPLITUDE_LEAK_TOL**2:
         raise LeakageError(
@@ -318,7 +336,8 @@ def correlated_cm_factors(
     orthogonal factor otherwise, with |f|^2 + |f_orth|^2 = 1 per level.
     For phi_f = -pi/2 the factors are cos/sin(Omega T/2 - theta_n);
     arguments within 1e-12 of zero are snapped so the stationary level is
-    held exactly.
+    held exactly.  T and tau may be columns of times (shape (cells, 1)),
+    giving one row per pair; each row equals the one-pair result bit for bit.
     """
     thetas = _theta_array(params, tau, n_max)
     half = omega * T / 2.0
@@ -327,8 +346,9 @@ def correlated_cm_factors(
         arg[np.abs(arg) < TRAP_SNAP_TOL] = 0.0
         return np.cos(arg), np.sin(arg)
     # General final phase: success cosA cos(th) - i e^{-i phi} sinA sin(th),
-    # orthogonal -e^{i phi} sinA cos(th) - i cosA sin(th).
-    cos_a, sin_a = math.cos(half), math.sin(half)
+    # orthogonal -e^{i phi} sinA cos(th) - i cosA sin(th).  math.cos per
+    # value, since np.cos may differ from it in the last place.
+    cos_a, sin_a = np.vectorize(math.cos)(half), np.vectorize(math.sin)(half)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     success = cos_a * cos_t - 1j * cmath.exp(-1j * phi_f) * sin_a * sin_t
     failure = -cmath.exp(1j * phi_f) * sin_a * cos_t - 1j * cos_a * sin_t

@@ -6,44 +6,51 @@ on the desired outcome at every step and books its probability; Sampled
 mode draws outcomes and marks the trajectory failed on the first
 orthogonal one.  Per-step statistics, the cumulative success probability
 and the final photon-number distribution are collected; `sweep` scans
-spread multiples over seeded ensembles.
+spread multiples over seeded ensembles.  Every run goes through one
+update kernel that advances a batch of independent cells atom by atom:
+`run_sequence` is its one-cell case, while the cells of a sweep and the
+trajectories of `sampled_success_estimate` advance together.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import (
+    AMPLITUDE_LEAK_TOL,
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
     ORTHOGONAL_P_TOL,
     CouplingParams,
     MeasurementScheme,
-    cm_project,
     correlated_cm_factors,
     critical_spread,
-    jcm_entangle,
-    nsm_step,
     orthogonal_rotation,
-    project_amplitudes,
+    rabi_cos_sin,
     stationary_phase_ratio,
     trapping_time,
 )
 from .errors import ConfigError, LeakageError, OrthogonalOutcomeError, SimulationError
 from .fock import (
     NORM_ATOL,
+    ORTHOGONAL_NORM_SQ,
     FieldState,
     coherent_state,
     default_n_max,
     distribution_stats,
     fock_basis_state,
-    renormalize,
     top_level_probability,
 )
 from .stochastic import SeedSpec, TimingModel, derive_stream, sample_timing
+
+# The one-state updates that _run_cells reproduces row by row.  They stay
+# importable here, where the benchmark's tracer wraps them (perfbench/tracer.py).
+from .dynamics import cm_project, jcm_entangle, nsm_step, project_amplitudes  # noqa: F401
+from .fock import renormalize  # noqa: F401
 
 RUN_MODES = ("postselect", "sample")
 
@@ -52,6 +59,10 @@ TOP_LEVEL_GUARD = 1e-8
 
 # A trap level counts as converged when it holds more than this probability.
 CONVERGENCE_P = 0.9
+
+# Sweep cells and sampled trajectories advance together in batches of at
+# most this many, which bounds a batch's arrays at this many rows.
+_BATCH_CELLS = 64
 
 OUTCOME_POSTSELECTED = "postselected"
 OUTCOME_SUCCESS = "sampled_success"
@@ -257,6 +268,198 @@ class _LogSum:
         return math.exp(self.total + self.comp)
 
 
+@dataclass(slots=True)
+class _Cell:
+    """What one cell of a running batch keeps outside the batch arrays."""
+
+    index: int
+    timing: TimingModel
+    rng: np.random.Generator
+    cum: _LogSum = field(default_factory=_LogSum)
+    steps: list[StepRecord] = field(default_factory=list)
+    failures: int = 0
+
+
+def _project_rows(e_branch: np.ndarray, g_branch: np.ndarray, rot) -> np.ndarray:
+    """project_amplitudes for rows of entangled branches."""
+    d = rot.alpha_f.conjugate() * e_branch
+    d[:, 1:] += rot.beta_f.conjugate() * g_branch[:, :-1]
+    return d
+
+
+def _run_cells(configs: list[RunConfig], collect_steps: bool) -> list[RunResult | SimulationError]:
+    """Run a batch of cells, atom by atom, through one update kernel.
+
+    The configs differ only in their timing model and seed.  Each cell's
+    field is one row of a (cells, levels) array: amplitudes for the
+    selective schemes, populations for NSM.  Per atom, every row takes the
+    operations that jcm_entangle, project_amplitudes, cm_project,
+    correlated_cm_factors, renormalize or nsm_step apply to one state (row
+    norms by np.vecdot, which sums as np.vdot does), and each cell draws
+    from its own stream in the order of a run on its own, so each cell's
+    result equals its one-cell run bit for bit.  The guards then act per
+    cell in the order of a one-cell run; a cell that trips one ends and
+    leaves the batch.  Returns, per config, its RunResult or the
+    SimulationError that ended it.
+    """
+    config = configs[0]
+    scheme = config.scheme
+    is_nsm = scheme.kind == "nsm"
+    sampled = config.mode == "sample" and not is_nsm  # NSM ignores outcomes
+    n_max, trap = config.n_max, config.trap_target
+    # What would leave the basis: NSM guards a population, the others an amplitude.
+    leak_limit, leak_what = (
+        (AMPLITUDE_LEAK_TOL**2, "P(n_max) sin^2 theta_nmax")
+        if is_nsm
+        else (AMPLITUDE_LEAK_TOL, "|c_nmax sin theta_nmax|")
+    )
+
+    initial = config.initial_field.build(n_max)
+    dist = initial.probabilities()[None].repeat(len(configs), axis=0)
+    state = dist if is_nsm else initial.amplitudes[None].repeat(len(configs), axis=0)
+    cells = [_Cell(i, c.timing, derive_stream(c.seed)) for i, c in enumerate(configs)]
+    results: list[RunResult | SimulationError | None] = [None] * len(configs)
+
+    def finish(cell, field_row, dist_row, reason):
+        """The RunResult of a cell whose final field is field_row."""
+        return RunResult(
+            steps=cell.steps,
+            final_distribution=dist_row,
+            final_state=dist_row if is_nsm else FieldState(field_row, n_max),
+            terminated_early=reason,
+            n_failures=cell.failures,
+            final_cum_P=cell.cum.value,
+        )
+
+    for k in range(1, config.n_atoms + 1):
+        draws = [sample_timing(cell.timing, cell.rng) for cell in cells]
+        u_k = [cell.rng.random() for cell in cells] if sampled else []
+        times = np.array(draws)  # rows (tau_k, T_k)
+        taus = times[:, :1]
+
+        leak = None
+        if scheme.kind == "superposition":
+            success, failure = correlated_cm_factors(
+                config.omega, times[:, 1:], config.coupling, taus, n_max, scheme.phi_f
+            )
+            d = success * state
+
+            def orthogonal():
+                return failure * state
+
+        else:
+            cos_t, sin_t = rabi_cos_sin(config.coupling, taus, n_max)
+            edge = zip(state[:, -1].tolist(), sin_t[:, -1].tolist())
+            if is_nsm:
+                leak = [p * s**2 for p, s in edge]
+                new = state * cos_t**2
+                new[:, 1:] += state[:, :-1] * sin_t[:, :-1] ** 2
+            else:
+                leak = [abs(c) * abs(s) for c, s in edge]
+                rot = ELASTIC_ROTATION if scheme.kind == "elastic" else INELASTIC_ROTATION
+                e_branch = state * cos_t
+                g_branch = -1j * state * sin_t
+                d = _project_rows(e_branch, g_branch, rot)
+
+                def orthogonal():
+                    return _project_rows(e_branch, g_branch, orthogonal_rotation(rot))
+
+        if is_nsm:
+            new_dist, p_k = new, [1.0] * len(cells)
+        else:
+            norm = np.vecdot(d, d).real
+            p_k = [min(x, 1.0) for x in norm.tolist()]
+            failed = [not u < p for u, p in zip(u_k, p_k)]
+            if any(failed):
+                d_orth = orthogonal()
+                mask = np.array(failed)
+                d = np.where(mask[:, None], d_orth, d)
+                norm = np.where(mask, np.vecdot(d_orth, d_orth).real, norm)
+            norm_k = norm.tolist()
+            if min(norm_k) <= ORTHOGONAL_NORM_SQ:
+                # Such rows end below; flooring their norm keeps 0/0 out of the division.
+                norm = np.maximum(norm, ORTHOGONAL_NORM_SQ)
+            new = d / np.sqrt(norm)[:, None]
+            new_dist = np.abs(new) ** 2
+        total = new_dist.sum(axis=1).tolist()
+        top = top_level_probability(new_dist).tolist()
+
+        running = []
+        for i, cell in enumerate(cells):
+            outcome = OUTCOME_POSTSELECTED
+            if leak is not None and leak[i] > leak_limit:
+                results[cell.index] = LeakageError(
+                    f"population would leave truncation: {leak_what} = {leak[i]:.3e}"
+                )
+                continue
+            if not is_nsm:
+                if not sampled and p_k[i] < ORTHOGONAL_P_TOL:
+                    reason = "impossible post-selection"
+                    results[cell.index] = finish(cell, state[i], dist[i], reason)
+                    continue
+                if norm_k[i] <= ORTHOGONAL_NORM_SQ:
+                    results[cell.index] = OrthogonalOutcomeError(
+                        f"cannot renormalize state with squared norm {norm_k[i]:.3e}"
+                    )
+                    continue
+                if sampled:
+                    outcome = OUTCOME_FAILURE if failed[i] else OUTCOME_SUCCESS
+                    cell.failures += failed[i]
+            if abs(total[i] - 1.0) > NORM_ATOL:
+                results[cell.index] = SimulationError(
+                    f"state norm drifted to {total[i]!r} at atom {k}"
+                )
+                continue
+            if top[i] > TOP_LEVEL_GUARD:
+                results[cell.index] = LeakageError(
+                    f"top-3 Fock levels hold {top[i]:.3e} probability at atom {k}; "
+                    f"truncation n_max={n_max} too small for this run"
+                )
+                continue
+            cell.cum.add(p_k[i])
+            if collect_steps:
+                moments = distribution_stats(new_dist[i])
+                cell.steps.append(
+                    StepRecord(
+                        k=k,
+                        tau_k=draws[i][0],
+                        T_k=draws[i][1],
+                        P_k=p_k[i],
+                        cum_P=cell.cum.value,
+                        mean_n=moments.mean_n,
+                        delta_n=moments.delta_n,
+                        outcome=outcome,
+                        p_trap=float(new_dist[i, trap]),
+                        p_above_trap=float(new_dist[i, trap + 1 :].sum()),
+                    )
+                )
+            if outcome == OUTCOME_FAILURE and config.halt_on_failure:
+                reason = f"sampled orthogonal outcome at atom {k}"
+                results[cell.index] = finish(cell, new[i], new_dist[i], reason)
+                continue
+            running.append(i)
+
+        state, dist = new, new_dist
+        if len(running) < len(cells):
+            cells = [cells[i] for i in running]
+            if not cells:
+                break
+            state, dist = state[running], dist[running]
+
+    for i, cell in enumerate(cells):
+        results[cell.index] = finish(cell, state[i], dist[i], None)
+    return results
+
+
+def _run_batches(
+    configs: Iterable[RunConfig], collect_steps: bool
+) -> Iterator[RunResult | SimulationError]:
+    """_run_cells over the configs, in batches of at most _BATCH_CELLS cells."""
+    configs = iter(configs)
+    while batch := list(itertools.islice(configs, _BATCH_CELLS)):
+        yield from _run_cells(batch, collect_steps)
+
+
 def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     """Run one sequence of config.n_atoms atoms through the scheme.
 
@@ -265,118 +468,14 @@ def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     vanishes.  Sampled mode draws each outcome; the first orthogonal draw
     marks the trajectory failed and, with halt_on_failure, stops it.
     Leakage errors from the dynamics propagate; a run whose top three Fock
-    levels exceed the 1e-8 guard aborts the same way.
+    levels exceed the 1e-8 guard aborts the same way.  This is the
+    one-cell case of the kernel that `sweep` runs its cells through.
     """
     config.validate()
-    rng = derive_stream(config.seed)
-    scheme = config.scheme
-    is_nsm = scheme.kind == "nsm"
-    sampled = config.mode == "sample"
-    trap = config.trap_target
-
-    state: FieldState | None = None
-    if is_nsm:
-        probs = config.initial_field.build(config.n_max).probabilities()
-        dist = probs
-    else:
-        state = config.initial_field.build(config.n_max)
-        dist = state.probabilities()
-
-    steps: list[StepRecord] = []
-    cum = _LogSum()
-    n_failures = 0
-    reason: str | None = None
-
-    for k in range(1, config.n_atoms + 1):
-        tau, ramsey_t = sample_timing(config.timing, rng)
-        outcome = OUTCOME_POSTSELECTED
-        p_k = 1.0
-
-        if is_nsm:
-            probs = nsm_step(probs, config.coupling, tau)
-            dist = probs
-        elif scheme.kind == "superposition":
-            success, failure = correlated_cm_factors(
-                config.omega, ramsey_t, config.coupling, tau, config.n_max, scheme.phi_f
-            )
-            d = success * state.amplitudes
-            p_k = min(float(np.vdot(d, d).real), 1.0)
-            if not sampled:
-                if p_k < ORTHOGONAL_P_TOL:
-                    reason = "impossible post-selection"
-                    break
-                state = renormalize(FieldState(d, config.n_max))
-            else:
-                if rng.random() < p_k:
-                    state = renormalize(FieldState(d, config.n_max))
-                    outcome = OUTCOME_SUCCESS
-                else:
-                    d_orth = failure * state.amplitudes
-                    state = renormalize(FieldState(d_orth, config.n_max))
-                    outcome = OUTCOME_FAILURE
-                    n_failures += 1
-            dist = state.probabilities()
-        else:
-            rot = ELASTIC_ROTATION if scheme.kind == "elastic" else INELASTIC_ROTATION
-            ent = jcm_entangle(state, config.coupling, tau)
-            if not sampled:
-                try:
-                    state, p_k = cm_project(ent, rot)
-                except OrthogonalOutcomeError:
-                    reason = "impossible post-selection"
-                    break
-            else:
-                d = project_amplitudes(ent, rot)
-                p_k = min(float(np.vdot(d, d).real), 1.0)
-                if rng.random() < p_k:
-                    state = renormalize(FieldState(d, config.n_max))
-                    outcome = OUTCOME_SUCCESS
-                else:
-                    d_orth = project_amplitudes(ent, orthogonal_rotation(rot))
-                    state = renormalize(FieldState(d_orth, config.n_max))
-                    outcome = OUTCOME_FAILURE
-                    n_failures += 1
-            dist = state.probabilities()
-
-        total = float(dist.sum())
-        if abs(total - 1.0) > NORM_ATOL:
-            raise SimulationError(f"state norm drifted to {total!r} at atom {k}")
-        top = top_level_probability(dist)
-        if top > TOP_LEVEL_GUARD:
-            raise LeakageError(
-                f"top-3 Fock levels hold {top:.3e} probability at atom {k}; "
-                f"truncation n_max={config.n_max} too small for this run"
-            )
-        cum.add(p_k)
-
-        if collect_steps:
-            moments = distribution_stats(dist)
-            steps.append(
-                StepRecord(
-                    k=k,
-                    tau_k=tau,
-                    T_k=ramsey_t,
-                    P_k=p_k,
-                    cum_P=cum.value,
-                    mean_n=moments.mean_n,
-                    delta_n=moments.delta_n,
-                    outcome=outcome,
-                    p_trap=float(dist[trap]),
-                    p_above_trap=float(dist[trap + 1 :].sum()),
-                )
-            )
-        if outcome == OUTCOME_FAILURE and config.halt_on_failure:
-            reason = f"sampled orthogonal outcome at atom {k}"
-            break
-
-    return RunResult(
-        steps=steps,
-        final_distribution=dist,
-        final_state=probs if is_nsm else state,
-        terminated_early=reason,
-        n_failures=n_failures,
-        final_cum_P=cum.value,
-    )
+    result = _run_cells([config], collect_steps)[0]
+    if isinstance(result, SimulationError):
+        raise result
+    return result
 
 
 @dataclass
@@ -428,32 +527,17 @@ class SweepResult:
     aggregates: list[SweepAggregate]
 
 
-def _run_cell(base: RunConfig, multiplier: float, cell_index: int) -> SweepCell:
-    try:
-        spread = multiplier * critical_spread(base.trap_target, base.coupling)
-        config = replace(
-            base,
-            timing=replace(base.timing, spread=spread),
-            seed=SeedSpec(base.seed.master_seed, cell_index),
-        )
-        result = run_sequence(config, collect_steps=False)
-    except (SimulationError, ConfigError) as exc:
-        return SweepCell(multiplier, cell_index, math.nan, math.nan, False, error=str(exc))
-    p_trap = float(result.final_distribution[base.trap_target])
-    return SweepCell(multiplier, cell_index, p_trap, result.final_cum_P, p_trap > CONVERGENCE_P)
-
-
 def sweep(
     base: RunConfig,
     spread_multipliers: list[float],
     ensemble: int,
-    workers: int = 1,
 ) -> SweepResult:
     """Run an ensemble per spread multiplier and aggregate convergence.
 
     Cell (i, j) uses stream_id = i * ensemble + j derived from the base
     master seed, so the whole table is reproducible from that one seed.
-    Per-cell failures are recorded in the cell, not raised.
+    All cells advance together through one batch; per-cell failures are
+    recorded in the cell, not raised.
     """
     if ensemble < 1:
         raise ConfigError(f"ensemble: must be >= 1, got {ensemble}")
@@ -462,11 +546,31 @@ def sweep(
         for i, mult in enumerate(spread_multipliers)
         for j in range(ensemble)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda mc: _run_cell(base, mc[0], mc[1]), jobs))
-    else:
-        cells = [_run_cell(base, mult, idx) for mult, idx in jobs]
+    outcomes: dict[int, RunResult | Exception] = {}
+    configs: dict[int, RunConfig] = {}
+    for mult, index in jobs:
+        try:
+            spread = mult * critical_spread(base.trap_target, base.coupling)
+            config = replace(
+                base,
+                timing=replace(base.timing, spread=spread),
+                seed=SeedSpec(base.seed.master_seed, index),
+            )
+            config.validate()
+        except ConfigError as exc:
+            outcomes[index] = exc
+        else:
+            configs[index] = config
+    outcomes.update(zip(configs, _run_batches(configs.values(), collect_steps=False)))
+
+    cells = []
+    for mult, index in jobs:
+        outcome = outcomes[index]
+        if isinstance(outcome, Exception):
+            cells.append(SweepCell(mult, index, math.nan, math.nan, False, error=str(outcome)))
+            continue
+        p_trap = float(outcome.final_distribution[base.trap_target])
+        cells.append(SweepCell(mult, index, p_trap, outcome.final_cum_P, p_trap > CONVERGENCE_P))
 
     aggregates = []
     for i, mult in enumerate(spread_multipliers):
@@ -490,18 +594,25 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
 
     Trajectory t runs with stream_id = config.seed.stream_id + t.  For
     fixed times this estimates the PostSelected cumulative probability to
-    within binomial error.
+    within binomial error.  The trajectories advance together through the
+    batch kernel, as sweep cells do; the first one to raise, in trajectory
+    order, raises here.
     """
     if config.mode != "sample":
         raise ConfigError("mode: sampled_success_estimate requires mode='sample'")
     if trajectories < 1:
         raise ConfigError(f"trajectories: must be >= 1, got {trajectories}")
+    config.validate()
+    seed = config.seed
+    configs = (
+        replace(config, seed=SeedSpec(seed.master_seed, seed.stream_id + t))
+        for t in range(trajectories)
+    )
     successes = 0
-    for t in range(trajectories):
-        cfg = replace(config, seed=SeedSpec(config.seed.master_seed, config.seed.stream_id + t))
-        result = run_sequence(cfg, collect_steps=False)
-        if result.n_failures == 0 and result.terminated_early is None:
-            successes += 1
+    for result in _run_batches(configs, collect_steps=False):
+        if isinstance(result, SimulationError):
+            raise result
+        successes += result.n_failures == 0 and result.terminated_early is None
     return successes / trajectories
 
 

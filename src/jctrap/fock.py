@@ -151,14 +151,15 @@ def renormalize(state: FieldState) -> FieldState:
     return FieldState(state.amplitudes / math.sqrt(norm_sq), state.n_max)
 
 
-def top_level_probability(distribution: np.ndarray, levels: int = 3) -> float:
+def top_level_probability(distribution: np.ndarray, levels: int = 3) -> float | np.ndarray:
     """Probability held by the top `levels` Fock levels of the basis.
 
     Monitored every simulation step; values above 1e-8 mean the truncation
-    is corrupting the dynamics.
+    is corrupting the dynamics.  A 2-D array of distributions gives one
+    value per row.
     """
     p = np.asarray(distribution, dtype=float)
-    return float(p[-levels:].sum())
+    return p[..., -levels:].sum(axis=-1)
 
 
 def write_distribution_csv(path, distribution: np.ndarray) -> None:

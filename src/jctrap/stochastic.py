@@ -121,7 +121,11 @@ def sample_timing(model: TimingModel, rng: np.random.Generator) -> tuple[float, 
 def sample_timing_array(
     model: TimingModel, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draw of `count` (tau_k, T_k) pairs (perfectly correlated)."""
+    """Vectorized draw of `count` (tau_k, T_k) pairs.
+
+    Equal, value for value and in what it leaves in the stream, to `count`
+    successive sample_timing calls.
+    """
     if model.decorrelation > 0.0:
         pairs = [sample_timing(model, rng) for _ in range(count)]
         taus = np.array([p[0] for p in pairs])
@@ -133,10 +137,11 @@ def sample_timing_array(
         half = model.spread / 2.0
         taus = rng.uniform(model.tau_bar - half, model.tau_bar + half, size=count)
     else:
+        # Keep the positive draws in stream order and draw only the deficit,
+        # as the scalar law redraws each non-positive time in turn.
         sigma = model.rms
-        taus = rng.normal(model.tau_bar, sigma, size=count)
-        bad = taus <= 0.0
-        while bad.any():
-            taus[bad] = rng.normal(model.tau_bar, sigma, size=int(bad.sum()))
-            bad = taus <= 0.0
+        taus = np.empty(0)
+        while len(taus) < count:
+            more = rng.normal(model.tau_bar, sigma, size=count - len(taus))
+            taus = np.concatenate([taus, more[more > 0.0]])
     return taus, model.ramsey_ratio * taus

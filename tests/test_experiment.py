@@ -5,8 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jctrap.dynamics import MeasurementScheme, trapping_time
-from jctrap.errors import ConfigError, LeakageError
+from jctrap.dynamics import (
+    ELASTIC_ROTATION,
+    INELASTIC_ROTATION,
+    MeasurementScheme,
+    cm_project,
+    correlated_cm_factors,
+    critical_spread,
+    jcm_entangle,
+    nsm_step,
+    orthogonal_rotation,
+    project_amplitudes,
+    trapping_time,
+)
+from jctrap.errors import ConfigError, LeakageError, SimulationError
 from jctrap.experiment import (
     CONVERGENCE_P,
     build_run_config,
@@ -17,8 +29,8 @@ from jctrap.experiment import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from jctrap.fock import coherent_state, default_n_max
-from jctrap.stochastic import SeedSpec
+from jctrap.fock import FieldState, coherent_state, default_n_max, renormalize
+from jctrap.stochastic import SeedSpec, derive_stream, sample_timing
 
 
 def fig3cd_config(n_atoms=300, stream=0, mode="postselect"):
@@ -184,6 +196,75 @@ class TestRunSequenceBasics:
         assert all(0.0 <= s.P_k <= 1.0 for s in result.steps)
 
 
+def _reference_step(config):
+    """One atom of `config` through the one-state reference updates.
+
+    Returns (field, P_k, outcome): the FieldState (populations for NSM)
+    after the atom, its success probability and the sampled outcome.
+    """
+    rng = derive_stream(config.seed)
+    tau, ramsey_t = sample_timing(config.timing, rng)
+    initial = config.initial_field.build(config.n_max)
+    scheme = config.scheme
+    if scheme.kind == "nsm":
+        return nsm_step(initial.probabilities(), config.coupling, tau), 1.0, None
+    if scheme.kind == "superposition":
+        success, failure = correlated_cm_factors(
+            config.omega, ramsey_t, config.coupling, tau, config.n_max, scheme.phi_f
+        )
+        d, d_orth = success * initial.amplitudes, failure * initial.amplitudes
+    else:
+        rot = ELASTIC_ROTATION if scheme.kind == "elastic" else INELASTIC_ROTATION
+        ent = jcm_entangle(initial, config.coupling, tau)
+        if config.mode == "postselect":
+            state, p_k = cm_project(ent, rot)
+            return state, p_k, None
+        d = project_amplitudes(ent, rot)
+        d_orth = project_amplitudes(ent, orthogonal_rotation(rot))
+    p_k = min(float(np.vdot(d, d).real), 1.0)
+    if config.mode == "postselect":
+        return renormalize(FieldState(d, config.n_max)), p_k, None
+    success = rng.random() < p_k
+    return renormalize(FieldState(d if success else d_orth, config.n_max)), p_k, success
+
+
+class TestKernel:
+    @pytest.mark.parametrize("mode", ["postselect", "sample"])
+    @pytest.mark.parametrize(
+        "scheme, phi_f",
+        [
+            ("nsm", -math.pi / 2),
+            ("elastic", -math.pi / 2),
+            ("inelastic", -math.pi / 2),
+            ("superposition", -math.pi / 2),
+            ("superposition", 0.4),
+        ],
+    )
+    def test_one_atom_equals_reference_updates(self, scheme, phi_f, mode):
+        trap, alpha = (21, math.sqrt(21.0)) if scheme == "superposition" else (20, 3.0)
+        outcomes = set()
+        for stream in range(40):
+            config = build_run_config(
+                scheme=scheme, trap_target=trap, n_atoms=1, alpha=alpha,
+                spread_mult=1.0, phi_f=phi_f, mode=mode, master_seed=17, stream_id=stream,
+                halt_on_failure=False,
+            )
+            field, p_k, success = _reference_step(config)
+            result = run_sequence(config)
+            if scheme == "nsm":
+                assert np.array_equal(result.final_state, field)
+            else:
+                assert np.array_equal(result.final_state.amplitudes, field.amplitudes)
+                assert np.array_equal(result.final_distribution, field.probabilities())
+            step = result.steps[0]
+            assert step.P_k == p_k
+            assert result.final_cum_P == step.cum_P == math.exp(math.log(p_k))
+            assert result.n_failures == (success is False)
+            outcomes.add(success)
+        # Sampled mode must have met both outcomes; NSM draws none.
+        assert outcomes == ({True, False} if mode == "sample" and scheme != "nsm" else {None})
+
+
 class TestSampledMode:
     def test_single_step_binomial_oracle(self):
         # theta_0 = pi/3 from vacuum: success probability cos^2(pi/3) = 1/4.
@@ -290,15 +371,50 @@ class TestSweep:
         )
 
     def test_zero_multiplier_reproduces_fixed_run(self):
-        base = self.base()
-        table = sweep(base, [0.0], ensemble=1)
-        direct = run_sequence(
-            replace(base, seed=SeedSpec(5, 0)), collect_steps=False
-        )
-        cell = table.cells[0]
-        assert cell.final_p_trap == direct.final_distribution[20]
-        assert cell.cum_P == direct.final_cum_P
-        assert cell.error is None
+        # Every cell of a sweep batch equals run_sequence on its own config
+        # bit for bit, whatever the other cells do: leak, stop early or fail
+        # validation.
+        sqrt21 = math.sqrt(21.0)
+        cases = [
+            (self.base(), [0.0, 0.1, 1.0], 3),
+            (build_run_config(scheme="inelastic", trap_target=10, n_atoms=150, alpha=2.0,
+                              master_seed=3), [0.0, 0.3], 3),
+            (build_run_config(scheme="nsm", trap_target=20, n_atoms=400, alpha=4.0, n_max=41,
+                              master_seed=3), [0.0, 0.5, 1.0], 3),
+            (build_run_config(scheme="superposition", trap_target=21, n_atoms=150, alpha=sqrt21,
+                              master_seed=3), [0.0, 2.0], 3),
+            (build_run_config(scheme="superposition", trap_target=21, n_atoms=60, alpha=sqrt21,
+                              mode="sample", halt_on_failure=False, master_seed=3), [0.1, 2.0], 3),
+            # Multiplier 3 leaks out of n_max = 41; multiplier 5 is an invalid spread.
+            (build_run_config(scheme="elastic", trap_target=20, n_atoms=300, alpha=3.0, n_max=41,
+                              master_seed=3), [0.0, 3.0, 5.0], 3),
+            # theta_0 = pi/2 from the vacuum: impossible post-selection at atom 1.
+            # 80 cells span more than one batch.
+            (build_run_config(scheme="elastic", trap_target=5, n_atoms=4, fock_n=0,
+                              tau_bar=math.pi / 2.0, n_max=30, master_seed=3), [0.0, 0.5], 40),
+        ]
+        seen = set()
+        for base, multipliers, ensemble in cases:
+            table = sweep(base, multipliers, ensemble=ensemble)
+            spread = critical_spread(base.trap_target, base.coupling)
+            for cell in table.cells:
+                try:
+                    config = replace(
+                        base,
+                        timing=replace(base.timing, spread=cell.multiplier * spread),
+                        seed=SeedSpec(base.seed.master_seed, cell.cell),
+                    )
+                    direct = run_sequence(config, collect_steps=False)
+                except (SimulationError, ConfigError) as exc:
+                    seen.add(type(exc).__name__)
+                    assert cell.error == str(exc)
+                    assert math.isnan(cell.final_p_trap) and not cell.converged
+                    continue
+                seen.add(direct.terminated_early or "ran")
+                assert cell.error is None
+                assert cell.final_p_trap == direct.final_distribution[base.trap_target]
+                assert cell.cum_P == direct.final_cum_P
+        assert seen == {"ran", "impossible post-selection", "LeakageError", "ConfigError"}
 
     def test_deterministic_given_master_seed(self, tmp_path):
         table_a = sweep(self.base(), [0.1, 1.0], ensemble=3)
@@ -308,11 +424,6 @@ class TestSweep:
         write_sweep_csv(a, table_a)
         write_sweep_csv(b, table_b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_workers_do_not_change_results(self):
-        serial = sweep(self.base(), [0.1, 1.0], ensemble=2, workers=1)
-        threaded = sweep(self.base(), [0.1, 1.0], ensemble=2, workers=4)
-        assert serial.cells == threaded.cells
 
     def test_cell_errors_recorded_not_fatal(self):
         # Multiplier 4 pushes the uniform spread to 2*tau_bar: invalid model.

@@ -73,6 +73,26 @@ class TestSampleTiming:
         taus, _ = sample_timing_array(model, derive_stream(SeedSpec(11, 1)), 100_000)
         assert taus.min() > 0.0
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            TimingModel(tau_bar=1.0, spread=0.5),
+            TimingModel(tau_bar=1.0, spread=6.0, law="gaussian"),
+            TimingModel(tau_bar=1.0, spread=0.0, law="gaussian", ramsey_ratio=2.0),
+            TimingModel(tau_bar=1.0, spread=0.3, ramsey_ratio=2.0, decorrelation=0.4),
+        ],
+        ids=["uniform", "gaussian-6-tau-bar", "spread-0", "decorrelated"],
+    )
+    def test_array_equals_successive_scalar_draws(self, model):
+        # Same values, and the same stream left behind: the gaussian law at
+        # spread 6 tau_bar draws many non-positive times to resample.
+        scalar_rng, array_rng = derive_stream(SeedSpec(5, 1)), derive_stream(SeedSpec(5, 1))
+        pairs = [sample_timing(model, scalar_rng) for _ in range(5000)]
+        taus, ramsey = sample_timing_array(model, array_rng, 5000)
+        assert np.array_equal(taus, [tau for tau, _ in pairs])
+        assert np.array_equal(ramsey, [t_r for _, t_r in pairs])
+        assert scalar_rng.random() == array_rng.random()
+
     def test_decorrelation_extension(self):
         base = dict(tau_bar=0.7, spread=0.2, ramsey_ratio=2.0)
         perfect = TimingModel(**base)
