@@ -4,109 +4,40 @@ Simulates a quantized field mode repeatedly coupled to excited two-level
 atoms for fluctuating interaction times, with the field updated after each
 atom by a non-selective or conditional (post-selected) measurement, plus
 the classical driven-pendulum counterpart of the same dynamics.
+
+The package exports what a run needs; everything else imports from its
+submodule (`fock`, `dynamics`, `stochastic`, `classical`, `experiment`,
+`cli`).
 """
 
 __version__ = "0.1.0"
 
-from .classical import (
-    PendulumState,
-    classical_run,
-    classical_trajectory,
-    integrate_pendulum,
-    pendulum_energy,
-    pendulum_rhs,
-    return_map_approx,
-)
-from .dynamics import (
-    AtomRotation,
-    CouplingParams,
-    EntangledState,
-    MeasurementScheme,
-    approx_cm_coefficient,
-    cm_project,
-    correlated_cm_factors,
-    critical_spread,
-    jcm_entangle,
-    nsm_step,
-    orthogonal_rotation,
-    ramsey_coeffs,
-    stationary_phase_ratio,
-    theta,
-    trapping_time,
-)
+from .classical import classical_trajectory
 from .errors import ConfigError, LeakageError, OrthogonalOutcomeError, SimulationError
 from .experiment import (
-    InitialField,
     RunConfig,
     RunResult,
     StepRecord,
     SweepResult,
     build_run_config,
-    run_nsm_fixed_vs_fluctuating,
     run_sequence,
     sampled_success_estimate,
     sweep,
 )
-from .fock import (
-    FieldState,
-    FieldStats,
-    coherent_state,
-    default_n_max,
-    distribution_stats,
-    fock_basis_state,
-    renormalize,
-    stats,
-)
-from .stochastic import SeedSpec, TimingModel, derive_stream, sample_timing
 
 __all__ = [
     "__version__",
-    "AtomRotation",
     "ConfigError",
-    "CouplingParams",
-    "EntangledState",
-    "FieldState",
-    "FieldStats",
-    "InitialField",
     "LeakageError",
-    "MeasurementScheme",
     "OrthogonalOutcomeError",
-    "PendulumState",
+    "SimulationError",
     "RunConfig",
     "RunResult",
-    "SeedSpec",
-    "SimulationError",
     "StepRecord",
     "SweepResult",
-    "TimingModel",
-    "approx_cm_coefficient",
     "build_run_config",
-    "classical_run",
     "classical_trajectory",
-    "cm_project",
-    "coherent_state",
-    "correlated_cm_factors",
-    "critical_spread",
-    "default_n_max",
-    "derive_stream",
-    "distribution_stats",
-    "fock_basis_state",
-    "integrate_pendulum",
-    "jcm_entangle",
-    "nsm_step",
-    "orthogonal_rotation",
-    "pendulum_energy",
-    "pendulum_rhs",
-    "ramsey_coeffs",
-    "renormalize",
-    "return_map_approx",
-    "run_nsm_fixed_vs_fluctuating",
     "run_sequence",
-    "sample_timing",
     "sampled_success_estimate",
-    "stationary_phase_ratio",
-    "stats",
     "sweep",
-    "theta",
-    "trapping_time",
 ]

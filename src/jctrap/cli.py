@@ -26,7 +26,7 @@ from .experiment import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from .fock import write_distribution_csv
+from .fock import default_n_max, write_distribution_csv
 from .stochastic import SeedSpec, TimingModel
 
 
@@ -40,19 +40,11 @@ class ClassicalConfig:
 
 
 @dataclass
-class SweepSpec:
-    base: RunConfig
-    multipliers: list[float]
-    ensemble: int
-
-
-@dataclass
 class ParsedConfig:
     command: str
     tokens: dict[str, str]
     run: RunConfig | None = None
     classical: ClassicalConfig | None = None
-    sweep_spec: SweepSpec | None = None
 
 
 @dataclass
@@ -103,11 +95,9 @@ def parse_kv_file(path) -> dict[str, str]:
     """Read a flat key = value file; inside a manifest, only [config] counts."""
     tokens: dict[str, str] = {}
     section = None
-    has_config_section = False
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if "[config]" in text:
-        has_config_section = True
+    has_config_section = "[config]" in text
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -189,8 +179,6 @@ def _canonical_run_tokens(raw: dict[str, str], command: str) -> dict[str, str]:
         raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
     if alpha_token:
         parse_alpha_token(alpha_token)  # validate early
-
-    from .fock import default_n_max
 
     tokens = {
         "command": command,
@@ -308,18 +296,9 @@ def parse_config(path=None, overrides: dict[str, str] | None = None, command: st
     if cmd == "classical":
         canonical = _canonical_classical_tokens(tokens)
         return ParsedConfig(cmd, canonical, classical=_build_classical_from_tokens(canonical))
-    if cmd == "run":
-        canonical = _canonical_run_tokens(tokens, "run")
+    if cmd in ("run", "sweep"):
+        canonical = _canonical_run_tokens(tokens, cmd)
         return ParsedConfig(cmd, canonical, run=_build_run_from_tokens(canonical))
-    if cmd == "sweep":
-        canonical = _canonical_run_tokens(tokens, "sweep")
-        base = _build_run_from_tokens(canonical)
-        spec = SweepSpec(
-            base=base,
-            multipliers=[float(tok) for tok in canonical["spread_mults"].split(",")],
-            ensemble=int(canonical["ensemble"]),
-        )
-        return ParsedConfig(cmd, canonical, run=base, sweep_spec=spec)
     raise ConfigError(f"command: unknown command {cmd!r}")
 
 
@@ -410,14 +389,18 @@ def _fig4():
 PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
 
 
-def preset(name: str) -> ParsedConfig:
-    """Resolved configuration for one of the named scenarios."""
+def _preset_tokens(name: str) -> dict[str, str]:
+    """The tokens of a named scenario, its command included."""
     if name not in _PRESET_BUILDERS:
         raise ConfigError(
             f"preset: unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
         )
-    tokens = _PRESET_BUILDERS[name]()
-    return parse_config(overrides=tokens)
+    return _PRESET_BUILDERS[name]()
+
+
+def preset(name: str) -> ParsedConfig:
+    """Resolved configuration for one of the named scenarios."""
+    return parse_config(overrides=_preset_tokens(name))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +468,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spread-frac", type=float, help="spread as a fraction of tau_bar")
     p.add_argument("--dist", choices=["uniform", "gaussian"], help="timing law")
     p.add_argument("--mode", choices=["postselect", "sample"], help="outcome handling")
-    p.add_argument("--omega", type=float, help="Ramsey Rabi frequency in units of g")
+    p.add_argument(
+        "--omega", dest="omega_in_g", type=float, help="Ramsey Rabi frequency in units of g"
+    )
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--stream", type=int, help="stream id (trajectory index)")
     p.add_argument("--nmax", type=int, help="Fock truncation bound")
@@ -508,7 +493,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--preset", help="scenario preset (fig1c, fig1d)")
     p_cls.add_argument("--epsilon0", type=float, help="initial dimensionless field")
     p_cls.add_argument("--steps", type=int, help="number of map iterations")
-    p_cls.add_argument("--gtau-bar", type=float, help="mean g*tau per transit")
+    p_cls.add_argument(
+        "--gtau-bar", dest="tau_bar_in_inv_g", type=float, help="mean g*tau per transit"
+    )
     p_cls.add_argument("--spread-frac", type=float, help="spread as a fraction of tau_bar")
     p_cls.add_argument("--dist", choices=["uniform", "gaussian"])
     p_cls.add_argument("--seed", type=int)
@@ -527,52 +514,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_tokens(args: argparse.Namespace, mapping: dict[str, str]) -> dict[str, str]:
-    tokens = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            tokens[key] = str(value)
+# Every other parsed argument is a flag whose dest is its config token.
+_NOT_TOKENS = ("subcommand", "config", "preset", "out_dir")
+
+# A layer that sets any of these replaces all of them from the layers below.
+_SPREAD_KEYS = ("spread_in_inv_g", "spread_frac", "spread_mult")
+
+# A run's default tau_bar_in_inv_g is the trapping time of these.
+_TRAPPING_TIME_KEYS = ("trap", "q", "g")
+
+
+def _merge_layers(layers: list[dict[str, str]], command: str) -> dict[str, str]:
+    """Merge token layers (preset, config file, flags); later layers win.
+
+    A layer that sets a spread key replaces every spread key below it.  A
+    run or sweep layer that sets trap, q or g over a lower tau_bar_in_inv_g
+    is an error: a config cannot tell a chosen time from the default
+    trapping time of its own trap, q and g.
+    """
+    tokens: dict[str, str] = {}
+    for layer in layers:
+        if any(layer.get(key) for key in _SPREAD_KEYS):
+            for key in _SPREAD_KEYS:
+                tokens.pop(key, None)
+        fixed_tau = tokens.get("tau_bar_in_inv_g")
+        if command != "classical" and fixed_tau and not layer.get("tau_bar_in_inv_g"):
+            for key in _TRAPPING_TIME_KEYS:
+                if layer.get(key):
+                    raise ConfigError(
+                        f"{key}: cannot change {key} over a config that sets "
+                        f"tau_bar_in_inv_g = {fixed_tau}; remove tau_bar_in_inv_g "
+                        f"from that config or set {key} in it"
+                    )
+        tokens.update(layer)
     return tokens
 
 
-_RUN_FLAG_MAP = {
-    "scheme": "scheme",
-    "trap": "trap",
-    "q": "q",
-    "alpha": "alpha",
-    "fock": "fock",
-    "atoms": "atoms",
-    "spread_mult": "spread_mult",
-    "spread_frac": "spread_frac",
-    "dist": "dist",
-    "mode": "mode",
-    "omega": "omega_in_g",
-    "seed": "seed",
-    "stream": "stream",
-    "nmax": "nmax",
-    "g": "g",
-}
-
-_CLASSICAL_FLAG_MAP = {
-    "epsilon0": "epsilon0",
-    "steps": "steps",
-    "gtau_bar": "tau_bar_in_inv_g",
-    "spread_frac": "spread_frac",
-    "dist": "dist",
-    "seed": "seed",
-    "stream": "stream",
-}
-
-
-def _resolve(args: argparse.Namespace, command: str, flag_map: dict[str, str]) -> ParsedConfig:
-    tokens: dict[str, str] = {}
-    if getattr(args, "preset", None):
-        if args.preset not in _PRESET_BUILDERS:
-            raise ConfigError(
-                f"preset: unknown preset {args.preset!r}; valid names: {', '.join(PRESET_NAMES)}"
-            )
-        preset_tokens = _PRESET_BUILDERS[args.preset]()
+def _resolve(args: argparse.Namespace, command: str) -> ParsedConfig:
+    layers = []
+    if args.preset:
+        preset_tokens = _preset_tokens(args.preset)
         preset_command = preset_tokens.pop("command")
         # A sweep builds on a run scenario; otherwise commands must agree.
         if command != preset_command and not (command == "sweep" and preset_command == "run"):
@@ -580,19 +561,16 @@ def _resolve(args: argparse.Namespace, command: str, flag_map: dict[str, str]) -
                 f"preset: {args.preset} is a {preset_command} scenario, "
                 f"not usable with the {command} subcommand"
             )
-        tokens.update(preset_tokens)
-    if getattr(args, "config", None):
+        layers.append(preset_tokens)
+    if args.config:
         file_tokens = parse_kv_file(args.config)
         if command == "sweep" and file_tokens.get("command") == "run":
             file_tokens.pop("command")
-        tokens.update(file_tokens)
-    tokens.update(_flag_tokens(args, flag_map))
-    if command == "sweep":
-        if args.spread_mults is not None:
-            tokens["spread_mults"] = args.spread_mults
-        if args.ensemble is not None:
-            tokens["ensemble"] = str(args.ensemble)
-    return parse_config(overrides=tokens, command=command)
+        layers.append(file_tokens)
+    layers.append(
+        {k: str(v) for k, v in vars(args).items() if v is not None and k not in _NOT_TOKENS}
+    )
+    return parse_config(overrides=_merge_layers(layers, command), command=command)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -606,35 +584,23 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"{key} = {value}")
         return 0
 
-    if args.subcommand == "run":
-        parsed = _resolve(args, "run", _RUN_FLAG_MAP)
-        start = time.perf_counter()
+    parsed = _resolve(args, args.subcommand)
+    start = time.perf_counter()
+    if parsed.command == "run":
         result = run_sequence(parsed.run)
-        write_outputs(parsed, result, args.out_dir, time.perf_counter() - start)
-        if result.terminated_early:
-            print(f"run terminated early: {result.terminated_early}", file=sys.stderr)
-            return 2
-        return 0
-
-    if args.subcommand == "classical":
-        parsed = _resolve(args, "classical", _CLASSICAL_FLAG_MAP)
+    elif parsed.command == "classical":
         cfg = parsed.classical
-        start = time.perf_counter()
-        traj = classical_trajectory(cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.coupling, cfg.seed)
-        write_outputs(parsed, traj, args.out_dir, time.perf_counter() - start)
-        return 0
-
-    if args.subcommand == "sweep":
-        parsed = _resolve(args, "sweep", _RUN_FLAG_MAP)
-        spec = parsed.sweep_spec
-        start = time.perf_counter()
-        result = sweep(spec.base, spec.multipliers, spec.ensemble)
-        write_outputs(parsed, result, args.out_dir, time.perf_counter() - start)
-        if any(cell.error for cell in result.cells):
-            print("some sweep cells failed; see sweep.csv and manifest", file=sys.stderr)
-        return 0
-
-    raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+        result = classical_trajectory(cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.coupling, cfg.seed)
+    else:
+        multipliers = [float(m) for m in parsed.tokens["spread_mults"].split(",")]
+        result = sweep(parsed.run, multipliers, int(parsed.tokens["ensemble"]))
+    write_outputs(parsed, result, args.out_dir, time.perf_counter() - start)
+    if parsed.command == "run" and result.terminated_early:
+        print(f"run terminated early: {result.terminated_early}", file=sys.stderr)
+        return 2
+    if parsed.command == "sweep" and any(cell.error for cell in result.cells):
+        print("some sweep cells failed; see sweep.csv and manifest", file=sys.stderr)
+    return 0
 
 
 def main(argv=None) -> int:

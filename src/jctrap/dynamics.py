@@ -128,18 +128,6 @@ class MeasurementScheme:
             raise ValueError("superposition scheme requires ramsey_ratio > 0")
 
     @classmethod
-    def nsm(cls) -> "MeasurementScheme":
-        return cls("nsm")
-
-    @classmethod
-    def elastic(cls) -> "MeasurementScheme":
-        return cls("elastic")
-
-    @classmethod
-    def inelastic(cls) -> "MeasurementScheme":
-        return cls("inelastic")
-
-    @classmethod
     def superposition(cls, ramsey_ratio: float, phi_f: float = -math.pi / 2) -> "MeasurementScheme":
         return cls("superposition", phi_f=phi_f, ramsey_ratio=ramsey_ratio)
 

@@ -191,7 +191,6 @@ def build_run_config(
     stream_id: int = 0,
     n_max: int | None = None,
     halt_on_failure: bool = True,
-    decorrelation: float = 0.0,
 ) -> RunConfig:
     """Assemble a validated RunConfig with the standard defaults.
 
@@ -216,13 +215,7 @@ def build_run_config(
         scheme_obj = MeasurementScheme.superposition(ratio, phi_f=phi_f)
     else:
         scheme_obj = MeasurementScheme(scheme)
-    timing = TimingModel(
-        tau_bar=tau_bar,
-        spread=spread_time,
-        law=law,
-        ramsey_ratio=ratio,
-        decorrelation=decorrelation,
-    )
+    timing = TimingModel(tau_bar=tau_bar, spread=spread_time, law=law, ramsey_ratio=ratio)
     config = RunConfig(
         scheme=scheme_obj,
         n_atoms=n_atoms,
@@ -476,31 +469,6 @@ def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     if isinstance(result, SimulationError):
         raise result
     return result
-
-
-@dataclass
-class NsmComparison:
-    """Paired fixed-time and fluctuating-time non-selective runs."""
-
-    fixed: RunResult
-    fluctuating: RunResult
-
-
-def run_nsm_fixed_vs_fluctuating(
-    fixed_config: RunConfig, fluctuating_config: RunConfig
-) -> NsmComparison:
-    """Run the fixed-versus-fluctuating comparison for the NSM scheme."""
-    for name, cfg in (("fixed", fixed_config), ("fluctuating", fluctuating_config)):
-        if cfg.scheme.kind != "nsm":
-            raise ConfigError(f"scheme: {name} config must use the nsm scheme")
-    if fixed_config.timing.spread != 0.0:
-        raise ConfigError("spread: fixed config must have zero spread")
-    if not fluctuating_config.timing.spread > 0.0:
-        raise ConfigError("spread: fluctuating config must have positive spread")
-    return NsmComparison(
-        fixed=run_sequence(fixed_config),
-        fluctuating=run_sequence(fluctuating_config),
-    )
 
 
 @dataclass(frozen=True)

@@ -132,11 +132,6 @@ def distribution_stats(distribution: np.ndarray) -> FieldStats:
     return FieldStats(mean_n=mean, delta_n=math.sqrt(max(0.0, var)), distribution=p)
 
 
-def stats(state: FieldState) -> FieldStats:
-    """Mean and rms photon number of a normalized field state."""
-    return distribution_stats(state.probabilities())
-
-
 def renormalize(state: FieldState) -> FieldState:
     """Scale amplitudes to unit norm, preserving relative phases.
 

@@ -32,16 +32,13 @@ class TimingModel:
     """Distribution of interaction times and the tied Ramsey times.
 
     spread is the full width of the uniform law; the gaussian law matches
-    its rms.  ramsey_ratio = 0 means no Ramsey zone.  decorrelation > 0
-    (exploratory extension, default off) mixes an independent draw into the
-    Ramsey channel: T_k = r * ((1-d) tau_k + d tau'_k).
+    its rms.  ramsey_ratio = 0 means no Ramsey zone.
     """
 
     tau_bar: float
     spread: float
     law: str = "uniform"
     ramsey_ratio: float = 0.0
-    decorrelation: float = 0.0
 
     def __post_init__(self):
         if not self.tau_bar > 0:
@@ -57,8 +54,6 @@ class TimingModel:
             )
         if self.ramsey_ratio < 0:
             raise ConfigError(f"ramsey_ratio must be >= 0, got {self.ramsey_ratio}")
-        if not 0.0 <= self.decorrelation <= 1.0:
-            raise ConfigError(f"decorrelation must lie in [0, 1], got {self.decorrelation}")
 
     @property
     def rms(self) -> float:
@@ -111,10 +106,6 @@ def _draw_tau(model: TimingModel, rng: np.random.Generator) -> float:
 def sample_timing(model: TimingModel, rng: np.random.Generator) -> tuple[float, float]:
     """Draw one atom's interaction time tau_k and Ramsey time T_k."""
     tau = _draw_tau(model, rng)
-    if model.decorrelation > 0.0 and model.ramsey_ratio > 0.0:
-        tau_indep = _draw_tau(model, rng)
-        mixed = (1.0 - model.decorrelation) * tau + model.decorrelation * tau_indep
-        return tau, model.ramsey_ratio * mixed
     return tau, model.ramsey_ratio * tau
 
 
@@ -126,11 +117,6 @@ def sample_timing_array(
     Equal, value for value and in what it leaves in the stream, to `count`
     successive sample_timing calls.
     """
-    if model.decorrelation > 0.0:
-        pairs = [sample_timing(model, rng) for _ in range(count)]
-        taus = np.array([p[0] for p in pairs])
-        ramsey = np.array([p[1] for p in pairs])
-        return taus, ramsey
     if model.spread == 0.0:
         taus = np.full(count, model.tau_bar)
     elif model.law == "uniform":

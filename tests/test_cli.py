@@ -283,3 +283,74 @@ class TestCliEndToEnd:
             ["run", "--config", str(cfg_path), "--atoms", "10", "--out-dir", str(out_dir)]
         )
         assert code == 0
+
+
+RUN_FLAGS = ("--scheme", "elastic", "--trap", "20", "--alpha", "3", "--atoms", "0")
+
+
+def manifest_tokens(tmp_path, argv, out="out"):
+    """Run the CLI and return the [config] tokens of the manifest it writes."""
+    out_dir = tmp_path / out
+    assert main([*argv, "--out-dir", str(out_dir)]) == 0
+    return parse_kv_file(out_dir / "manifest.txt")
+
+
+class TestFlagLayers:
+    @pytest.mark.parametrize(
+        "argv, token, value",
+        [
+            pytest.param(["run", *RUN_FLAGS, "--omega", "2.5"], "omega_in_g", "2.5", id="omega"),
+            pytest.param(
+                ["classical", "--preset", "fig1c", "--steps", "1", "--gtau-bar", "0.5"],
+                "tau_bar_in_inv_g", "0.5", id="gtau-bar",
+            ),
+            pytest.param(["run", *RUN_FLAGS, "--stream", "3"], "stream", "3", id="stream"),
+            pytest.param(["run", *RUN_FLAGS, "--nmax", "70"], "nmax", "70", id="nmax"),
+            pytest.param(["run", *RUN_FLAGS, "--g", "2"], "g", "2", id="g"),
+            pytest.param(["run", *RUN_FLAGS, "--dist", "gaussian"], "dist", "gaussian", id="dist"),
+            pytest.param(["run", *RUN_FLAGS, "--mode", "sample"], "mode", "sample", id="mode"),
+            pytest.param(["run", *RUN_FLAGS, "--q", "2"], "q", "2", id="q"),
+            pytest.param(
+                ["sweep", *RUN_FLAGS, "--spread-mults", "0,0.5"], "spread_mults", "0,0.5",
+                id="spread-mults",
+            ),
+            pytest.param(
+                ["sweep", *RUN_FLAGS, "--spread-mults", "0", "--ensemble", "3"], "ensemble", "3",
+                id="ensemble",
+            ),
+        ],
+    )
+    def test_flag_reaches_its_token(self, tmp_path, argv, token, value):
+        assert manifest_tokens(tmp_path, argv)[token] == value
+
+    def test_spread_flag_replaces_preset_spread(self, tmp_path):
+        # fig1b sets spread_frac, which ranks above spread_mult within one layer.
+        tokens = manifest_tokens(
+            tmp_path, ["run", "--preset", "fig1b", "--atoms", "0", "--spread-mult", "0.5"]
+        )
+        assert float(tokens["spread_in_inv_g"]) == 0.5 * critical_spread(138, G1)
+
+    def test_spread_flag_replaces_config_spread(self, tmp_path):
+        fig2a = manifest_tokens(tmp_path, ["run", "--preset", "fig2a", "--atoms", "0"], "fig2a")
+        assert float(fig2a["spread_in_inv_g"]) == pytest.approx(0.1 * critical_spread(20, G1))
+        tokens = manifest_tokens(
+            tmp_path,
+            ["run", "--config", str(tmp_path / "fig2a" / "manifest.txt"), "--spread-mult", "1"],
+        )
+        assert float(tokens["spread_in_inv_g"]) == critical_spread(20, G1)
+
+    @pytest.mark.parametrize("key", ["q", "trap", "g"])
+    def test_tau_bar_input_over_config_time_rejected(self, tmp_path, capsys, key):
+        # A preset leaves tau_bar to its default, so the flag moves it ...
+        tokens = manifest_tokens(tmp_path, ["run", "--preset", "fig2a", "--atoms", "0", "--q", "2"])
+        assert float(tokens["tau_bar_in_inv_g"]) == trapping_time(20, 2, G1)
+        # ... but a manifest fixes it, and cannot say whether it was chosen.
+        out_dir = tmp_path / "rejected"
+        code = main(
+            ["run", "--config", str(tmp_path / "out" / "manifest.txt"), f"--{key}", "3",
+             "--out-dir", str(out_dir)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err and "tau_bar_in_inv_g" in err
+        assert not out_dir.exists()

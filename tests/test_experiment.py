@@ -22,7 +22,6 @@ from jctrap.errors import ConfigError, LeakageError, SimulationError
 from jctrap.experiment import (
     CONVERGENCE_P,
     build_run_config,
-    run_nsm_fixed_vs_fluctuating,
     run_sequence,
     sampled_success_estimate,
     sweep,
@@ -344,24 +343,6 @@ class TestSampledMode:
         fraction = sampled_success_estimate(sampled, trials)
         sigma = math.sqrt(cum * (1.0 - cum) / trials)
         assert abs(fraction - cum) < 4.0 * sigma
-
-
-class TestNsmComparison:
-    def test_pairing_and_validation(self):
-        # Trap 70 sits above the support of the coherent alpha=3 state, so
-        # fixed-time blockage keeps everything at or below it exactly.
-        fixed = build_run_config(scheme="nsm", trap_target=70, n_atoms=50, alpha=3.0)
-        fluct = build_run_config(
-            scheme="nsm", trap_target=70, n_atoms=50, alpha=3.0,
-            spread_time=0.01 * fixed.timing.tau_bar,
-        )
-        pair = run_nsm_fixed_vs_fluctuating(fixed, fluct)
-        assert all(s.p_above_trap == 0.0 for s in pair.fixed.steps)
-        with pytest.raises(ConfigError):
-            run_nsm_fixed_vs_fluctuating(fluct, fixed)
-        elastic = build_run_config(scheme="elastic", trap_target=70, n_atoms=5, alpha=3.0)
-        with pytest.raises(ConfigError):
-            run_nsm_fixed_vs_fluctuating(elastic, fluct)
 
 
 class TestSweep:

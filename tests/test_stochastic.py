@@ -79,9 +79,8 @@ class TestSampleTiming:
             TimingModel(tau_bar=1.0, spread=0.5),
             TimingModel(tau_bar=1.0, spread=6.0, law="gaussian"),
             TimingModel(tau_bar=1.0, spread=0.0, law="gaussian", ramsey_ratio=2.0),
-            TimingModel(tau_bar=1.0, spread=0.3, ramsey_ratio=2.0, decorrelation=0.4),
         ],
-        ids=["uniform", "gaussian-6-tau-bar", "spread-0", "decorrelated"],
+        ids=["uniform", "gaussian-6-tau-bar", "spread-0"],
     )
     def test_array_equals_successive_scalar_draws(self, model):
         # Same values, and the same stream left behind: the gaussian law at
@@ -92,20 +91,6 @@ class TestSampleTiming:
         assert np.array_equal(taus, [tau for tau, _ in pairs])
         assert np.array_equal(ramsey, [t_r for _, t_r in pairs])
         assert scalar_rng.random() == array_rng.random()
-
-    def test_decorrelation_extension(self):
-        base = dict(tau_bar=0.7, spread=0.2, ramsey_ratio=2.0)
-        perfect = TimingModel(**base)
-        rng = derive_stream(SeedSpec(3, 0))
-        pairs = [sample_timing(perfect, rng) for _ in range(500)]
-        assert all(t_r == 2.0 * tau for tau, t_r in pairs)
-        mixed = TimingModel(**base, decorrelation=1.0)
-        rng = derive_stream(SeedSpec(3, 0))
-        pairs = [sample_timing(mixed, rng) for _ in range(500)]
-        taus = np.array([p[0] for p in pairs])
-        ramseys = np.array([p[1] for p in pairs])
-        corr = np.corrcoef(taus, ramseys)[0, 1]
-        assert abs(corr) < 0.5
 
 
 class TestDeriveStream:
