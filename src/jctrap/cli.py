@@ -8,7 +8,6 @@ digests of each output file, which is enough to bit-reproduce them.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 import time
@@ -201,6 +200,8 @@ def _canonical_run_tokens(raw: dict[str, str], command: str) -> dict[str, str]:
         "halt_on_failure": "true" if _get_bool(raw, "halt_on_failure", True) else "false",
     }
     if command == "sweep":
+        # Every cell's spread is its multiplier times the critical spread.
+        del tokens["spread_in_inv_g"]
         mults = _require(raw, "spread_mults", "--spread-mults")
         try:
             parsed = [float(tok) for tok in mults.split(",") if tok.strip() != ""]
@@ -222,7 +223,7 @@ def _build_run_from_tokens(tokens: dict[str, str]) -> RunConfig:
         q=int(tokens["q"]),
         alpha=parse_alpha_token(alpha_token) if alpha_token else None,
         fock_n=int(tokens["fock"]) if tokens.get("fock") else None,
-        spread_time=float(tokens["spread_in_inv_g"]),
+        spread_time=float(tokens.get("spread_in_inv_g", 0.0)),
         tau_bar=float(tokens["tau_bar_in_inv_g"]),
         law=tokens["dist"],
         mode=tokens["mode"],
@@ -407,14 +408,6 @@ def preset(name: str) -> ParsedConfig:
 # Output writing.
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float) -> Manifest:
     """Write the command's CSV outputs plus a manifest with their digests."""
     from pathlib import Path
@@ -425,18 +418,16 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
     terminated = None
 
     if parsed.command == "run":
-        write_trajectory_csv(out / "trajectory.csv", result)
-        write_distribution_csv(out / "distribution.csv", result.final_distribution)
-        outputs["trajectory.csv"] = _sha256(out / "trajectory.csv")
-        outputs["distribution.csv"] = _sha256(out / "distribution.csv")
+        outputs["trajectory.csv"] = write_trajectory_csv(out / "trajectory.csv", result)
+        outputs["distribution.csv"] = write_distribution_csv(
+            out / "distribution.csv", result.final_distribution
+        )
         terminated = result.terminated_early
     elif parsed.command == "classical":
         taus, epsilons = result
-        write_classical_csv(out / "classical.csv", taus, epsilons)
-        outputs["classical.csv"] = _sha256(out / "classical.csv")
+        outputs["classical.csv"] = write_classical_csv(out / "classical.csv", taus, epsilons)
     elif parsed.command == "sweep":
-        write_sweep_csv(out / "sweep.csv", result)
-        outputs["sweep.csv"] = _sha256(out / "sweep.csv")
+        outputs["sweep.csv"] = write_sweep_csv(out / "sweep.csv", result)
 
     manifest = Manifest(
         command=parsed.command,
@@ -517,8 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # Every other parsed argument is a flag whose dest is its config token.
 _NOT_TOKENS = ("subcommand", "config", "preset", "out_dir")
 
-# A layer that sets any of these replaces all of them from the layers below.
-_SPREAD_KEYS = ("spread_in_inv_g", "spread_frac", "spread_mult")
+# A layer that sets any key of a group replaces the whole group from the
+# layers below: the spread keys, and the two ways to give the initial field.
+_REPLACED_TOGETHER = (("spread_in_inv_g", "spread_frac", "spread_mult"), ("alpha", "fock"))
 
 # A run's default tau_bar_in_inv_g is the trapping time of these.
 _TRAPPING_TIME_KEYS = ("trap", "q", "g")
@@ -527,16 +519,18 @@ _TRAPPING_TIME_KEYS = ("trap", "q", "g")
 def _merge_layers(layers: list[dict[str, str]], command: str) -> dict[str, str]:
     """Merge token layers (preset, config file, flags); later layers win.
 
-    A layer that sets a spread key replaces every spread key below it.  A
-    run or sweep layer that sets trap, q or g over a lower tau_bar_in_inv_g
-    is an error: a config cannot tell a chosen time from the default
-    trapping time of its own trap, q and g.
+    A layer that sets a spread key replaces every spread key below it, and
+    one that sets alpha or fock replaces both.  A run or sweep layer that
+    sets trap, q or g over a lower tau_bar_in_inv_g is an error: a config
+    cannot tell a chosen time from the default trapping time of its own
+    trap, q and g.
     """
     tokens: dict[str, str] = {}
     for layer in layers:
-        if any(layer.get(key) for key in _SPREAD_KEYS):
-            for key in _SPREAD_KEYS:
-                tokens.pop(key, None)
+        for group in _REPLACED_TOGETHER:
+            if any(layer.get(key) for key in group):
+                for key in group:
+                    tokens.pop(key, None)
         fixed_tau = tokens.get("tau_bar_in_inv_g")
         if command != "classical" and fixed_tau and not layer.get("tau_bar_in_inv_g"):
             for key in _TRAPPING_TIME_KEYS:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .csvfile import write_csv
 from .dynamics import (
     AMPLITUDE_LEAK_TOL,
     ELASTIC_ROTATION,
@@ -584,22 +585,24 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     return successes / trajectories
 
 
-def write_trajectory_csv(path, result: RunResult) -> None:
-    """Per-step CSV `k,tau_k,T_k,P_k,cum_P,mean_n,delta_n,outcome`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,tau_k,T_k,P_k,cum_P,mean_n,delta_n,outcome\n")
-        for s in result.steps:
-            reals = (s.tau_k, s.T_k, s.P_k, s.cum_P, s.mean_n, s.delta_n)
-            fh.write(f"{s.k}," + ",".join(format(v, ".17g") for v in reals) + f",{s.outcome}\n")
+def write_trajectory_csv(path, result: RunResult) -> str:
+    """Per-step CSV `k,tau_k,T_k,P_k,cum_P,mean_n,delta_n,outcome`; returns its sha256."""
+    return write_csv(
+        path,
+        b"k,tau_k,T_k,P_k,cum_P,mean_n,delta_n,outcome\n",
+        b"%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n",
+        (
+            (s.k, s.tau_k, s.T_k, s.P_k, s.cum_P, s.mean_n, s.delta_n, s.outcome.encode())
+            for s in result.steps
+        ),
+    )
 
 
-def write_sweep_csv(path, result: SweepResult) -> None:
-    """Per-cell CSV `multiplier,cell,final_P_nt,cum_P,converged`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("multiplier,cell,final_P_nt,cum_P,converged\n")
-        for c in result.cells:
-            fh.write(
-                f"{format(c.multiplier, '.17g')},{c.cell},"
-                f"{format(c.final_p_trap, '.17g')},{format(c.cum_P, '.17g')},"
-                f"{int(c.converged)}\n"
-            )
+def write_sweep_csv(path, result: SweepResult) -> str:
+    """Per-cell CSV `multiplier,cell,final_P_nt,cum_P,converged`; returns its sha256."""
+    return write_csv(
+        path,
+        b"multiplier,cell,final_P_nt,cum_P,converged\n",
+        b"%.17g,%d,%.17g,%.17g,%d\n",
+        ((c.multiplier, c.cell, c.final_p_trap, c.cum_P, c.converged) for c in result.cells),
+    )

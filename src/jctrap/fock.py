@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfile import write_csv
 from .errors import LeakageError, OrthogonalOutcomeError
 
 # Norm of any state returned by this module stays within NORM_ATOL of 1.
@@ -157,10 +158,7 @@ def top_level_probability(distribution: np.ndarray, levels: int = 3) -> float | 
     return p[..., -levels:].sum(axis=-1)
 
 
-def write_distribution_csv(path, distribution: np.ndarray) -> None:
-    """Write a photon-number distribution as two-column CSV `n,P(n)`."""
+def write_distribution_csv(path, distribution: np.ndarray) -> str:
+    """Write a photon-number distribution as two-column CSV `n,P(n)`; returns its sha256."""
     p = np.asarray(distribution, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,P(n)\n")
-        for n, val in enumerate(p):
-            fh.write(f"{n},{format(val, '.17g')}\n")
+    return write_csv(path, b"n,P(n)\n", b"%d,%.17g\n", enumerate(p.tolist()))

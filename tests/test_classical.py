@@ -163,3 +163,13 @@ class TestClassicalRun:
         last = lines[-1].split(",")
         assert int(last[0]) == 25
         assert float(last[2]) == epsilons[-1]
+
+    def test_energy_column_is_python_pow(self, tmp_path):
+        # Python's eps ** 2 (libm pow) and numpy's eps * eps differ in the last
+        # bit here, as on 843 of fig1d's 10^6 rows; the CSV writes the former.
+        eps = 13.950552987911985
+        path = tmp_path / "classical.csv"
+        write_classical_csv(path, np.array([0.5]), np.array([6.0, eps]))
+        rows = path.read_text().splitlines()
+        assert rows[1:] == ["0,0,6,9", "1,0.5,13.950552987911985,48.654482167135008"]
+        assert format((np.array([eps]) ** 2 / 4)[0], ".17g") == "48.654482167135001"

@@ -1,4 +1,5 @@
 """Config parsing, presets, output writing and manifests."""
+import hashlib
 import math
 
 import numpy as np
@@ -339,6 +340,21 @@ class TestFlagLayers:
         )
         assert float(tokens["spread_in_inv_g"]) == critical_spread(20, G1)
 
+    def test_alpha_flag_replaces_config_fock(self, tmp_path):
+        fock_flags = ("--scheme", "elastic", "--trap", "20", "--fock", "3", "--atoms", "0")
+        manifest_tokens(tmp_path, ["run", *fock_flags], "fock")
+        tokens = manifest_tokens(
+            tmp_path, ["run", "--config", str(tmp_path / "fock" / "manifest.txt"), "--alpha", "3"]
+        )
+        assert (tokens["alpha"], tokens["fock"]) == ("3", "")
+
+    def test_fock_flag_replaces_config_alpha(self, tmp_path):
+        manifest_tokens(tmp_path, ["run", *RUN_FLAGS], "alpha")
+        tokens = manifest_tokens(
+            tmp_path, ["run", "--config", str(tmp_path / "alpha" / "manifest.txt"), "--fock", "3"]
+        )
+        assert (tokens["alpha"], tokens["fock"]) == ("", "3")
+
     @pytest.mark.parametrize("key", ["q", "trap", "g"])
     def test_tau_bar_input_over_config_time_rejected(self, tmp_path, capsys, key):
         # A preset leaves tau_bar to its default, so the flag moves it ...
@@ -354,3 +370,75 @@ class TestFlagLayers:
         err = capsys.readouterr().err
         assert f"config error: {key}: " in err and "tau_bar_in_inv_g" in err
         assert not out_dir.exists()
+
+
+def manifest_outputs(out_dir):
+    """The [outputs] of a manifest as {file name: sha256 hex digest}."""
+    text = (out_dir / "manifest.txt").read_text(encoding="utf-8")
+    lines = text.split("[outputs]\n")[1].splitlines()
+    return dict(
+        (name.strip(), digest.strip().removeprefix("sha256:"))
+        for name, _, digest in (line.partition("=") for line in lines)
+    )
+
+
+class TestOutputDigests:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["run", "--preset", "fig2a", "--atoms", "30"], id="run"),
+            pytest.param(
+                ["sweep", "--preset", "fig2a", "--atoms", "30", "--spread-mults", "0,1",
+                 "--ensemble", "2"],
+                id="sweep",
+            ),
+            pytest.param(["classical", "--preset", "fig1c", "--steps", "3000"], id="classical"),
+        ],
+    )
+    def test_manifest_digest_is_file_digest(self, tmp_path, argv):
+        # The writers hash what they write; nothing reads the files back.
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        outputs = manifest_outputs(tmp_path)
+        assert outputs
+        for name, digest in outputs.items():
+            assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            pytest.param(
+                ["classical", "--preset", "fig1c"],
+                {"classical.csv": "71cd61f412e626888b9830bb84c287ad69d5afc9ee1aa533b34de6a806a5a266"},
+                id="fig1c",
+            ),
+            pytest.param(
+                ["run", "--preset", "fig2a", "--atoms", "50"],
+                {
+                    "trajectory.csv":
+                        "e650f897bf05464e5a6a5dc947ef74ef822b9c5685e8856ae599e3a3d24b0e0f",
+                    "distribution.csv":
+                        "1dda2d56399ca51038fc272e881a93100459ef97b95d4b30d37e1a6b57174070",
+                },
+                id="fig2a-50-atoms",
+            ),
+        ],
+    )
+    def test_outputs_byte_identical_to_recorded(self, tmp_path, argv, expected):
+        # Digests of the files as first written; any changed byte fails.
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert manifest_outputs(tmp_path) == expected
+        for name, digest in expected.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_sweep_manifest_round_trips(self, tmp_path):
+        argv = ["sweep", "--preset", "fig2a", "--atoms", "30", "--spread-mults", "0.5,1",
+                "--ensemble", "2"]
+        tokens = manifest_tokens(tmp_path, argv, "first")
+        # The cells set their own spreads; the base run's would be misread.
+        assert not any(key.startswith("spread_") and key != "spread_mults" for key in tokens)
+        again = manifest_tokens(
+            tmp_path, ["sweep", "--config", str(tmp_path / "first" / "manifest.txt")], "again"
+        )
+        assert again == tokens
+        first, second = manifest_outputs(tmp_path / "first"), manifest_outputs(tmp_path / "again")
+        assert first == second and set(first) == {"sweep.csv"}
