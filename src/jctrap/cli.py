@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import __version__
 from .classical import classical_trajectory, write_classical_csv
-from .dynamics import CouplingParams, critical_spread, trapping_time
+from .dynamics import CouplingParams
 from .errors import ConfigError, SimulationError
 from .experiment import (
     RunConfig,
@@ -25,17 +27,42 @@ from .experiment import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from .fock import default_n_max, write_distribution_csv
+from .fock import write_distribution_csv
 from .stochastic import SeedSpec, TimingModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassicalConfig:
     epsilon0: float
     n_steps: int
     timing: TimingModel
     coupling: CouplingParams
     seed: SeedSpec
+
+
+def build_classical_config(
+    *,
+    epsilon0: float,
+    n_steps: int,
+    tau_bar: float,
+    spread_time: float | None = None,
+    spread_frac: float = 0.0,
+    law: str = "uniform",
+    g: float = 1.0,
+    master_seed: int = 0,
+    stream_id: int = 0,
+) -> ClassicalConfig:
+    """A validated ClassicalConfig; the spread is spread_time, else spread_frac * tau_bar."""
+    if not epsilon0 > 0:
+        raise ConfigError(f"epsilon0: must be > 0, got {epsilon0}")
+    if n_steps < 0:
+        raise ConfigError(f"steps: must be >= 0, got {n_steps}")
+    if spread_time is None:
+        spread_time = spread_frac * tau_bar
+    timing = TimingModel(tau_bar=tau_bar, spread=spread_time, law=law)
+    return ClassicalConfig(
+        epsilon0, n_steps, timing, CouplingParams(g), SeedSpec(master_seed, stream_id)
+    )
 
 
 @dataclass
@@ -113,295 +140,192 @@ def parse_kv_file(path) -> dict[str, str]:
     return tokens
 
 
-def _require(tokens: dict[str, str], key: str, flag: str) -> str:
-    if key not in tokens or tokens[key] == "":
-        raise ConfigError(f"{key}: required field missing (set {flag})")
-    return tokens[key]
+def _parse_bool(text: str) -> bool:
+    words = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+    return words[text.lower()]
 
 
-def _get_int(tokens, key, default=None):
-    raw = tokens.get(key)
-    if raw is None or raw == "":
-        if default is None:
-            raise ConfigError(f"{key}: required field missing")
-        return default
+def _parse_mults(text: str) -> list[float]:
+    mults = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not mults:
+        raise ConfigError("spread_mults: at least one multiplier required")
+    return mults
+
+
+# What a parser expects, for the error when a token does not parse.
+_EXPECTED = {
+    int: "an integer", float: "a number", _parse_bool: "true or false",
+    _parse_mults: "comma-separated numbers",
+}
+
+
+def _back(path: str, fmt=str):
+    """Write a token back from the resolved config's attribute at path."""
+    get = operator.attrgetter(path)
+    return lambda config, given: fmt(get(config))
+
+
+def _given_for(field_kind: str):
+    """Write alpha or fock back as given when the initial field is of its kind."""
+    return lambda config, given: given if config.initial_field.kind == field_kind else ""
+
+
+# Every config token: (keyword it sets, parser, how the resolved config writes
+# it back).  A run's keywords go to build_run_config and a classical run's to
+# build_classical_config.  The spread inputs resolve into spread_in_inv_g and
+# are not written back.  The sweep's own two set no keyword: they are written
+# back from the text given, and the sweep reads them off the tokens.
+_TOKENS = {
+    "scheme": ("scheme", str, _back("scheme.kind")),
+    "trap": ("trap_target", int, _back("trap_target")),
+    "q": ("q", int, _back("q")),
+    "atoms": ("n_atoms", int, _back("n_atoms")),
+    "epsilon0": ("epsilon0", float, _back("epsilon0", _fmt)),
+    "steps": ("n_steps", int, _back("n_steps")),
+    "alpha": ("alpha", parse_alpha_token, _given_for("coherent")),
+    "fock": ("fock_n", int, _given_for("fock")),
+    "dist": ("law", str, _back("timing.law")),
+    "mode": ("mode", str, _back("mode")),
+    "tau_bar_in_inv_g": ("tau_bar", float, _back("timing.tau_bar", _fmt)),
+    "spread_in_inv_g": ("spread_time", float, _back("timing.spread", _fmt)),
+    "spread_frac": ("spread_frac", float, None),
+    "spread_mult": ("spread_mult", float, None),
+    "g": ("g", float, _back("coupling.g", _fmt)),
+    "omega_in_g": ("omega", float, _back("omega", _fmt)),
+    "phi_f_rad": ("phi_f", float, _back("scheme.phi_f", _fmt)),
+    "nmax": ("n_max", int, _back("n_max")),
+    "seed": ("master_seed", int, _back("seed.master_seed")),
+    "stream": ("stream_id", int, _back("seed.stream_id")),
+    "halt_on_failure": (
+        "halt_on_failure", _parse_bool, _back("halt_on_failure", lambda b: str(b).lower())
+    ),
+    "spread_mults": (None, _parse_mults, lambda c, given: ",".join(map(_fmt, _parse_mults(given)))),
+    "ensemble": (None, int, lambda c, given: str(int(given or 1))),
+}
+
+_RUN_TOKENS = (
+    "scheme", "trap", "q", "atoms", "alpha", "fock", "dist", "mode", "tau_bar_in_inv_g",
+    "spread_in_inv_g", "spread_frac", "spread_mult", "g", "omega_in_g", "phi_f_rad", "nmax",
+    "seed", "stream", "halt_on_failure",
+)
+_SPREAD_INPUTS = ("spread_in_inv_g", "spread_frac", "spread_mult")
+
+# The tokens each command reads, in manifest order.
+_COMMAND_TOKENS = {
+    "run": _RUN_TOKENS,
+    "sweep": (*(t for t in _RUN_TOKENS if t not in _SPREAD_INPUTS), "spread_mults", "ensemble"),
+    "classical": (
+        "epsilon0", "steps", "tau_bar_in_inv_g", "spread_in_inv_g", "spread_frac", "dist", "g",
+        "seed", "stream",
+    ),
+}
+
+# Keys a command accepts and ignores besides `command`: older manifests carry
+# the retired `workers`, and a sweep sets every cell's spread to its
+# multiplier times the critical spread, so it ignores a run config's spread.
+_IGNORED = {"run": ("workers",), "classical": ("workers",), "sweep": ("workers", *_SPREAD_INPUTS)}
+
+# The tokens with no default, each with the flag its error names (if any).
+_REQUIRED = {
+    "run": (("scheme", "--scheme"), ("trap", "--trap"), ("atoms", None)),
+    "classical": (("tau_bar_in_inv_g", "--gtau-bar"), ("epsilon0", None), ("steps", None)),
+}
+_REQUIRED["sweep"] = (*_REQUIRED["run"], ("spread_mults", "--spread-mults"))
+
+
+def _parse(token: str, text: str):
+    _, parse, _ = _TOKENS[token]
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+        return parse(text)
+    except ConfigError:
+        raise
+    except (ValueError, KeyError):
+        raise ConfigError(f"{token}: expected {_EXPECTED[parse]}, got {text!r}") from None
 
 
-def _get_float(tokens, key, default=None):
-    raw = tokens.get(key)
-    if raw is None or raw == "":
-        if default is None:
-            raise ConfigError(f"{key}: required field missing")
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+def parse_config(overrides: dict[str, str], command: str | None = None) -> ParsedConfig:
+    """Resolve config tokens into a validated config and its canonical tokens.
 
-
-def _get_bool(tokens, key, default):
-    raw = tokens.get(key)
-    if raw is None or raw == "":
-        return default
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected true or false, got {raw!r}")
-
-
-def _canonical_run_tokens(raw: dict[str, str], command: str) -> dict[str, str]:
-    """Resolve defaults into the canonical, round-trippable token set."""
-    scheme = _require(raw, "scheme", "--scheme")
-    if scheme not in ("nsm", "elastic", "inelastic", "superposition"):
-        raise ConfigError(f"scheme: unknown scheme {scheme!r}")
-    _require(raw, "trap", "--trap")
-    trap = _get_int(raw, "trap")
-    q = _get_int(raw, "q", 1)
-    g = _get_float(raw, "g", 1.0)
-    coupling = CouplingParams(g)
-    tau_bar = _get_float(raw, "tau_bar_in_inv_g", trapping_time(trap, q, coupling))
-    if "spread_in_inv_g" in raw:
-        spread = _get_float(raw, "spread_in_inv_g")
-    elif "spread_frac" in raw:
-        spread = _get_float(raw, "spread_frac") * tau_bar
-    else:
-        spread = _get_float(raw, "spread_mult", 0.0) * critical_spread(trap, coupling)
-
-    alpha_token = raw.get("alpha", "").strip()
-    fock_token = raw.get("fock", "").strip()
-    if bool(alpha_token) == bool(fock_token):
-        raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
-    if alpha_token:
-        parse_alpha_token(alpha_token)  # validate early
-
-    tokens = {
-        "command": command,
-        "scheme": scheme,
-        "trap": str(trap),
-        "q": str(q),
-        "atoms": str(_get_int(raw, "atoms")),
-        "alpha": alpha_token,
-        "fock": fock_token,
-        "dist": raw.get("dist", "uniform"),
-        "mode": raw.get("mode", "postselect"),
-        "tau_bar_in_inv_g": _fmt(tau_bar),
-        "spread_in_inv_g": _fmt(spread),
-        "g": _fmt(g),
-        "omega_in_g": _fmt(_get_float(raw, "omega_in_g", 1.0)),
-        "phi_f_rad": _fmt(_get_float(raw, "phi_f_rad", -math.pi / 2)),
-        "nmax": str(_get_int(raw, "nmax", default_n_max(trap))),
-        "seed": str(_get_int(raw, "seed", 0)),
-        "stream": str(_get_int(raw, "stream", 0)),
-        "halt_on_failure": "true" if _get_bool(raw, "halt_on_failure", True) else "false",
-    }
-    if command == "sweep":
-        # Every cell's spread is its multiplier times the critical spread.
-        del tokens["spread_in_inv_g"]
-        mults = _require(raw, "spread_mults", "--spread-mults")
-        try:
-            parsed = [float(tok) for tok in mults.split(",") if tok.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"spread_mults: expected comma-separated numbers, got {mults!r}")
-        if not parsed:
-            raise ConfigError("spread_mults: at least one multiplier required")
-        tokens["spread_mults"] = ",".join(_fmt(m) for m in parsed)
-        tokens["ensemble"] = str(_get_int(raw, "ensemble", 1))
-    return tokens
-
-
-def _build_run_from_tokens(tokens: dict[str, str]) -> RunConfig:
-    alpha_token = tokens.get("alpha", "")
-    return build_run_config(
-        scheme=tokens["scheme"],
-        trap_target=int(tokens["trap"]),
-        n_atoms=int(tokens["atoms"]),
-        q=int(tokens["q"]),
-        alpha=parse_alpha_token(alpha_token) if alpha_token else None,
-        fock_n=int(tokens["fock"]) if tokens.get("fock") else None,
-        spread_time=float(tokens.get("spread_in_inv_g", 0.0)),
-        tau_bar=float(tokens["tau_bar_in_inv_g"]),
-        law=tokens["dist"],
-        mode=tokens["mode"],
-        omega=float(tokens["omega_in_g"]),
-        phi_f=float(tokens["phi_f_rad"]),
-        g=float(tokens["g"]),
-        master_seed=int(tokens["seed"]),
-        stream_id=int(tokens["stream"]),
-        n_max=int(tokens["nmax"]),
-        halt_on_failure=tokens["halt_on_failure"] == "true",
-    )
-
-
-def _canonical_classical_tokens(raw: dict[str, str]) -> dict[str, str]:
-    g = _get_float(raw, "g", 1.0)
-    _require(raw, "tau_bar_in_inv_g", "--gtau-bar")
-    tau_bar = _get_float(raw, "tau_bar_in_inv_g")
-    if "spread_in_inv_g" in raw:
-        spread = _get_float(raw, "spread_in_inv_g")
-    else:
-        spread = _get_float(raw, "spread_frac", 0.0) * tau_bar
-    return {
-        "command": "classical",
-        "epsilon0": _fmt(_get_float(raw, "epsilon0")),
-        "steps": str(_get_int(raw, "steps")),
-        "tau_bar_in_inv_g": _fmt(tau_bar),
-        "spread_in_inv_g": _fmt(spread),
-        "dist": raw.get("dist", "uniform"),
-        "g": _fmt(g),
-        "seed": str(_get_int(raw, "seed", 0)),
-        "stream": str(_get_int(raw, "stream", 0)),
-    }
-
-
-def _build_classical_from_tokens(tokens: dict[str, str]) -> ClassicalConfig:
-    timing = TimingModel(
-        tau_bar=float(tokens["tau_bar_in_inv_g"]),
-        spread=float(tokens["spread_in_inv_g"]),
-        law=tokens["dist"],
-    )
-    epsilon0 = float(tokens["epsilon0"])
-    if not epsilon0 > 0:
-        raise ConfigError(f"epsilon0: must be > 0, got {epsilon0}")
-    return ClassicalConfig(
-        epsilon0=epsilon0,
-        n_steps=int(tokens["steps"]),
-        timing=timing,
-        coupling=CouplingParams(float(tokens["g"])),
-        seed=SeedSpec(int(tokens["seed"]), int(tokens["stream"])),
-    )
-
-
-def parse_config(path=None, overrides: dict[str, str] | None = None, command: str | None = None) -> ParsedConfig:
-    """Resolve a config file plus overriding tokens into a validated config.
-
-    The resulting token set is canonical: feeding it back through this
-    function reproduces an identical configuration.
+    Only the tokens given reach build_run_config (or build_classical_config),
+    which states every default; the canonical tokens are read back off the
+    resolved config, so feeding them back reproduces it.
     """
-    tokens: dict[str, str] = {}
-    if path is not None:
-        tokens.update(parse_kv_file(path))
-    if overrides:
-        tokens.update({k: v for k, v in overrides.items() if v is not None and v != ""})
-    cmd = command or tokens.get("command")
+    given = {k: v.strip() for k, v in overrides.items() if v and v.strip()}
+    cmd = command or given.get("command")
     if cmd is None:
         raise ConfigError("command: required field missing (run, classical or sweep)")
-    if "command" in tokens and command is not None and tokens["command"] != command:
+    if "command" in given and command is not None and given["command"] != command:
         raise ConfigError(
-            f"command: config is for {tokens['command']!r} but the {command!r} subcommand was invoked"
+            f"command: config is for {given['command']!r} "
+            f"but the {command!r} subcommand was invoked"
         )
+    if cmd not in _COMMAND_TOKENS:
+        raise ConfigError(f"command: unknown command {cmd!r}")
+    names = _COMMAND_TOKENS[cmd]
+    for key in given:
+        if key not in (*names, "command", *_IGNORED[cmd]):
+            raise ConfigError(f"{key}: not a config key of the {cmd} command")
+    for key, flag in _REQUIRED[cmd]:
+        if key not in given:
+            raise ConfigError(f"{key}: required field missing" + (f" (set {flag})" if flag else ""))
+    values = {name: _parse(name, given[name]) for name in names if name in given}
+    kwargs = {_TOKENS[name][0]: value for name, value in values.items() if _TOKENS[name][0]}
+    build = build_classical_config if cmd == "classical" else build_run_config
+    config = build(**kwargs)
+
+    tokens = {"command": cmd}
+    for name in names:
+        write = _TOKENS[name][2]
+        if write is not None:
+            tokens[name] = write(config, given.get(name, ""))
     if cmd == "classical":
-        canonical = _canonical_classical_tokens(tokens)
-        return ParsedConfig(cmd, canonical, classical=_build_classical_from_tokens(canonical))
-    if cmd in ("run", "sweep"):
-        canonical = _canonical_run_tokens(tokens, cmd)
-        return ParsedConfig(cmd, canonical, run=_build_run_from_tokens(canonical))
-    raise ConfigError(f"command: unknown command {cmd!r}")
+        return ParsedConfig(cmd, tokens, classical=config)
+    return ParsedConfig(cmd, tokens, run=config)
 
 
 # ---------------------------------------------------------------------------
 # Presets: the regression scenarios.
 
-_PRESET_BUILDERS = {}
+_PRESETS = {
+    "fig1a": dict(command="run", scheme="nsm", trap="138", alpha="3", atoms="5000", seed="11"),
+    "fig1c": dict(
+        command="classical", epsilon0="6", steps="10000",
+        tau_bar_in_inv_g=_fmt(2 * math.pi / math.sqrt(199.0)), seed="11",
+    ),
+    "fig2a": dict(
+        command="run", scheme="elastic", trap="20", alpha="3", atoms="2000", spread_mult="0.1",
+        seed="22",
+    ),
+    "fig3ab": dict(
+        command="run", scheme="superposition", trap="21", alpha="sqrt21", atoms="2000",
+        spread_mult="0.1", seed="7",
+    ),
+}
+# Fluctuating times let population escape the n_t = 138 trap and climb until
+# the next trapping level (n = 555, where theta = 2 pi at the mean time); the
+# basis must cover that stall point.
+_PRESETS["fig1b"] = {**_PRESETS["fig1a"], "spread_frac": "0.01", "nmax": "650"}
+_PRESETS["fig1d"] = {**_PRESETS["fig1c"], "steps": "1000000", "spread_frac": "0.01"}
+_PRESETS["fig2b"] = {**_PRESETS["fig2a"], "spread_mult": "1"}
+_PRESETS["fig3cd"] = {**_PRESETS["fig3ab"], "spread_mult": "2"}
+# Same sequence as fig3cd; the deliverable is the final distribution.
+_PRESETS["fig4"] = _PRESETS["fig3cd"]
 
-
-def _preset(name):
-    def deco(fn):
-        _PRESET_BUILDERS[name] = fn
-        return fn
-
-    return deco
-
-
-@_preset("fig1a")
-def _fig1a():
-    return {
-        "command": "run", "scheme": "nsm", "trap": "138", "alpha": "3",
-        "atoms": "5000", "seed": "11",
-    }
-
-
-@_preset("fig1b")
-def _fig1b():
-    # Fluctuating times let population escape the n_t = 138 trap and climb
-    # until the next trapping level (n = 555, where theta = 2 pi at the mean
-    # time); the basis must cover that stall point.
-    return {
-        "command": "run", "scheme": "nsm", "trap": "138", "alpha": "3",
-        "atoms": "5000", "spread_frac": "0.01", "seed": "11", "nmax": "650",
-    }
-
-
-@_preset("fig1c")
-def _fig1c():
-    return {
-        "command": "classical", "epsilon0": "6", "steps": "10000",
-        "tau_bar_in_inv_g": _fmt(2 * math.pi / math.sqrt(199.0)), "seed": "11",
-    }
-
-
-@_preset("fig1d")
-def _fig1d():
-    tokens = _fig1c()
-    tokens.update({"steps": "1000000", "spread_frac": "0.01"})
-    return tokens
-
-
-@_preset("fig2a")
-def _fig2a():
-    return {
-        "command": "run", "scheme": "elastic", "trap": "20", "alpha": "3",
-        "atoms": "2000", "spread_mult": "0.1", "seed": "22",
-    }
-
-
-@_preset("fig2b")
-def _fig2b():
-    tokens = _fig2a()
-    tokens["spread_mult"] = "1"
-    return tokens
-
-
-@_preset("fig3ab")
-def _fig3ab():
-    return {
-        "command": "run", "scheme": "superposition", "trap": "21", "alpha": "sqrt21",
-        "atoms": "2000", "spread_mult": "0.1", "seed": "7",
-    }
-
-
-@_preset("fig3cd")
-def _fig3cd():
-    tokens = _fig3ab()
-    tokens["spread_mult"] = "2"
-    return tokens
-
-
-@_preset("fig4")
-def _fig4():
-    # Same sequence as fig3cd; the deliverable is the final distribution.
-    return _fig3cd()
-
-
-PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def _preset_tokens(name: str) -> dict[str, str]:
     """The tokens of a named scenario, its command included."""
-    if name not in _PRESET_BUILDERS:
+    if name not in _PRESETS:
         raise ConfigError(
             f"preset: unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
         )
-    return _PRESET_BUILDERS[name]()
+    return dict(_PRESETS[name])
 
 
 def preset(name: str) -> ParsedConfig:
     """Resolved configuration for one of the named scenarios."""
-    return parse_config(overrides=_preset_tokens(name))
+    return parse_config(_preset_tokens(name))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +334,6 @@ def preset(name: str) -> ParsedConfig:
 
 def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float) -> Manifest:
     """Write the command's CSV outputs plus a manifest with their digests."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
@@ -472,14 +394,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jctrap",
         description="Trapping-state dynamics of repeatedly measured atom-cavity interactions",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_run = sub.add_parser("run", help="run one atom sequence")
+    def command(name, help):
+        # No prefix abbreviations: `classical --g` must not reach --gtau-bar.
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p_run = command("run", "run one atom sequence")
     _add_run_flags(p_run)
     p_run.add_argument("--out-dir", required=True)
 
-    p_cls = sub.add_parser("classical", help="iterate the classical return map")
+    p_cls = command("classical", "iterate the classical return map")
     p_cls.add_argument("--config", help="config file")
     p_cls.add_argument("--preset", help="scenario preset (fig1c, fig1d)")
     p_cls.add_argument("--epsilon0", type=float, help="initial dimensionless field")
@@ -493,13 +420,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--stream", type=int)
     p_cls.add_argument("--out-dir", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="ensemble scan over spread multipliers")
+    p_sweep = command("sweep", "ensemble scan over spread multipliers")
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--spread-mults", help="comma-separated multiples of the critical spread")
     p_sweep.add_argument("--ensemble", type=int, help="runs per multiplier")
     p_sweep.add_argument("--out-dir", required=True)
 
-    p_preset = sub.add_parser("preset", help="print a scenario preset as a config")
+    p_preset = command("preset", "print a scenario preset as a config")
     p_preset.add_argument("name", nargs="?", help="preset name")
     p_preset.add_argument("--list", action="store_true", help="list preset names")
     return parser
@@ -510,7 +437,7 @@ _NOT_TOKENS = ("subcommand", "config", "preset", "out_dir")
 
 # A layer that sets any key of a group replaces the whole group from the
 # layers below: the spread keys, and the two ways to give the initial field.
-_REPLACED_TOGETHER = (("spread_in_inv_g", "spread_frac", "spread_mult"), ("alpha", "fock"))
+_REPLACED_TOGETHER = (_SPREAD_INPUTS, ("alpha", "fock"))
 
 # A run's default tau_bar_in_inv_g is the trapping time of these.
 _TRAPPING_TIME_KEYS = ("trap", "q", "g")
@@ -564,7 +491,7 @@ def _resolve(args: argparse.Namespace, command: str) -> ParsedConfig:
     layers.append(
         {k: str(v) for k, v in vars(args).items() if v is not None and k not in _NOT_TOKENS}
     )
-    return parse_config(overrides=_merge_layers(layers, command), command=command)
+    return parse_config(_merge_layers(layers, command), command=command)
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeakageError, OrthogonalOutcomeError
+from .errors import ConfigError, LeakageError, OrthogonalOutcomeError
 from .fock import FieldState, renormalize
 
 # Rabi phases within this fraction of pi from an exact multiple q*pi are
@@ -56,7 +56,7 @@ class CouplingParams:
 
     def __post_init__(self):
         if not self.g > 0:
-            raise ValueError(f"coupling g must be > 0, got {self.g}")
+            raise ConfigError(f"g: must be > 0, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -113,23 +113,12 @@ class MeasurementScheme:
 
     kind "nsm" ignores the atomic outcome; "elastic"/"inelastic" post-select
     |e>/|g>; "superposition" post-selects the Ramsey-rotated state with
-    final phase phi_f, the rotation time tied to the interaction time by
-    T_k = ramsey_ratio * tau_k.
+    final phase phi_f, the rotation time being the T_k = ramsey_ratio * tau_k
+    of the run's TimingModel.  RunConfig.validate checks the kind.
     """
 
     kind: str
-    phi_f: float = -math.pi / 2
-    ramsey_ratio: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if self.kind == "superposition" and not self.ramsey_ratio > 0:
-            raise ValueError("superposition scheme requires ramsey_ratio > 0")
-
-    @classmethod
-    def superposition(cls, ramsey_ratio: float, phi_f: float = -math.pi / 2) -> "MeasurementScheme":
-        return cls("superposition", phi_f=phi_f, ramsey_ratio=ramsey_ratio)
+    phi_f: float
 
 
 def theta(params: CouplingParams, tau: float, n: int) -> float:

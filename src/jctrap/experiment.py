@@ -26,6 +26,7 @@ from .dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
     ORTHOGONAL_P_TOL,
+    SCHEME_KINDS,
     CouplingParams,
     MeasurementScheme,
     correlated_cm_factors,
@@ -82,14 +83,6 @@ class InitialField:
         if self.kind not in ("coherent", "fock"):
             raise ConfigError(f"initial field kind must be coherent or fock, got {self.kind!r}")
 
-    @classmethod
-    def coherent(cls, alpha: complex) -> "InitialField":
-        return cls("coherent", alpha=complex(alpha))
-
-    @classmethod
-    def fock(cls, n: int) -> "InitialField":
-        return cls("fock", n=int(n))
-
     def build(self, n_max: int) -> FieldState:
         if self.kind == "coherent":
             state, _ = coherent_state(self.alpha, n_max)
@@ -97,9 +90,19 @@ class InitialField:
         return fock_basis_state(self.n, n_max)
 
 
+def _check_derivation_inputs(trap_target: int, q: int, scheme: str, omega: float) -> None:
+    """The values the trapping time, critical spread and Ramsey ratio derive from."""
+    if trap_target < 0:
+        raise ConfigError(f"trap: must be >= 0, got {trap_target}")
+    if q < 1:
+        raise ConfigError(f"q: must be >= 1 in a run config, got {q}")
+    if scheme == "superposition" and not omega > 0:
+        raise ConfigError(f"omega: must be > 0, got {omega}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Full description of one atom-sequence run."""
+    """Full description of one atom-sequence run; build_run_config makes one."""
 
     scheme: MeasurementScheme
     n_atoms: int
@@ -111,16 +114,16 @@ class RunConfig:
     n_max: int
     mode: str
     seed: SeedSpec
-    omega: float = 1.0
-    halt_on_failure: bool = True
+    omega: float
+    halt_on_failure: bool
 
     def validate(self) -> None:
+        """Check the fields a run reads; the message names the config token."""
+        if self.scheme.kind not in SCHEME_KINDS:
+            raise ConfigError(f"scheme: unknown scheme {self.scheme.kind!r}")
+        _check_derivation_inputs(self.trap_target, self.q, self.scheme.kind, self.omega)
         if self.n_atoms < 0:
             raise ConfigError(f"atoms: must be >= 0, got {self.n_atoms}")
-        if self.trap_target < 0:
-            raise ConfigError(f"trap: must be >= 0, got {self.trap_target}")
-        if self.q < 1:
-            raise ConfigError(f"q: must be >= 1 in a run config, got {self.q}")
         if self.mode not in RUN_MODES:
             raise ConfigError(f"mode: must be one of {RUN_MODES}, got {self.mode!r}")
         if not self.trap_target < self.n_max - 20:
@@ -128,20 +131,13 @@ class RunConfig:
                 f"nmax: trap level {self.trap_target} needs n_max > {self.trap_target + 20}, "
                 f"got {self.n_max}"
             )
-        if self.initial_field.kind == "fock" and self.initial_field.n > self.n_max:
-            raise ConfigError(
-                f"fock: initial level {self.initial_field.n} exceeds n_max {self.n_max}"
-            )
-        if self.scheme.kind == "superposition":
-            if not self.omega > 0:
-                raise ConfigError(f"omega: must be > 0, got {self.omega}")
-            if not self.timing.ramsey_ratio > 0:
-                raise ConfigError("scheme: superposition requires timing.ramsey_ratio > 0")
-            if self.timing.ramsey_ratio != self.scheme.ramsey_ratio:
-                raise ConfigError(
-                    "scheme: timing.ramsey_ratio and scheme.ramsey_ratio disagree "
-                    f"({self.timing.ramsey_ratio} vs {self.scheme.ramsey_ratio})"
-                )
+        fock = self.initial_field.n if self.initial_field.kind == "fock" else 0
+        if fock < 0:
+            raise ConfigError(f"fock: must be >= 0, got {fock}")
+        if fock > self.n_max:
+            raise ConfigError(f"fock: initial level {fock} exceeds n_max {self.n_max}")
+        if self.scheme.kind == "superposition" and not self.timing.ramsey_ratio > 0:
+            raise ConfigError("scheme: superposition requires timing.ramsey_ratio > 0")
 
 
 @dataclass(frozen=True)
@@ -180,8 +176,9 @@ def build_run_config(
     q: int = 1,
     alpha: complex | None = None,
     fock_n: int | None = None,
-    spread_mult: float = 0.0,
     spread_time: float | None = None,
+    spread_frac: float | None = None,
+    spread_mult: float = 0.0,
     tau_bar: float | None = None,
     law: str = "uniform",
     mode: str = "postselect",
@@ -193,37 +190,39 @@ def build_run_config(
     n_max: int | None = None,
     halt_on_failure: bool = True,
 ) -> RunConfig:
-    """Assemble a validated RunConfig with the standard defaults.
+    """Assemble a validated RunConfig; the one place that states its defaults.
 
-    tau_bar defaults to the q-th trapping time of the trap level, the
-    spread to spread_mult times the critical spread, n_max to the
-    truncation policy, and the superposition Ramsey ratio to the
-    stationary-phase closure 2 g sqrt(n_t+1) / omega.
+    tau_bar defaults to the q-th trapping time of the trap level and n_max
+    to the truncation policy.  The spread is spread_time if given, else
+    spread_frac * tau_bar, else spread_mult times the critical spread.  The
+    superposition Ramsey ratio is the stationary-phase closure
+    2 g sqrt(n_t+1) / omega.  Each value is checked before anything is
+    derived from it; a bad one raises ConfigError naming its config token.
     """
-    coupling = CouplingParams(g)
     if (alpha is None) == (fock_n is None):
-        raise ConfigError("initial field: set exactly one of alpha or fock")
-    initial = InitialField.coherent(alpha) if alpha is not None else InitialField.fock(fock_n)
-    if q < 1:
-        raise ConfigError(f"q: must be >= 1 in a run config, got {q}")
+        raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
+    coupling = CouplingParams(g)
+    _check_derivation_inputs(trap_target, q, scheme, omega)
     if tau_bar is None:
         tau_bar = trapping_time(trap_target, q, coupling)
+    if spread_time is None and spread_frac is not None:
+        spread_time = spread_frac * tau_bar
     if spread_time is None:
         spread_time = spread_mult * critical_spread(trap_target, coupling)
     ratio = 0.0
     if scheme == "superposition":
         ratio = stationary_phase_ratio(trap_target, coupling, omega)
-        scheme_obj = MeasurementScheme.superposition(ratio, phi_f=phi_f)
-    else:
-        scheme_obj = MeasurementScheme(scheme)
-    timing = TimingModel(tau_bar=tau_bar, spread=spread_time, law=law, ramsey_ratio=ratio)
     config = RunConfig(
-        scheme=scheme_obj,
+        scheme=MeasurementScheme(scheme, phi_f),
         n_atoms=n_atoms,
         trap_target=trap_target,
         q=q,
-        initial_field=initial,
-        timing=timing,
+        initial_field=(
+            InitialField("coherent", alpha=complex(alpha))
+            if fock_n is None
+            else InitialField("fock", n=int(fock_n))
+        ),
+        timing=TimingModel(tau_bar=tau_bar, spread=spread_time, law=law, ramsey_ratio=ratio),
         coupling=coupling,
         n_max=n_max if n_max is not None else default_n_max(trap_target),
         mode=mode,

@@ -77,6 +77,26 @@ class TestPresets:
         with pytest.raises(ConfigError, match="fig1a.*fig4"):
             preset("fig9")
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("fig1a", "f08fcf58170296f0c0a67d66c2f9292e39064f1cbdbe0f61b879c618df1a3feb"),
+            ("fig1b", "882bce398859f0baae625479465eafe83319c5a585a3ef4dbf9e398d7a67114f"),
+            ("fig1c", "e91aa70b854a62996053a85252338780fe17f6818e534ed6e0c5bb48a11e458e"),
+            ("fig1d", "101f2d9dc557787f0870979a8d79fdec7136722d49bd4010d50b42e899c24bca"),
+            ("fig2a", "58df4bc12d973c5791b7c3feb9046c2567bf4ba11afee3cc47730977f22f66c4"),
+            ("fig2b", "7aab1aa6d66ade0b727e45a867a3f078e659a11139ba992647573aeb19e1aaba"),
+            ("fig3ab", "65d74a00fae712b553ead233ec1587e2763335a216fe6b7cd25a52ae795f1de7"),
+            ("fig3cd", "de402166a4e753b16b9901594affa6db6ed4392697e5db7f44c232c7202502b0"),
+            ("fig4", "de402166a4e753b16b9901594affa6db6ed4392697e5db7f44c232c7202502b0"),
+        ],
+    )
+    def test_printed_tokens_pinned(self, capsys, name, digest):
+        # sha256 of `jctrap preset <name>` as first recorded: every resolved
+        # token, its text and its order.
+        assert main(["preset", name]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestParseConfig:
     def test_flag_scenario_matches_fig4_preset(self):
@@ -112,14 +132,15 @@ class TestParseConfig:
         path.write_text(
             "".join(f"{k} = {v}\n" for k, v in parsed.tokens.items()), encoding="utf-8"
         )
-        again = parse_config(path=path)
+        again = parse_config(parse_kv_file(path))
         assert again.tokens == parsed.tokens
         assert again.run == parsed.run
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "base.cfg"
         path.write_text("command = run\nscheme = elastic\ntrap = 20\natoms = 50\nalpha = 3\n")
-        parsed = parse_config(path=path, overrides={"atoms": "7", "seed": "5"})
+        argv = ["run", "--config", str(path), "--atoms", "7", "--seed", "5"]
+        parsed = parse_config(manifest_tokens(tmp_path, argv))
         assert parsed.run.n_atoms == 7
         assert parsed.run.seed.master_seed == 5
 
@@ -127,7 +148,7 @@ class TestParseConfig:
         path = tmp_path / "c.cfg"
         path.write_text("command = classical\nepsilon0 = 6\nsteps = 10\ntau_bar_in_inv_g = 0.5\n")
         with pytest.raises(ConfigError, match="command"):
-            parse_config(path=path, command="run")
+            parse_config(parse_kv_file(path), command="run")
 
     def test_kv_parse_errors(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -175,7 +196,7 @@ class TestCliEndToEnd:
 
     def test_manifest_reproduces_config(self, tmp_path):
         _, out_dir = self.run_small(tmp_path)
-        parsed = parse_config(path=out_dir / "manifest.txt", command="run")
+        parsed = parse_config(parse_kv_file(out_dir / "manifest.txt"), command="run")
         assert parsed.run.n_atoms == 40
         assert parsed.run.seed.master_seed == 5
         rerun_dir = tmp_path / "rerun"
@@ -287,6 +308,9 @@ class TestCliEndToEnd:
 
 
 RUN_FLAGS = ("--scheme", "elastic", "--trap", "20", "--alpha", "3", "--atoms", "0")
+FOCK_FLAGS = ("--scheme", "elastic", "--trap", "20", "--fock", "3", "--atoms", "0")
+FIG1C_STEP = ("--preset", "fig1c", "--steps", "1")
+FIG1C_TAU = 2 * math.pi / math.sqrt(199.0)
 
 
 def manifest_tokens(tmp_path, argv, out="out"):
@@ -319,10 +343,65 @@ class TestFlagLayers:
                 ["sweep", *RUN_FLAGS, "--spread-mults", "0", "--ensemble", "3"], "ensemble", "3",
                 id="ensemble",
             ),
+            pytest.param(
+                ["run", *RUN_FLAGS, "--scheme", "inelastic"], "scheme", "inelastic", id="scheme"
+            ),
+            pytest.param(["run", *RUN_FLAGS, "--trap", "25"], "trap", "25", id="trap"),
+            pytest.param(["run", *RUN_FLAGS, "--alpha", "sqrt5"], "alpha", "sqrt5", id="alpha"),
+            pytest.param(["run", *FOCK_FLAGS], "fock", "3", id="fock"),
+            pytest.param(["run", *RUN_FLAGS, "--atoms", "2"], "atoms", "2", id="atoms"),
+            pytest.param(
+                ["run", *RUN_FLAGS, "--spread-mult", "0.5"],
+                "spread_in_inv_g", format(0.5 * critical_spread(20, G1), ".17g"), id="spread-mult",
+            ),
+            pytest.param(
+                ["run", *RUN_FLAGS, "--spread-frac", "0.1"],
+                "spread_in_inv_g", format(0.1 * trapping_time(20, 1, G1), ".17g"),
+                id="spread-frac",
+            ),
+            pytest.param(["run", *RUN_FLAGS, "--seed", "9"], "seed", "9", id="seed"),
+            pytest.param(
+                ["classical", *FIG1C_STEP, "--epsilon0", "7"], "epsilon0", "7",
+                id="classical-epsilon0",
+            ),
+            pytest.param(
+                ["classical", "--preset", "fig1c", "--steps", "2"], "steps", "2",
+                id="classical-steps",
+            ),
+            pytest.param(
+                ["classical", *FIG1C_STEP, "--spread-frac", "0.1"],
+                "spread_in_inv_g", format(0.1 * FIG1C_TAU, ".17g"), id="classical-spread-frac",
+            ),
+            pytest.param(
+                ["classical", *FIG1C_STEP, "--dist", "gaussian"], "dist", "gaussian",
+                id="classical-dist",
+            ),
+            pytest.param(
+                ["classical", *FIG1C_STEP, "--seed", "9"], "seed", "9", id="classical-seed"
+            ),
+            pytest.param(
+                ["classical", *FIG1C_STEP, "--stream", "3"], "stream", "3",
+                id="classical-stream",
+            ),
         ],
     )
     def test_flag_reaches_its_token(self, tmp_path, argv, token, value):
         assert manifest_tokens(tmp_path, argv)[token] == value
+
+    @pytest.mark.parametrize(
+        "line, token, value",
+        [
+            ("phi_f_rad = 0.4", "phi_f_rad", "0.40000000000000002"),
+            ("halt_on_failure = no", "halt_on_failure", "false"),
+            ("spread_in_inv_g = 0.01", "spread_in_inv_g", "0.01"),
+            ("tau_bar_in_inv_g = 0.5", "tau_bar_in_inv_g", "0.5"),
+        ],
+    )
+    def test_file_token_reaches_manifest(self, tmp_path, line, token, value):
+        # Tokens no flag sets; each is read back off the resolved RunConfig.
+        path = tmp_path / "elastic.cfg"
+        path.write_text(f"command = run\nscheme = elastic\ntrap = 20\nalpha = 3\natoms = 0\n{line}")
+        assert manifest_tokens(tmp_path, ["run", "--config", str(path)])[token] == value
 
     def test_spread_flag_replaces_preset_spread(self, tmp_path):
         # fig1b sets spread_frac, which ranks above spread_mult within one layer.
@@ -369,6 +448,55 @@ class TestFlagLayers:
         assert code == 1
         err = capsys.readouterr().err
         assert f"config error: {key}: " in err and "tau_bar_in_inv_g" in err
+        assert not out_dir.exists()
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            pytest.param(["run", "--preset", "fig3ab", "--omega", "0"], "omega", id="omega"),
+            pytest.param(["run", "--preset", "fig2a", "--g", "0"], "g", id="g"),
+            pytest.param(["run", "--preset", "fig2a", "--trap", "-1"], "trap", id="trap"),
+            pytest.param(["run", "--preset", "fig2a", "--fock", "-1"], "fock", id="fock"),
+            pytest.param(["classical", "--preset", "fig1c", "--steps", "-3"], "steps", id="steps"),
+        ],
+    )
+    def test_bad_value_named_before_any_output(self, tmp_path, capsys, argv, token):
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {token}: ")
+        assert not out_dir.exists()
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text(
+            "command = run\nscheme = elastic\ntrap = 20\nalpha = 3\natoms = 5\nspred_mult = 2\n"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("config error: spred_mult: ")
+        assert not out_dir.exists()
+
+    def test_retired_workers_key_still_loads(self, tmp_path):
+        tokens = manifest_tokens(tmp_path, ["sweep", *RUN_FLAGS, "--spread-mults", "0"], "first")
+        manifest = tmp_path / "first" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("[config]\n", "[config]\nworkers = 4\n"))
+        assert manifest_tokens(tmp_path, ["sweep", "--config", str(manifest)], "again") == tokens
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["classical", "--preset", "fig1c", "--g", "2"], id="classical-g"),
+            pytest.param(["run", "--preset", "fig2a", "--om", "2"], id="run-om"),
+        ],
+    )
+    def test_flag_prefix_not_expanded(self, tmp_path, argv):
+        # --g is no classical flag and must not reach --gtau-bar; --om is not --omega.
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
         assert not out_dir.exists()
 
 

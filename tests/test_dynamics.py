@@ -1,6 +1,7 @@
 """Entanglement, measurement updates and trapping-condition helpers."""
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from jctrap.dynamics import (
     theta,
     trapping_time,
 )
-from jctrap.errors import LeakageError, OrthogonalOutcomeError
+from jctrap.errors import ConfigError, LeakageError, OrthogonalOutcomeError
+from jctrap.experiment import build_run_config
 from jctrap.fock import FieldState, fock_basis_state
 
 G1 = CouplingParams(1.0)
@@ -348,15 +350,18 @@ class TestLargeNConsistency:
 
 class TestSchemeTypes:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            MeasurementScheme("thermal")
+        with pytest.raises(ConfigError, match="scheme: unknown scheme 'thermal'"):
+            build_run_config(scheme="thermal", trap_target=5, n_atoms=1, alpha=1.0)
+        cfg = build_run_config(scheme="elastic", trap_target=5, n_atoms=1, alpha=1.0)
+        with pytest.raises(ConfigError, match="scheme: unknown scheme 'thermal'"):
+            replace(cfg, scheme=MeasurementScheme("thermal", cfg.scheme.phi_f)).validate()
 
     def test_superposition_needs_ratio(self):
-        with pytest.raises(ValueError):
-            MeasurementScheme("superposition")
-        scheme = MeasurementScheme.superposition(9.4)
-        assert scheme.ramsey_ratio == 9.4
-        assert scheme.phi_f == -math.pi / 2
+        cfg = build_run_config(scheme="superposition", trap_target=21, n_atoms=1, alpha=1.0)
+        assert cfg.timing.ramsey_ratio == stationary_phase_ratio(21, G1, 1.0)
+        assert cfg.scheme.phi_f == -math.pi / 2
+        with pytest.raises(ConfigError, match="ramsey_ratio > 0"):
+            replace(cfg, timing=replace(cfg.timing, ramsey_ratio=0.0)).validate()
 
     def test_coupling_positive(self):
         with pytest.raises(ValueError):

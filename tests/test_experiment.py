@@ -8,7 +8,7 @@ import pytest
 from jctrap.dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
-    MeasurementScheme,
+    CouplingParams,
     cm_project,
     correlated_cm_factors,
     critical_spread,
@@ -51,8 +51,7 @@ class TestBuildConfig:
         assert cfg.timing.tau_bar == trapping_time(21, 1, cfg.coupling)
         assert cfg.n_max == default_n_max(21)
         assert cfg.timing.spread == pytest.approx(math.pi / math.sqrt(22.0))
-        assert cfg.scheme.ramsey_ratio * cfg.omega == 2.0 * math.sqrt(22.0)
-        assert cfg.timing.ramsey_ratio == cfg.scheme.ramsey_ratio
+        assert cfg.timing.ramsey_ratio * cfg.omega == 2.0 * math.sqrt(22.0)
 
     def test_initial_field_exclusive(self):
         with pytest.raises(ConfigError):
@@ -70,11 +69,43 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="mode"):
             build_run_config(scheme="nsm", trap_target=5, n_atoms=1, alpha=1.0, mode="both")
 
-    def test_ramsey_ratio_consistency_enforced(self):
-        cfg = fig3cd_config()
-        bad = replace(cfg, scheme=MeasurementScheme.superposition(1.23))
-        with pytest.raises(ConfigError, match="ramsey_ratio"):
-            bad.validate()
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            pytest.param({"g": 0.0}, "g: must be > 0, got 0.0", id="g"),
+            pytest.param({"trap_target": -1}, "trap: must be >= 0, got -1", id="trap"),
+            pytest.param({"q": -1}, "q: must be >= 1 in a run config, got -1", id="q"),
+            pytest.param({"omega": 0.0}, "omega: must be > 0, got 0.0", id="omega"),
+            pytest.param({"alpha": None, "fock_n": -1}, "fock: must be >= 0, got -1", id="fock"),
+        ],
+    )
+    def test_bad_input_named_before_derivation(self, bad, message):
+        # Each would otherwise reach a derivation (coupling, trapping time,
+        # Ramsey ratio, Fock state) and fail there with a bare ValueError.
+        args = dict(scheme="superposition", trap_target=21, n_atoms=1, alpha=1.0)
+        with pytest.raises(ConfigError) as exc:
+            build_run_config(**{**args, **bad})
+        assert str(exc.value) == message
+
+    def test_validate_rechecks_replaced_config(self):
+        cfg = fig3cd_config(n_atoms=1)
+        for bad, message in (
+            ({"trap_target": -1}, "trap: must be >= 0"),
+            ({"q": 0}, "q: must be >= 1"),
+            ({"omega": 0.0}, "omega: must be > 0"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                run_sequence(replace(cfg, **bad))
+
+    def test_spread_rule(self):
+        args = dict(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0, tau_bar=0.5)
+        assert build_run_config(**args).timing.spread == 0.0
+        assert build_run_config(**args, spread_mult=2.0).timing.spread == 2 * critical_spread(
+            20, CouplingParams(1.0)
+        )
+        assert build_run_config(**args, spread_mult=2.0, spread_frac=0.1).timing.spread == 0.05
+        both = build_run_config(**args, spread_time=0.2, spread_frac=0.1, spread_mult=2.0)
+        assert both.timing.spread == 0.2
 
 
 class TestRunSequenceBasics:
