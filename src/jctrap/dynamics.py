@@ -172,7 +172,7 @@ def _level_roots(n_max: int) -> np.ndarray:
 
 
 def _theta_array(params: CouplingParams, tau, n_max: int) -> np.ndarray:
-    """Rabi phases of levels 0..n_max; a column of times gives one row per time."""
+    """Rabi phases of levels 0..n_max; times shaped (..., 1) give one row per time."""
     return params.g * tau * _level_roots(n_max)
 
 
@@ -192,8 +192,8 @@ def _snapped_cos_sin(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rabi_cos_sin(params: CouplingParams, tau, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin of the Rabi phases theta_n, snapped at multiples of pi.
 
-    tau is one interaction time, or a column of times (shape (cells, 1))
-    giving one row per time; each row equals the one-time result bit for bit.
+    tau is one interaction time, or times of any shape ending in 1, such as
+    (atoms, cells, 1): each row of levels equals the one-time result bit for bit.
     """
     return _snapped_cos_sin(_theta_array(params, tau, n_max))
 
@@ -313,8 +313,8 @@ def correlated_cm_factors(
     orthogonal factor otherwise, with |f|^2 + |f_orth|^2 = 1 per level.
     For phi_f = -pi/2 the factors are cos/sin(Omega T/2 - theta_n);
     arguments within 1e-12 of zero are snapped so the stationary level is
-    held exactly.  T and tau may be columns of times (shape (cells, 1)),
-    giving one row per pair; each row equals the one-pair result bit for bit.
+    held exactly.  T and tau may be times of one shape ending in 1, such as
+    (atoms, cells, 1): each row of levels equals the one-pair result bit for bit.
     """
     thetas = _theta_array(params, tau, n_max)
     half = omega * T / 2.0

@@ -43,16 +43,16 @@ from .fock import (
     FieldState,
     coherent_state,
     default_n_max,
-    distribution_stats,
     fock_basis_state,
     top_level_probability,
 )
 from .stochastic import SeedSpec, TimingModel, derive_stream, sample_timing
 
-# The one-state updates that _run_cells reproduces row by row.  They stay
-# importable here, where the benchmark's tracer wraps them (perfbench/tracer.py).
+# The one-state updates and statistics that _run_cells reproduces row by row.
+# They stay importable here, where the benchmark's tracer wraps them
+# (perfbench/tracer.py).
 from .dynamics import cm_project, jcm_entangle, nsm_step, project_amplitudes  # noqa: F401
-from .fock import renormalize  # noqa: F401
+from .fock import distribution_stats, renormalize  # noqa: F401
 
 RUN_MODES = ("postselect", "sample")
 
@@ -65,6 +65,11 @@ CONVERGENCE_P = 0.9
 # Sweep cells and sampled trajectories advance together in batches of at
 # most this many, which bounds a batch's arrays at this many rows.
 _BATCH_CELLS = 64
+
+# A block of atoms, whose times a batch draws at once, has as many atoms as
+# fit in this many factors (atoms x cells x levels), and never fewer than one.
+# A halting sampled batch draws one atom at a time: it may stop at any atom.
+_BLOCK_ENTRIES = 4096
 
 OUTCOME_POSTSELECTED = "postselected"
 OUTCOME_SUCCESS = "sampled_success"
@@ -280,25 +285,29 @@ def _project_rows(e_branch: np.ndarray, g_branch: np.ndarray, rot) -> np.ndarray
     return d
 
 
-def _run_cells(configs: list[RunConfig], collect_steps: bool) -> list[RunResult | SimulationError]:
+def _run_cells(
+    config: RunConfig, cells: list[tuple[TimingModel, SeedSpec]], collect_steps: bool
+) -> list[RunResult | SimulationError]:
     """Run a batch of cells, atom by atom, through one update kernel.
 
-    The configs differ only in their timing model and seed.  Each cell's
-    field is one row of a (cells, levels) array: amplitudes for the
-    selective schemes, populations for NSM.  Per atom, every row takes the
-    operations that jcm_entangle, project_amplitudes, cm_project,
+    Each cell runs config with its own (timing model, seed) pair; its field
+    is one row of a (cells, levels) array: amplitudes for the selective
+    schemes, populations for NSM.  Per block of atoms, each cell draws the
+    times (and in sampled mode each outcome's uniform right after its time)
+    from its own stream in a one-cell run's order, and one call gives the
+    block's (atoms, cells, levels) factors.  Per atom, every row then takes
+    the operations that jcm_entangle, project_amplitudes, cm_project,
     correlated_cm_factors, renormalize or nsm_step apply to one state (row
-    norms by np.vecdot, which sums as np.vdot does), and each cell draws
-    from its own stream in the order of a run on its own, so each cell's
-    result equals its one-cell run bit for bit.  The guards then act per
-    cell in the order of a one-cell run; a cell that trips one ends and
-    leaves the batch.  Returns, per config, its RunResult or the
-    SimulationError that ended it.
+    norms by np.vecdot, which sums as np.vdot does), so each cell's result
+    equals its one-cell run bit for bit.  When one test of the whole batch
+    trips, the guards act per cell in a one-cell run's order; a cell that
+    trips one ends and leaves the batch.  Returns, per cell, its RunResult
+    or the SimulationError that ended it.
     """
-    config = configs[0]
     scheme = config.scheme
     is_nsm = scheme.kind == "nsm"
     sampled = config.mode == "sample" and not is_nsm  # NSM ignores outcomes
+    halting = sampled and config.halt_on_failure
     n_max, trap = config.n_max, config.trap_target
     # What would leave the basis: NSM guards a population, the others an amplitude.
     leak_limit, leak_what = (
@@ -306,12 +315,16 @@ def _run_cells(configs: list[RunConfig], collect_steps: bool) -> list[RunResult 
         if is_nsm
         else (AMPLITUDE_LEAK_TOL, "|c_nmax sin theta_nmax|")
     )
+    rot = ELASTIC_ROTATION if scheme.kind == "elastic" else INELASTIC_ROTATION
+    # ns @ row and ns_sq @ row are the sums distribution_stats takes.
+    ns = np.arange(n_max + 1, dtype=float)
+    ns_sq = ns * ns
 
     initial = config.initial_field.build(n_max)
-    dist = initial.probabilities()[None].repeat(len(configs), axis=0)
-    state = dist if is_nsm else initial.amplitudes[None].repeat(len(configs), axis=0)
-    cells = [_Cell(i, c.timing, derive_stream(c.seed)) for i, c in enumerate(configs)]
-    results: list[RunResult | SimulationError | None] = [None] * len(configs)
+    dist = initial.probabilities()[None].repeat(len(cells), axis=0)
+    state = dist if is_nsm else initial.amplitudes[None].repeat(len(cells), axis=0)
+    results: list[RunResult | SimulationError | None] = [None] * len(cells)
+    cells = [_Cell(i, timing, derive_stream(seed)) for i, (timing, seed) in enumerate(cells)]
 
     def finish(cell, field_row, dist_row, reason):
         """The RunResult of a cell whose final field is field_row."""
@@ -324,120 +337,151 @@ def _run_cells(configs: list[RunConfig], collect_steps: bool) -> list[RunResult 
             final_cum_P=cell.cum.value,
         )
 
-    for k in range(1, config.n_atoms + 1):
-        draws = [sample_timing(cell.timing, cell.rng) for cell in cells]
-        u_k = [cell.rng.random() for cell in cells] if sampled else []
-        times = np.array(draws)  # rows (tau_k, T_k)
-        taus = times[:, :1]
-
-        leak = None
-        if scheme.kind == "superposition":
-            success, failure = correlated_cm_factors(
-                config.omega, times[:, 1:], config.coupling, taus, n_max, scheme.phi_f
+    def guard(i, k):
+        """What ends cell i at atom k before its step is booked, or None."""
+        if leak is not None and leak[i] > leak_limit:
+            return LeakageError(f"population would leave truncation: {leak_what} = {leak[i]:.3e}")
+        if not sampled and p_k[i] < ORTHOGONAL_P_TOL:
+            return finish(cells[i], state[i], dist[i], "impossible post-selection")
+        if norm_k[i] <= ORTHOGONAL_NORM_SQ:
+            return OrthogonalOutcomeError(
+                f"cannot renormalize state with squared norm {norm_k[i]:.3e}"
             )
-            d = success * state
+        if abs(total[i] - 1.0) > NORM_ATOL:
+            return SimulationError(f"state norm drifted to {total[i]!r} at atom {k}")
+        if top[i] > TOP_LEVEL_GUARD:
+            return LeakageError(
+                f"top-3 Fock levels hold {top[i]:.3e} probability at atom {k}; "
+                f"truncation n_max={n_max} too small for this run"
+            )
+        return None
 
-            def orthogonal():
-                return failure * state
-
+    k = 0
+    while k < config.n_atoms and cells:
+        # The block's draws and factors, which do not depend on the field.
+        b = 1 if halting else max(1, _BLOCK_ENTRIES // (len(cells) * (n_max + 1)))
+        b = min(b, config.n_atoms - k)
+        if sampled:
+            block = [[(*sample_timing(c.timing, c.rng), c.rng.random()) for c in cells]
+                     for _ in range(b)]
         else:
-            cos_t, sin_t = rabi_cos_sin(config.coupling, taus, n_max)
-            edge = zip(state[:, -1].tolist(), sin_t[:, -1].tolist())
-            if is_nsm:
-                leak = [p * s**2 for p, s in edge]
-                new = state * cos_t**2
-                new[:, 1:] += state[:, :-1] * sin_t[:, :-1] ** 2
-            else:
-                leak = [abs(c) * abs(s) for c, s in edge]
-                rot = ELASTIC_ROTATION if scheme.kind == "elastic" else INELASTIC_ROTATION
-                e_branch = state * cos_t
-                g_branch = -1j * state * sin_t
-                d = _project_rows(e_branch, g_branch, rot)
+            block = [[sample_timing(c.timing, c.rng) for c in cells] for _ in range(b)]
+        times = np.array(block)  # (atoms, cells, (tau_k, T_k[, u_k]))
+        taus = times[..., :1]
+        if scheme.kind == "superposition":
+            factors = correlated_cm_factors(
+                config.omega, times[..., 1:2], config.coupling, taus, n_max, scheme.phi_f
+            )
+        else:
+            factors = rabi_cos_sin(config.coupling, taus, n_max)
+
+        for j in range(b):
+            k += 1
+            draws = block[j]
+            leak = None
+            if scheme.kind == "superposition":
+                success, failure = factors[0][j], factors[1][j]
+                d = success * state
 
                 def orthogonal():
-                    return _project_rows(e_branch, g_branch, orthogonal_rotation(rot))
+                    return failure * state
 
-        if is_nsm:
-            new_dist, p_k = new, [1.0] * len(cells)
-        else:
-            norm = np.vecdot(d, d).real
-            p_k = [min(x, 1.0) for x in norm.tolist()]
-            failed = [not u < p for u, p in zip(u_k, p_k)]
-            if any(failed):
-                d_orth = orthogonal()
-                mask = np.array(failed)
-                d = np.where(mask[:, None], d_orth, d)
-                norm = np.where(mask, np.vecdot(d_orth, d_orth).real, norm)
-            norm_k = norm.tolist()
-            if min(norm_k) <= ORTHOGONAL_NORM_SQ:
-                # Such rows end below; flooring their norm keeps 0/0 out of the division.
-                norm = np.maximum(norm, ORTHOGONAL_NORM_SQ)
-            new = d / np.sqrt(norm)[:, None]
-            new_dist = np.abs(new) ** 2
-        total = new_dist.sum(axis=1).tolist()
-        top = top_level_probability(new_dist).tolist()
+            else:
+                cos_t, sin_t = factors[0][j], factors[1][j]
+                edge = zip(state[:, -1].tolist(), sin_t[:, -1].tolist())
+                if is_nsm:
+                    leak = [p * s**2 for p, s in edge]
+                    new = state * cos_t**2
+                    new[:, 1:] += state[:, :-1] * sin_t[:, :-1] ** 2
+                else:
+                    leak = [abs(c) * abs(s) for c, s in edge]
+                    e_branch = state * cos_t
+                    g_branch = -1j * state * sin_t
+                    d = _project_rows(e_branch, g_branch, rot)
 
-        running = []
-        for i, cell in enumerate(cells):
-            outcome = OUTCOME_POSTSELECTED
-            if leak is not None and leak[i] > leak_limit:
-                results[cell.index] = LeakageError(
-                    f"population would leave truncation: {leak_what} = {leak[i]:.3e}"
-                )
-                continue
-            if not is_nsm:
-                if not sampled and p_k[i] < ORTHOGONAL_P_TOL:
-                    reason = "impossible post-selection"
-                    results[cell.index] = finish(cell, state[i], dist[i], reason)
-                    continue
-                if norm_k[i] <= ORTHOGONAL_NORM_SQ:
-                    results[cell.index] = OrthogonalOutcomeError(
-                        f"cannot renormalize state with squared norm {norm_k[i]:.3e}"
-                    )
-                    continue
+                    def orthogonal():
+                        return _project_rows(e_branch, g_branch, orthogonal_rotation(rot))
+
+            if is_nsm:
+                new_dist, p_k = new, [1.0] * len(cells)
+                norm_k = p_k
+            else:
+                norm = np.vecdot(d, d).real
+                p_k = [min(x, 1.0) for x in norm.tolist()]
+                failed = [not row[2] < p for row, p in zip(draws, p_k)] if sampled else []
+                if any(failed):
+                    d_orth = orthogonal()
+                    mask = np.array(failed)
+                    d = np.where(mask[:, None], d_orth, d)
+                    norm = np.where(mask, np.vecdot(d_orth, d_orth).real, norm)
+                norm_k = norm.tolist()
+                if min(norm_k) <= ORTHOGONAL_NORM_SQ:
+                    # Such rows end below; flooring their norm keeps 0/0 out of the division.
+                    norm = np.maximum(norm, ORTHOGONAL_NORM_SQ)
+                new = d / np.sqrt(norm)[:, None]
+                new_dist = np.abs(new) ** 2
+            total = new_dist.sum(axis=1).tolist()
+            top = top_level_probability(new_dist).tolist()
+
+            # A NaN fails this test of the whole batch; the per-cell guards decide then.
+            clear = (
+                (leak is None or max(leak) <= leak_limit)
+                and (sampled or min(p_k) >= ORTHOGONAL_P_TOL)
+                and min(norm_k) > ORTHOGONAL_NORM_SQ
+                and max(total) - 1.0 <= NORM_ATOL
+                and 1.0 - min(total) <= NORM_ATOL
+                and max(top) <= TOP_LEVEL_GUARD
+            )
+            passed = range(len(cells))
+            if not clear:
+                passed = []
+                for i, cell in enumerate(cells):
+                    if (ended := guard(i, k)) is None:
+                        passed.append(i)
+                    else:
+                        results[cell.index] = ended
+
+            running = []
+            for i in passed:
+                cell = cells[i]
+                outcome = OUTCOME_POSTSELECTED
                 if sampled:
                     outcome = OUTCOME_FAILURE if failed[i] else OUTCOME_SUCCESS
                     cell.failures += failed[i]
-            if abs(total[i] - 1.0) > NORM_ATOL:
-                results[cell.index] = SimulationError(
-                    f"state norm drifted to {total[i]!r} at atom {k}"
-                )
-                continue
-            if top[i] > TOP_LEVEL_GUARD:
-                results[cell.index] = LeakageError(
-                    f"top-3 Fock levels hold {top[i]:.3e} probability at atom {k}; "
-                    f"truncation n_max={n_max} too small for this run"
-                )
-                continue
-            cell.cum.add(p_k[i])
-            if collect_steps:
-                moments = distribution_stats(new_dist[i])
-                cell.steps.append(
-                    StepRecord(
-                        k=k,
-                        tau_k=draws[i][0],
-                        T_k=draws[i][1],
-                        P_k=p_k[i],
-                        cum_P=cell.cum.value,
-                        mean_n=moments.mean_n,
-                        delta_n=moments.delta_n,
-                        outcome=outcome,
-                        p_trap=float(new_dist[i, trap]),
-                        p_above_trap=float(new_dist[i, trap + 1 :].sum()),
+                cell.cum.add(p_k[i])
+                if collect_steps:
+                    row = new_dist[i]
+                    mean_n = float(ns @ row)
+                    var = float(ns_sq @ row) - mean_n * mean_n
+                    cell.steps.append(
+                        StepRecord(
+                            k=k,
+                            tau_k=draws[i][0],
+                            T_k=draws[i][1],
+                            P_k=p_k[i],
+                            cum_P=cell.cum.value,
+                            mean_n=mean_n,
+                            delta_n=math.sqrt(max(0.0, var)),
+                            outcome=outcome,
+                            p_trap=float(row[trap]),
+                            p_above_trap=float(row[trap + 1 :].sum()),
+                        )
                     )
-                )
-            if outcome == OUTCOME_FAILURE and config.halt_on_failure:
-                reason = f"sampled orthogonal outcome at atom {k}"
-                results[cell.index] = finish(cell, new[i], new_dist[i], reason)
-                continue
-            running.append(i)
+                if outcome == OUTCOME_FAILURE and halting:
+                    reason = f"sampled orthogonal outcome at atom {k}"
+                    results[cell.index] = finish(cell, new[i], new_dist[i], reason)
+                    continue
+                running.append(i)
 
-        state, dist = new, new_dist
-        if len(running) < len(cells):
-            cells = [cells[i] for i in running]
-            if not cells:
-                break
-            state, dist = state[running], dist[running]
+            state, dist = new, new_dist
+            if len(running) < len(cells):
+                # A cell that leaves drops its rows from the field and the block.
+                cells = [cells[i] for i in running]
+                if not cells:
+                    break
+                state, dist = state[running], dist[running]
+                block = [[row[i] for i in running] for row in block]
+                factors = tuple(f[:, running] for f in factors)
 
     for i, cell in enumerate(cells):
         results[cell.index] = finish(cell, state[i], dist[i], None)
@@ -445,12 +489,12 @@ def _run_cells(configs: list[RunConfig], collect_steps: bool) -> list[RunResult 
 
 
 def _run_batches(
-    configs: Iterable[RunConfig], collect_steps: bool
+    config: RunConfig, cells: Iterable[tuple[TimingModel, SeedSpec]], collect_steps: bool
 ) -> Iterator[RunResult | SimulationError]:
-    """_run_cells over the configs, in batches of at most _BATCH_CELLS cells."""
-    configs = iter(configs)
-    while batch := list(itertools.islice(configs, _BATCH_CELLS)):
-        yield from _run_cells(batch, collect_steps)
+    """_run_cells over the cells, in batches of at most _BATCH_CELLS cells."""
+    cells = iter(cells)
+    while batch := list(itertools.islice(cells, _BATCH_CELLS)):
+        yield from _run_cells(config, batch, collect_steps)
 
 
 def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
@@ -465,7 +509,7 @@ def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     one-cell case of the kernel that `sweep` runs its cells through.
     """
     config.validate()
-    result = _run_cells([config], collect_steps)[0]
+    result = _run_cells(config, [(config.timing, config.seed)], collect_steps)[0]
     if isinstance(result, SimulationError):
         raise result
     return result
@@ -504,32 +548,28 @@ def sweep(
 
     Cell (i, j) uses stream_id = i * ensemble + j derived from the base
     master seed, so the whole table is reproducible from that one seed.
-    All cells advance together through one batch; per-cell failures are
-    recorded in the cell, not raised.
+    The cells advance together through the batch kernel; per-cell failures,
+    an invalid spread among them, are recorded in the cell, not raised.
     """
     if ensemble < 1:
         raise ConfigError(f"ensemble: must be >= 1, got {ensemble}")
+    base.validate()
     jobs = [
         (mult, i * ensemble + j)
         for i, mult in enumerate(spread_multipliers)
         for j in range(ensemble)
     ]
+    critical = critical_spread(base.trap_target, base.coupling)
     outcomes: dict[int, RunResult | Exception] = {}
-    configs: dict[int, RunConfig] = {}
+    runs: dict[int, tuple[TimingModel, SeedSpec]] = {}
     for mult, index in jobs:
         try:
-            spread = mult * critical_spread(base.trap_target, base.coupling)
-            config = replace(
-                base,
-                timing=replace(base.timing, spread=spread),
-                seed=SeedSpec(base.seed.master_seed, index),
-            )
-            config.validate()
+            timing = replace(base.timing, spread=mult * critical)
         except ConfigError as exc:
             outcomes[index] = exc
         else:
-            configs[index] = config
-    outcomes.update(zip(configs, _run_batches(configs.values(), collect_steps=False)))
+            runs[index] = (timing, SeedSpec(base.seed.master_seed, index))
+    outcomes.update(zip(runs, _run_batches(base, runs.values(), collect_steps=False)))
 
     cells = []
     for mult, index in jobs:
@@ -572,12 +612,12 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
         raise ConfigError(f"trajectories: must be >= 1, got {trajectories}")
     config.validate()
     seed = config.seed
-    configs = (
-        replace(config, seed=SeedSpec(seed.master_seed, seed.stream_id + t))
+    cells = (
+        (config.timing, SeedSpec(seed.master_seed, seed.stream_id + t))
         for t in range(trajectories)
     )
     successes = 0
-    for result in _run_batches(configs, collect_steps=False):
+    for result in _run_batches(config, cells, collect_steps=False):
         if isinstance(result, SimulationError):
             raise result
         successes += result.n_failures == 0 and result.terminated_early is None

@@ -32,7 +32,7 @@ class TimingModel:
     """Distribution of interaction times and the tied Ramsey times.
 
     spread is the full width of the uniform law; the gaussian law matches
-    its rms.  ramsey_ratio = 0 means no Ramsey zone.
+    its rms.  ramsey_ratio = 0 means no Ramsey zone.  Errors name config tokens.
     """
 
     tau_bar: float
@@ -42,14 +42,15 @@ class TimingModel:
 
     def __post_init__(self):
         if not self.tau_bar > 0:
-            raise ConfigError(f"tau_bar must be > 0, got {self.tau_bar}")
+            raise ConfigError(f"tau_bar_in_inv_g: must be > 0, got {self.tau_bar}")
         if self.spread < 0:
-            raise ConfigError(f"spread must be >= 0, got {self.spread}")
+            raise ConfigError(f"spread_in_inv_g: must be >= 0, got {self.spread}")
         if self.law not in TIMING_LAWS:
-            raise ConfigError(f"law must be one of {TIMING_LAWS}, got {self.law!r}")
+            raise ConfigError(f"dist: must be one of {TIMING_LAWS}, got {self.law!r}")
         if self.law == "uniform" and self.spread >= 2.0 * self.tau_bar:
             raise ConfigError(
-                f"uniform spread {self.spread} must stay below 2*tau_bar = {2 * self.tau_bar} "
+                f"spread_in_inv_g: uniform spread {self.spread} must stay below "
+                f"2*tau_bar = {2 * self.tau_bar} "
                 "(interaction times must stay positive)"
             )
         if self.ramsey_ratio < 0:
@@ -90,14 +91,17 @@ def derive_stream(seed: SeedSpec) -> np.random.Generator:
 
 
 def _draw_tau(model: TimingModel, rng: np.random.Generator) -> float:
+    # Generator.uniform and Generator.normal as numpy defines them: the same
+    # values from the same stream, without their per-call argument handling.
     if model.spread == 0.0:
         return model.tau_bar
     if model.law == "uniform":
         half = model.spread / 2.0
-        return float(rng.uniform(model.tau_bar - half, model.tau_bar + half))
+        low, high = model.tau_bar - half, model.tau_bar + half
+        return low + (high - low) * rng.random()
     sigma = model.rms
     for _ in range(1000):
-        tau = float(rng.normal(model.tau_bar, sigma))
+        tau = model.tau_bar + sigma * rng.standard_normal()
         if tau > 0.0:
             return tau
     raise RuntimeError("gaussian timing law failed to produce a positive time in 1000 draws")

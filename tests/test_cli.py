@@ -468,6 +468,27 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"config error: {token}: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["classical", "--preset", "fig1c", "--gtau-bar", "0"],
+                         "tau_bar_in_inv_g: must be > 0, got 0.0", id="tau-bar"),
+            pytest.param(["run", "--config", "cauchy.cfg"],
+                         "dist: must be one of ('uniform', 'gaussian'), got 'cauchy'", id="dist"),
+            pytest.param(["run", "--preset", "fig2a", "--spread-mult", "5"],
+                         "spread_in_inv_g: uniform spread ", id="spread"),
+        ],
+    )
+    def test_timing_model_error_names_token(self, tmp_path, capsys, argv, message):
+        (tmp_path / "cauchy.cfg").write_text(
+            "command = run\nscheme = elastic\ntrap = 20\nalpha = 3\natoms = 5\ndist = cauchy\n"
+        )
+        argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out_dir.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
         path.write_text(
@@ -548,6 +569,44 @@ class TestOutputDigests:
                         "1dda2d56399ca51038fc272e881a93100459ef97b95d4b30d37e1a6b57174070",
                 },
                 id="fig2a-50-atoms",
+            ),
+            # 300 atoms cross many blocks of timing draws: NSM, superposition,
+            # gaussian draws, and a sweep batch of four cells.
+            pytest.param(
+                ["run", "--preset", "fig1a", "--atoms", "300"],
+                {
+                    "trajectory.csv":
+                        "dd36ff2c2db52b3fc945ad3d5ef276f816c7901b82da8b3015b9206ed4ceff4a",
+                    "distribution.csv":
+                        "eb63399d5dcffe6eac1b527e6e3dcf8de0acba35389c27fedbd247ffec01f75a",
+                },
+                id="fig1a-300-atoms",
+            ),
+            pytest.param(
+                ["run", "--preset", "fig3ab", "--atoms", "300"],
+                {
+                    "trajectory.csv":
+                        "23f0fcf66e2d3a48e6e0f29959c195953d790c741e2b3c408cc7d30e26625c4a",
+                    "distribution.csv":
+                        "339c4aa8c9a3c8cf0185401513da781d9b70d7650a749698fa78c3f7da767b44",
+                },
+                id="fig3ab-300-atoms",
+            ),
+            pytest.param(
+                ["run", "--preset", "fig2b", "--atoms", "300", "--dist", "gaussian"],
+                {
+                    "trajectory.csv":
+                        "0f6d149af40c338c5fc162475601eca5328857d4aa0d911528ca05e8ccd5eed1",
+                    "distribution.csv":
+                        "73e2911e602a5eec6c3e4c013b318d564317350f1884e4c13d2a359285faf429",
+                },
+                id="fig2b-300-atoms-gaussian",
+            ),
+            pytest.param(
+                ["sweep", "--preset", "fig2a", "--spread-mults", "0.1,3", "--ensemble", "2",
+                 "--atoms", "300"],
+                {"sweep.csv": "f70fdc07008adf8193dcd4e050de45cb88001c08f06bb7676f242f45ab4903fd"},
+                id="fig2a-sweep-300-atoms",
             ),
         ],
     )

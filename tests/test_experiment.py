@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jctrap import experiment
 from jctrap.dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
@@ -28,7 +29,13 @@ from jctrap.experiment import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from jctrap.fock import FieldState, coherent_state, default_n_max, renormalize
+from jctrap.fock import (
+    FieldState,
+    coherent_state,
+    default_n_max,
+    distribution_stats,
+    renormalize,
+)
 from jctrap.stochastic import SeedSpec, derive_stream, sample_timing
 
 
@@ -226,26 +233,24 @@ class TestRunSequenceBasics:
         assert all(0.0 <= s.P_k <= 1.0 for s in result.steps)
 
 
-def _reference_step(config):
-    """One atom of `config` through the one-state reference updates.
+def _reference_step(config, field, tau, ramsey_t, rng):
+    """One atom through the one-state reference updates.
 
-    Returns (field, P_k, outcome): the FieldState (populations for NSM)
-    after the atom, its success probability and the sampled outcome.
+    Returns (field, P_k, success): the FieldState (populations for NSM)
+    after the atom, its success probability and the sampled outcome, None
+    unless outcomes are sampled.
     """
-    rng = derive_stream(config.seed)
-    tau, ramsey_t = sample_timing(config.timing, rng)
-    initial = config.initial_field.build(config.n_max)
     scheme = config.scheme
     if scheme.kind == "nsm":
-        return nsm_step(initial.probabilities(), config.coupling, tau), 1.0, None
+        return nsm_step(field, config.coupling, tau), 1.0, None
     if scheme.kind == "superposition":
         success, failure = correlated_cm_factors(
             config.omega, ramsey_t, config.coupling, tau, config.n_max, scheme.phi_f
         )
-        d, d_orth = success * initial.amplitudes, failure * initial.amplitudes
+        d, d_orth = success * field.amplitudes, failure * field.amplitudes
     else:
         rot = ELASTIC_ROTATION if scheme.kind == "elastic" else INELASTIC_ROTATION
-        ent = jcm_entangle(initial, config.coupling, tau)
+        ent = jcm_entangle(field, config.coupling, tau)
         if config.mode == "postselect":
             state, p_k = cm_project(ent, rot)
             return state, p_k, None
@@ -256,6 +261,58 @@ def _reference_step(config):
         return renormalize(FieldState(d, config.n_max)), p_k, None
     success = rng.random() < p_k
     return renormalize(FieldState(d if success else d_orth, config.n_max)), p_k, success
+
+
+def _reference_run(config):
+    """The atoms of `config` through the one-state reference updates.
+
+    Draws each atom's times, then its outcome, from the config's stream.
+    Returns (field, steps): the field after the last atom and, per atom,
+    (tau_k, P_k, success, populations after the atom).  Stops after the
+    first failed outcome when the config halts on one.
+    """
+    rng = derive_stream(config.seed)
+    field = config.initial_field.build(config.n_max)
+    if config.scheme.kind == "nsm":
+        field = field.probabilities()
+    steps = []
+    for _ in range(config.n_atoms):
+        tau, ramsey_t = sample_timing(config.timing, rng)
+        field, p_k, success = _reference_step(config, field, tau, ramsey_t, rng)
+        dist = field if config.scheme.kind == "nsm" else field.probabilities()
+        steps.append((tau, p_k, success, dist))
+        if success is False and config.halt_on_failure:
+            break
+    return field, steps
+
+
+def _assert_equals_reference(config, result):
+    """result is run_sequence(config) with steps, bit for bit as _reference_run."""
+    field, steps = _reference_run(config)
+    if config.scheme.kind == "nsm":
+        assert np.array_equal(result.final_state, field)
+    else:
+        assert np.array_equal(result.final_state.amplitudes, field.amplitudes)
+        assert np.array_equal(result.final_distribution, field.probabilities())
+    assert len(result.steps) == len(steps)
+    outcome = {None: "postselected", True: "sampled_success", False: "sampled_failure"}
+    for step, (tau, p_k, success, dist) in zip(result.steps, steps):
+        moments = distribution_stats(dist)
+        assert (step.tau_k, step.P_k, step.outcome) == (tau, p_k, outcome[success])
+        assert (step.mean_n, step.delta_n) == (moments.mean_n, moments.delta_n)
+        assert step.p_trap == dist[config.trap_target]
+    assert result.n_failures == sum(success is False for _, _, success, _ in steps)
+    return steps
+
+
+# (trap, initial field, n_max) per scheme: 150 atoms of each stay inside
+# the basis, so neither the reference nor the kernel stops early.
+REFERENCE_SCENARIOS = {
+    "nsm": (138, {"alpha": 3.0}, None),
+    "elastic": (20, {"alpha": 3.0}, None),
+    "inelastic": (20, {"alpha": 3.0}, 260),
+    "superposition": (21, {"alpha": math.sqrt(21.0)}, None),
+}
 
 
 class TestKernel:
@@ -279,20 +336,131 @@ class TestKernel:
                 spread_mult=1.0, phi_f=phi_f, mode=mode, master_seed=17, stream_id=stream,
                 halt_on_failure=False,
             )
-            field, p_k, success = _reference_step(config)
             result = run_sequence(config)
-            if scheme == "nsm":
-                assert np.array_equal(result.final_state, field)
-            else:
-                assert np.array_equal(result.final_state.amplitudes, field.amplitudes)
-                assert np.array_equal(result.final_distribution, field.probabilities())
-            step = result.steps[0]
-            assert step.P_k == p_k
-            assert result.final_cum_P == step.cum_P == math.exp(math.log(p_k))
-            assert result.n_failures == (success is False)
+            [(_, p_k, success, _)] = _assert_equals_reference(config, result)
+            assert result.final_cum_P == result.steps[0].cum_P == math.exp(math.log(p_k))
             outcomes.add(success)
         # Sampled mode must have met both outcomes; NSM draws none.
         assert outcomes == ({True, False} if mode == "sample" and scheme != "nsm" else {None})
+
+    @pytest.mark.parametrize(
+        "mode, halt",
+        [("postselect", True), ("sample", True), ("sample", False)],
+        ids=["postselect", "sample-halting", "sample-continuing"],
+    )
+    @pytest.mark.parametrize(
+        "scheme, phi_f",
+        [
+            ("nsm", -math.pi / 2),
+            ("elastic", -math.pi / 2),
+            ("inelastic", -math.pi / 2),
+            ("superposition", -math.pi / 2),
+            ("superposition", 0.4),
+        ],
+    )
+    def test_many_atoms_equal_reference_updates(self, scheme, phi_f, mode, halt):
+        # 150 atoms span several blocks of timing draws in one-cell runs.
+        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
+        lengths = set()
+        for stream in range(3):
+            config = build_run_config(
+                scheme=scheme, trap_target=trap, n_atoms=150, **initial, n_max=n_max,
+                spread_mult=0.5, phi_f=phi_f, mode=mode, master_seed=29, stream_id=stream,
+                halt_on_failure=halt,
+            )
+            result = run_sequence(config)
+            lengths.add(len(_assert_equals_reference(config, result)))
+            assert result.terminated_early is None or result.terminated_early.startswith(
+                "sampled orthogonal outcome"
+            )
+        # A halting run stops at its first failed outcome, the others run on.
+        assert max(lengths) > 1 if halt and mode == "sample" else lengths == {150}
+
+    def test_top_level_guard_trips_inside_a_block(self):
+        # 36 levels give one-cell blocks of 113 atoms; each selected atom
+        # leaves a photon behind, which fills the top three levels at atom 30.
+        config = build_run_config(
+            scheme="inelastic", trap_target=5, n_atoms=150, fock_n=3, spread_mult=0.1,
+            master_seed=5,
+        )
+        with pytest.raises(LeakageError, match=r"^top-3 Fock levels hold .* at atom 30; "):
+            run_sequence(config)
+
+    def test_sweep_cells_equal_reference_across_a_leak(self):
+        # Six cells of 46 levels draw their atoms in blocks of 14; the cell
+        # at multiplier 2.5 and stream 3 leaks out of n_max = 45 at atom 7,
+        # inside the first block, while the others run on through it.
+        base = build_run_config(
+            scheme="elastic", trap_target=20, n_atoms=300, alpha=3.0, n_max=45, master_seed=4
+        )
+        table = sweep(base, [0.1, 2.5, 0.5], ensemble=2)
+        assert [c.error is None for c in table.cells] == [True, True, True, False, True, True]
+        spread = critical_spread(base.trap_target, base.coupling)
+        for cell in table.cells:
+            config = replace(
+                base,
+                timing=replace(base.timing, spread=cell.multiplier * spread),
+                seed=SeedSpec(base.seed.master_seed, cell.cell),
+            )
+            if cell.error is not None:
+                with pytest.raises(LeakageError) as exc:
+                    _reference_run(config)
+                assert cell.error == str(exc.value)
+                continue
+            field, steps = _reference_run(config)
+            assert len(steps) == 300
+            assert cell.final_p_trap == field.probabilities()[base.trap_target]
+
+
+class TestDrawAccounting:
+    """One experiment.sample_timing call per atom a cell runs: the benchmark
+    counts atom transits from these calls."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        original = experiment.sample_timing
+
+        def counted(model, rng):
+            calls.append(model)
+            return original(model, rng)
+
+        monkeypatch.setattr(experiment, "sample_timing", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "scheme, mode", [("nsm", "postselect"), ("elastic", "postselect"),
+                         ("superposition", "postselect"), ("superposition", "sample")],
+    )
+    def test_complete_run_draws_each_atom_once(self, draws, scheme, mode):
+        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
+        config = build_run_config(
+            scheme=scheme, trap_target=trap, n_atoms=150, **initial, n_max=n_max,
+            spread_mult=0.5, mode=mode, halt_on_failure=False,
+        )
+        assert run_sequence(config).terminated_early is None
+        assert len(draws) == 150
+
+    def test_complete_sweep_draws_each_atom_once_per_cell(self, draws):
+        base = build_run_config(
+            scheme="elastic", trap_target=20, n_atoms=150, alpha=3.0, master_seed=5
+        )
+        table = sweep(base, [0.1, 0.5], ensemble=3)
+        assert all(cell.error is None for cell in table.cells)
+        assert len(draws) == 150 * 6
+
+    def test_halting_estimate_draws_only_the_atoms_run(self, draws):
+        config = build_run_config(
+            scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=math.pi / 3.0,
+            spread_frac=0.1, n_max=30, mode="sample", master_seed=808,
+        )
+        sampled_success_estimate(config, 300)
+        counted = len(draws)
+        ran = sum(
+            len(run_sequence(replace(config, seed=SeedSpec(808, t))).steps) for t in range(300)
+        )
+        # Most trajectories halt after their first atom or two.
+        assert counted == ran < 2 * 300
 
 
 class TestSampledMode:
@@ -445,6 +613,11 @@ class TestSweep:
         assert all(c.error is None for c in good)
         assert all(c.error is not None and not c.converged for c in bad)
         assert math.isnan(table.aggregates[1].median_final_p_trap)
+
+    def test_invalid_base_raises(self):
+        # Only a cell's own spread is recorded in the cell; a bad base fails the sweep.
+        with pytest.raises(ConfigError, match="^q: "):
+            sweep(replace(self.base(), q=0), [0.1], ensemble=2)
 
     def test_aggregates(self):
         table = sweep(self.base(), [0.1], ensemble=4)

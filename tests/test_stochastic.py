@@ -19,13 +19,14 @@ G1 = CouplingParams(1.0)
 
 class TestTimingModel:
     def test_invalid_models_rejected(self):
-        with pytest.raises(ConfigError):
+        # Each message names the config token the bad value comes from.
+        with pytest.raises(ConfigError, match="^tau_bar_in_inv_g: "):
             TimingModel(tau_bar=0.0, spread=0.1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^spread_in_inv_g: "):
             TimingModel(tau_bar=1.0, spread=-0.1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^spread_in_inv_g: "):
             TimingModel(tau_bar=1.0, spread=2.0, law="uniform")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^dist: "):
             TimingModel(tau_bar=1.0, spread=0.1, law="lognormal")
 
     def test_gaussian_allows_wide_spread(self):
@@ -91,6 +92,22 @@ class TestSampleTiming:
         assert np.array_equal(taus, [tau for tau, _ in pairs])
         assert np.array_equal(ramsey, [t_r for _, t_r in pairs])
         assert scalar_rng.random() == array_rng.random()
+
+    @pytest.mark.parametrize("law", ["uniform", "gaussian"])
+    def test_scalar_draw_equals_generator_method(self, law):
+        # sample_timing writes out Generator.uniform and Generator.normal;
+        # the values and the stream left behind must not change.  At this
+        # spread the gaussian law never draws a non-positive time.
+        model = TimingModel(tau_bar=0.6856, spread=0.0343, law=law)
+        ours, numpys = derive_stream(SeedSpec(45, 2)), derive_stream(SeedSpec(45, 2))
+        half = model.spread / 2.0
+        for _ in range(100_000):
+            if law == "uniform":
+                expected = float(numpys.uniform(model.tau_bar - half, model.tau_bar + half))
+            else:
+                expected = float(numpys.normal(model.tau_bar, model.rms))
+            assert sample_timing(model, ours)[0] == expected
+        assert ours.random() == numpys.random()
 
 
 class TestDeriveStream:
