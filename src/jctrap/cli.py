@@ -165,9 +165,15 @@ def _back(path: str, fmt=str):
     return lambda config, given: fmt(get(config))
 
 
-def _given_for(field_kind: str):
-    """Write alpha or fock back as given when the initial field is of its kind."""
-    return lambda config, given: given if config.initial_field.kind == field_kind else ""
+def _given_for(field_kind: str, canonical):
+    """Write alpha or fock back, as canonical(given), when the initial field is of its kind."""
+    return lambda config, given: canonical(given) if config.initial_field.kind == field_kind else ""
+
+
+def _alpha_text(text: str) -> str:
+    """One text per alpha value: a number, or sqrt and a number for sqrtN."""
+    root = "sqrt" if text.startswith("sqrt") else ""
+    return root + _fmt(float(text[len(root) :]))
 
 
 # Every config token: (keyword it sets, parser, how the resolved config writes
@@ -182,8 +188,8 @@ _TOKENS = {
     "atoms": ("n_atoms", int, _back("n_atoms")),
     "epsilon0": ("epsilon0", float, _back("epsilon0", _fmt)),
     "steps": ("n_steps", int, _back("n_steps")),
-    "alpha": ("alpha", parse_alpha_token, _given_for("coherent")),
-    "fock": ("fock_n", int, _given_for("fock")),
+    "alpha": ("alpha", parse_alpha_token, _given_for("coherent", _alpha_text)),
+    "fock": ("fock_n", int, _given_for("fock", lambda text: str(int(text)))),
     "dist": ("law", str, _back("timing.law")),
     "mode": ("mode", str, _back("mode")),
     "tau_bar_in_inv_g": ("tau_bar", float, _back("timing.tau_bar", _fmt)),

@@ -172,17 +172,17 @@ def _level_roots(n_max: int) -> np.ndarray:
 
 
 def _theta_array(params: CouplingParams, tau, n_max: int) -> np.ndarray:
-    """Rabi phases of levels 0..n_max; times shaped (..., 1) give one row per time."""
+    """Rabi phases of levels 0..n_max (a new array); times shaped (..., 1) give a row each."""
     return params.g * tau * _level_roots(n_max)
 
 
 def _snapped_cos_sin(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of Rabi phases with exact values at snapped multiples of pi."""
+    """cos/sin of Rabi phases, exact at snapped multiples of pi; sin is written into thetas."""
     ratio = thetas / math.pi
     q = np.rint(ratio)
     cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas)
-    snap = np.abs(ratio - q) < TRAP_SNAP_TOL
+    sin_t = np.sin(thetas, out=thetas)
+    snap = np.abs(np.subtract(ratio, q, out=ratio), out=ratio) < TRAP_SNAP_TOL
     if snap.any():
         sin_t[snap] = 0.0
         cos_t[snap] = np.where(q[snap].astype(np.int64) % 2 == 0, 1.0, -1.0)

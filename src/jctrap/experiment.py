@@ -13,6 +13,7 @@ trajectories of `sampled_success_estimate` advance together.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections.abc import Iterable, Iterator
@@ -69,7 +70,7 @@ _BATCH_CELLS = 64
 # A block of atoms, whose times a batch draws at once, has as many atoms as
 # fit in this many factors (atoms x cells x levels), and never fewer than one.
 # A halting sampled batch draws one atom at a time: it may stop at any atom.
-_BLOCK_ENTRIES = 4096
+_BLOCK_ENTRIES = 8192
 
 OUTCOME_POSTSELECTED = "postselected"
 OUTCOME_SUCCESS = "sampled_success"
@@ -206,6 +207,9 @@ def build_run_config(
     """
     if (alpha is None) == (fock_n is None):
         raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
+    for token, value in (("alpha", alpha or 0), ("phi_f_rad", phi_f)):
+        if not cmath.isfinite(value):
+            raise ConfigError(f"{token}: must be finite, got {value}")
     coupling = CouplingParams(g)
     _check_derivation_inputs(trap_target, q, scheme, omega)
     if tau_bar is None:
@@ -240,24 +244,32 @@ def build_run_config(
 
 
 class _LogSum:
-    """Compensated running sum of log P_k (Neumaier), tolerant of P_k = 0."""
+    """Compensated running sum of log P_k (Neumaier), tolerant of P_k = 0.
+
+    math.log, since np.log differs from it in the last place on some values.
+    """
 
     def __init__(self):
         self.total = 0.0
         self.comp = 0.0
 
-    def add(self, p: float) -> None:
-        if p <= 0.0 or math.isinf(self.total):
-            self.total = float("-inf")
-            self.comp = 0.0
-            return
-        x = math.log(p)
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
-        else:
-            self.comp += (x - t) + self.total
-        self.total = t
+    def extend(self, ps: Iterable[float], values: list[float] | None = None) -> None:
+        """Add each P_k in order; after each, append the running product to values."""
+        total, comp = self.total, self.comp
+        for p in ps:
+            if p <= 0.0 or math.isinf(total):
+                total, comp = -math.inf, 0.0
+            else:
+                x = math.log(p)
+                t = total + x
+                if abs(total) >= abs(x):
+                    comp += (total - t) + x
+                else:
+                    comp += (x - t) + total
+                total = t
+            if values is not None:
+                values.append(0.0 if math.isinf(total) else math.exp(total + comp))
+        self.total, self.comp = total, comp
 
     @property
     def value(self) -> float:
@@ -288,21 +300,23 @@ def _project_rows(e_branch: np.ndarray, g_branch: np.ndarray, rot) -> np.ndarray
 def _run_cells(
     config: RunConfig, cells: list[tuple[TimingModel, SeedSpec]], collect_steps: bool
 ) -> list[RunResult | SimulationError]:
-    """Run a batch of cells, atom by atom, through one update kernel.
+    """Run a batch of cells, a block of atoms at a time, through one update kernel.
 
     Each cell runs config with its own (timing model, seed) pair; its field
     is one row of a (cells, levels) array: amplitudes for the selective
-    schemes, populations for NSM.  Per block of atoms, each cell draws the
-    times (and in sampled mode each outcome's uniform right after its time)
-    from its own stream in a one-cell run's order, and one call gives the
-    block's (atoms, cells, levels) factors.  Per atom, every row then takes
-    the operations that jcm_entangle, project_amplitudes, cm_project,
-    correlated_cm_factors, renormalize or nsm_step apply to one state (row
-    norms by np.vecdot, which sums as np.vdot does), so each cell's result
-    equals its one-cell run bit for bit.  When one test of the whole batch
-    trips, the guards act per cell in a one-cell run's order; a cell that
-    trips one ends and leaves the batch.  Returns, per cell, its RunResult
-    or the SimulationError that ended it.
+    schemes, populations for NSM.  Per block, each cell draws the atoms'
+    times (in sampled mode each outcome's uniform right after its time) in
+    a one-cell run's order, and one call gives the (atoms, cells, levels)
+    factors.  Per atom only the field update runs, into row j + 1 of an
+    (atoms + 1, cells, levels) buffer: the operations that jcm_entangle,
+    project_amplitudes, cm_project, correlated_cm_factors, renormalize or
+    nsm_step apply to one state (norms by np.vecdot, which sums as np.vdot
+    does).  What only reads the updated fields runs once per block: guard
+    inputs, one test that clears the whole block, step statistics and cum_P.
+    So each cell equals its one-cell run bit for bit.  When the test trips,
+    each cell runs the guards atom by atom in a one-cell run's order, books
+    the atoms before its first trip and leaves.  Returns, per cell, its
+    RunResult or the SimulationError that ended it.
     """
     scheme = config.scheme
     is_nsm = scheme.kind == "nsm"
@@ -337,21 +351,22 @@ def _run_cells(
             final_cum_P=cell.cum.value,
         )
 
-    def guard(i, k):
-        """What ends cell i at atom k before its step is booked, or None."""
-        if leak is not None and leak[i] > leak_limit:
-            return LeakageError(f"population would leave truncation: {leak_what} = {leak[i]:.3e}")
-        if not sampled and p_k[i] < ORTHOGONAL_P_TOL:
-            return finish(cells[i], state[i], dist[i], "impossible post-selection")
-        if norm_k[i] <= ORTHOGONAL_NORM_SQ:
+    def guard(i, j):
+        """What ends cell i at block atom j before its step is booked, or None."""
+        at, atom = j * n + i, k + j + 1
+        if leak is not None and not leak[at] <= leak_limit:
+            return LeakageError(f"population would leave truncation: {leak_what} = {leak[at]:.3e}")
+        if not sampled and p_k[at] < ORTHOGONAL_P_TOL:
+            return "impossible post-selection"
+        if not norm_k[at] > ORTHOGONAL_NORM_SQ:
             return OrthogonalOutcomeError(
-                f"cannot renormalize state with squared norm {norm_k[i]:.3e}"
+                f"cannot renormalize state with squared norm {norm_k[at]:.3e}"
             )
-        if abs(total[i] - 1.0) > NORM_ATOL:
-            return SimulationError(f"state norm drifted to {total[i]!r} at atom {k}")
-        if top[i] > TOP_LEVEL_GUARD:
+        if not abs(total[at] - 1.0) <= NORM_ATOL:
+            return SimulationError(f"state norm drifted to {total[at]!r} at atom {atom}")
+        if not top[at] <= TOP_LEVEL_GUARD:
             return LeakageError(
-                f"top-3 Fock levels hold {top[i]:.3e} probability at atom {k}; "
+                f"top-3 Fock levels hold {top[at]:.3e} probability at atom {atom}; "
                 f"truncation n_max={n_max} too small for this run"
             )
         return None
@@ -359,7 +374,8 @@ def _run_cells(
     k = 0
     while k < config.n_atoms and cells:
         # The block's draws and factors, which do not depend on the field.
-        b = 1 if halting else max(1, _BLOCK_ENTRIES // (len(cells) * (n_max + 1)))
+        n = len(cells)
+        b = 1 if halting else max(1, _BLOCK_ENTRIES // (n * (n_max + 1)))
         b = min(b, config.n_atoms - k)
         if sampled:
             block = [[(*sample_timing(c.timing, c.rng), c.rng.random()) for c in cells]
@@ -369,119 +385,119 @@ def _run_cells(
         times = np.array(block)  # (atoms, cells, (tau_k, T_k[, u_k]))
         taus = times[..., :1]
         if scheme.kind == "superposition":
-            factors = correlated_cm_factors(
+            success, failure = correlated_cm_factors(
                 config.omega, times[..., 1:2], config.coupling, taus, n_max, scheme.phi_f
             )
         else:
-            factors = rabi_cos_sin(config.coupling, taus, n_max)
-
-        for j in range(b):
-            k += 1
-            draws = block[j]
-            leak = None
-            if scheme.kind == "superposition":
-                success, failure = factors[0][j], factors[1][j]
-                d = success * state
-
-                def orthogonal():
-                    return failure * state
-
-            else:
-                cos_t, sin_t = factors[0][j], factors[1][j]
-                edge = zip(state[:, -1].tolist(), sin_t[:, -1].tolist())
-                if is_nsm:
-                    leak = [p * s**2 for p, s in edge]
-                    new = state * cos_t**2
-                    new[:, 1:] += state[:, :-1] * sin_t[:, :-1] ** 2
-                else:
-                    leak = [abs(c) * abs(s) for c, s in edge]
-                    e_branch = state * cos_t
-                    g_branch = -1j * state * sin_t
-                    d = _project_rows(e_branch, g_branch, rot)
-
-                    def orthogonal():
-                        return _project_rows(e_branch, g_branch, orthogonal_rotation(rot))
-
+            cos_t, sin_t = rabi_cos_sin(config.coupling, taus, n_max)
+            edge = sin_t[..., -1].ravel().tolist()
             if is_nsm:
-                new_dist, p_k = new, [1.0] * len(cells)
-                norm_k = p_k
+                cos_t, sin_t = np.square(cos_t, out=cos_t), np.square(sin_t, out=sin_t)
+
+        # Per atom, the field update alone.
+        fields = np.empty((b + 1, *state.shape), state.dtype)
+        fields[0] = state
+        norms = np.ones((b, n))  # NSM keeps these
+        successes = np.empty((b, n)) if sampled else norms
+        failed = np.zeros((b, n), dtype=bool)
+        for j in range(b):
+            s, out = fields[j], fields[j + 1]
+            if is_nsm:
+                np.multiply(s, cos_t[j], out=out)
+                out[:, 1:] += s[:, :-1] * sin_t[j, :, :-1]
+                continue
+            if scheme.kind == "superposition":
+                d = success[j] * s
             else:
-                norm = np.vecdot(d, d).real
-                p_k = [min(x, 1.0) for x in norm.tolist()]
-                failed = [not row[2] < p for row, p in zip(draws, p_k)] if sampled else []
-                if any(failed):
-                    d_orth = orthogonal()
-                    mask = np.array(failed)
-                    d = np.where(mask[:, None], d_orth, d)
-                    norm = np.where(mask, np.vecdot(d_orth, d_orth).real, norm)
-                norm_k = norm.tolist()
-                if min(norm_k) <= ORTHOGONAL_NORM_SQ:
-                    # Such rows end below; flooring their norm keeps 0/0 out of the division.
-                    norm = np.maximum(norm, ORTHOGONAL_NORM_SQ)
-                new = d / np.sqrt(norm)[:, None]
-                new_dist = np.abs(new) ** 2
-            total = new_dist.sum(axis=1).tolist()
-            top = top_level_probability(new_dist).tolist()
-
-            # A NaN fails this test of the whole batch; the per-cell guards decide then.
-            clear = (
-                (leak is None or max(leak) <= leak_limit)
-                and (sampled or min(p_k) >= ORTHOGONAL_P_TOL)
-                and min(norm_k) > ORTHOGONAL_NORM_SQ
-                and max(total) - 1.0 <= NORM_ATOL
-                and 1.0 - min(total) <= NORM_ATOL
-                and max(top) <= TOP_LEVEL_GUARD
-            )
-            passed = range(len(cells))
-            if not clear:
-                passed = []
-                for i, cell in enumerate(cells):
-                    if (ended := guard(i, k)) is None:
-                        passed.append(i)
-                    else:
-                        results[cell.index] = ended
-
-            running = []
-            for i in passed:
-                cell = cells[i]
-                outcome = OUTCOME_POSTSELECTED
-                if sampled:
-                    outcome = OUTCOME_FAILURE if failed[i] else OUTCOME_SUCCESS
-                    cell.failures += failed[i]
-                cell.cum.add(p_k[i])
-                if collect_steps:
-                    row = new_dist[i]
-                    mean_n = float(ns @ row)
-                    var = float(ns_sq @ row) - mean_n * mean_n
-                    cell.steps.append(
-                        StepRecord(
-                            k=k,
-                            tau_k=draws[i][0],
-                            T_k=draws[i][1],
-                            P_k=p_k[i],
-                            cum_P=cell.cum.value,
-                            mean_n=mean_n,
-                            delta_n=math.sqrt(max(0.0, var)),
-                            outcome=outcome,
-                            p_trap=float(row[trap]),
-                            p_above_trap=float(row[trap + 1 :].sum()),
-                        )
+                e_branch, g_branch = s * cos_t[j], -1j * s * sin_t[j]
+                d = _project_rows(e_branch, g_branch, rot)
+            norm = successes[j] = np.vecdot(d, d).real
+            if sampled:
+                # u_k < 1, so u_k < min(norm, 1) exactly when u_k < norm.
+                failed[j] = fails = ~(times[j, :, 2] < norm)
+                if fails.any():
+                    d_orth = (
+                        failure[j] * s
+                        if scheme.kind == "superposition"
+                        else _project_rows(e_branch, g_branch, orthogonal_rotation(rot))
                     )
-                if outcome == OUTCOME_FAILURE and halting:
-                    reason = f"sampled orthogonal outcome at atom {k}"
-                    results[cell.index] = finish(cell, new[i], new_dist[i], reason)
-                    continue
-                running.append(i)
+                    d = np.where(fails[:, None], d_orth, d)
+                    norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
+            norms[j] = norm
+            # A row at or below the floor ends below; the floor keeps 0/0 out.
+            np.divide(d, np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ))[:, None], out=out)
 
-            state, dist = new, new_dist
-            if len(running) < len(cells):
-                # A cell that leaves drops its rows from the field and the block.
-                cells = [cells[i] for i in running]
-                if not cells:
-                    break
-                state, dist = state[running], dist[running]
-                block = [[row[i] for i in running] for row in block]
-                factors = tuple(f[:, running] for f in factors)
+        # Per block, everything that only reads the updated fields.
+        rows = fields[1:] if is_nsm else np.abs(fields[1:]) ** 2  # row j: after atom j
+        leak = None  # In Python: np.abs of a complex may differ from abs() in the last place.
+        if scheme.kind != "superposition":
+            col = zip(fields[:b, :, -1].ravel().tolist(), edge)
+            leak = [p * s**2 for p, s in col] if is_nsm else [abs(c) * abs(s) for c, s in col]
+        # NSM's P_k are all one float object, which every step record then shares.
+        p_k = [1.0] * (b * n) if is_nsm else np.minimum(successes, 1.0).ravel().tolist()
+        norm_k = norms.ravel().tolist()
+        total = rows.sum(axis=-1).ravel().tolist()
+        top = top_level_probability(rows).ravel().tolist()
+        # Python max and min skip a NaN that is not first; the sum of these
+        # nonnegative values is NaN only if one of them is.
+        clear = (
+            not math.isnan(sum(leak or ()) + sum(norm_k) + sum(total) + sum(top))
+            and (leak is None or max(leak) <= leak_limit)
+            and (sampled or min(p_k) >= ORTHOGONAL_P_TOL)
+            and min(norm_k) > ORTHOGONAL_NORM_SQ
+            and max(total) - 1.0 <= NORM_ATOL
+            and 1.0 - min(total) <= NORM_ATOL
+            and max(top) <= TOP_LEVEL_GUARD
+        )
+        # What a guard trip at atom j ends a cell with: (atoms booked, error or reason).
+        ends = {}
+        if not clear:
+            for i in range(n):
+                for j in range(b):
+                    if (end := guard(i, j)) is not None:
+                        ends[i] = (j, end)
+                        break
+        failed = failed.ravel().tolist()
+        if collect_steps:
+            mean_n = np.vecdot(rows, ns)
+            delta_n = np.sqrt(np.maximum(np.vecdot(rows, ns_sq) - mean_n * mean_n, 0.0))
+            columns = [
+                a.ravel().tolist()
+                for a in (times[..., 0], times[..., 1], mean_n, delta_n, rows[..., trap],
+                          rows[..., trap + 1 :].sum(axis=-1))
+            ]
+            named = (OUTCOME_SUCCESS, OUTCOME_FAILURE) if sampled else (OUTCOME_POSTSELECTED,) * 2
+            columns.append([named[f] for f in failed])  # outcome by failure flag
+
+        for i, cell in enumerate(cells):
+            m, end = ends.get(i, (b, None))
+            if halting and end is None and failed[i]:  # a halting batch runs one atom a block
+                end = f"sampled orthogonal outcome at atom {k + 1}"
+                ends[i] = (m, end)
+            at = slice(i, m * n, n)  # cell i's booked atoms in the (atoms, cells) lists
+            cums = [] if collect_steps else None
+            cell.cum.extend(p_k[at], cums)
+            if collect_steps:
+                tau_k, t_k, mean, delta, p_trap, p_above, outcome = (c[at] for c in columns)
+                cell.steps.extend(
+                    map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_k[at], cums, mean,
+                        delta, outcome, p_trap, p_above)
+                )
+            if sampled:
+                cell.failures += failed[at].count(True)
+            if isinstance(end, str):
+                last = rows[m - 1] if m else dist  # the distribution after the booked atoms
+                results[cell.index] = finish(cell, fields[m, i], last[i], end)
+            elif end is not None:
+                results[cell.index] = end
+
+        k += b
+        # A cell that ended leaves the batch with its rows.
+        running = [i for i in range(n) if i not in ends]
+        cells = [cells[i] for i in running]
+        keep = np.array(running, dtype=np.intp)  # take() is quicker with an index array
+        state, dist = fields[b].take(keep, axis=0), rows[b - 1].take(keep, axis=0)
+        fields = rows = cos_t = sin_t = success = failure = None  # freed before the next block
 
     for i, cell in enumerate(cells):
         results[cell.index] = finish(cell, state[i], dist[i], None)

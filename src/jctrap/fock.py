@@ -151,8 +151,8 @@ def top_level_probability(distribution: np.ndarray, levels: int = 3) -> float | 
     """Probability held by the top `levels` Fock levels of the basis.
 
     Monitored every simulation step; values above 1e-8 mean the truncation
-    is corrupting the dynamics.  A 2-D array of distributions gives one
-    value per row.
+    is corrupting the dynamics.  Distributions along the last axis of any
+    leading shape, such as (atoms, cells, levels), give one value each.
     """
     p = np.asarray(distribution, dtype=float)
     return p[..., -levels:].sum(axis=-1)

@@ -41,6 +41,9 @@ class TimingModel:
     ramsey_ratio: float = 0.0
 
     def __post_init__(self):
+        for token, value in (("tau_bar_in_inv_g", self.tau_bar), ("spread_in_inv_g", self.spread)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{token}: must be finite, got {value}")
         if not self.tau_bar > 0:
             raise ConfigError(f"tau_bar_in_inv_g: must be > 0, got {self.tau_bar}")
         if self.spread < 0:

@@ -434,6 +434,25 @@ class TestFlagLayers:
         )
         assert (tokens["alpha"], tokens["fock"]) == ("", "3")
 
+    @pytest.mark.parametrize(
+        "given, canonical",
+        [("3.0", "3"), ("3", "3"), ("sqrt21.0", "sqrt21"), ("sqrt21", "sqrt21")],
+    )
+    def test_alpha_written_back_in_one_text(self, tmp_path, given, canonical):
+        # The same RunConfig gets the same manifest, whichever way alpha was written.
+        tokens = manifest_tokens(tmp_path, ["run", *RUN_FLAGS, "--alpha", given], "given")
+        assert tokens["alpha"] == canonical
+        again = ["run", *RUN_FLAGS, "--alpha", canonical]
+        assert manifest_tokens(tmp_path, again, "canonical") == tokens
+        round_trip = ["run", "--config", str(tmp_path / "given" / "manifest.txt")]
+        assert manifest_tokens(tmp_path, round_trip, "round-trip") == tokens
+
+    def test_fock_written_back_in_one_text(self, tmp_path):
+        path = tmp_path / "fock.cfg"
+        path.write_text("command = run\nscheme = elastic\ntrap = 20\nfock = 03\natoms = 0\n")
+        tokens = manifest_tokens(tmp_path, ["run", "--config", str(path)])
+        assert (tokens["alpha"], tokens["fock"]) == ("", "3")
+
     @pytest.mark.parametrize("key", ["q", "trap", "g"])
     def test_tau_bar_input_over_config_time_rejected(self, tmp_path, capsys, key):
         # A preset leaves tau_bar to its default, so the flag moves it ...
@@ -487,6 +506,32 @@ class TestConfigErrors:
         out_dir = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            pytest.param(["--spread-mult", "nan"], "spread_in_inv_g", id="spread-mult-nan"),
+            pytest.param(["--spread-frac", "nan"], "spread_in_inv_g", id="spread-frac-nan"),
+            pytest.param(["--alpha", "nan"], "alpha", id="alpha-nan"),
+            pytest.param(["--alpha", "inf"], "alpha", id="alpha-inf"),
+            pytest.param(["--dist", "gaussian", "--spread-mult", "nan"], "spread_in_inv_g",
+                         id="gaussian-nan"),
+            pytest.param(["--dist", "gaussian", "--spread-mult", "inf"], "spread_in_inv_g",
+                         id="gaussian-inf"),
+            pytest.param(["--config", "tau.cfg"], "tau_bar_in_inv_g", id="tau-bar-inf"),
+            pytest.param(["--config", "phi.cfg", "--scheme", "superposition"], "phi_f_rad",
+                         id="phi-f-nan"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, capsys, argv, token):
+        (tmp_path / "tau.cfg").write_text("tau_bar_in_inv_g = inf\n")
+        (tmp_path / "phi.cfg").write_text("phi_f_rad = nan\n")
+        argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+        out_dir = tmp_path / "out"
+        code = main(["run", "--preset", "fig3ab", "--atoms", "5", *argv, "--out-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {token}: must be finite, got ")
         assert not out_dir.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Atom-sequence driver: modes, bookkeeping, sweeps, sampled estimates."""
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -301,6 +302,7 @@ def _assert_equals_reference(config, result):
         assert (step.tau_k, step.P_k, step.outcome) == (tau, p_k, outcome[success])
         assert (step.mean_n, step.delta_n) == (moments.mean_n, moments.delta_n)
         assert step.p_trap == dist[config.trap_target]
+        assert step.p_above_trap == dist[config.trap_target + 1 :].sum()
     assert result.n_failures == sum(success is False for _, _, success, _ in steps)
     return steps
 
@@ -377,7 +379,7 @@ class TestKernel:
         assert max(lengths) > 1 if halt and mode == "sample" else lengths == {150}
 
     def test_top_level_guard_trips_inside_a_block(self):
-        # 36 levels give one-cell blocks of 113 atoms; each selected atom
+        # 36 levels give one-cell blocks of 227 atoms; each selected atom
         # leaves a photon behind, which fills the top three levels at atom 30.
         config = build_run_config(
             scheme="inelastic", trap_target=5, n_atoms=150, fock_n=3, spread_mult=0.1,
@@ -387,7 +389,7 @@ class TestKernel:
             run_sequence(config)
 
     def test_sweep_cells_equal_reference_across_a_leak(self):
-        # Six cells of 46 levels draw their atoms in blocks of 14; the cell
+        # Six cells of 46 levels draw their atoms in blocks of 29; the cell
         # at multiplier 2.5 and stream 3 leaks out of n_max = 45 at atom 7,
         # inside the first block, while the others run on through it.
         base = build_run_config(
@@ -410,6 +412,116 @@ class TestKernel:
             field, steps = _reference_run(config)
             assert len(steps) == 300
             assert cell.final_p_trap == field.probabilities()[base.trap_target]
+
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [
+            ("nsm", r"^state norm drifted to nan at atom 5$"),
+            ("elastic", r"^cannot renormalize state with squared norm nan$"),
+        ],
+    )
+    def test_nan_factor_ends_the_cell(self, monkeypatch, scheme, message):
+        # A NaN factor at atom 5 of the last of three cells: Python's max and
+        # min skip a NaN that is not first, and a NaN passes every `x > limit`.
+        original = experiment.rabi_cos_sin
+
+        def poisoned(coupling, taus, n_max):
+            cos_t, sin_t = original(coupling, taus, n_max)
+            cos_t[4, -1, 3] = math.nan
+            return cos_t, sin_t
+
+        monkeypatch.setattr(experiment, "rabi_cos_sin", poisoned)
+        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
+        base = build_run_config(
+            scheme=scheme, trap_target=trap, n_atoms=10, **initial, n_max=n_max, master_seed=3
+        )
+        with pytest.raises(SimulationError, match=message):
+            run_sequence(base)
+        table = sweep(base, [0.1], ensemble=3)
+        assert [cell.error for cell in table.cells[:2]] == [None, None]
+        assert re.match(message, table.cells[2].error)
+
+
+def _fingerprint(result):
+    """Everything a RunResult holds, comparable with ==."""
+    state = result.final_state
+    amplitudes = state if isinstance(state, np.ndarray) else state.amplitudes
+    return (
+        result.steps, amplitudes.tobytes(), result.final_distribution.tobytes(),
+        result.final_cum_P, result.n_failures, result.terminated_early,
+    )
+
+
+class TestBlockSize:
+    """Results do not depend on how many atoms a block holds."""
+
+    @staticmethod
+    def each_block_size(monkeypatch, run):
+        """run() with one atom a block, the default blocks and whole-run blocks."""
+        outcomes = []
+        for entries in (1, experiment._BLOCK_ENTRIES, 10**6):
+            monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", entries)
+            try:
+                outcomes.append(run())
+            except SimulationError as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+        return outcomes
+
+    @pytest.mark.parametrize(
+        "mode, halt",
+        [("postselect", True), ("sample", True), ("sample", False)],
+        ids=["postselect", "sample-halting", "sample-continuing"],
+    )
+    @pytest.mark.parametrize(
+        "scheme, phi_f",
+        [
+            ("nsm", -math.pi / 2),
+            ("elastic", -math.pi / 2),
+            ("inelastic", -math.pi / 2),
+            ("superposition", -math.pi / 2),
+            ("superposition", 0.4),
+        ],
+    )
+    def test_run(self, monkeypatch, scheme, phi_f, mode, halt):
+        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
+        config = build_run_config(
+            scheme=scheme, trap_target=trap, n_atoms=80, **initial, n_max=n_max,
+            spread_mult=1.0, phi_f=phi_f, mode=mode, master_seed=31, halt_on_failure=halt,
+        )
+        one, default, whole = self.each_block_size(
+            monkeypatch, lambda: _fingerprint(run_sequence(config))
+        )
+        assert one == default == whole
+
+    def test_sweep_with_a_cell_that_leaks_mid_block(self, monkeypatch):
+        # The cell at multiplier 2.5 and stream 3 leaks at atom 7.
+        base = build_run_config(
+            scheme="elastic", trap_target=20, n_atoms=300, alpha=3.0, n_max=45, master_seed=4
+        )
+        one, default, whole = self.each_block_size(
+            monkeypatch, lambda: repr(sweep(base, [0.1, 2.5, 0.5], ensemble=2).cells)
+        )
+        assert one == default == whole
+        assert "population would leave truncation" in one
+
+    def test_sampled_estimate(self, monkeypatch):
+        config = replace(fig3cd_config(n_atoms=100, mode="sample"), halt_on_failure=False)
+        one, default, whole = self.each_block_size(
+            monkeypatch, lambda: sampled_success_estimate(config, 30)
+        )
+        assert one == default == whole
+
+    def test_post_selection_impossible_at_atom_two(self, monkeypatch):
+        # From |19>, the first selected atom leaves |20>, the trap, which no
+        # second atom can leave: the run ends with one step booked.
+        config = build_run_config(scheme="inelastic", trap_target=20, n_atoms=5, fock_n=19)
+        outcomes = self.each_block_size(monkeypatch, lambda: run_sequence(config))
+        for result in outcomes:
+            assert result.terminated_early == "impossible post-selection"
+            assert [s.k for s in result.steps] == [1]
+            assert result.final_cum_P == result.steps[0].cum_P == 0.005721385394479351
+            assert result.final_distribution[20] == 1.0
+        assert _fingerprint(outcomes[0]) == _fingerprint(outcomes[1]) == _fingerprint(outcomes[2])
 
 
 class TestDrawAccounting:
@@ -618,6 +730,14 @@ class TestSweep:
         # Only a cell's own spread is recorded in the cell; a bad base fails the sweep.
         with pytest.raises(ConfigError, match="^q: "):
             sweep(replace(self.base(), q=0), [0.1], ensemble=2)
+
+    def test_non_finite_multiplier_recorded_in_its_cell(self):
+        table = sweep(self.base(n_atoms=5), [0.1, math.nan, -math.inf], ensemble=1)
+        assert [cell.error for cell in table.cells] == [
+            None,
+            "spread_in_inv_g: must be finite, got nan",
+            "spread_in_inv_g: must be finite, got -inf",
+        ]
 
     def test_aggregates(self):
         table = sweep(self.base(), [0.1], ensemble=4)
