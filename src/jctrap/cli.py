@@ -53,6 +53,8 @@ def build_classical_config(
     stream_id: int = 0,
 ) -> ClassicalConfig:
     """A validated ClassicalConfig; the spread is spread_time, else spread_frac * tau_bar."""
+    if not math.isfinite(epsilon0):
+        raise ConfigError(f"epsilon0: must be finite, got {epsilon0}")
     if not epsilon0 > 0:
         raise ConfigError(f"epsilon0: must be > 0, got {epsilon0}")
     if n_steps < 0:

@@ -55,6 +55,8 @@ class CouplingParams:
     g: float
 
     def __post_init__(self):
+        if not math.isfinite(self.g):
+            raise ConfigError(f"g: must be finite, got {self.g}")
         if not self.g > 0:
             raise ConfigError(f"g: must be > 0, got {self.g}")
 

@@ -47,13 +47,14 @@ from .fock import (
     fock_basis_state,
     top_level_probability,
 )
-from .stochastic import SeedSpec, TimingModel, derive_stream, sample_timing
+from .stochastic import SeedSpec, TimingModel, derive_streams, sample_timing
 
-# The one-state updates and statistics that _run_cells reproduces row by row.
-# They stay importable here, where the benchmark's tracer wraps them
-# (perfbench/tracer.py).
+# The one-state updates and statistics that _run_cells reproduces row by row,
+# and the one-stream form of derive_streams.  They stay importable here,
+# where the benchmark's tracer wraps them (perfbench/tracer.py).
 from .dynamics import cm_project, jcm_entangle, nsm_step, project_amplitudes  # noqa: F401
 from .fock import distribution_stats, renormalize  # noqa: F401
+from .stochastic import derive_stream  # noqa: F401
 
 RUN_MODES = ("postselect", "sample")
 
@@ -102,6 +103,8 @@ def _check_derivation_inputs(trap_target: int, q: int, scheme: str, omega: float
         raise ConfigError(f"trap: must be >= 0, got {trap_target}")
     if q < 1:
         raise ConfigError(f"q: must be >= 1 in a run config, got {q}")
+    if not math.isfinite(omega):
+        raise ConfigError(f"omega: must be finite, got {omega}")
     if scheme == "superposition" and not omega > 0:
         raise ConfigError(f"omega: must be > 0, got {omega}")
 
@@ -338,7 +341,8 @@ def _run_cells(
     dist = initial.probabilities()[None].repeat(len(cells), axis=0)
     state = dist if is_nsm else initial.amplitudes[None].repeat(len(cells), axis=0)
     results: list[RunResult | SimulationError | None] = [None] * len(cells)
-    cells = [_Cell(i, timing, derive_stream(seed)) for i, (timing, seed) in enumerate(cells)]
+    timings, seeds = zip(*cells)
+    cells = [_Cell(i, t, rng) for i, (t, rng) in enumerate(zip(timings, derive_streams(seeds)))]
 
     def finish(cell, field_row, dist_row, reason):
         """The RunResult of a cell whose final field is field_row."""

@@ -11,7 +11,9 @@ trajectory, sweep cell and output file is bit-reproducible.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,24 +75,120 @@ class SeedSpec:
     stream_id: int = 0
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 of each word of a uint64 array, modulo 2^64."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its pool of
+# 4 uint32 words.  No constant in it depends on the entropy: hash call i
+# XORs its word with init * mult^i and multiplies it by init * mult^(i+1).
+_MASK32 = (1 << 32) - 1
+_POOL = 4
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per hash call, as (calls, 1) uint32 columns: its XOR and its multiplier."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+# Mixing the entropy in makes 4 hash calls to fill the pool and 12 to mix
+# each word into the 3 others; the output makes one per uint32 word.
+_MIX_XOR, _MIX_MUL = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_OUT_XOR, _OUT_MUL = _hash_consts(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
+_OTHERS = [np.array([dst for dst in range(_POOL) if dst != src]) for src in range(_POOL)]
+_OUT_SOURCES = np.arange(2 * _POOL) % _POOL
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mul
+    return words ^ (words >> _SHIFT)
+
+
+def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) for a uint64 array of seeds.
+
+    Returns a C-contiguous (len(seeds), 4) uint64 array.  A seed's entropy
+    is its two little-endian uint32 words, zero-padded to the pool size:
+    numpy hashes a shorter entropy array into the same pool, as it hashes
+    0 for each word it lacks.  For each source word in turn, its mixing
+    into the 3 other words is one step over every seed.
+    """
+    entropy = np.zeros((_POOL, len(seeds)), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
+    pool = _hashmix(entropy, _MIX_XOR[:_POOL], _MIX_MUL[:_POOL])
+    for src, dst in enumerate(_OTHERS):
+        calls = slice(_POOL + 3 * src, _POOL + 3 * src + 3)
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], _MIX_XOR[calls], _MIX_MUL[calls]) * _MIX_R
+        pool[dst] = mixed ^ (mixed >> _SHIFT)
+    out = _hashmix(pool[_OUT_SOURCES], _OUT_XOR, _OUT_MUL).astype(np.uint64)
+    # Each uint64 word is two uint32 output words, the low one first.
+    return np.ascontiguousarray((out[0::2] | (out[1::2] << np.uint64(32))).T)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """ISeedSequence that hands PCG64 its 4 precomputed uint64 seed words.
+
+    Built on first use, so that importing jctrap does not load numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for its 4 uint64 words, all that this holds.
+            return self.words
+
+        def __reduce__(self):
+            # Pickled through a module-level name, as a generator's seed sequence.
+            return _seed_words, (self.words,)
+
+    return SeedWords
+
+
+def _seed_words(words: np.ndarray):
+    """The seed sequence that seeds PCG64 from words, a row of _pcg64_seed_words."""
+    return _seed_words_type()(words)
+
+
+def derive_streams(seeds: Sequence[SeedSpec]) -> list[np.random.Generator]:
+    """Deterministic PCG64 generators, one per (master_seed, stream_id) pair.
+
+    Two SplitMix64 rounds mix each pair into a single 64-bit seed:
+    mix(mix(master) XOR mix(stream_id XOR salt)), every value taken modulo
+    2^64.  The generator is then np.random.default_rng(seed): PCG64 seeded
+    by numpy's SeedSequence(seed), whose entropy-pool hash this computes
+    for the whole batch in one pass of array arithmetic.  Each generator's
+    state equals default_rng's, so the same pair yields the same sample
+    sequence on every platform and run.
+    """
+    from numpy.random import PCG64, Generator  # loaded by the first derivation
+
+    pairs = np.array(
+        [[s.master_seed & _MASK64 for s in seeds],
+         [(s.stream_id ^ _STREAM_SALT) & _MASK64 for s in seeds]],
+        dtype=np.uint64,
+    )
+    h_master, h_stream = _splitmix64(pairs)
+    words = _pcg64_seed_words(_splitmix64(h_master ^ h_stream))
+    return [Generator(PCG64(_seed_words(row))) for row in words]
 
 
 def derive_stream(seed: SeedSpec) -> np.random.Generator:
-    """Deterministic PCG64 generator for one (master_seed, stream_id) pair.
-
-    Two SplitMix64 rounds mix the pair into a single 64-bit seed:
-    mix(mix(master) XOR mix(stream_id XOR salt)).  The same pair yields the
-    same sample sequence on every platform and run.
-    """
-    h_master = _splitmix64(seed.master_seed & _MASK64)
-    h_stream = _splitmix64((seed.stream_id ^ _STREAM_SALT) & _MASK64)
-    return np.random.default_rng(_splitmix64(h_master ^ h_stream))
+    """The generator of one (master_seed, stream_id) pair: derive_streams([seed])[0]."""
+    return derive_streams([seed])[0]
 
 
 def _draw_tau(model: TimingModel, rng: np.random.Generator) -> float:

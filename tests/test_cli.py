@@ -1,10 +1,15 @@
 """Config parsing, presets, output writing and manifests."""
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jctrap
 from jctrap.cli import (
     PRESET_NAMES,
     main,
@@ -534,6 +539,26 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"config error: {token}: must be finite, got ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            pytest.param(["classical", "--preset", "fig1d", "--epsilon0", "inf"], "epsilon0",
+                         id="epsilon0-inf"),
+            pytest.param(["run", "--preset", "fig2a", "--g", "inf"], "g", id="g-inf"),
+            pytest.param(["run", "--preset", "fig2a", "--g", "nan"], "g", id="g-nan"),
+            pytest.param(["run", "--preset", "fig4", "--omega", "inf"], "omega", id="omega-inf"),
+            # Only the superposition scheme reads omega, but every scheme checks it.
+            pytest.param(["run", "--preset", "fig2a", "--atoms", "3", "--omega", "nan"], "omega",
+                         id="omega-nan-elastic"),
+        ],
+    )
+    def test_non_finite_derivation_input_rejected(self, tmp_path, capsys, argv, token):
+        # Each names its own token, not one of the values derived from it.
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {token}: must be finite, got ")
+        assert not out_dir.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
         path.write_text(
@@ -674,3 +699,14 @@ class TestOutputDigests:
         assert again == tokens
         first, second = manifest_outputs(tmp_path / "first"), manifest_outputs(tmp_path / "again")
         assert first == second and set(first) == {"sweep.csv"}
+
+
+class TestImport:
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random costs about 14 ms and 2.6 MB to import; streams load
+        # it when the first run derives them, not at start-up.
+        env = {**os.environ, "PYTHONPATH": str(Path(jctrap.__file__).parents[1])}
+        code = "import sys, jctrap.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Timing distributions, seed derivation and reproducibility."""
 import math
+import pickle
+import random
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ import pytest
 from jctrap.dynamics import CouplingParams, critical_spread, trapping_time
 from jctrap.errors import ConfigError
 from jctrap.stochastic import (
+    _STREAM_SALT,
     SeedSpec,
     TimingModel,
     derive_stream,
+    derive_streams,
     sample_timing,
     sample_timing_array,
 )
@@ -129,6 +133,63 @@ class TestDeriveStream:
     def test_negative_and_large_seeds_accepted(self):
         derive_stream(SeedSpec(-5, 0)).random(10)
         derive_stream(SeedSpec(2**70, 123)).random(10)
+
+    @staticmethod
+    def reference_stream(seed: SeedSpec) -> np.random.Generator:
+        """The stream contract written out with Python ints and numpy's own seeding."""
+        mask = (1 << 64) - 1
+
+        def splitmix64(x):
+            x = (x + 0x9E3779B97F4A7C15) & mask
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+            return x ^ (x >> 31)
+
+        h_master = splitmix64(seed.master_seed & mask)
+        h_stream = splitmix64((seed.stream_id ^ _STREAM_SALT) & mask)
+        return np.random.default_rng(splitmix64(h_master ^ h_stream))
+
+    def test_streams_equal_reference_contract(self):
+        draw = random.Random(20261018)
+        edges = [
+            SeedSpec(0, 0), SeedSpec(-5, 0), SeedSpec(-1, -1), SeedSpec(2**70, 123),
+            SeedSpec(2**64 - 1, 2**64 - 1), SeedSpec(2**64, 2**65 + 3), SeedSpec(7, _STREAM_SALT),
+            SeedSpec(-(2**63), 2**63),
+        ]
+        pairs = edges + [
+            SeedSpec(draw.randrange(-(2**63), 2**63), draw.randrange(-(2**63), 2**63))
+            for _ in range(1000)
+        ]
+        batches = [pairs[:1], pairs[1:64], pairs[64:128], pairs[128:]]
+        assert [len(b) for b in batches[:3]] == [1, 63, 64]
+        for batch in batches:
+            for seed, rng in zip(batch, derive_streams(batch), strict=True):
+                assert rng.bit_generator.state == self.reference_stream(seed).bit_generator.state
+        assert derive_streams([]) == []
+
+    def test_stream_pickles(self):
+        rng = derive_stream(SeedSpec(3, 4))
+        rng.random(5)
+        again = pickle.loads(pickle.dumps(rng))
+        assert again.bit_generator.state == rng.bit_generator.state
+        assert again.random() == rng.random()
+
+    @pytest.mark.parametrize(
+        "seed, draws",
+        [
+            (SeedSpec(0, 0),
+             ["0x1.701f6ab1b92dcp-3", "0x1.2c4e71eeb0f9dp-1", "0x1.cff75129c9caep-2"]),
+            (SeedSpec(808, 19999),
+             ["0x1.af8e4935af67ep-2", "0x1.9f807c4072c24p-2", "0x1.cf50bbd3eab5bp-1"]),
+            (SeedSpec(2**70, 123),
+             ["0x1.2367b816cc54fp-1", "0x1.09677323376abp-1", "0x1.077d031613a64p-2"]),
+        ],
+        ids=["0-0", "808-19999", "2e70-123"],
+    )
+    def test_known_answers(self, seed, draws):
+        # Recorded draws: they change if numpy's seeding or PCG64 ever does.
+        rng = derive_stream(seed)
+        assert [float.hex(rng.random()) for _ in range(3)] == draws
 
 
 class TestEmpiricalMoments:
