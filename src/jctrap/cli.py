@@ -57,6 +57,8 @@ def build_classical_config(
         raise ConfigError(f"epsilon0: must be finite, got {epsilon0}")
     if not epsilon0 > 0:
         raise ConfigError(f"epsilon0: must be > 0, got {epsilon0}")
+    if not epsilon0 <= (largest := math.sqrt(sys.float_info.max)):  # eps^2/4 must be finite
+        raise ConfigError(f"epsilon0: must be <= {largest!r}, got {epsilon0}")
     if n_steps < 0:
         raise ConfigError(f"steps: must be >= 0, got {n_steps}")
     if spread_time is None:
@@ -124,10 +126,9 @@ def parse_kv_file(path) -> dict[str, str]:
     tokens: dict[str, str] = {}
     section = None
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    has_config_section = "[config]" in text
-    for line in text.splitlines():
-        line = line.strip()
+        lines = [line.strip() for line in fh.read().splitlines()]
+    has_config_section = "[config]" in lines
+    for line in lines:
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -24,15 +24,12 @@ import numpy as np
 from .csvfile import write_csv
 from .dynamics import (
     AMPLITUDE_LEAK_TOL,
-    ELASTIC_ROTATION,
-    INELASTIC_ROTATION,
     ORTHOGONAL_P_TOL,
     SCHEME_KINDS,
     CouplingParams,
     MeasurementScheme,
     correlated_cm_factors,
     critical_spread,
-    orthogonal_rotation,
     rabi_cos_sin,
     stationary_phase_ratio,
     trapping_time,
@@ -293,10 +290,16 @@ class _Cell:
     failures: int = 0
 
 
-def _project_rows(e_branch: np.ndarray, g_branch: np.ndarray, rot) -> np.ndarray:
-    """project_amplitudes for rows of entangled branches."""
-    d = rot.alpha_f.conjugate() * e_branch
-    d[:, 1:] += rot.beta_f.conjugate() * g_branch[:, :-1]
+def _conditioned(s: np.ndarray, outcome: tuple[np.ndarray, bool], j: int) -> np.ndarray:
+    """Rows s after block atom j's outcome (factors, emits), unnormalized.
+
+    d_n = f_n s_n, or d_n = f_{n-1} s_{n-1} and d_0 = 0 for an outcome that emits.
+    """
+    factors, emits = outcome
+    if not emits:
+        return factors[j] * s
+    d = np.zeros_like(s)
+    np.multiply(factors[j, :, :-1], s[:, :-1], out=d[:, 1:])
     return d
 
 
@@ -310,16 +313,19 @@ def _run_cells(
     schemes, populations for NSM.  Per block, each cell draws the atoms'
     times (in sampled mode each outcome's uniform right after its time) in
     a one-cell run's order, and one call gives the (atoms, cells, levels)
-    factors.  Per atom only the field update runs, into row j + 1 of an
-    (atoms + 1, cells, levels) buffer: the operations that jcm_entangle,
-    project_amplitudes, cm_project, correlated_cm_factors, renormalize or
-    nsm_step apply to one state (norms by np.vecdot, which sums as np.vdot
-    does).  What only reads the updated fields runs once per block: guard
-    inputs, one test that clears the whole block, step statistics and cum_P.
-    So each cell equals its one-cell run bit for bit.  When the test trips,
-    each cell runs the guards atom by atom in a one-cell run's order, books
-    the atoms before its first trip and leaves.  Returns, per cell, its
-    RunResult or the SimulationError that ended it.
+    factors.  A selective scheme's selected and orthogonal outcomes each keep
+    level n or emit a photon into n + 1: elastic keeps by cos theta_n, else
+    emits by -i sin theta_n; inelastic the reverse, keeping by -cos theta_n;
+    superposition keeps by its CM success, else failure, factor.  Per atom
+    only the field update runs, into row j + 1 of an (atoms + 1, cells,
+    levels) buffer, equal to the one-state references' up to the sign of a
+    zero amplitude (norms by np.vecdot, which sums as np.vdot does).  What
+    only reads the updated fields runs once per block: guard inputs, step
+    statistics and cum_P.  The block clears when the guard passes on its
+    worst value of each input; else each cell runs the guard atom by atom in
+    a one-cell run's order, books the atoms before its first trip and
+    leaves.  Returns, per cell, its RunResult or the SimulationError that
+    ended it.
     """
     scheme = config.scheme
     is_nsm = scheme.kind == "nsm"
@@ -332,7 +338,6 @@ def _run_cells(
         if is_nsm
         else (AMPLITUDE_LEAK_TOL, "|c_nmax sin theta_nmax|")
     )
-    rot = ELASTIC_ROTATION if scheme.kind == "elastic" else INELASTIC_ROTATION
     # ns @ row and ns_sq @ row are the sums distribution_stats takes.
     ns = np.arange(n_max + 1, dtype=float)
     ns_sq = ns * ns
@@ -355,22 +360,19 @@ def _run_cells(
             final_cum_P=cell.cum.value,
         )
 
-    def guard(i, j):
-        """What ends cell i at block atom j before its step is booked, or None."""
-        at, atom = j * n + i, k + j + 1
-        if leak is not None and not leak[at] <= leak_limit:
-            return LeakageError(f"population would leave truncation: {leak_what} = {leak[at]:.3e}")
-        if not sampled and p_k[at] < ORTHOGONAL_P_TOL:
+    def guard(leak, p_k, norm, total, top, atom):
+        """What ends a cell at this atom before its step is booked, or None."""
+        if not leak <= leak_limit:
+            return LeakageError(f"population would leave truncation: {leak_what} = {leak:.3e}")
+        if not sampled and p_k < ORTHOGONAL_P_TOL:
             return "impossible post-selection"
-        if not norm_k[at] > ORTHOGONAL_NORM_SQ:
-            return OrthogonalOutcomeError(
-                f"cannot renormalize state with squared norm {norm_k[at]:.3e}"
-            )
-        if not abs(total[at] - 1.0) <= NORM_ATOL:
-            return SimulationError(f"state norm drifted to {total[at]!r} at atom {atom}")
-        if not top[at] <= TOP_LEVEL_GUARD:
+        if not norm > ORTHOGONAL_NORM_SQ:
+            return OrthogonalOutcomeError(f"cannot renormalize state with squared norm {norm:.3e}")
+        if not abs(total - 1.0) <= NORM_ATOL:
+            return SimulationError(f"state norm drifted to {total!r} at atom {atom}")
+        if not top <= TOP_LEVEL_GUARD:
             return LeakageError(
-                f"top-3 Fock levels hold {top[at]:.3e} probability at atom {atom}; "
+                f"top-3 Fock levels hold {top:.3e} probability at atom {atom}; "
                 f"truncation n_max={n_max} too small for this run"
             )
         return None
@@ -388,15 +390,20 @@ def _run_cells(
             block = [[sample_timing(c.timing, c.rng) for c in cells] for _ in range(b)]
         times = np.array(block)  # (atoms, cells, (tau_k, T_k[, u_k]))
         taus = times[..., :1]
+        # A selective scheme's two outcomes, each (factors, whether it emits).
         if scheme.kind == "superposition":
-            success, failure = correlated_cm_factors(
+            selected, orthogonal = ((f, False) for f in correlated_cm_factors(
                 config.omega, times[..., 1:2], config.coupling, taus, n_max, scheme.phi_f
-            )
+            ))
         else:
             cos_t, sin_t = rabi_cos_sin(config.coupling, taus, n_max)
             edge = sin_t[..., -1].ravel().tolist()
             if is_nsm:
                 cos_t, sin_t = np.square(cos_t, out=cos_t), np.square(sin_t, out=sin_t)
+            else:
+                selected, orthogonal = (cos_t, False), (-1j * sin_t, True)  # elastic
+                if scheme.kind == "inelastic":
+                    selected, orthogonal = orthogonal, (-cos_t, False)
 
         # Per atom, the field update alone.
         fields = np.empty((b + 1, *state.shape), state.dtype)
@@ -410,21 +417,13 @@ def _run_cells(
                 np.multiply(s, cos_t[j], out=out)
                 out[:, 1:] += s[:, :-1] * sin_t[j, :, :-1]
                 continue
-            if scheme.kind == "superposition":
-                d = success[j] * s
-            else:
-                e_branch, g_branch = s * cos_t[j], -1j * s * sin_t[j]
-                d = _project_rows(e_branch, g_branch, rot)
+            d = _conditioned(s, selected, j)
             norm = successes[j] = np.vecdot(d, d).real
             if sampled:
                 # u_k < 1, so u_k < min(norm, 1) exactly when u_k < norm.
                 failed[j] = fails = ~(times[j, :, 2] < norm)
                 if fails.any():
-                    d_orth = (
-                        failure[j] * s
-                        if scheme.kind == "superposition"
-                        else _project_rows(e_branch, g_branch, orthogonal_rotation(rot))
-                    )
+                    d_orth = _conditioned(s, orthogonal, j)
                     d = np.where(fails[:, None], d_orth, d)
                     norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
             norms[j] = norm
@@ -433,7 +432,8 @@ def _run_cells(
 
         # Per block, everything that only reads the updated fields.
         rows = fields[1:] if is_nsm else np.abs(fields[1:]) ** 2  # row j: after atom j
-        leak = None  # In Python: np.abs of a complex may differ from abs() in the last place.
+        # In Python: np.abs of a complex may differ from abs() in the last place.
+        leak = [0.0] * (b * n)  # superposition's outcomes keep every level
         if scheme.kind != "superposition":
             col = zip(fields[:b, :, -1].ravel().tolist(), edge)
             leak = [p * s**2 for p, s in col] if is_nsm else [abs(c) * abs(s) for c, s in col]
@@ -442,25 +442,19 @@ def _run_cells(
         norm_k = norms.ravel().tolist()
         total = rows.sum(axis=-1).ravel().tolist()
         top = top_level_probability(rows).ravel().tolist()
-        # Python max and min skip a NaN that is not first; the sum of these
-        # nonnegative values is NaN only if one of them is.
-        clear = (
-            not math.isnan(sum(leak or ()) + sum(norm_k) + sum(total) + sum(top))
-            and (leak is None or max(leak) <= leak_limit)
-            and (sampled or min(p_k) >= ORTHOGONAL_P_TOL)
-            and min(norm_k) > ORTHOGONAL_NORM_SQ
-            and max(total) - 1.0 <= NORM_ATOL
-            and 1.0 - min(total) <= NORM_ATOL
-            and max(top) <= TOP_LEVEL_GUARD
-        )
         # What a guard trip at atom j ends a cell with: (atoms booked, error or reason).
         ends = {}
-        if not clear:
-            for i in range(n):
-                for j in range(b):
-                    if (end := guard(i, j)) is not None:
-                        ends[i] = (j, end)
-                        break
+        # The guard on the block's worst value of each input.  Python's max and
+        # min skip a NaN that is not first, so a NaN trips the block by itself:
+        # the sum of these nonnegative inputs is NaN only if one is (and a NaN
+        # P_k has a NaN norm).
+        far = max(min(total), max(total), key=lambda t: abs(t - 1.0))
+        if (math.isnan(sum(leak) + sum(norm_k) + sum(total) + sum(top))
+                or guard(max(leak), min(p_k), min(norm_k), far, max(top), k + 1) is not None):
+            for at, inputs in enumerate(zip(leak, p_k, norm_k, total, top)):
+                j, i = divmod(at, n)
+                if i not in ends and (end := guard(*inputs, k + j + 1)) is not None:
+                    ends[i] = (j, end)
         failed = failed.ravel().tolist()
         if collect_steps:
             mean_n = np.vecdot(rows, ns)
@@ -501,7 +495,7 @@ def _run_cells(
         cells = [cells[i] for i in running]
         keep = np.array(running, dtype=np.intp)  # take() is quicker with an index array
         state, dist = fields[b].take(keep, axis=0), rows[b - 1].take(keep, axis=0)
-        fields = rows = cos_t = sin_t = success = failure = None  # freed before the next block
+        fields = rows = cos_t = sin_t = selected = orthogonal = None  # freed before the next block
 
     for i, cell in enumerate(cells):
         results[cell.index] = finish(cell, state[i], dist[i], None)

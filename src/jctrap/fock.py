@@ -6,6 +6,7 @@ mean_n = sum n |c_n|^2 and delta_n = sqrt(<n^2> - <n>^2).
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -95,7 +96,8 @@ def coherent_state(alpha: complex, n_max: int) -> tuple[FieldState, float]:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     alpha = complex(alpha)
     c = np.zeros(n_max + 1, dtype=complex)
-    c[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    with contextlib.suppress(OverflowError):  # where |alpha|^2 overflows, c_0 is 0
+        c[0] = math.exp(-abs(alpha) ** 2 / 2.0)
     for n in range(n_max):
         c[n + 1] = c[n] * alpha / math.sqrt(n + 1.0)
     norm_sq = float(np.vdot(c, c).real)

@@ -6,8 +6,8 @@ per atom, fixed path lengths, hence perfect correlation).  The uniform law
 spreads tau_k over a full width `spread` centered on tau_bar; the gaussian
 law uses the same rms, spread/sqrt(12), resampling non-positive draws.
 
-Streams derive deterministically from (master_seed, stream_id) so every
-trajectory, sweep cell and output file is bit-reproducible.
+Streams derive deterministically from (master_seed, stream_id): every
+trajectory, sweep cell and output file is bit-reproducible on one platform.
 """
 from __future__ import annotations
 

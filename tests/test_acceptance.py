@@ -29,7 +29,7 @@ from jctrap.dynamics import (
     theta,
     trapping_time,
 )
-from jctrap.experiment import build_run_config, run_sequence, sampled_success_estimate
+from jctrap.experiment import build_run_config, run_sequence, sampled_success_estimate, sweep
 from jctrap.fock import FieldState, coherent_state, distribution_stats
 from jctrap.stochastic import SeedSpec, derive_stream, sample_timing
 
@@ -75,16 +75,13 @@ def test_criterion_2_success_probability_at_110():
 
 
 def test_criterion_3_elastic_spread_contrast():
-    small = preset("fig2a").run
-    large = preset("fig2b").run
-    converged = sum(
-        run_sequence(_seeded(small, s), collect_steps=False).final_distribution[20] > 0.9
-        for s in range(20)
-    )
-    failed = sum(
-        run_sequence(_seeded(large, s), collect_steps=False).final_distribution[20] < 0.5
-        for s in range(20)
-    )
+    # Streams 0-19 of each preset, as sweep cells: fig2a's spread is 0.1 and
+    # fig2b's 1 times the critical spread.
+    small = sweep(preset("fig2a").run, [0.1], 20).cells
+    large = sweep(preset("fig2b").run, [1.0], 20).cells
+    assert [c.error for c in small + large] == [None] * 40
+    converged = sum(c.final_p_trap > 0.9 for c in small)
+    failed = sum(c.final_p_trap < 0.5 for c in large)
     _report(
         "criterion 3 (elastic contrast across the critical spread)",
         converged >= 15 and failed >= 15,

@@ -155,6 +155,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="command"):
             parse_config(parse_kv_file(path), command="run")
 
+    def test_comment_naming_config_section_keeps_flat_file(self, tmp_path):
+        # Only a line that reads [config] makes the file a manifest.
+        path = tmp_path / "flat.cfg"
+        path.write_text(
+            "# copied from a manifest [config] section\n"
+            "command = run\nscheme = elastic\ntrap = 20\natoms = 5\nalpha = 3\n"
+        )
+        assert parse_kv_file(path) == {
+            "command": "run", "scheme": "elastic", "trap": "20", "atoms": "5", "alpha": "3"
+        }
+        assert parse_config(parse_kv_file(path)).run.n_atoms == 5
+
     def test_kv_parse_errors(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n")
@@ -558,6 +570,64 @@ class TestConfigErrors:
         assert main([*argv, "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {token}: must be finite, got ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            pytest.param(["run", "--preset", "fig2a", "--atoms", "3", "--alpha", "1e200"], 2,
+                         "simulation error: coherent state |alpha|=1e+200 loses 1.000e+00 "
+                         "probability", id="alpha"),
+            pytest.param(["classical", "--preset", "fig1c", "--steps", "3", "--epsilon0", "1e200"],
+                         1, "config error: epsilon0: must be <= 1.3407807929942596e+154, "
+                         "got 1e+200", id="epsilon0"),
+        ],
+    )
+    def test_overflowing_value_ends_before_any_output(self, tmp_path, capsys, argv, code,
+                                                      message):
+        # Squaring each value overflows the float range.
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out_dir.exists()
+
+    def test_largest_epsilon0_accepted(self, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ["classical", "--preset", "fig1c", "--steps", "3"]
+        assert main([*argv, "--epsilon0", "1.3407807929942596e154", "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "classical.csv").read_text().splitlines()[-1] == (
+            "3,0.44540319718441362,1.3407807929942596e+154,4.4942328371557888e+307"
+        )
+
+    @pytest.mark.parametrize(
+        "command, base, flags",
+        [
+            pytest.param(
+                "run", ["--preset", "fig3ab", "--atoms", "3"],
+                ["--trap", "--q", "--alpha", "--fock", "--atoms", "--spread-mult",
+                 "--spread-frac", "--omega", "--seed", "--stream", "--nmax", "--g"],
+                id="run",
+            ),
+            pytest.param(
+                "classical", ["--preset", "fig1c", "--steps", "3"],
+                ["--epsilon0", "--steps", "--gtau-bar", "--spread-frac", "--seed", "--stream"],
+                id="classical",
+            ),
+        ],
+    )
+    def test_extreme_flag_values_end_in_an_exit_code(self, tmp_path, capsys, command, base,
+                                                     flags):
+        # One flag at a time; argparse refuses a non-integer for an integer flag (exit 2).
+        values = ("0", "-1", "1e-300", "-1e-300", "1e200", "1e300", "inf", "-inf", "nan")
+        codes = {}
+        for flag in flags:
+            for value in values:
+                argv = [command, *base, f"{flag}={value}", "--out-dir", str(tmp_path / "out")]
+                try:
+                    codes[flag, value] = main(argv)
+                except SystemExit as exc:
+                    codes[flag, value] = exc.code
+                capsys.readouterr()
+        assert {call: code for call, code in codes.items() if code not in (0, 1, 2)} == {}
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.cfg"

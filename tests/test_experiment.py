@@ -378,16 +378,6 @@ class TestKernel:
         # A halting run stops at its first failed outcome, the others run on.
         assert max(lengths) > 1 if halt and mode == "sample" else lengths == {150}
 
-    def test_top_level_guard_trips_inside_a_block(self):
-        # 36 levels give one-cell blocks of 227 atoms; each selected atom
-        # leaves a photon behind, which fills the top three levels at atom 30.
-        config = build_run_config(
-            scheme="inelastic", trap_target=5, n_atoms=150, fock_n=3, spread_mult=0.1,
-            master_seed=5,
-        )
-        with pytest.raises(LeakageError, match=r"^top-3 Fock levels hold .* at atom 30; "):
-            run_sequence(config)
-
     def test_sweep_cells_equal_reference_across_a_leak(self):
         # Six cells of 46 levels draw their atoms in blocks of 29; the cell
         # at multiplier 2.5 and stream 3 leaks out of n_max = 45 at atom 7,
@@ -412,34 +402,6 @@ class TestKernel:
             field, steps = _reference_run(config)
             assert len(steps) == 300
             assert cell.final_p_trap == field.probabilities()[base.trap_target]
-
-    @pytest.mark.parametrize(
-        "scheme, message",
-        [
-            ("nsm", r"^state norm drifted to nan at atom 5$"),
-            ("elastic", r"^cannot renormalize state with squared norm nan$"),
-        ],
-    )
-    def test_nan_factor_ends_the_cell(self, monkeypatch, scheme, message):
-        # A NaN factor at atom 5 of the last of three cells: Python's max and
-        # min skip a NaN that is not first, and a NaN passes every `x > limit`.
-        original = experiment.rabi_cos_sin
-
-        def poisoned(coupling, taus, n_max):
-            cos_t, sin_t = original(coupling, taus, n_max)
-            cos_t[4, -1, 3] = math.nan
-            return cos_t, sin_t
-
-        monkeypatch.setattr(experiment, "rabi_cos_sin", poisoned)
-        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
-        base = build_run_config(
-            scheme=scheme, trap_target=trap, n_atoms=10, **initial, n_max=n_max, master_seed=3
-        )
-        with pytest.raises(SimulationError, match=message):
-            run_sequence(base)
-        table = sweep(base, [0.1], ensemble=3)
-        assert [cell.error for cell in table.cells[:2]] == [None, None]
-        assert re.match(message, table.cells[2].error)
 
 
 def _fingerprint(result):
@@ -522,6 +484,60 @@ class TestBlockSize:
             assert result.final_cum_P == result.steps[0].cum_P == 0.005721385394479351
             assert result.final_distribution[20] == 1.0
         assert _fingerprint(outcomes[0]) == _fingerprint(outcomes[1]) == _fingerprint(outcomes[2])
+
+    def test_top_level_guard_trips_inside_a_block(self, monkeypatch):
+        # 36 levels give one-cell blocks of 227 atoms; each selected atom
+        # leaves a photon behind, which fills the top three levels at atom 30.
+        config = build_run_config(
+            scheme="inelastic", trap_target=5, n_atoms=150, fock_n=3, spread_mult=0.1,
+            master_seed=5,
+        )
+        outcomes = self.each_block_size(monkeypatch, lambda: run_sequence(config))
+        for outcome in outcomes:
+            assert re.match(r"^LeakageError: top-3 Fock levels hold .* at atom 30; ", outcome)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize(
+        "scheme, factor, level, message",
+        [
+            ("nsm", 0, 3, "SimulationError: state norm drifted to nan at atom 5"),
+            ("elastic", 0, 3,
+             "OrthogonalOutcomeError: cannot renormalize state with squared norm nan"),
+            # The top level's sin only enters the leak guard: the field stays finite.
+            ("elastic", 1, -1,
+             "LeakageError: population would leave truncation: |c_nmax sin theta_nmax| = nan"),
+        ],
+        ids=["nsm-cos", "elastic-cos", "elastic-top-sin"],
+    )
+    def test_nan_factor_ends_the_cell(self, monkeypatch, scheme, factor, level, message):
+        # A NaN cos (factor 0) or sin (1) at atom 5 of the last cell, at every
+        # block size: Python's max and min skip a NaN that is not first, and a
+        # NaN passes every `x > limit`.
+        original_derive, original_rabi = experiment.derive_streams, experiment.rabi_cos_sin
+        drawn = [0]  # atoms whose factors the running batch has taken
+
+        def derive_streams(seeds):
+            drawn[0] = 0
+            return original_derive(seeds)
+
+        def poisoned(coupling, taus, n_max):
+            factors = original_rabi(coupling, taus, n_max)
+            if 0 <= 4 - drawn[0] < len(taus):
+                factors[factor][4 - drawn[0], -1, level] = math.nan
+            drawn[0] += len(taus)
+            return factors
+
+        monkeypatch.setattr(experiment, "derive_streams", derive_streams)
+        monkeypatch.setattr(experiment, "rabi_cos_sin", poisoned)
+        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
+        base = build_run_config(
+            scheme=scheme, trap_target=trap, n_atoms=10, **initial, n_max=n_max, master_seed=3
+        )
+        assert self.each_block_size(monkeypatch, lambda: run_sequence(base)) == [message] * 3
+        errors = self.each_block_size(
+            monkeypatch, lambda: [cell.error for cell in sweep(base, [0.1], ensemble=3).cells]
+        )
+        assert errors == [[None, None, message.partition(": ")[2]]] * 3
 
 
 class TestDrawAccounting:

@@ -67,6 +67,12 @@ class TestCoherentState:
         with pytest.raises(LeakageError):
             coherent_state(3.0, 12)
 
+    @pytest.mark.parametrize("alpha", [1e154, 1.35e154, 1e200, -1e300, 1e300j])
+    def test_overflowing_alpha_loses_everything(self, alpha):
+        # From about 1.35e154 on |alpha|^2 overflows; c_0 underflows to 0 either way.
+        with pytest.raises(LeakageError, match=r"loses 1\.000e\+00 probability"):
+            coherent_state(alpha, 40)
+
     def test_complex_alpha_phases(self):
         state, _ = coherent_state(1.0j, 30)
         # c_n carries phase i^n from the recurrence.
