@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvfile import BLOCK_ROWS, write_csv
 from .dynamics import CouplingParams
+from .errors import SimulationError
 from .stochastic import SeedSpec, TimingModel, derive_stream, sample_timing_array
+
+# The smallest epsilon whose 2/epsilon and the largest whose epsilon^2 are finite.
+EPSILON_MIN = math.nextafter(2.0 / sys.float_info.max, 1.0)
+EPSILON_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,8 @@ def classical_trajectory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterate the return map with drawn times.
 
-    Returns (taus, epsilons) with len(taus) = n_steps and
-    len(epsilons) = n_steps + 1 including the initial value.
+    Returns (taus, epsilons), n_steps and n_steps + 1 long (with the initial
+    value); raises SimulationError before a block of steps that could overflow.
     """
     if not epsilon0 > 0:
         raise ValueError("epsilon0 must be > 0")
@@ -101,6 +107,12 @@ def classical_trajectory(
         count = min(block, n_steps - done)
         chunk, _ = sample_timing_array(timing, rng, count)
         taus[done : done + count] = chunk
+        # A step adds at most min(2/eps, eps (g tau)^2 / 2) <= g tau to eps.
+        g_tau = float(chunk.max()) * params.g
+        top = eps + count * g_tau  # above every eps of the block
+        if not (top <= EPSILON_MAX and math.isfinite(top * g_tau)):
+            raise SimulationError(f"return map may overflow in steps {done + 1}-{done + count}: "
+                                  f"epsilon may reach {top:.6g}, epsilon g tau {top * g_tau:.6g}")
         # eps, map(eps), map(map(eps)), ...: the block's start and its `count`
         # steps, read one at a time so no list of the block's floats is built.
         steps = itertools.accumulate((chunk * params.g).tolist(), return_map_approx, initial=eps)

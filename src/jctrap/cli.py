@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .classical import classical_trajectory, write_classical_csv
+from .classical import EPSILON_MAX, EPSILON_MIN, classical_trajectory, write_classical_csv
 from .dynamics import CouplingParams
 from .errors import ConfigError, SimulationError
 from .experiment import (
@@ -57,8 +57,9 @@ def build_classical_config(
         raise ConfigError(f"epsilon0: must be finite, got {epsilon0}")
     if not epsilon0 > 0:
         raise ConfigError(f"epsilon0: must be > 0, got {epsilon0}")
-    if not epsilon0 <= (largest := math.sqrt(sys.float_info.max)):  # eps^2/4 must be finite
-        raise ConfigError(f"epsilon0: must be <= {largest!r}, got {epsilon0}")
+    if not EPSILON_MIN <= epsilon0 <= EPSILON_MAX:
+        bound = f">= {EPSILON_MIN!r}" if epsilon0 < EPSILON_MIN else f"<= {EPSILON_MAX!r}"
+        raise ConfigError(f"epsilon0: must be {bound}, got {epsilon0}")
     if n_steps < 0:
         raise ConfigError(f"steps: must be >= 0, got {n_steps}")
     if spread_time is None:
@@ -125,8 +126,12 @@ def parse_kv_file(path) -> dict[str, str]:
     """Read a flat key = value file; inside a manifest, only [config] counts."""
     tokens: dict[str, str] = {}
     section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh.read().splitlines()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh.read().splitlines()]
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = (exc.strerror or exc) if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ConfigError(f"config: cannot read {str(path)!r}: {reason}") from None
     has_config_section = "[config]" in lines
     for line in lines:
         if not line or line.startswith("#"):

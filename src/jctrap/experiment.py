@@ -7,9 +7,10 @@ mode draws outcomes and marks the trajectory failed on the first
 orthogonal one.  Per-step statistics, the cumulative success probability
 and the final photon-number distribution are collected; `sweep` scans
 spread multiples over seeded ensembles.  Every run goes through one
-update kernel that advances a batch of independent cells atom by atom:
-`run_sequence` is its one-cell case, while the cells of a sweep and the
-trajectories of `sampled_success_estimate` advance together.
+update kernel that advances a batch of independent cells per block of
+atoms in three stages (draw, advance, book): `run_sequence` is its one-cell
+case, while the cells of a sweep and the trajectories of
+`sampled_success_estimate` advance together.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +48,8 @@ from .fock import (
 )
 from .stochastic import SeedSpec, TimingModel, derive_streams, sample_timing
 
-# The one-state updates and statistics that _run_cells reproduces row by row,
-# and the one-stream form of derive_streams.  They stay importable here,
+# The one-state updates and statistics that _advance and _book reproduce row
+# by row, and the one-stream form of derive_streams.  They stay importable here,
 # where the benchmark's tracer wraps them (perfbench/tracer.py).
 from .dynamics import cm_project, jcm_entangle, nsm_step, project_amplitudes  # noqa: F401
 from .fock import distribution_stats, renormalize  # noqa: F401
@@ -282,12 +284,23 @@ class _LogSum:
 class _Cell:
     """What one cell of a running batch keeps outside the batch arrays."""
 
-    index: int
     timing: TimingModel
     rng: np.random.Generator
     cum: _LogSum = field(default_factory=_LogSum)
     steps: list[StepRecord] = field(default_factory=list)
     failures: int = 0
+    result: RunResult | SimulationError | None = None  # set when the cell ends
+
+
+class _Run(NamedTuple):
+    """A run's config and the flags its stages read, each derived once."""
+
+    config: RunConfig
+    collect_steps: bool
+    nsm: bool
+    sampled: bool  # outcomes are drawn; NSM ignores them
+    halting: bool  # a sampled failure ends the cell
+    leak: tuple[float, str]  # the leak guard's limit and what it limits
 
 
 def _conditioned(s: np.ndarray, outcome: tuple[np.ndarray, bool], j: int) -> np.ndarray:
@@ -303,203 +316,195 @@ def _conditioned(s: np.ndarray, outcome: tuple[np.ndarray, bool], j: int) -> np.
     return d
 
 
+def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
+    """The next b atoms' (times, edge, update), none of which reads a field.
+
+    times is (atoms, cells, (tau_k, T_k[, u_k])) in a one-cell run's draw
+    order; edge the top level's sin theta, or None when no outcome emits.
+    update is NSM's (cos^2, sin^2), else the selected and orthogonal outcomes:
+    elastic keeps level n by cos theta_n, else emits into n + 1 by -i sin
+    theta_n; inelastic the reverse, keeping by -cos theta_n; superposition
+    keeps by its CM success, else failure, factor.
+    """
+    config, kind, sampled = run.config, run.config.scheme.kind, run.sampled
+    times = np.array([[(*sample_timing(c.timing, c.rng), c.rng.random()) if sampled
+                       else sample_timing(c.timing, c.rng) for c in cells] for _ in range(b)])
+    taus, ramsey = times[..., :1], times[..., 1:2]
+    if kind == "superposition":
+        cm = correlated_cm_factors(
+            config.omega, ramsey, config.coupling, taus, config.n_max, config.scheme.phi_f)
+        return times, None, [(f, False) for f in cm]
+    cos_t, sin_t = rabi_cos_sin(config.coupling, taus, config.n_max)
+    edge = sin_t[..., -1].ravel().tolist()
+    if run.nsm:
+        return times, edge, (np.square(cos_t, out=cos_t), np.square(sin_t, out=sin_t))
+    selected, orthogonal = (cos_t, False), (-1j * sin_t, True)  # elastic
+    if kind == "inelastic":
+        selected, orthogonal = orthogonal, (-cos_t, False)
+    return times, edge, (selected, orthogonal)
+
+
+def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
+    """Per atom, the field update alone: (times, edge, fields, norms, successes, failed).
+
+    Row j + 1 of the (atoms + 1, cells, levels) fields follows atom j, equal to
+    the one-state references' up to the sign of a zero amplitude.  Per (atom,
+    cell): the squared norm it renormalized by, the selected outcome's (by
+    np.vecdot, which sums as np.vdot does), and whether the draw failed.
+    """
+    times, edge, (first, second) = draw
+    (b, n), nsm, sampled = times.shape[:2], run.nsm, run.sampled
+    fields = np.empty((b + 1, *state.shape), state.dtype)
+    fields[0] = state
+    norms = np.ones((b, n))  # NSM keeps these
+    successes = np.empty((b, n)) if sampled else norms
+    failed = np.zeros((b, n), dtype=bool)
+    for j in range(b):
+        s, out = fields[j], fields[j + 1]
+        if nsm:
+            np.multiply(s, first[j], out=out)
+            out[:, 1:] += s[:, :-1] * second[j, :, :-1]
+            continue
+        d = _conditioned(s, first, j)
+        norm = successes[j] = np.vecdot(d, d).real
+        if sampled:
+            # u_k < 1, so u_k < min(norm, 1) exactly when u_k < norm.
+            failed[j] = fails = ~(times[j, :, 2] < norm)
+            if fails.any():
+                d_orth = _conditioned(s, second, j)
+                d = np.where(fails[:, None], d_orth, d)
+                norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
+        norms[j] = norm
+        # A row at or below the floor ends below; the floor keeps 0/0 out.
+        np.divide(d, np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ))[:, None], out=out)
+    return times, edge, fields, norms, successes, failed
+
+
+def _guard(run: _Run, inputs: tuple[float, ...], atom: int) -> SimulationError | str | None:
+    """What ends a cell at an atom with these (leak, P_k, norm, row sum, top-3) inputs, or None."""
+    leak, p_k, norm, total, top = inputs
+    limit, what = run.leak
+    if not leak <= limit:
+        return LeakageError(f"population would leave truncation: {what} = {leak:.3e}")
+    if not run.sampled and p_k < ORTHOGONAL_P_TOL:
+        return "impossible post-selection"
+    if not norm > ORTHOGONAL_NORM_SQ:
+        return OrthogonalOutcomeError(f"cannot renormalize state with squared norm {norm:.3e}")
+    if not abs(total - 1.0) <= NORM_ATOL:
+        return SimulationError(f"state norm drifted to {total!r} at atom {atom}")
+    if not top <= TOP_LEVEL_GUARD:
+        return LeakageError(
+            f"top-3 Fock levels hold {top:.3e} probability at atom {atom}; "
+            f"truncation n_max={run.config.n_max} too small for this run"
+        )
+    return None
+
+
+def _result(run: _Run, cell: _Cell, field_row, dist_row, reason: str | None) -> RunResult:
+    """The RunResult of a cell whose final field is field_row."""
+    final = dist_row if run.nsm else FieldState(field_row, run.config.n_max)
+    return RunResult(cell.steps, dist_row, final, reason, cell.failures, cell.cum.value)
+
+
+def _book(run: _Run, k: int, cells: list[_Cell], dist: np.ndarray, block: tuple):
+    """Guard and book a block after atom k: (cells that go on, their fields, populations).
+
+    dist holds the populations at block entry.  Guard inputs, step statistics
+    and cum_P run once per block.  The block clears when the guard passes on
+    its worst value of each input; else each cell runs the guard atom by atom
+    in a one-cell run's order, books the atoms before its first trip and
+    ends, as a halting cell does at a failure.
+    """
+    times, edge, fields, norms, successes, failed = block
+    b, n = norms.shape
+    rows = fields[1:] if run.nsm else np.abs(fields[1:]) ** 2  # row j: after atom j
+    # In Python: np.abs of a complex may differ from abs() in the last place.
+    leak = [0.0] * (b * n)
+    if edge is not None:
+        col = zip(fields[:b, :, -1].ravel().tolist(), edge)
+        leak = [p * s**2 for p, s in col] if run.nsm else [abs(c) * abs(s) for c, s in col]
+    # NSM's P_k are all one float object, which every step record then shares.
+    p_k = [1.0] * (b * n) if run.nsm else np.minimum(successes, 1.0).ravel().tolist()
+    norm_k = norms.ravel().tolist()
+    total = rows.sum(axis=-1).ravel().tolist()
+    top = top_level_probability(rows).ravel().tolist()
+    ends = {}  # per cell that ends: (atoms booked, its error or reason)
+    # The guard on the block's worst value of each input.  Python's max and
+    # min skip a NaN that is not first, so a NaN trips the block by itself:
+    # the sum of these nonnegative inputs is NaN only if one is (and a NaN
+    # P_k has a NaN norm).
+    far = max(min(total), max(total), key=lambda t: abs(t - 1.0))
+    if (math.isnan(sum(leak) + sum(norm_k) + sum(total) + sum(top))
+            or _guard(run, (max(leak), min(p_k), min(norm_k), far, max(top)), k + 1)):
+        for at, inputs in enumerate(zip(leak, p_k, norm_k, total, top)):
+            j, i = divmod(at, n)
+            if i not in ends and (end := _guard(run, inputs, k + j + 1)) is not None:
+                ends[i] = (j, end)
+    failed = failed.ravel().tolist()
+    if run.halting:  # a halting batch runs one atom a block
+        for i in itertools.compress(range(n), failed):
+            ends.setdefault(i, (1, f"sampled orthogonal outcome at atom {k + 1}"))
+    if run.collect_steps:
+        ns, trap = np.arange(run.config.n_max + 1, dtype=float), run.config.trap_target
+        mean_n = np.vecdot(rows, ns)
+        delta_n = np.sqrt(np.maximum(np.vecdot(rows, ns * ns) - mean_n * mean_n, 0.0))
+        columns = [a.ravel().tolist() for a in (
+            times[..., 0], times[..., 1], mean_n, delta_n, rows[..., trap],
+            rows[..., trap + 1 :].sum(axis=-1))]
+        named = (OUTCOME_SUCCESS, OUTCOME_FAILURE) if run.sampled else (OUTCOME_POSTSELECTED,) * 2
+        columns.append([named[f] for f in failed])  # outcome by failure flag
+
+    for i, cell in enumerate(cells):
+        m, end = ends.get(i, (b, None))
+        at = slice(i, m * n, n)  # cell i's booked atoms in the (atoms, cells) lists
+        cums = [] if run.collect_steps else None
+        cell.cum.extend(p_k[at], cums)
+        if run.collect_steps:
+            tau_k, t_k, mean, delta, p_trap, p_above, outcome = (c[at] for c in columns)
+            cell.steps.extend(map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_k[at], cums,
+                                  mean, delta, outcome, p_trap, p_above))
+        if run.sampled:
+            cell.failures += failed[at].count(True)
+        if isinstance(end, str):
+            cell.result = _result(run, cell, fields[m, i], (rows[m - 1] if m else dist)[i], end)
+        elif end is not None:
+            cell.result = end
+    running = [i for i in range(n) if i not in ends]
+    keep = np.array(running, dtype=np.intp)  # take() is quicker with an index array
+    return [cells[i] for i in running], fields[b].take(keep, axis=0), rows[b - 1].take(keep, axis=0)
+
+
 def _run_cells(
     config: RunConfig, cells: list[tuple[TimingModel, SeedSpec]], collect_steps: bool
 ) -> list[RunResult | SimulationError]:
     """Run a batch of cells, a block of atoms at a time, through one update kernel.
 
-    Each cell runs config with its own (timing model, seed) pair; its field
-    is one row of a (cells, levels) array: amplitudes for the selective
-    schemes, populations for NSM.  Per block, each cell draws the atoms'
-    times (in sampled mode each outcome's uniform right after its time) in
-    a one-cell run's order, and one call gives the (atoms, cells, levels)
-    factors.  A selective scheme's selected and orthogonal outcomes each keep
-    level n or emit a photon into n + 1: elastic keeps by cos theta_n, else
-    emits by -i sin theta_n; inelastic the reverse, keeping by -cos theta_n;
-    superposition keeps by its CM success, else failure, factor.  Per atom
-    only the field update runs, into row j + 1 of an (atoms + 1, cells,
-    levels) buffer, equal to the one-state references' up to the sign of a
-    zero amplitude (norms by np.vecdot, which sums as np.vdot does).  What
-    only reads the updated fields runs once per block: guard inputs, step
-    statistics and cum_P.  The block clears when the guard passes on its
-    worst value of each input; else each cell runs the guard atom by atom in
-    a one-cell run's order, books the atoms before its first trip and
-    leaves.  Returns, per cell, its RunResult or the SimulationError that
-    ended it.
+    Each cell runs config with its own (timing model, seed) pair, its field
+    one row of a (cells, levels) array: amplitudes, or populations for NSM.
+    Per block, _draw_block draws, _advance updates and _book guards and books.
+    Returns, per cell, its RunResult or the SimulationError that ended it.
     """
-    scheme = config.scheme
-    is_nsm = scheme.kind == "nsm"
-    sampled = config.mode == "sample" and not is_nsm  # NSM ignores outcomes
-    halting = sampled and config.halt_on_failure
-    n_max, trap = config.n_max, config.trap_target
+    nsm = config.scheme.kind == "nsm"
+    sampled = config.mode == "sample" and not nsm
     # What would leave the basis: NSM guards a population, the others an amplitude.
-    leak_limit, leak_what = (
-        (AMPLITUDE_LEAK_TOL**2, "P(n_max) sin^2 theta_nmax")
-        if is_nsm
-        else (AMPLITUDE_LEAK_TOL, "|c_nmax sin theta_nmax|")
-    )
-    # ns @ row and ns_sq @ row are the sums distribution_stats takes.
-    ns = np.arange(n_max + 1, dtype=float)
-    ns_sq = ns * ns
-
-    initial = config.initial_field.build(n_max)
+    leak = ((AMPLITUDE_LEAK_TOL**2, "P(n_max) sin^2 theta_nmax") if nsm
+            else (AMPLITUDE_LEAK_TOL, "|c_nmax sin theta_nmax|"))
+    run = _Run(config, collect_steps, nsm, sampled, sampled and config.halt_on_failure, leak)
+    initial = config.initial_field.build(config.n_max)
     dist = initial.probabilities()[None].repeat(len(cells), axis=0)
-    state = dist if is_nsm else initial.amplitudes[None].repeat(len(cells), axis=0)
-    results: list[RunResult | SimulationError | None] = [None] * len(cells)
+    state = dist if nsm else initial.amplitudes[None].repeat(len(cells), axis=0)
     timings, seeds = zip(*cells)
-    cells = [_Cell(i, t, rng) for i, (t, rng) in enumerate(zip(timings, derive_streams(seeds)))]
-
-    def finish(cell, field_row, dist_row, reason):
-        """The RunResult of a cell whose final field is field_row."""
-        return RunResult(
-            steps=cell.steps,
-            final_distribution=dist_row,
-            final_state=dist_row if is_nsm else FieldState(field_row, n_max),
-            terminated_early=reason,
-            n_failures=cell.failures,
-            final_cum_P=cell.cum.value,
-        )
-
-    def guard(leak, p_k, norm, total, top, atom):
-        """What ends a cell at this atom before its step is booked, or None."""
-        if not leak <= leak_limit:
-            return LeakageError(f"population would leave truncation: {leak_what} = {leak:.3e}")
-        if not sampled and p_k < ORTHOGONAL_P_TOL:
-            return "impossible post-selection"
-        if not norm > ORTHOGONAL_NORM_SQ:
-            return OrthogonalOutcomeError(f"cannot renormalize state with squared norm {norm:.3e}")
-        if not abs(total - 1.0) <= NORM_ATOL:
-            return SimulationError(f"state norm drifted to {total!r} at atom {atom}")
-        if not top <= TOP_LEVEL_GUARD:
-            return LeakageError(
-                f"top-3 Fock levels hold {top:.3e} probability at atom {atom}; "
-                f"truncation n_max={n_max} too small for this run"
-            )
-        return None
-
+    cells = everyone = [_Cell(t, rng) for t, rng in zip(timings, derive_streams(seeds))]
     k = 0
     while k < config.n_atoms and cells:
-        # The block's draws and factors, which do not depend on the field.
-        n = len(cells)
-        b = 1 if halting else max(1, _BLOCK_ENTRIES // (n * (n_max + 1)))
+        b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(cells) * (config.n_max + 1)))
         b = min(b, config.n_atoms - k)
-        if sampled:
-            block = [[(*sample_timing(c.timing, c.rng), c.rng.random()) for c in cells]
-                     for _ in range(b)]
-        else:
-            block = [[sample_timing(c.timing, c.rng) for c in cells] for _ in range(b)]
-        times = np.array(block)  # (atoms, cells, (tau_k, T_k[, u_k]))
-        taus = times[..., :1]
-        # A selective scheme's two outcomes, each (factors, whether it emits).
-        if scheme.kind == "superposition":
-            selected, orthogonal = ((f, False) for f in correlated_cm_factors(
-                config.omega, times[..., 1:2], config.coupling, taus, n_max, scheme.phi_f
-            ))
-        else:
-            cos_t, sin_t = rabi_cos_sin(config.coupling, taus, n_max)
-            edge = sin_t[..., -1].ravel().tolist()
-            if is_nsm:
-                cos_t, sin_t = np.square(cos_t, out=cos_t), np.square(sin_t, out=sin_t)
-            else:
-                selected, orthogonal = (cos_t, False), (-1j * sin_t, True)  # elastic
-                if scheme.kind == "inelastic":
-                    selected, orthogonal = orthogonal, (-cos_t, False)
-
-        # Per atom, the field update alone.
-        fields = np.empty((b + 1, *state.shape), state.dtype)
-        fields[0] = state
-        norms = np.ones((b, n))  # NSM keeps these
-        successes = np.empty((b, n)) if sampled else norms
-        failed = np.zeros((b, n), dtype=bool)
-        for j in range(b):
-            s, out = fields[j], fields[j + 1]
-            if is_nsm:
-                np.multiply(s, cos_t[j], out=out)
-                out[:, 1:] += s[:, :-1] * sin_t[j, :, :-1]
-                continue
-            d = _conditioned(s, selected, j)
-            norm = successes[j] = np.vecdot(d, d).real
-            if sampled:
-                # u_k < 1, so u_k < min(norm, 1) exactly when u_k < norm.
-                failed[j] = fails = ~(times[j, :, 2] < norm)
-                if fails.any():
-                    d_orth = _conditioned(s, orthogonal, j)
-                    d = np.where(fails[:, None], d_orth, d)
-                    norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
-            norms[j] = norm
-            # A row at or below the floor ends below; the floor keeps 0/0 out.
-            np.divide(d, np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ))[:, None], out=out)
-
-        # Per block, everything that only reads the updated fields.
-        rows = fields[1:] if is_nsm else np.abs(fields[1:]) ** 2  # row j: after atom j
-        # In Python: np.abs of a complex may differ from abs() in the last place.
-        leak = [0.0] * (b * n)  # superposition's outcomes keep every level
-        if scheme.kind != "superposition":
-            col = zip(fields[:b, :, -1].ravel().tolist(), edge)
-            leak = [p * s**2 for p, s in col] if is_nsm else [abs(c) * abs(s) for c, s in col]
-        # NSM's P_k are all one float object, which every step record then shares.
-        p_k = [1.0] * (b * n) if is_nsm else np.minimum(successes, 1.0).ravel().tolist()
-        norm_k = norms.ravel().tolist()
-        total = rows.sum(axis=-1).ravel().tolist()
-        top = top_level_probability(rows).ravel().tolist()
-        # What a guard trip at atom j ends a cell with: (atoms booked, error or reason).
-        ends = {}
-        # The guard on the block's worst value of each input.  Python's max and
-        # min skip a NaN that is not first, so a NaN trips the block by itself:
-        # the sum of these nonnegative inputs is NaN only if one is (and a NaN
-        # P_k has a NaN norm).
-        far = max(min(total), max(total), key=lambda t: abs(t - 1.0))
-        if (math.isnan(sum(leak) + sum(norm_k) + sum(total) + sum(top))
-                or guard(max(leak), min(p_k), min(norm_k), far, max(top), k + 1) is not None):
-            for at, inputs in enumerate(zip(leak, p_k, norm_k, total, top)):
-                j, i = divmod(at, n)
-                if i not in ends and (end := guard(*inputs, k + j + 1)) is not None:
-                    ends[i] = (j, end)
-        failed = failed.ravel().tolist()
-        if collect_steps:
-            mean_n = np.vecdot(rows, ns)
-            delta_n = np.sqrt(np.maximum(np.vecdot(rows, ns_sq) - mean_n * mean_n, 0.0))
-            columns = [
-                a.ravel().tolist()
-                for a in (times[..., 0], times[..., 1], mean_n, delta_n, rows[..., trap],
-                          rows[..., trap + 1 :].sum(axis=-1))
-            ]
-            named = (OUTCOME_SUCCESS, OUTCOME_FAILURE) if sampled else (OUTCOME_POSTSELECTED,) * 2
-            columns.append([named[f] for f in failed])  # outcome by failure flag
-
-        for i, cell in enumerate(cells):
-            m, end = ends.get(i, (b, None))
-            if halting and end is None and failed[i]:  # a halting batch runs one atom a block
-                end = f"sampled orthogonal outcome at atom {k + 1}"
-                ends[i] = (m, end)
-            at = slice(i, m * n, n)  # cell i's booked atoms in the (atoms, cells) lists
-            cums = [] if collect_steps else None
-            cell.cum.extend(p_k[at], cums)
-            if collect_steps:
-                tau_k, t_k, mean, delta, p_trap, p_above, outcome = (c[at] for c in columns)
-                cell.steps.extend(
-                    map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_k[at], cums, mean,
-                        delta, outcome, p_trap, p_above)
-                )
-            if sampled:
-                cell.failures += failed[at].count(True)
-            if isinstance(end, str):
-                last = rows[m - 1] if m else dist  # the distribution after the booked atoms
-                results[cell.index] = finish(cell, fields[m, i], last[i], end)
-            elif end is not None:
-                results[cell.index] = end
-
+        cells, state, dist = _book(
+            run, k, cells, dist, _advance(run, state, _draw_block(run, cells, b)))
         k += b
-        # A cell that ended leaves the batch with its rows.
-        running = [i for i in range(n) if i not in ends]
-        cells = [cells[i] for i in running]
-        keep = np.array(running, dtype=np.intp)  # take() is quicker with an index array
-        state, dist = fields[b].take(keep, axis=0), rows[b - 1].take(keep, axis=0)
-        fields = rows = cos_t = sin_t = selected = orthogonal = None  # freed before the next block
-
     for i, cell in enumerate(cells):
-        results[cell.index] = finish(cell, state[i], dist[i], None)
-    return results
+        cell.result = _result(run, cell, state[i], dist[i], None)
+    return [cell.result for cell in everyone]
 
 
 def _run_batches(
@@ -539,18 +544,9 @@ class SweepCell:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepAggregate:
-    multiplier: float
-    median_final_p_trap: float
-    median_cum_P: float
-    convergence_fraction: float
-
-
 @dataclass
 class SweepResult:
     cells: list[SweepCell]
-    aggregates: list[SweepAggregate]
 
 
 def sweep(
@@ -558,7 +554,7 @@ def sweep(
     spread_multipliers: list[float],
     ensemble: int,
 ) -> SweepResult:
-    """Run an ensemble per spread multiplier and aggregate convergence.
+    """Run an ensemble per spread multiplier; each cell records its convergence.
 
     Cell (i, j) uses stream_id = i * ensemble + j derived from the base
     master seed, so the whole table is reproducible from that one seed.
@@ -593,22 +589,7 @@ def sweep(
             continue
         p_trap = float(outcome.final_distribution[base.trap_target])
         cells.append(SweepCell(mult, index, p_trap, outcome.final_cum_P, p_trap > CONVERGENCE_P))
-
-    aggregates = []
-    for i, mult in enumerate(spread_multipliers):
-        group = cells[i * ensemble : (i + 1) * ensemble]
-        good = [c for c in group if c.error is None]
-        aggregates.append(
-            SweepAggregate(
-                multiplier=mult,
-                median_final_p_trap=float(np.median([c.final_p_trap for c in good]))
-                if good
-                else math.nan,
-                median_cum_P=float(np.median([c.cum_P for c in good])) if good else math.nan,
-                convergence_fraction=sum(c.converged for c in group) / len(group),
-            )
-        )
-    return SweepResult(cells=cells, aggregates=aggregates)
+    return SweepResult(cells=cells)
 
 
 def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:

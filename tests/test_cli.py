@@ -580,23 +580,43 @@ class TestConfigErrors:
             pytest.param(["classical", "--preset", "fig1c", "--steps", "3", "--epsilon0", "1e200"],
                          1, "config error: epsilon0: must be <= 1.3407807929942596e+154, "
                          "got 1e+200", id="epsilon0"),
+            pytest.param(["classical", "--preset", "fig1c", "--steps", "3", "--epsilon0",
+                          "1.1125369292536007e-308"],
+                         1, "config error: epsilon0: must be >= 1.112536929253601e-308, "
+                         "got 1.1125369292536007e-308", id="epsilon0-reciprocal"),
+            # The return map checks, before each block of steps, that epsilon and its phase
+            # epsilon g tau stay in range: a step adds at most g tau to epsilon.
+            pytest.param(["classical", "--preset", "fig1c", "--steps", "3", "--gtau-bar", "1e308"],
+                         2, "simulation error: return map may overflow in steps 1-3: epsilon "
+                         "may reach inf, epsilon g tau inf\n", id="map-phase"),
+            pytest.param(["classical", "--preset", "fig1c", "--steps", "1", "--epsilon0", "1e-160",
+                          "--gtau-bar", "1e160"],
+                         2, "simulation error: return map may overflow in steps 1-1: epsilon "
+                         "may reach 1e+160, epsilon g tau inf\n", id="map-square"),
         ],
     )
     def test_overflowing_value_ends_before_any_output(self, tmp_path, capsys, argv, code,
                                                       message):
-        # Squaring each value overflows the float range.
+        # Squaring, inverting or multiplying each value overflows the float range.
         out_dir = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out_dir)]) == code
         assert capsys.readouterr().err.startswith(message)
         assert not out_dir.exists()
 
-    def test_largest_epsilon0_accepted(self, tmp_path):
+    @pytest.mark.parametrize(
+        "epsilon0, last",
+        [
+            ("1.112536929253601e-308", "3,0.44540319718441362,1.4775259500967284e-308,0"),
+            ("1.3407807929942596e154",
+             "3,0.44540319718441362,1.3407807929942596e+154,4.4942328371557888e+307"),
+        ],
+        ids=["smallest", "largest"],
+    )
+    def test_extreme_epsilon0_accepted(self, tmp_path, epsilon0, last):
         out_dir = tmp_path / "out"
         argv = ["classical", "--preset", "fig1c", "--steps", "3"]
-        assert main([*argv, "--epsilon0", "1.3407807929942596e154", "--out-dir", str(out_dir)]) == 0
-        assert (out_dir / "classical.csv").read_text().splitlines()[-1] == (
-            "3,0.44540319718441362,1.3407807929942596e+154,4.4942328371557888e+307"
-        )
+        assert main([*argv, "--epsilon0", epsilon0, "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "classical.csv").read_text().splitlines()[-1] == last
 
     @pytest.mark.parametrize(
         "command, base, flags",
@@ -628,6 +648,21 @@ class TestConfigErrors:
                     codes[flag, value] = exc.code
                 capsys.readouterr()
         assert {call: code for call, code in codes.items() if code not in (0, 1, 2)} == {}
+
+    @pytest.mark.parametrize("command", ["run", "classical"])
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing.cfg", "No such file or directory"), (".", "Is a directory"),
+         ("latin1.cfg", "not UTF-8 text")],
+        ids=["missing", "directory", "not-utf8"],
+    )
+    def test_unreadable_config_file(self, tmp_path, capsys, command, name, reason):
+        (tmp_path / "latin1.cfg").write_bytes("command = run\n# \xe9\n".encode("latin-1"))
+        path, out_dir = tmp_path / name, tmp_path / "out"
+        assert main([command, "--config", str(path), "--out-dir", str(out_dir)]) == 1
+        error = capsys.readouterr().err
+        assert error == f"config error: config: cannot read {str(path)!r}: {reason}\n"
+        assert not out_dir.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
