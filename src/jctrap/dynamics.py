@@ -39,9 +39,10 @@ from .fock import FieldState, renormalize
 # theta many orders of magnitude farther from q*pi than this.
 TRAP_SNAP_TOL = 1e-12
 
-# Entanglement refuses to run when the amplitude that would leave the
-# truncated basis exceeds this.
-AMPLITUDE_LEAK_TOL = 1e-8
+# An atom may not run when the probability it would carry out of the
+# truncated basis, P(n_max) sin^2 theta_nmax, exceeds this (a NaN too).  The
+# update kernel and the one-state references below read this one limit.
+LEAK_P_TOL = 1e-16
 
 # A conditional measurement with success probability at or below this is an
 # orthogonal outcome.
@@ -200,19 +201,24 @@ def rabi_cos_sin(params: CouplingParams, tau, n_max: int) -> tuple[np.ndarray, n
     return _snapped_cos_sin(_theta_array(params, tau, n_max))
 
 
+def _check_leak(p_top: float, sin_top: float) -> None:
+    """Raise LeakageError unless P(n_max) sin^2 theta_nmax <= LEAK_P_TOL."""
+    lost = p_top * np.square(sin_top)
+    if not lost <= LEAK_P_TOL:
+        raise LeakageError(
+            f"population would leave truncation: P(n_max) sin^2 theta_nmax = {lost:.3e}"
+        )
+
+
 def jcm_entangle(field: FieldState, params: CouplingParams, tau: float) -> EntangledState:
     """Entangle an excited atom with the field for an interaction time tau.
 
-    Raises LeakageError when the topmost Fock level would emit appreciably
-    (|c_{n_max} sin theta_{n_max}| > 1e-8), since that population would
-    leave the truncated basis.
+    Raises LeakageError when the top Fock level would emit more than 1e-16
+    of probability out of the truncated basis: P(n_max) sin^2 theta_nmax,
+    with P(n_max) = |c_{n_max}|^2, the check nsm_step makes.
     """
     cos_t, sin_t = rabi_cos_sin(params, tau, field.n_max)
-    top_leak = abs(field.amplitudes[-1]) * abs(sin_t[-1])
-    if top_leak > AMPLITUDE_LEAK_TOL:
-        raise LeakageError(
-            f"population would leave truncation: |c_nmax sin theta_nmax| = {top_leak:.3e}"
-        )
+    _check_leak(field.probabilities()[-1], sin_t[-1])
     e_branch = field.amplitudes * cos_t
     g_branch = -1j * field.amplitudes * sin_t
     return EntangledState(e_branch, g_branch, field.n_max)
@@ -231,11 +237,7 @@ def nsm_step(probs: np.ndarray, params: CouplingParams, tau: float) -> np.ndarra
         raise ValueError(f"input populations sum to {total!r}, expected 1")
     n_max = p.shape[0] - 1
     cos_t, sin_t = rabi_cos_sin(params, tau, n_max)
-    lost = p[-1] * sin_t[-1] ** 2
-    if lost > AMPLITUDE_LEAK_TOL**2:
-        raise LeakageError(
-            f"population would leave truncation: P(n_max) sin^2 theta_nmax = {lost:.3e}"
-        )
+    _check_leak(p[-1], sin_t[-1])
     out = p * cos_t**2
     out[1:] += p[:-1] * sin_t[:-1] ** 2
     return out

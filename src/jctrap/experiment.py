@@ -25,7 +25,7 @@ import numpy as np
 
 from .csvfile import write_csv
 from .dynamics import (
-    AMPLITUDE_LEAK_TOL,
+    LEAK_P_TOL,
     ORTHOGONAL_P_TOL,
     SCHEME_KINDS,
     CouplingParams,
@@ -129,6 +129,11 @@ class RunConfig:
         """Check the fields a run reads; the message names the config token."""
         if self.scheme.kind not in SCHEME_KINDS:
             raise ConfigError(f"scheme: unknown scheme {self.scheme.kind!r}")
+        alpha = self.initial_field.alpha
+        for token, value in (("alpha", alpha if alpha.imag else alpha.real),
+                             ("phi_f_rad", self.scheme.phi_f)):
+            if not cmath.isfinite(value):
+                raise ConfigError(f"{token}: must be finite, got {value}")
         _check_derivation_inputs(self.trap_target, self.q, self.scheme.kind, self.omega)
         if self.n_atoms < 0:
             raise ConfigError(f"atoms: must be >= 0, got {self.n_atoms}")
@@ -209,9 +214,6 @@ def build_run_config(
     """
     if (alpha is None) == (fock_n is None):
         raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
-    for token, value in (("alpha", alpha or 0), ("phi_f_rad", phi_f)):
-        if not cmath.isfinite(value):
-            raise ConfigError(f"{token}: must be finite, got {value}")
     coupling = CouplingParams(g)
     _check_derivation_inputs(trap_target, q, scheme, omega)
     if tau_bar is None:
@@ -300,31 +302,34 @@ class _Run(NamedTuple):
     nsm: bool
     sampled: bool  # outcomes are drawn; NSM ignores them
     halting: bool  # a sampled failure ends the cell
-    leak: tuple[float, str]  # the leak guard's limit and what it limits
 
 
-def _conditioned(s: np.ndarray, outcome: tuple[np.ndarray, bool], j: int) -> np.ndarray:
-    """Rows s after block atom j's outcome (factors, emits), unnormalized.
+def _conditioned(s: np.ndarray, outcome: tuple, j: int, out: np.ndarray) -> np.ndarray:
+    """Rows s after block atom j's outcome (keep, emit), unnormalized, written into out.
 
-    d_n = f_n s_n, or d_n = f_{n-1} s_{n-1} and d_0 = 0 for an outcome that emits.
+    d_n = keep_n s_n + emit_{n-1} s_{n-1}; a factor that is None drops its term.
     """
-    factors, emits = outcome
-    if not emits:
-        return factors[j] * s
-    d = np.zeros_like(s)
-    np.multiply(factors[j, :, :-1], s[:, :-1], out=d[:, 1:])
-    return d
+    keep, emit = outcome
+    if keep is None:
+        out[:, 0] = 0
+        np.multiply(emit[j, :, :-1], s[:, :-1], out=out[:, 1:])
+        return out
+    np.multiply(keep[j], s, out=out)
+    if emit is not None:
+        out[:, 1:] += s[:, :-1] * emit[j, :, :-1]
+    return out
 
 
 def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
-    """The next b atoms' (times, edge, update), none of which reads a field.
+    """The next b atoms' (times, edge, outcomes), none of which reads a field.
 
     times is (atoms, cells, (tau_k, T_k[, u_k])) in a one-cell run's draw
-    order; edge the top level's sin theta, or None when no outcome emits.
-    update is NSM's (cos^2, sin^2), else the selected and orthogonal outcomes:
-    elastic keeps level n by cos theta_n, else emits into n + 1 by -i sin
-    theta_n; inelastic the reverse, keeping by -cos theta_n; superposition
-    keeps by its CM success, else failure, factor.
+    order; edge the top level's sin^2 theta, or None when no outcome emits.
+    outcomes are the selected and orthogonal (keep, emit) factors: elastic
+    keeps level n by cos theta_n, else emits into n + 1 by -i sin theta_n;
+    inelastic the reverse, keeping by -cos theta_n; superposition keeps by
+    its CM success, else failure, factor; NSM's one outcome keeps populations
+    by cos^2 theta_n and emits by sin^2 theta_n.
     """
     config, kind, sampled = run.config, run.config.scheme.kind, run.sampled
     times = np.array([[(*sample_timing(c.timing, c.rng), c.rng.random()) if sampled
@@ -333,15 +338,15 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
     if kind == "superposition":
         cm = correlated_cm_factors(
             config.omega, ramsey, config.coupling, taus, config.n_max, config.scheme.phi_f)
-        return times, None, [(f, False) for f in cm]
+        return times, None, [(f, None) for f in cm]
     cos_t, sin_t = rabi_cos_sin(config.coupling, taus, config.n_max)
-    edge = sin_t[..., -1].ravel().tolist()
     if run.nsm:
-        return times, edge, (np.square(cos_t, out=cos_t), np.square(sin_t, out=sin_t))
-    selected, orthogonal = (cos_t, False), (-1j * sin_t, True)  # elastic
+        sin_sq = np.square(sin_t, out=sin_t)
+        return times, sin_sq[..., -1], [(np.square(cos_t, out=cos_t), sin_sq)]
+    selected, orthogonal = (cos_t, None), (None, -1j * sin_t)  # elastic
     if kind == "inelastic":
-        selected, orthogonal = orthogonal, (-cos_t, False)
-    return times, edge, (selected, orthogonal)
+        selected, orthogonal = orthogonal, (-cos_t, None)
+    return times, np.square(sin_t[..., -1]), (selected, orthogonal)
 
 
 def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
@@ -352,7 +357,7 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
     cell): the squared norm it renormalized by, the selected outcome's (by
     np.vecdot, which sums as np.vdot does), and whether the draw failed.
     """
-    times, edge, (first, second) = draw
+    times, edge, outcomes = draw
     (b, n), nsm, sampled = times.shape[:2], run.nsm, run.sampled
     fields = np.empty((b + 1, *state.shape), state.dtype)
     fields[0] = state
@@ -360,32 +365,30 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
     successes = np.empty((b, n)) if sampled else norms
     failed = np.zeros((b, n), dtype=bool)
     for j in range(b):
-        s, out = fields[j], fields[j + 1]
-        if nsm:
-            np.multiply(s, first[j], out=out)
-            out[:, 1:] += s[:, :-1] * second[j, :, :-1]
+        s = fields[j]
+        d = _conditioned(s, outcomes[0], j, fields[j + 1])
+        if nsm:  # populations need no renormalization
             continue
-        d = _conditioned(s, first, j)
         norm = successes[j] = np.vecdot(d, d).real
         if sampled:
             # u_k < 1, so u_k < min(norm, 1) exactly when u_k < norm.
             failed[j] = fails = ~(times[j, :, 2] < norm)
             if fails.any():
-                d_orth = _conditioned(s, second, j)
-                d = np.where(fails[:, None], d_orth, d)
+                d_orth = _conditioned(s, outcomes[1], j, np.empty_like(s))
+                np.copyto(d, d_orth, where=fails[:, None])
                 norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
         norms[j] = norm
         # A row at or below the floor ends below; the floor keeps 0/0 out.
-        np.divide(d, np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ))[:, None], out=out)
+        d /= np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ))[:, None]
     return times, edge, fields, norms, successes, failed
 
 
 def _guard(run: _Run, inputs: tuple[float, ...], atom: int) -> SimulationError | str | None:
     """What ends a cell at an atom with these (leak, P_k, norm, row sum, top-3) inputs, or None."""
     leak, p_k, norm, total, top = inputs
-    limit, what = run.leak
-    if not leak <= limit:
-        return LeakageError(f"population would leave truncation: {what} = {leak:.3e}")
+    if not leak <= LEAK_P_TOL:
+        return LeakageError(
+            f"population would leave truncation: P(n_max) sin^2 theta_nmax = {leak:.3e}")
     if not run.sampled and p_k < ORTHOGONAL_P_TOL:
         return "impossible post-selection"
     if not norm > ORTHOGONAL_NORM_SQ:
@@ -406,51 +409,46 @@ def _result(run: _Run, cell: _Cell, field_row, dist_row, reason: str | None) -> 
     return RunResult(cell.steps, dist_row, final, reason, cell.failures, cell.cum.value)
 
 
-def _book(run: _Run, k: int, cells: list[_Cell], dist: np.ndarray, block: tuple):
-    """Guard and book a block after atom k: (cells that go on, their fields, populations).
+def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
+    """Guard and book a block after atom k: (cells that go on, their fields).
 
-    dist holds the populations at block entry.  Guard inputs, step statistics
-    and cum_P run once per block.  The block clears when the guard passes on
-    its worst value of each input; else each cell runs the guard atom by atom
-    in a one-cell run's order, books the atoms before its first trip and
-    ends, as a halting cell does at a failure.
+    Reads populations only.  Guard inputs, step statistics and cum_P run once
+    per block.  The block clears when the guard passes on its worst value of
+    each input; else each cell runs the guard atom by atom in a one-cell
+    run's order, books the atoms before its first trip and ends, as a halting
+    cell does at a failure.
     """
     times, edge, fields, norms, successes, failed = block
     b, n = norms.shape
-    rows = fields[1:] if run.nsm else np.abs(fields[1:]) ** 2  # row j: after atom j
-    # In Python: np.abs of a complex may differ from abs() in the last place.
-    leak = [0.0] * (b * n)
-    if edge is not None:
-        col = zip(fields[:b, :, -1].ravel().tolist(), edge)
-        leak = [p * s**2 for p, s in col] if run.nsm else [abs(c) * abs(s) for c, s in col]
-    # NSM's P_k are all one float object, which every step record then shares.
-    p_k = [1.0] * (b * n) if run.nsm else np.minimum(successes, 1.0).ravel().tolist()
-    norm_k = norms.ravel().tolist()
-    total = rows.sum(axis=-1).ravel().tolist()
-    top = top_level_probability(rows).ravel().tolist()
+    rows = fields if run.nsm else np.abs(fields) ** 2  # row j: before block atom j
+    after = rows[1:]
+    leak = np.zeros((b, n)) if edge is None else rows[:b, :, -1] * edge
+    p_k = np.minimum(successes, 1.0)
+    total = after.sum(axis=-1)
+    top = top_level_probability(after)
+    inputs = (leak, p_k, norms, total, top)
     ends = {}  # per cell that ends: (atoms booked, its error or reason)
-    # The guard on the block's worst value of each input.  Python's max and
-    # min skip a NaN that is not first, so a NaN trips the block by itself:
-    # the sum of these nonnegative inputs is NaN only if one is (and a NaN
-    # P_k has a NaN norm).
-    far = max(min(total), max(total), key=lambda t: abs(t - 1.0))
-    if (math.isnan(sum(leak) + sum(norm_k) + sum(total) + sum(top))
-            or _guard(run, (max(leak), min(p_k), min(norm_k), far, max(top)), k + 1)):
-        for at, inputs in enumerate(zip(leak, p_k, norm_k, total, top)):
+    # The guard on the block's worst value of each input; numpy's max and
+    # min return a NaN if there is one, and a NaN trips the guard.
+    far = max(total.min(), total.max(), key=lambda t: abs(t - 1.0))
+    if _guard(run, (leak.max(), p_k.min(), norms.min(), far, top.max()), k + 1):
+        for at, atom in enumerate(zip(*(a.ravel().tolist() for a in inputs))):
             j, i = divmod(at, n)
-            if i not in ends and (end := _guard(run, inputs, k + j + 1)) is not None:
+            if i not in ends and (end := _guard(run, atom, k + j + 1)) is not None:
                 ends[i] = (j, end)
+    # NSM's P_k are all one float object, which every step record then shares.
+    p_k = [1.0] * (b * n) if run.nsm else p_k.ravel().tolist()
     failed = failed.ravel().tolist()
     if run.halting:  # a halting batch runs one atom a block
         for i in itertools.compress(range(n), failed):
             ends.setdefault(i, (1, f"sampled orthogonal outcome at atom {k + 1}"))
     if run.collect_steps:
         ns, trap = np.arange(run.config.n_max + 1, dtype=float), run.config.trap_target
-        mean_n = np.vecdot(rows, ns)
-        delta_n = np.sqrt(np.maximum(np.vecdot(rows, ns * ns) - mean_n * mean_n, 0.0))
+        mean_n = np.vecdot(after, ns)
+        delta_n = np.sqrt(np.maximum(np.vecdot(after, ns * ns) - mean_n * mean_n, 0.0))
         columns = [a.ravel().tolist() for a in (
-            times[..., 0], times[..., 1], mean_n, delta_n, rows[..., trap],
-            rows[..., trap + 1 :].sum(axis=-1))]
+            times[..., 0], times[..., 1], mean_n, delta_n, after[..., trap],
+            after[..., trap + 1 :].sum(axis=-1))]
         named = (OUTCOME_SUCCESS, OUTCOME_FAILURE) if run.sampled else (OUTCOME_POSTSELECTED,) * 2
         columns.append([named[f] for f in failed])  # outcome by failure flag
 
@@ -466,12 +464,12 @@ def _book(run: _Run, k: int, cells: list[_Cell], dist: np.ndarray, block: tuple)
         if run.sampled:
             cell.failures += failed[at].count(True)
         if isinstance(end, str):
-            cell.result = _result(run, cell, fields[m, i], (rows[m - 1] if m else dist)[i], end)
+            cell.result = _result(run, cell, fields[m, i], rows[m, i], end)
         elif end is not None:
             cell.result = end
     running = [i for i in range(n) if i not in ends]
     keep = np.array(running, dtype=np.intp)  # take() is quicker with an index array
-    return [cells[i] for i in running], fields[b].take(keep, axis=0), rows[b - 1].take(keep, axis=0)
+    return [cells[i] for i in running], fields[b].take(keep, axis=0)
 
 
 def _run_cells(
@@ -486,24 +484,21 @@ def _run_cells(
     """
     nsm = config.scheme.kind == "nsm"
     sampled = config.mode == "sample" and not nsm
-    # What would leave the basis: NSM guards a population, the others an amplitude.
-    leak = ((AMPLITUDE_LEAK_TOL**2, "P(n_max) sin^2 theta_nmax") if nsm
-            else (AMPLITUDE_LEAK_TOL, "|c_nmax sin theta_nmax|"))
-    run = _Run(config, collect_steps, nsm, sampled, sampled and config.halt_on_failure, leak)
+    run = _Run(config, collect_steps, nsm, sampled, sampled and config.halt_on_failure)
     initial = config.initial_field.build(config.n_max)
-    dist = initial.probabilities()[None].repeat(len(cells), axis=0)
-    state = dist if nsm else initial.amplitudes[None].repeat(len(cells), axis=0)
+    state = initial.probabilities() if nsm else initial.amplitudes
+    state = state[None].repeat(len(cells), axis=0)
     timings, seeds = zip(*cells)
     cells = everyone = [_Cell(t, rng) for t, rng in zip(timings, derive_streams(seeds))]
     k = 0
     while k < config.n_atoms and cells:
         b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(cells) * (config.n_max + 1)))
         b = min(b, config.n_atoms - k)
-        cells, state, dist = _book(
-            run, k, cells, dist, _advance(run, state, _draw_block(run, cells, b)))
+        cells, state = _book(run, k, cells, _advance(run, state, _draw_block(run, cells, b)))
         k += b
+    rows = state if nsm else np.abs(state) ** 2
     for i, cell in enumerate(cells):
-        cell.result = _result(run, cell, state[i], dist[i], None)
+        cell.result = _result(run, cell, state[i], rows[i], None)
     return [cell.result for cell in everyone]
 
 

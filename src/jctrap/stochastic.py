@@ -43,7 +43,8 @@ class TimingModel:
     ramsey_ratio: float = 0.0
 
     def __post_init__(self):
-        for token, value in (("tau_bar_in_inv_g", self.tau_bar), ("spread_in_inv_g", self.spread)):
+        for token, value in (("tau_bar_in_inv_g", self.tau_bar), ("spread_in_inv_g", self.spread),
+                             ("ramsey_ratio", self.ramsey_ratio)):
             if not math.isfinite(value):
                 raise ConfigError(f"{token}: must be finite, got {value}")
         if not self.tau_bar > 0:

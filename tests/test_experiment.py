@@ -101,9 +101,16 @@ class TestBuildConfig:
             ({"trap_target": -1}, "trap: must be >= 0"),
             ({"q": 0}, "q: must be >= 1"),
             ({"omega": 0.0}, "omega: must be > 0"),
+            ({"scheme": replace(cfg.scheme, phi_f=math.nan)}, "phi_f_rad: must be finite, got nan"),
+            ({"initial_field": replace(cfg.initial_field, alpha=complex(math.nan))},
+             "alpha: must be finite, got nan"),
         ):
             with pytest.raises(ConfigError, match=message):
                 run_sequence(replace(cfg, **bad))
+        # A TimingModel refuses the value before any run can read it.
+        elastic = build_run_config(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0)
+        with pytest.raises(ConfigError, match="ramsey_ratio: must be finite, got nan"):
+            run_sequence(replace(elastic, timing=replace(elastic.timing, ramsey_ratio=math.nan)))
 
     def test_spread_rule(self):
         args = dict(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0, tau_bar=0.5)
@@ -378,15 +385,26 @@ class TestKernel:
         # A halting run stops at its first failed outcome, the others run on.
         assert max(lengths) > 1 if halt and mode == "sample" else lengths == {150}
 
-    def test_sweep_cells_equal_reference_across_a_leak(self):
-        # Six cells of 46 levels draw their atoms in blocks of 29; the cell
-        # at multiplier 2.5 and stream 3 leaks out of n_max = 45 at atom 7,
-        # inside the first block, while the others run on through it.
+    @pytest.mark.parametrize(
+        "scheme, initial, mults, errors",
+        [
+            # The cell at multiplier 2.5 and stream 3 leaks at atom 7, inside
+            # the first block, while the others run on through it.
+            ("elastic", {"alpha": 3.0}, [0.1, 2.5, 0.5], [False, False, False, True, False, False]),
+            # From |17>, the fixed-time cells stall at the trap; the two that
+            # fluctuate leak at atoms 34 and 35, inside the second block.
+            ("nsm", {"fock_n": 17}, [0.0, 0.05, 0.0], [False, False, True, True, False, False]),
+        ],
+        ids=["elastic", "nsm"],
+    )
+    def test_sweep_cells_equal_reference_across_a_leak(self, scheme, initial, mults, errors):
+        # Six cells of 46 levels draw their atoms in blocks of 29.  A leaking
+        # cell ends with the reference's error message, the others equal it.
         base = build_run_config(
-            scheme="elastic", trap_target=20, n_atoms=300, alpha=3.0, n_max=45, master_seed=4
+            scheme=scheme, trap_target=20, n_atoms=300, **initial, n_max=45, master_seed=4
         )
-        table = sweep(base, [0.1, 2.5, 0.5], ensemble=2)
-        assert [c.error is None for c in table.cells] == [True, True, True, False, True, True]
+        table = sweep(base, mults, ensemble=2)
+        assert [c.error is not None for c in table.cells] == errors
         spread = critical_spread(base.trap_target, base.coupling)
         for cell in table.cells:
             config = replace(
@@ -401,7 +419,8 @@ class TestKernel:
                 continue
             field, steps = _reference_run(config)
             assert len(steps) == 300
-            assert cell.final_p_trap == field.probabilities()[base.trap_target]
+            dist = field if scheme == "nsm" else field.probabilities()
+            assert cell.final_p_trap == dist[base.trap_target]
 
 
 def _fingerprint(result):
@@ -515,15 +534,18 @@ class TestBlockSize:
             ),
             # The top level's sin only enters the leak guard: the field stays finite.
             ("elastic", 1, -1,
-             "LeakageError: population would leave truncation: |c_nmax sin theta_nmax| = nan"),
+             "LeakageError: population would leave truncation: P(n_max) sin^2 theta_nmax = nan"),
+            ("nsm", 1, -1,
+             "LeakageError: population would leave truncation: P(n_max) sin^2 theta_nmax = nan"),
         ],
-        ids=["nsm-cos", "elastic-cos", "elastic-top-sin"],
+        ids=["nsm-cos", "elastic-cos", "elastic-top-sin", "nsm-top-sin"],
     )
     def test_nan_factor_ends_the_cell(self, monkeypatch, scheme, factor, level, message):
         # A NaN cos (factor 0) or sin (1) at atom 5 of one cell, at every
-        # block and batch size: Python's max and min skip a NaN that is not
-        # first, and a NaN passes every `x > limit`.  The cell is that of
-        # stream `poisoned_stream`, the last cell of its batch at every batch size.
+        # block and batch size.  The block's test must see it wherever it
+        # sits among the block's guard inputs, although a NaN passes every
+        # `x > limit`.  The cell is that of stream `poisoned_stream`, the
+        # last cell of its batch at every batch size.
         original_derive, original_rabi = experiment.derive_streams, experiment.rabi_cos_sin
         poisoned_stream = [0]
         drawn = [None]  # atoms whose factors the poisoned cell's batch has taken
