@@ -9,7 +9,8 @@ the approximate return map
 
 whose fixed points eps * g tau in 2 pi Z are marginally stable: attracting
 from below, repelling from above, so small timing noise produces long
-quiescent episodes interrupted by escapes (intermittent chaos).
+quiescent episodes interrupted by escapes (intermittent chaos).  The
+coupling g is the unit of frequency, so each drawn time tau_k is g tau_k.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvfile import BLOCK_ROWS, write_csv
-from .dynamics import CouplingParams
 from .errors import SimulationError
 from .stochastic import SeedSpec, TimingModel, derive_stream, sample_timing_array
 
@@ -84,7 +84,6 @@ def classical_trajectory(
     epsilon0: float,
     n_steps: int,
     timing: TimingModel,
-    params: CouplingParams,
     seed: SeedSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterate the return map with drawn times.
@@ -108,14 +107,14 @@ def classical_trajectory(
         chunk, _ = sample_timing_array(timing, rng, count)
         taus[done : done + count] = chunk
         # A step adds at most min(2/eps, eps (g tau)^2 / 2) <= g tau to eps.
-        g_tau = float(chunk.max()) * params.g
+        g_tau = float(chunk.max())
         top = eps + count * g_tau  # above every eps of the block
         if not (top <= EPSILON_MAX and math.isfinite(top * g_tau)):
             raise SimulationError(f"return map may overflow in steps {done + 1}-{done + count}: "
                                   f"epsilon may reach {top:.6g}, epsilon g tau {top * g_tau:.6g}")
         # eps, map(eps), map(map(eps)), ...: the block's start and its `count`
         # steps, read one at a time so no list of the block's floats is built.
-        steps = itertools.accumulate((chunk * params.g).tolist(), return_map_approx, initial=eps)
+        steps = itertools.accumulate(chunk.tolist(), return_map_approx, initial=eps)
         eps_out[done : done + count + 1] = np.fromiter(steps, float, count + 1)
         done += count
         eps = float(eps_out[done])
@@ -126,14 +125,13 @@ def classical_run(
     epsilon0: float,
     n_steps: int,
     timing: TimingModel,
-    params: CouplingParams,
     seed: SeedSpec,
 ) -> np.ndarray:
     """Field energy eps^2/4 along a return-map trajectory.
 
     Entry k is the energy after k atoms; entry 0 is the initial value.
     """
-    _, eps = classical_trajectory(epsilon0, n_steps, timing, params, seed)
+    _, eps = classical_trajectory(epsilon0, n_steps, timing, seed)
     return eps * eps / 4.0
 
 

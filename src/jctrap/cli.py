@@ -1,9 +1,12 @@
 """Command-line front end: presets, config parsing, outputs, manifests.
 
-Configs are flat `key = value` text (times in units of 1/g, marked in the
-key names); command-line flags override file values.  Every run writes a
-manifest holding the fully resolved config, the master seed and sha256
-digests of each output file, which is enough to bit-reproduce them.
+Configs are flat `key = value` text; command-line flags override file
+values.  The coupling g is the unit of frequency, so times are in units of
+1/g, marked in the key names, and no config sets g: a manifest written
+when g was a token loads if it holds g = 1, the only value it ever had.
+Every run writes a manifest holding the fully resolved config, the master
+seed and sha256 digests of each output file, which is enough to
+bit-reproduce them.
 """
 from __future__ import annotations
 
@@ -17,9 +20,10 @@ from pathlib import Path
 
 from . import __version__
 from .classical import EPSILON_MAX, EPSILON_MIN, classical_trajectory, write_classical_csv
-from .dynamics import CouplingParams
+from .dynamics import SCHEME_KINDS
 from .errors import ConfigError, SimulationError
 from .experiment import (
+    RUN_MODES,
     RunConfig,
     build_run_config,
     run_sequence,
@@ -28,7 +32,7 @@ from .experiment import (
     write_trajectory_csv,
 )
 from .fock import write_distribution_csv
-from .stochastic import SeedSpec, TimingModel
+from .stochastic import TIMING_LAWS, SeedSpec, TimingModel
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,6 @@ class ClassicalConfig:
     epsilon0: float
     n_steps: int
     timing: TimingModel
-    coupling: CouplingParams
     seed: SeedSpec
 
 
@@ -48,7 +51,6 @@ def build_classical_config(
     spread_time: float | None = None,
     spread_frac: float = 0.0,
     law: str = "uniform",
-    g: float = 1.0,
     master_seed: int = 0,
     stream_id: int = 0,
 ) -> ClassicalConfig:
@@ -65,9 +67,7 @@ def build_classical_config(
     if spread_time is None:
         spread_time = spread_frac * tau_bar
     timing = TimingModel(tau_bar=tau_bar, spread=spread_time, law=law)
-    return ClassicalConfig(
-        epsilon0, n_steps, timing, CouplingParams(g), SeedSpec(master_seed, stream_id)
-    )
+    return ClassicalConfig(epsilon0, n_steps, timing, SeedSpec(master_seed, stream_id))
 
 
 @dataclass
@@ -204,7 +204,6 @@ _TOKENS = {
     "spread_in_inv_g": ("spread_time", float, _back("timing.spread", _fmt)),
     "spread_frac": ("spread_frac", float, None),
     "spread_mult": ("spread_mult", float, None),
-    "g": ("g", float, _back("coupling.g", _fmt)),
     "omega_in_g": ("omega", float, _back("omega", _fmt)),
     "phi_f_rad": ("phi_f", float, _back("scheme.phi_f", _fmt)),
     "nmax": ("n_max", int, _back("n_max")),
@@ -219,8 +218,8 @@ _TOKENS = {
 
 _RUN_TOKENS = (
     "scheme", "trap", "q", "atoms", "alpha", "fock", "dist", "mode", "tau_bar_in_inv_g",
-    "spread_in_inv_g", "spread_frac", "spread_mult", "g", "omega_in_g", "phi_f_rad", "nmax",
-    "seed", "stream", "halt_on_failure",
+    "spread_in_inv_g", "spread_frac", "spread_mult", "omega_in_g", "phi_f_rad", "nmax", "seed",
+    "stream", "halt_on_failure",
 )
 _SPREAD_INPUTS = ("spread_in_inv_g", "spread_frac", "spread_mult")
 
@@ -229,8 +228,8 @@ _COMMAND_TOKENS = {
     "run": _RUN_TOKENS,
     "sweep": (*(t for t in _RUN_TOKENS if t not in _SPREAD_INPUTS), "spread_mults", "ensemble"),
     "classical": (
-        "epsilon0", "steps", "tau_bar_in_inv_g", "spread_in_inv_g", "spread_frac", "dist", "g",
-        "seed", "stream",
+        "epsilon0", "steps", "tau_bar_in_inv_g", "spread_in_inv_g", "spread_frac", "dist", "seed",
+        "stream",
     ),
 }
 
@@ -275,6 +274,15 @@ def parse_config(overrides: dict[str, str], command: str | None = None) -> Parse
         )
     if cmd not in _COMMAND_TOKENS:
         raise ConfigError(f"command: unknown command {cmd!r}")
+    # Any g but the unit would rerun an older manifest with every time rescaled.
+    g = given.pop("g", "1")
+    try:
+        g_is_unit = float(g) == 1.0
+    except ValueError:
+        g_is_unit = False
+    if not g_is_unit:
+        raise ConfigError(f"g: times are in units of 1/g, so g must be 1, got {g!r}; "
+                          "scale tau_bar_in_inv_g and spread_in_inv_g by g instead")
     names = _COMMAND_TOKENS[cmd]
     for key in given:
         if key not in (*names, "command", *_IGNORED[cmd]):
@@ -385,7 +393,7 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file (flat key = value, or a manifest)")
     p.add_argument("--preset", help="start from a named scenario preset")
-    p.add_argument("--scheme", choices=["nsm", "elastic", "inelastic", "superposition"])
+    p.add_argument("--scheme", choices=SCHEME_KINDS)
     p.add_argument("--trap", type=int, help="target trap level n_t")
     p.add_argument("--q", type=int, help="trapping order (theta_nt = q pi)")
     p.add_argument("--alpha", help="coherent initial amplitude (number or sqrtN)")
@@ -393,15 +401,14 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--atoms", type=int, help="number of atoms N")
     p.add_argument("--spread-mult", type=float, help="spread as a multiple of the critical spread")
     p.add_argument("--spread-frac", type=float, help="spread as a fraction of tau_bar")
-    p.add_argument("--dist", choices=["uniform", "gaussian"], help="timing law")
-    p.add_argument("--mode", choices=["postselect", "sample"], help="outcome handling")
+    p.add_argument("--dist", choices=TIMING_LAWS, help="timing law")
+    p.add_argument("--mode", choices=RUN_MODES, help="outcome handling")
     p.add_argument(
         "--omega", dest="omega_in_g", type=float, help="Ramsey Rabi frequency in units of g"
     )
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--stream", type=int, help="stream id (trajectory index)")
     p.add_argument("--nmax", type=int, help="Fock truncation bound")
-    p.add_argument("--g", type=float, help="coupling strength scale")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--gtau-bar", dest="tau_bar_in_inv_g", type=float, help="mean g*tau per transit"
     )
     p_cls.add_argument("--spread-frac", type=float, help="spread as a fraction of tau_bar")
-    p_cls.add_argument("--dist", choices=["uniform", "gaussian"])
+    p_cls.add_argument("--dist", choices=TIMING_LAWS)
     p_cls.add_argument("--seed", type=int)
     p_cls.add_argument("--stream", type=int)
     p_cls.add_argument("--out-dir", required=True)
@@ -454,7 +461,7 @@ _NOT_TOKENS = ("subcommand", "config", "preset", "out_dir")
 _REPLACED_TOGETHER = (_SPREAD_INPUTS, ("alpha", "fock"))
 
 # A run's default tau_bar_in_inv_g is the trapping time of these.
-_TRAPPING_TIME_KEYS = ("trap", "q", "g")
+_TRAPPING_TIME_KEYS = ("trap", "q")
 
 
 def _merge_layers(layers: list[dict[str, str]], command: str) -> dict[str, str]:
@@ -462,9 +469,9 @@ def _merge_layers(layers: list[dict[str, str]], command: str) -> dict[str, str]:
 
     A layer that sets a spread key replaces every spread key below it, and
     one that sets alpha or fock replaces both.  A run or sweep layer that
-    sets trap, q or g over a lower tau_bar_in_inv_g is an error: a config
+    sets trap or q over a lower tau_bar_in_inv_g is an error: a config
     cannot tell a chosen time from the default trapping time of its own
-    trap, q and g.
+    trap and q.
     """
     tokens: dict[str, str] = {}
     for layer in layers:
@@ -525,7 +532,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         result = run_sequence(parsed.run)
     elif parsed.command == "classical":
         cfg = parsed.classical
-        result = classical_trajectory(cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.coupling, cfg.seed)
+        result = classical_trajectory(cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.seed)
     else:
         multipliers = [float(m) for m in parsed.tokens["spread_mults"].split(",")]
         result = sweep(parsed.run, multipliers, int(parsed.tokens["ensemble"]))

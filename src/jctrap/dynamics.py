@@ -1,7 +1,7 @@
 """One-atom cavity dynamics and measurement updates.
 
 An excited two-level atom crossing the field for a time tau entangles with
-it: each Fock component n acquires a Rabi phase theta_n = g tau sqrt(n+1),
+it: each Fock component n acquires a Rabi phase theta_n = tau sqrt(n+1),
 
     c_n |e,n>  ->  c_n [cos(theta_n) |e,n> - i sin(theta_n) |g,n+1>].
 
@@ -19,6 +19,9 @@ followed by renormalization; the success probability is P_k = sum |d_n|^2.
 
 Fock levels with theta_n = q pi are trapping states: stimulated emission
 out of them vanishes, so population piles up there from below.
+
+The field-dipole coupling g is the unit of frequency and 1/g that of time:
+only the product g tau enters the dynamics, so every time here is g tau.
 """
 from __future__ import annotations
 
@@ -29,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LeakageError, OrthogonalOutcomeError
+from .errors import LeakageError, OrthogonalOutcomeError
 from .fock import FieldState, renormalize
 
 # Rabi phases within this fraction of pi from an exact multiple q*pi are
 # snapped onto it.  Without the snap, sin(theta) at a trapping time computed
-# from pi/(g sqrt(n_t+1)) evaluates to a few ULP instead of zero and the
+# from pi/sqrt(n_t+1) evaluates to a few ULP instead of zero and the
 # exact-blockage property is lost to rounding.  Physical fluctuations put
 # theta many orders of magnitude farther from q*pi than this.
 TRAP_SNAP_TOL = 1e-12
@@ -47,19 +50,6 @@ LEAK_P_TOL = 1e-16
 # A conditional measurement with success probability at or below this is an
 # orthogonal outcome.
 ORTHOGONAL_P_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CouplingParams:
-    """Field-dipole coupling strength g; times always enter as g*tau."""
-
-    g: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.g):
-            raise ConfigError(f"g: must be finite, got {self.g}")
-        if not self.g > 0:
-            raise ConfigError(f"g: must be > 0, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +114,12 @@ class MeasurementScheme:
     phi_f: float
 
 
-def theta(params: CouplingParams, tau: float, n: int) -> float:
-    """Rabi phase theta_n = g tau sqrt(n+1)."""
-    return params.g * tau * math.sqrt(n + 1.0)
+def theta(tau: float, n: int) -> float:
+    """Rabi phase theta_n = tau sqrt(n+1)."""
+    return tau * math.sqrt(n + 1.0)
 
 
-def trapping_time(n_t: int, q: int, params: CouplingParams) -> float:
+def trapping_time(n_t: int, q: int) -> float:
     """Interaction time with theta_{n_t} = q pi, blocking emission out of n_t.
 
     q = 0 is allowed and gives tau = 0 (identity dynamics).
@@ -138,32 +128,32 @@ def trapping_time(n_t: int, q: int, params: CouplingParams) -> float:
         raise ValueError("n_t must be >= 0")
     if q < 0:
         raise ValueError("q must be >= 0")
-    return q * math.pi / (params.g * math.sqrt(n_t + 1.0))
+    return q * math.pi / math.sqrt(n_t + 1.0)
 
 
-def critical_spread(n_t: int, params: CouplingParams) -> float:
+def critical_spread(n_t: int) -> float:
     """Spread separating convergent from non-convergent regimes.
 
     The gap between the trapping (theta_{n_t} = pi) and anti-trapping
-    (theta_{n_t} = pi/2) interaction times: pi / (2 g sqrt(n_t+1)).
+    (theta_{n_t} = pi/2) interaction times: pi / (2 sqrt(n_t+1)).
     """
     if n_t < 0:
         raise ValueError("n_t must be >= 0")
-    return math.pi / (2.0 * params.g * math.sqrt(n_t + 1.0))
+    return math.pi / (2.0 * math.sqrt(n_t + 1.0))
 
 
-def stationary_phase_ratio(n_t: int, params: CouplingParams, omega: float) -> float:
+def stationary_phase_ratio(n_t: int, omega: float) -> float:
     """Ramsey-to-cavity time ratio r making the CM phase stationary at n_t.
 
-    With T_k = r tau_k and Omega r = 2 g sqrt(n_t+1), the correlated-CM
-    cosine argument Omega T_k / 2 - g tau_k sqrt(n+1) vanishes at n = n_t
+    With T_k = r tau_k and Omega r = 2 sqrt(n_t+1), the correlated-CM
+    cosine argument Omega T_k / 2 - tau_k sqrt(n+1) vanishes at n = n_t
     for every tau_k, pinning the trap level against timing fluctuations.
     """
     if not omega > 0:
         raise ValueError("omega must be > 0")
     if n_t < 0:
         raise ValueError("n_t must be >= 0")
-    return 2.0 * params.g * math.sqrt(n_t + 1.0) / omega
+    return 2.0 * math.sqrt(n_t + 1.0) / omega
 
 
 @functools.lru_cache(maxsize=32)
@@ -174,9 +164,9 @@ def _level_roots(n_max: int) -> np.ndarray:
     return roots
 
 
-def _theta_array(params: CouplingParams, tau, n_max: int) -> np.ndarray:
+def _theta_array(tau, n_max: int) -> np.ndarray:
     """Rabi phases of levels 0..n_max (a new array); times shaped (..., 1) give a row each."""
-    return params.g * tau * _level_roots(n_max)
+    return tau * _level_roots(n_max)
 
 
 def _snapped_cos_sin(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,13 +182,13 @@ def _snapped_cos_sin(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos_t, sin_t
 
 
-def rabi_cos_sin(params: CouplingParams, tau, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def rabi_cos_sin(tau, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin of the Rabi phases theta_n, snapped at multiples of pi.
 
     tau is one interaction time, or times of any shape ending in 1, such as
     (atoms, cells, 1): each row of levels equals the one-time result bit for bit.
     """
-    return _snapped_cos_sin(_theta_array(params, tau, n_max))
+    return _snapped_cos_sin(_theta_array(tau, n_max))
 
 
 def _check_leak(p_top: float, sin_top: float) -> None:
@@ -210,21 +200,21 @@ def _check_leak(p_top: float, sin_top: float) -> None:
         )
 
 
-def jcm_entangle(field: FieldState, params: CouplingParams, tau: float) -> EntangledState:
+def jcm_entangle(field: FieldState, tau: float) -> EntangledState:
     """Entangle an excited atom with the field for an interaction time tau.
 
     Raises LeakageError when the top Fock level would emit more than 1e-16
     of probability out of the truncated basis: P(n_max) sin^2 theta_nmax,
     with P(n_max) = |c_{n_max}|^2, the check nsm_step makes.
     """
-    cos_t, sin_t = rabi_cos_sin(params, tau, field.n_max)
+    cos_t, sin_t = rabi_cos_sin(tau, field.n_max)
     _check_leak(field.probabilities()[-1], sin_t[-1])
     e_branch = field.amplitudes * cos_t
     g_branch = -1j * field.amplitudes * sin_t
     return EntangledState(e_branch, g_branch, field.n_max)
 
 
-def nsm_step(probs: np.ndarray, params: CouplingParams, tau: float) -> np.ndarray:
+def nsm_step(probs: np.ndarray, tau: float) -> np.ndarray:
     """Non-selective measurement update of the photon-number populations.
 
     P'(n) = P(n) cos^2(theta_n) + P(n-1) sin^2(theta_{n-1}), with P(-1) = 0.
@@ -236,7 +226,7 @@ def nsm_step(probs: np.ndarray, params: CouplingParams, tau: float) -> np.ndarra
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"input populations sum to {total!r}, expected 1")
     n_max = p.shape[0] - 1
-    cos_t, sin_t = rabi_cos_sin(params, tau, n_max)
+    cos_t, sin_t = rabi_cos_sin(tau, n_max)
     _check_leak(p[-1], sin_t[-1])
     out = p * cos_t**2
     out[1:] += p[:-1] * sin_t[:-1] ** 2
@@ -284,27 +274,19 @@ def cm_project(ent: EntangledState, rot: AtomRotation) -> tuple[FieldState, floa
     return state, min(p_k, 1.0)
 
 
-def approx_cm_coefficient(
-    c_prev: complex,
-    omega: float,
-    T: float,
-    params: CouplingParams,
-    tau: float,
-    n: int,
-) -> complex:
+def approx_cm_coefficient(c_prev: complex, omega: float, T: float, tau: float, n: int) -> complex:
     """Large-n conditional-measurement update of a single amplitude.
 
     For phi_f = -pi/2 and slowly varying amplitudes the projection reduces
-    per component to cos(Omega T/2 - g tau sqrt(n+1)) c_n, up to the common
+    per component to cos(Omega T/2 - tau sqrt(n+1)) c_n, up to the common
     normalization.  Serves as the consistency oracle for cm_project.
     """
-    return math.cos(omega * T / 2.0 - theta(params, tau, n)) * c_prev
+    return math.cos(omega * T / 2.0 - theta(tau, n)) * c_prev
 
 
 def correlated_cm_factors(
     omega: float,
     T: float,
-    params: CouplingParams,
     tau: float,
     n_max: int,
     phi_f: float = -math.pi / 2,
@@ -320,7 +302,7 @@ def correlated_cm_factors(
     held exactly.  T and tau may be times of one shape ending in 1, such as
     (atoms, cells, 1): each row of levels equals the one-pair result bit for bit.
     """
-    thetas = _theta_array(params, tau, n_max)
+    thetas = _theta_array(tau, n_max)
     half = omega * T / 2.0
     if phi_f == -math.pi / 2:
         arg = half - thetas

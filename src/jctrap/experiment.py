@@ -28,7 +28,6 @@ from .dynamics import (
     LEAK_P_TOL,
     ORTHOGONAL_P_TOL,
     SCHEME_KINDS,
-    CouplingParams,
     MeasurementScheme,
     correlated_cm_factors,
     critical_spread,
@@ -118,7 +117,6 @@ class RunConfig:
     q: int
     initial_field: InitialField
     timing: TimingModel
-    coupling: CouplingParams
     n_max: int
     mode: str
     seed: SeedSpec
@@ -197,7 +195,6 @@ def build_run_config(
     mode: str = "postselect",
     omega: float = 1.0,
     phi_f: float = -math.pi / 2,
-    g: float = 1.0,
     master_seed: int = 0,
     stream_id: int = 0,
     n_max: int | None = None,
@@ -209,22 +206,21 @@ def build_run_config(
     to the truncation policy.  The spread is spread_time if given, else
     spread_frac * tau_bar, else spread_mult times the critical spread.  The
     superposition Ramsey ratio is the stationary-phase closure
-    2 g sqrt(n_t+1) / omega.  Each value is checked before anything is
+    2 sqrt(n_t+1) / omega.  Each value is checked before anything is
     derived from it; a bad one raises ConfigError naming its config token.
     """
     if (alpha is None) == (fock_n is None):
         raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
-    coupling = CouplingParams(g)
     _check_derivation_inputs(trap_target, q, scheme, omega)
     if tau_bar is None:
-        tau_bar = trapping_time(trap_target, q, coupling)
+        tau_bar = trapping_time(trap_target, q)
     if spread_time is None and spread_frac is not None:
         spread_time = spread_frac * tau_bar
     if spread_time is None:
-        spread_time = spread_mult * critical_spread(trap_target, coupling)
+        spread_time = spread_mult * critical_spread(trap_target)
     ratio = 0.0
     if scheme == "superposition":
-        ratio = stationary_phase_ratio(trap_target, coupling, omega)
+        ratio = stationary_phase_ratio(trap_target, omega)
     config = RunConfig(
         scheme=MeasurementScheme(scheme, phi_f),
         n_atoms=n_atoms,
@@ -236,7 +232,6 @@ def build_run_config(
             else InitialField("fock", n=int(fock_n))
         ),
         timing=TimingModel(tau_bar=tau_bar, spread=spread_time, law=law, ramsey_ratio=ratio),
-        coupling=coupling,
         n_max=n_max if n_max is not None else default_n_max(trap_target),
         mode=mode,
         seed=SeedSpec(master_seed, stream_id),
@@ -336,10 +331,9 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
                        else sample_timing(c.timing, c.rng) for c in cells] for _ in range(b)])
     taus, ramsey = times[..., :1], times[..., 1:2]
     if kind == "superposition":
-        cm = correlated_cm_factors(
-            config.omega, ramsey, config.coupling, taus, config.n_max, config.scheme.phi_f)
+        cm = correlated_cm_factors(config.omega, ramsey, taus, config.n_max, config.scheme.phi_f)
         return times, None, [(f, None) for f in cm]
-    cos_t, sin_t = rabi_cos_sin(config.coupling, taus, config.n_max)
+    cos_t, sin_t = rabi_cos_sin(taus, config.n_max)
     if run.nsm:
         sin_sq = np.square(sin_t, out=sin_t)
         return times, sin_sq[..., -1], [(np.square(cos_t, out=cos_t), sin_sq)]
@@ -393,6 +387,8 @@ def _guard(run: _Run, inputs: tuple[float, ...], atom: int) -> SimulationError |
         return "impossible post-selection"
     if not norm > ORTHOGONAL_NORM_SQ:
         return OrthogonalOutcomeError(f"cannot renormalize state with squared norm {norm:.3e}")
+    if math.isnan(p_k):  # a sampled atom may renormalize by the finite orthogonal norm
+        return SimulationError(f"selected outcome's squared norm is nan at atom {atom}")
     if not abs(total - 1.0) <= NORM_ATOL:
         return SimulationError(f"state norm drifted to {total!r} at atom {atom}")
     if not top <= TOP_LEVEL_GUARD:
@@ -564,7 +560,7 @@ def sweep(
         for i, mult in enumerate(spread_multipliers)
         for j in range(ensemble)
     ]
-    critical = critical_spread(base.trap_target, base.coupling)
+    critical = critical_spread(base.trap_target)
     outcomes: dict[int, RunResult | Exception] = {}
     runs: dict[int, tuple[TimingModel, SeedSpec]] = {}
     for mult, index in jobs:

@@ -17,7 +17,6 @@ from jctrap.cli import main, preset
 from jctrap.dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
-    CouplingParams,
     approx_cm_coefficient,
     cm_project,
     correlated_cm_factors,
@@ -32,8 +31,6 @@ from jctrap.dynamics import (
 from jctrap.experiment import build_run_config, run_sequence, sampled_success_estimate, sweep
 from jctrap.fock import FieldState, coherent_state, distribution_stats
 from jctrap.stochastic import SeedSpec, derive_stream, sample_timing
-
-G1 = CouplingParams(1.0)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -114,7 +111,7 @@ def test_criterion_5a_classical_fixed_point():
     # for delta = eps* - eps it reads delta <- delta - (g tau)^2 delta^2 / (2 eps*),
     # so the energy gap closes as gap_k ~ C / k with C = 199^2 / (4 pi^2) = 1003.1.
     cfg = preset("fig1c").classical
-    trace = classical_run(cfg.epsilon0, 110_000, cfg.timing, cfg.coupling, cfg.seed)
+    trace = classical_run(cfg.epsilon0, 110_000, cfg.timing, cfg.seed)
     c_law = 199.0**2 / (4.0 * math.pi**2)
     gap = 199.0 / 4.0 - trace
     from_below = bool(np.all(np.diff(trace) >= 0.0) and np.all(gap > 0.0))
@@ -136,7 +133,7 @@ def test_criterion_5b_classical_escape():
     escaped = 0
     for stream in range(10):
         trace = classical_run(
-            cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.coupling, SeedSpec(cfg.seed.master_seed, stream)
+            cfg.epsilon0, cfg.n_steps, cfg.timing, SeedSpec(cfg.seed.master_seed, stream)
         )
         if trace.max() > 60.0:
             escaped += 1
@@ -158,13 +155,13 @@ def test_criterion_6_measurement_algebra_oracle():
         amps /= np.linalg.norm(amps)
         state = FieldState(amps, n_max)
         tau = float(rng.uniform(0.05, 2.0))
-        ent = jcm_entangle(state, G1, tau)
+        ent = jcm_entangle(state, tau)
         d_e = project_amplitudes(ent, ELASTIC_ROTATION)
         d_g = project_amplitudes(ent, INELASTIC_ROTATION)
         p_e = float(np.vdot(d_e, d_e).real)
         p_g = float(np.vdot(d_g, d_g).real)
         mixture = np.abs(d_e) ** 2 + np.abs(d_g) ** 2
-        direct = nsm_step(state.probabilities(), G1, tau)
+        direct = nsm_step(state.probabilities(), tau)
         worst_mix = max(worst_mix, float(np.max(np.abs(mixture - direct))))
         worst_sum = max(worst_sum, abs(p_e + p_g - 1.0))
     _report(
@@ -187,12 +184,12 @@ def test_criterion_7_exact_vs_large_n_update():
 
     tau = 0.96 * math.pi / math.sqrt(451.0)
     omega = 1.0
-    ramsey_T = 2.0 * theta(G1, tau, 450) / omega
+    ramsey_T = 2.0 * theta(tau, 450) / omega
     exact, _ = cm_project(
-        jcm_entangle(state, G1, tau), ramsey_coeffs(omega, ramsey_T, -math.pi / 2)
+        jcm_entangle(state, tau), ramsey_coeffs(omega, ramsey_T, -math.pi / 2)
     )
     approx = np.array(
-        [approx_cm_coefficient(amps[n], omega, ramsey_T, G1, tau, n) for n in range(n_max + 1)]
+        [approx_cm_coefficient(amps[n], omega, ramsey_T, tau, n) for n in range(n_max + 1)]
     )
     approx /= np.linalg.norm(approx)
     rel = np.abs(exact.amplitudes[window] - approx[window]) / np.abs(approx[window])
@@ -231,19 +228,19 @@ def test_criterion_9_numerical_hygiene(tmp_path):
     base = preset("fig4").run
     rng = derive_stream(base.seed)
     state = base.initial_field.build(base.n_max)
-    ratio = stationary_phase_ratio(21, G1, base.omega)
+    ratio = stationary_phase_ratio(21, base.omega)
     worst = abs(state.norm_sq - 1.0)
     for _ in range(300):
         tau, ramsey_T = sample_timing(base.timing, rng)
-        success, _ = correlated_cm_factors(base.omega, ramsey_T, G1, tau, base.n_max)
+        success, _ = correlated_cm_factors(base.omega, ramsey_T, tau, base.n_max)
         d = success * state.amplitudes
         p = float(np.vdot(d, d).real)
         state = FieldState(d / math.sqrt(p), base.n_max)
         worst = max(worst, abs(state.norm_sq - 1.0))
     probs = coherent_state(3.0, 233)[0].probabilities()
-    tau_fix = trapping_time(138, 1, G1)
+    tau_fix = trapping_time(138, 1)
     for _ in range(100):
-        probs = nsm_step(probs, G1, tau_fix)
+        probs = nsm_step(probs, tau_fix)
         worst = max(worst, abs(float(probs.sum()) - 1.0))
     norm_ok = worst < 1e-10
 

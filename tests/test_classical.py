@@ -16,10 +16,8 @@ from jctrap.classical import (
     return_map_approx,
     write_classical_csv,
 )
-from jctrap.dynamics import CouplingParams
 from jctrap.stochastic import SeedSpec, TimingModel
 
-G1 = CouplingParams(1.0)
 GTAU_199 = 2.0 * math.pi / math.sqrt(199.0)
 
 
@@ -110,7 +108,7 @@ class TestReturnMap:
 class TestClassicalRun:
     def test_constant_at_fixed_point(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        out = classical_run(math.sqrt(199.0), 1000, timing, G1, SeedSpec(0, 0))
+        out = classical_run(math.sqrt(199.0), 1000, timing, SeedSpec(0, 0))
         assert np.max(np.abs(out - 199.0 / 4.0)) < 1e-12
 
     def test_fixed_time_convergence_rate(self):
@@ -118,7 +116,7 @@ class TestClassicalRun:
         # gap ~ 199^2/(4 pi^2 k), so 0.0996 away after 1e4 iterations and first
         # inside 0.01 at iteration 100 210.
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        out = classical_run(6.0, 120_000, timing, G1, SeedSpec(0, 0))
+        out = classical_run(6.0, 120_000, timing, SeedSpec(0, 0))
         assert np.all(np.diff(out) >= 0.0)
         gap_1e4 = 199.0 / 4.0 - out[10_000]
         assert 0.05 < gap_1e4 < 0.15
@@ -131,29 +129,29 @@ class TestClassicalRun:
 
     def test_escape_under_one_percent_noise(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.01 * GTAU_199)
-        out = classical_run(6.0, 100_000, timing, G1, SeedSpec(99, 0))
+        out = classical_run(6.0, 100_000, timing, SeedSpec(99, 0))
         assert out.max() > 60.0
 
     def test_initial_value_recorded(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        out = classical_run(6.0, 10, timing, G1, SeedSpec(0, 0))
+        out = classical_run(6.0, 10, timing, SeedSpec(0, 0))
         assert out[0] == 9.0
         assert len(out) == 11
 
     def test_deterministic_given_seed(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.01 * GTAU_199)
-        a = classical_run(6.0, 5000, timing, G1, SeedSpec(7, 3))
-        b = classical_run(6.0, 5000, timing, G1, SeedSpec(7, 3))
+        a = classical_run(6.0, 5000, timing, SeedSpec(7, 3))
+        b = classical_run(6.0, 5000, timing, SeedSpec(7, 3))
         assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_start(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
         with pytest.raises(ValueError):
-            classical_run(0.0, 10, timing, G1, SeedSpec(0, 0))
+            classical_run(0.0, 10, timing, SeedSpec(0, 0))
 
     def test_trajectory_csv(self, tmp_path):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        taus, epsilons = classical_trajectory(6.0, 25, timing, G1, SeedSpec(0, 0))
+        taus, epsilons = classical_trajectory(6.0, 25, timing, SeedSpec(0, 0))
         assert len(taus) == 25 and len(epsilons) == 26
         path = tmp_path / "classical.csv"
         write_classical_csv(path, taus, epsilons)

@@ -18,11 +18,9 @@ from jctrap.cli import (
     parse_kv_file,
     preset,
 )
-from jctrap.dynamics import CouplingParams, critical_spread, trapping_time
+from jctrap.dynamics import critical_spread, trapping_time
 from jctrap.errors import ConfigError
 from jctrap.fock import coherent_state
-
-G1 = CouplingParams(1.0)
 
 
 class TestAlphaTokens:
@@ -51,8 +49,8 @@ class TestPresets:
         assert cfg.scheme.kind == "elastic"
         assert cfg.trap_target == 20
         assert cfg.initial_field.alpha == 3.0
-        assert cfg.timing.tau_bar == trapping_time(20, 1, G1)
-        assert cfg.timing.spread == pytest.approx(critical_spread(20, G1) / 10.0)
+        assert cfg.timing.tau_bar == trapping_time(20, 1)
+        assert cfg.timing.spread == pytest.approx(critical_spread(20) / 10.0)
         assert cfg.n_atoms == 2000
 
     def test_fig1c_values(self):
@@ -74,7 +72,7 @@ class TestPresets:
         assert cfg.scheme.kind == "superposition"
         assert cfg.trap_target == 21
         assert cfg.initial_field.alpha == math.sqrt(21.0)
-        assert cfg.timing.spread == pytest.approx(2.0 * critical_spread(21, G1))
+        assert cfg.timing.spread == pytest.approx(2.0 * critical_spread(21))
         assert cfg.n_atoms == 2000
         assert cfg.mode == "postselect"
 
@@ -98,9 +96,16 @@ class TestPresets:
     )
     def test_printed_tokens_pinned(self, capsys, name, digest):
         # sha256 of `jctrap preset <name>` as first recorded: every resolved
-        # token, its text and its order.
+        # token, its text and its order.  The record also held the retired
+        # `g = 1`, after spread_in_inv_g (run) or dist (classical).
         assert main(["preset", name]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        out = capsys.readouterr().out
+        assert "\ng = " not in out
+        lines = out.splitlines(keepends=True)
+        anchor = "dist = " if "command = classical" in out else "spread_in_inv_g = "
+        at = next(i for i, line in enumerate(lines) if line.startswith(anchor)) + 1
+        recorded = "".join([*lines[:at], "g = 1\n", *lines[at:]])
+        assert hashlib.sha256(recorded.encode()).hexdigest() == digest
 
 
 class TestParseConfig:
@@ -291,6 +296,32 @@ class TestCliEndToEnd:
         assert lines[0] == "multiplier,cell,final_P_nt,cum_P,converged"
         assert len(lines) == 5
 
+    def test_sweep_from_run_manifest(self, tmp_path):
+        # The run manifest's `command = run` is dropped and its spread ignored:
+        # the sweep equals the one its preset and flags give.
+        manifest_tokens(tmp_path, ["run", "--preset", "fig2a", "--atoms", "30"], "run")
+        cells = ("--spread-mults", "0.5,1", "--ensemble", "2")
+        run_manifest = str(tmp_path / "run" / "manifest.txt")
+        from_run = manifest_tokens(tmp_path, ["sweep", "--config", run_manifest, *cells], "a")
+        by_flags = manifest_tokens(
+            tmp_path, ["sweep", "--preset", "fig2a", "--atoms", "30", *cells], "b"
+        )
+        assert from_run == by_flags
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
+            tmp_path / "b" / "sweep.csv"
+        ).read_bytes()
+
+    def test_sweep_with_a_failed_cell(self, tmp_path, capsys):
+        # 100 critical spreads exceed 2 tau_bar, which a uniform law forbids:
+        # that cell fails alone, with a nan row, and the sweep exits 0.
+        out_dir = tmp_path / "sw"
+        argv = ["sweep", "--preset", "fig2a", "--atoms", "5", "--spread-mults", "0.1,100"]
+        assert main([*argv, "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().err == "some sweep cells failed; see sweep.csv and manifest\n"
+        rows = (out_dir / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 3 and rows[1].startswith("0.10000000000000001,0,")
+        assert rows[2] == "100,1,nan,nan,0"
+
     def test_preset_subcommand_prints_config(self, capsys):
         assert main(["preset", "fig4"]) == 0
         out = capsys.readouterr().out
@@ -328,6 +359,8 @@ RUN_FLAGS = ("--scheme", "elastic", "--trap", "20", "--alpha", "3", "--atoms", "
 FOCK_FLAGS = ("--scheme", "elastic", "--trap", "20", "--fock", "3", "--atoms", "0")
 FIG1C_STEP = ("--preset", "fig1c", "--steps", "1")
 FIG1C_TAU = 2 * math.pi / math.sqrt(199.0)
+RUN_CONFIG = "command = run\nscheme = elastic\ntrap = 20\nalpha = 3\natoms = 5\n"
+CLASSICAL_CONFIG = "command = classical\nepsilon0 = 6\nsteps = 10\ntau_bar_in_inv_g = 0.5\n"
 
 
 def manifest_tokens(tmp_path, argv, out="out"):
@@ -348,7 +381,6 @@ class TestFlagLayers:
             ),
             pytest.param(["run", *RUN_FLAGS, "--stream", "3"], "stream", "3", id="stream"),
             pytest.param(["run", *RUN_FLAGS, "--nmax", "70"], "nmax", "70", id="nmax"),
-            pytest.param(["run", *RUN_FLAGS, "--g", "2"], "g", "2", id="g"),
             pytest.param(["run", *RUN_FLAGS, "--dist", "gaussian"], "dist", "gaussian", id="dist"),
             pytest.param(["run", *RUN_FLAGS, "--mode", "sample"], "mode", "sample", id="mode"),
             pytest.param(["run", *RUN_FLAGS, "--q", "2"], "q", "2", id="q"),
@@ -369,11 +401,11 @@ class TestFlagLayers:
             pytest.param(["run", *RUN_FLAGS, "--atoms", "2"], "atoms", "2", id="atoms"),
             pytest.param(
                 ["run", *RUN_FLAGS, "--spread-mult", "0.5"],
-                "spread_in_inv_g", format(0.5 * critical_spread(20, G1), ".17g"), id="spread-mult",
+                "spread_in_inv_g", format(0.5 * critical_spread(20), ".17g"), id="spread-mult",
             ),
             pytest.param(
                 ["run", *RUN_FLAGS, "--spread-frac", "0.1"],
-                "spread_in_inv_g", format(0.1 * trapping_time(20, 1, G1), ".17g"),
+                "spread_in_inv_g", format(0.1 * trapping_time(20, 1), ".17g"),
                 id="spread-frac",
             ),
             pytest.param(["run", *RUN_FLAGS, "--seed", "9"], "seed", "9", id="seed"),
@@ -425,16 +457,16 @@ class TestFlagLayers:
         tokens = manifest_tokens(
             tmp_path, ["run", "--preset", "fig1b", "--atoms", "0", "--spread-mult", "0.5"]
         )
-        assert float(tokens["spread_in_inv_g"]) == 0.5 * critical_spread(138, G1)
+        assert float(tokens["spread_in_inv_g"]) == 0.5 * critical_spread(138)
 
     def test_spread_flag_replaces_config_spread(self, tmp_path):
         fig2a = manifest_tokens(tmp_path, ["run", "--preset", "fig2a", "--atoms", "0"], "fig2a")
-        assert float(fig2a["spread_in_inv_g"]) == pytest.approx(0.1 * critical_spread(20, G1))
+        assert float(fig2a["spread_in_inv_g"]) == pytest.approx(0.1 * critical_spread(20))
         tokens = manifest_tokens(
             tmp_path,
             ["run", "--config", str(tmp_path / "fig2a" / "manifest.txt"), "--spread-mult", "1"],
         )
-        assert float(tokens["spread_in_inv_g"]) == critical_spread(20, G1)
+        assert float(tokens["spread_in_inv_g"]) == critical_spread(20)
 
     def test_alpha_flag_replaces_config_fock(self, tmp_path):
         fock_flags = ("--scheme", "elastic", "--trap", "20", "--fock", "3", "--atoms", "0")
@@ -470,11 +502,11 @@ class TestFlagLayers:
         tokens = manifest_tokens(tmp_path, ["run", "--config", str(path)])
         assert (tokens["alpha"], tokens["fock"]) == ("", "3")
 
-    @pytest.mark.parametrize("key", ["q", "trap", "g"])
+    @pytest.mark.parametrize("key", ["q", "trap"])
     def test_tau_bar_input_over_config_time_rejected(self, tmp_path, capsys, key):
         # A preset leaves tau_bar to its default, so the flag moves it ...
         tokens = manifest_tokens(tmp_path, ["run", "--preset", "fig2a", "--atoms", "0", "--q", "2"])
-        assert float(tokens["tau_bar_in_inv_g"]) == trapping_time(20, 2, G1)
+        assert float(tokens["tau_bar_in_inv_g"]) == trapping_time(20, 2)
         # ... but a manifest fixes it, and cannot say whether it was chosen.
         out_dir = tmp_path / "rejected"
         code = main(
@@ -492,7 +524,6 @@ class TestConfigErrors:
         "argv, token",
         [
             pytest.param(["run", "--preset", "fig3ab", "--omega", "0"], "omega", id="omega"),
-            pytest.param(["run", "--preset", "fig2a", "--g", "0"], "g", id="g"),
             pytest.param(["run", "--preset", "fig2a", "--trap", "-1"], "trap", id="trap"),
             pytest.param(["run", "--preset", "fig2a", "--fock", "-1"], "fock", id="fock"),
             pytest.param(["classical", "--preset", "fig1c", "--steps", "-3"], "steps", id="steps"),
@@ -556,8 +587,6 @@ class TestConfigErrors:
         [
             pytest.param(["classical", "--preset", "fig1d", "--epsilon0", "inf"], "epsilon0",
                          id="epsilon0-inf"),
-            pytest.param(["run", "--preset", "fig2a", "--g", "inf"], "g", id="g-inf"),
-            pytest.param(["run", "--preset", "fig2a", "--g", "nan"], "g", id="g-nan"),
             pytest.param(["run", "--preset", "fig4", "--omega", "inf"], "omega", id="omega-inf"),
             # Only the superposition scheme reads omega, but every scheme checks it.
             pytest.param(["run", "--preset", "fig2a", "--atoms", "3", "--omega", "nan"], "omega",
@@ -624,7 +653,7 @@ class TestConfigErrors:
             pytest.param(
                 "run", ["--preset", "fig3ab", "--atoms", "3"],
                 ["--trap", "--q", "--alpha", "--fock", "--atoms", "--spread-mult",
-                 "--spread-frac", "--omega", "--seed", "--stream", "--nmax", "--g"],
+                 "--spread-frac", "--omega", "--seed", "--stream", "--nmax"],
                 id="run",
             ),
             pytest.param(
@@ -664,6 +693,49 @@ class TestConfigErrors:
         assert error == f"config error: config: cannot read {str(path)!r}: {reason}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            pytest.param("run", "trap = abc", "trap: expected an integer, got 'abc'", id="int"),
+            pytest.param("run", "halt_on_failure = maybe",
+                         "halt_on_failure: expected true or false, got 'maybe'", id="bool"),
+            pytest.param("sweep", "spread_mults = ,",
+                         "spread_mults: at least one multiplier required", id="mults"),
+            pytest.param("run", "alpha = sqrtx", "alpha: cannot parse sqrt expression 'sqrtx'",
+                         id="alpha"),
+        ],
+    )
+    def test_unparsable_value_named(self, tmp_path, capsys, command, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"scheme = elastic\ntrap = 20\nalpha = 3\natoms = 5\n{line}\n")
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "config, value",
+        [
+            pytest.param(RUN_CONFIG, "2", id="run-2"),
+            pytest.param(RUN_CONFIG, "0", id="run-0"),
+            pytest.param(RUN_CONFIG, "nan", id="run-nan"),
+            pytest.param(RUN_CONFIG, "x", id="run-x"),
+            pytest.param(CLASSICAL_CONFIG, "0.5", id="classical-0.5"),
+        ],
+    )
+    def test_retired_g_other_than_one_rejected(self, tmp_path, capsys, config, value):
+        # Any g but the unit would rerun a manifest with every time rescaled.
+        path = tmp_path / "g.cfg"
+        path.write_text(f"{config}g = {value}\n")
+        out_dir = tmp_path / "out"
+        command = parse_kv_file(path)["command"]
+        assert main([command, "--config", str(path), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: g: times are in units of 1/g, so g must be 1, got {value!r}; "
+            "scale tau_bar_in_inv_g and spread_in_inv_g by g instead\n"
+        )
+        assert not out_dir.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
         path.write_text(
@@ -685,10 +757,12 @@ class TestConfigErrors:
         [
             pytest.param(["classical", "--preset", "fig1c", "--g", "2"], id="classical-g"),
             pytest.param(["run", "--preset", "fig2a", "--om", "2"], id="run-om"),
+            pytest.param(["run", "--preset", "fig2a", "--g", "1"], id="run-g"),
         ],
     )
     def test_flag_prefix_not_expanded(self, tmp_path, argv):
-        # --g is no classical flag and must not reach --gtau-bar; --om is not --omega.
+        # g is the unit of time, so --g is no flag: on classical it must not
+        # reach --gtau-bar.  --om is not --omega.
         out_dir = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out-dir", str(out_dir)])
@@ -706,7 +780,75 @@ def manifest_outputs(out_dir):
     )
 
 
+# Manifests as written while g was a config token, which each one held as g = 1.
+G_TOKEN_MANIFESTS = {
+    "run": """\
+artifact_version = 0.1.0
+command = run
+master_seed = 22
+duration_seconds = 0.0143721
+terminated_early = none
+
+[config]
+command = run
+scheme = elastic
+trap = 20
+q = 1
+atoms = 30
+alpha = 3
+fock =
+dist = uniform
+mode = postselect
+tau_bar_in_inv_g = 0.68555172084725757
+spread_in_inv_g = 0.034277586042362883
+g = 1
+omega_in_g = 1
+phi_f_rad = -1.5707963267948966
+nmax = 57
+seed = 22
+stream = 0
+halt_on_failure = true
+
+[outputs]
+trajectory.csv = sha256:9e3aed505ec08e1d74427ccf4d4b10a612460771a7e81e3be292a1ff2a183c45
+distribution.csv = sha256:2190e2f6abf7e75f0fb8424dc22fe46ffaf59fb7929588c9bc661ec45122acbf
+""",
+    "classical": """\
+artifact_version = 0.1.0
+command = classical
+master_seed = 11
+duration_seconds = 0.0115712
+terminated_early = none
+
+[config]
+command = classical
+epsilon0 = 6
+steps = 300
+tau_bar_in_inv_g = 0.44540319718441362
+spread_in_inv_g = 0
+dist = uniform
+g = 1
+seed = 11
+stream = 0
+
+[outputs]
+classical.csv = sha256:e75a0b21b0b36bbc28415031223e77da4780e0abd6fdbe5b0479f1b900e1f3b5
+""",
+}
+
+
 class TestOutputDigests:
+    @pytest.mark.parametrize("command", sorted(G_TOKEN_MANIFESTS))
+    def test_manifest_with_retired_g_reproduces_its_digests(self, tmp_path, command):
+        (tmp_path / "manifest.txt").write_text(G_TOKEN_MANIFESTS[command], encoding="utf-8")
+        out_dir = tmp_path / "again"
+        assert main([command, "--config", str(tmp_path / "manifest.txt"),
+                     "--out-dir", str(out_dir)]) == 0
+        assert manifest_outputs(out_dir) == manifest_outputs(tmp_path)
+        old_tokens = parse_kv_file(tmp_path / "manifest.txt")
+        assert old_tokens.pop("g") == "1"
+        assert parse_kv_file(out_dir / "manifest.txt") == old_tokens
+
     @pytest.mark.parametrize(
         "argv",
         [

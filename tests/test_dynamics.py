@@ -12,7 +12,6 @@ from jctrap.dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
     AtomRotation,
-    CouplingParams,
     MeasurementScheme,
     approx_cm_coefficient,
     cm_project,
@@ -31,8 +30,6 @@ from jctrap.errors import ConfigError, LeakageError, OrthogonalOutcomeError
 from jctrap.experiment import build_run_config
 from jctrap.fock import FieldState, fock_basis_state
 
-G1 = CouplingParams(1.0)
-
 
 def random_state(rng: np.random.Generator, n_max: int, top_zeros: int = 1) -> FieldState:
     """Random normalized state with the top `top_zeros` levels empty."""
@@ -45,73 +42,70 @@ def random_state(rng: np.random.Generator, n_max: int, top_zeros: int = 1) -> Fi
 
 class TestTheta:
     def test_fig2_trapping_value(self):
-        assert abs(theta(G1, math.pi / math.sqrt(21.0), 20) - math.pi) < 1e-12
+        assert abs(theta(math.pi / math.sqrt(21.0), 20) - math.pi) < 1e-12
 
     def test_zero_time(self):
-        assert theta(CouplingParams(2.7), 0.0, 11) == 0.0
+        assert theta(0.0, 11) == 0.0
 
     def test_direct_substitution(self):
-        assert abs(theta(G1, math.pi / math.sqrt(22.0), 21) - math.pi) < 1e-12
-
-    def test_scales_with_g(self):
-        assert theta(CouplingParams(3.0), 0.5, 8) == pytest.approx(3.0 * 0.5 * 3.0)
+        assert abs(theta(math.pi / math.sqrt(22.0), 21) - math.pi) < 1e-12
 
 
 class TestTrappingTime:
     def test_fig2_value(self):
-        tau = trapping_time(20, 1, G1)
+        tau = trapping_time(20, 1)
         assert tau == math.pi / math.sqrt(21.0)
         assert abs(tau - 0.68555172) < 1e-7
 
     def test_vacuum_trap(self):
-        assert trapping_time(0, 1, G1) == math.pi
+        assert trapping_time(0, 1) == math.pi
 
     def test_fig1_trap(self):
-        assert trapping_time(138, 1, G1) == math.pi / math.sqrt(139.0)
+        assert trapping_time(138, 1) == math.pi / math.sqrt(139.0)
 
     def test_theta_at_trap_is_q_pi(self):
         for n_t, q in ((20, 1), (138, 1), (7, 3)):
-            tau = trapping_time(n_t, q, G1)
-            assert abs(theta(G1, tau, n_t) - q * math.pi) < 1e-12
+            tau = trapping_time(n_t, q)
+            assert abs(theta(tau, n_t) - q * math.pi) < 1e-12
 
     def test_q_zero_allowed(self):
-        assert trapping_time(5, 0, G1) == 0.0
+        assert trapping_time(5, 0) == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            trapping_time(-1, 1, G1)
+            trapping_time(-1, 1)
         with pytest.raises(ValueError):
-            trapping_time(5, -1, G1)
+            trapping_time(5, -1)
 
 
 class TestCriticalSpread:
     def test_trap_20(self):
-        value = critical_spread(20, G1)
+        value = critical_spread(20)
         assert value == math.pi / (2.0 * math.sqrt(21.0))
         assert abs(value - 0.34277586) < 1e-7
 
     def test_vacuum(self):
-        assert critical_spread(0, G1) == math.pi / 2.0
+        assert critical_spread(0) == math.pi / 2.0
 
     def test_trap_21(self):
-        assert critical_spread(21, G1) == math.pi / (2.0 * math.sqrt(22.0))
+        assert critical_spread(21) == math.pi / (2.0 * math.sqrt(22.0))
 
 
 class TestJcmEntangle:
     def test_vacuum_full_transfer(self):
-        ent = jcm_entangle(fock_basis_state(0, 5), G1, math.pi / 2.0)
+        ent = jcm_entangle(fock_basis_state(0, 5), math.pi / 2.0)
         assert np.all(np.abs(ent.e_branch) < 1e-12)
         assert abs(ent.g_branch[0] - (-1j)) < 1e-12
 
     def test_trapping_blockage_on_fock_20(self):
-        ent = jcm_entangle(fock_basis_state(20, 40), G1, math.pi / math.sqrt(21.0))
+        ent = jcm_entangle(fock_basis_state(20, 40), math.pi / math.sqrt(21.0))
         assert ent.e_branch[20] == -1.0
         assert ent.g_branch[20] == 0.0
 
     def test_direct_evaluation_two_level_superposition(self):
         amps = np.zeros(3, dtype=complex)
         amps[0] = amps[1] = 1.0 / math.sqrt(2.0)
-        ent = jcm_entangle(FieldState(amps, 2), G1, 0.3)
+        ent = jcm_entangle(FieldState(amps, 2), 0.3)
         r = 1.0 / math.sqrt(2.0)
         assert abs(ent.e_branch[0] - r * math.cos(0.3)) < 1e-12
         assert abs(ent.e_branch[1] - r * math.cos(0.3 * math.sqrt(2.0))) < 1e-12
@@ -120,13 +114,13 @@ class TestJcmEntangle:
 
     def test_leakage_refused_at_top_level(self):
         with pytest.raises(LeakageError):
-            jcm_entangle(fock_basis_state(5, 5), G1, 0.3)
+            jcm_entangle(fock_basis_state(5, 5), 0.3)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 2.0, allow_nan=False))
     @settings(max_examples=60, deadline=None)
     def test_property_norm_preserved(self, seed, tau):
         state = random_state(np.random.default_rng(seed), 16)
-        ent = jcm_entangle(state, G1, tau)
+        ent = jcm_entangle(state, tau)
         assert abs(ent.norm_sq - 1.0) < 1e-12
 
 
@@ -134,21 +128,21 @@ class TestNsmStep:
     def test_vacuum_at_trapping_time(self):
         p = np.zeros(6)
         p[0] = 1.0
-        out = nsm_step(p, G1, math.pi)
+        out = nsm_step(p, math.pi)
         assert out[0] == 1.0
         assert np.all(out[1:] == 0.0)
 
     def test_vacuum_full_transfer(self):
         p = np.zeros(6)
         p[0] = 1.0
-        out = nsm_step(p, G1, math.pi / 2.0)
+        out = nsm_step(p, math.pi / 2.0)
         assert abs(out[1] - 1.0) < 1e-12
         assert abs(out[0]) < 1e-12
 
     def test_direct_evaluation(self):
         p = np.zeros(4)
         p[0] = p[1] = 0.5
-        out = nsm_step(p, G1, 0.4)
+        out = nsm_step(p, 0.4)
         s2 = math.sqrt(2.0)
         assert abs(out[0] - 0.5 * math.cos(0.4) ** 2) < 1e-12
         assert abs(out[1] - (0.5 * math.sin(0.4) ** 2 + 0.5 * math.cos(0.4 * s2) ** 2)) < 1e-12
@@ -156,13 +150,13 @@ class TestNsmStep:
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            nsm_step(np.array([0.4, 0.4]), G1, 0.2)
+            nsm_step(np.array([0.4, 0.4]), 0.2)
 
     def test_leakage_at_top(self):
         p = np.zeros(7)
         p[-1] = 1.0
         with pytest.raises(LeakageError):
-            nsm_step(p, G1, 0.3)
+            nsm_step(p, 0.3)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 2.0, allow_nan=False))
     @settings(max_examples=60, deadline=None)
@@ -171,7 +165,7 @@ class TestNsmStep:
         p = rng.random(20)
         p[-1] = 0.0
         p /= p.sum()
-        out = nsm_step(p, G1, tau)
+        out = nsm_step(p, tau)
         assert abs(out.sum() - p.sum()) < 1e-12
 
 
@@ -202,18 +196,18 @@ class TestRamseyCoeffs:
 
 class TestCmProject:
     def test_elastic_on_trapped_fock(self):
-        ent = jcm_entangle(fock_basis_state(20, 40), G1, math.pi / math.sqrt(21.0))
+        ent = jcm_entangle(fock_basis_state(20, 40), math.pi / math.sqrt(21.0))
         state, p_k = cm_project(ent, ELASTIC_ROTATION)
         assert p_k == 1.0
         assert abs(abs(state.amplitudes[20]) - 1.0) < 1e-12
 
     def test_inelastic_on_trapped_fock_is_orthogonal(self):
-        ent = jcm_entangle(fock_basis_state(20, 40), G1, math.pi / math.sqrt(21.0))
+        ent = jcm_entangle(fock_basis_state(20, 40), math.pi / math.sqrt(21.0))
         with pytest.raises(OrthogonalOutcomeError):
             cm_project(ent, INELASTIC_ROTATION)
 
     def test_inelastic_after_full_transfer(self):
-        ent = jcm_entangle(fock_basis_state(0, 5), G1, math.pi / 2.0)
+        ent = jcm_entangle(fock_basis_state(0, 5), math.pi / 2.0)
         state, p_k = cm_project(ent, INELASTIC_ROTATION)
         assert abs(p_k - 1.0) < 1e-12
         assert abs(abs(state.amplitudes[1]) - 1.0) < 1e-12
@@ -227,7 +221,7 @@ class TestCmProject:
     @settings(max_examples=60, deadline=None)
     def test_property_outcome_completeness(self, seed, tau, half_angle, phase):
         state = random_state(np.random.default_rng(seed), 14)
-        ent = jcm_entangle(state, G1, tau)
+        ent = jcm_entangle(state, tau)
         rot = AtomRotation(
             complex(math.cos(half_angle)), math.sin(half_angle) * cmath.exp(1j * phase)
         )
@@ -243,11 +237,11 @@ class TestCmProject:
         # Tracing over the atom equals the probability-weighted mixture of
         # the elastic and inelastic conditional outcomes.
         state = random_state(np.random.default_rng(seed), 30)
-        ent = jcm_entangle(state, G1, tau)
+        ent = jcm_entangle(state, tau)
         d_e = project_amplitudes(ent, ELASTIC_ROTATION)
         d_g = project_amplitudes(ent, INELASTIC_ROTATION)
         mixture = np.abs(d_e) ** 2 + np.abs(d_g) ** 2
-        direct = nsm_step(state.probabilities(), G1, tau)
+        direct = nsm_step(state.probabilities(), tau)
         assert np.max(np.abs(mixture - direct)) < 1e-10
 
 
@@ -262,12 +256,12 @@ class TestTrappingBlockage:
         amps[: n_t + 1] = rng.normal(size=n_t + 1) + 1j * rng.normal(size=n_t + 1)
         amps /= np.linalg.norm(amps)
         state = FieldState(amps, n_max)
-        tau = trapping_time(n_t, q, G1)
+        tau = trapping_time(n_t, q)
 
-        after_nsm = nsm_step(state.probabilities(), G1, tau)
+        after_nsm = nsm_step(state.probabilities(), tau)
         assert np.all(after_nsm[n_t + 1 :] == 0.0)
 
-        ent = jcm_entangle(state, G1, tau)
+        ent = jcm_entangle(state, tau)
         rot = ramsey_coeffs(1.0, 0.7, -math.pi / 2)
         projected, _ = cm_project(ent, rot)
         assert np.all(projected.probabilities()[n_t + 1 :] == 0.0)
@@ -276,17 +270,17 @@ class TestTrappingBlockage:
 class TestApproxCmCoefficient:
     def test_stationary_point_identity(self):
         # Omega T / 2 equals g tau sqrt(n+1) exactly: coefficient is 1.
-        out = approx_cm_coefficient(0.3 + 0.1j, 2.0, 1.0, G1, 0.5, 3)
+        out = approx_cm_coefficient(0.3 + 0.1j, 2.0, 1.0, 0.5, 3)
         assert out == 0.3 + 0.1j
 
     def test_reduces_to_elastic_at_zero_rotation(self):
-        out = approx_cm_coefficient(1.0, 1.0, 0.0, G1, 0.7, 5)
+        out = approx_cm_coefficient(1.0, 1.0, 0.0, 0.7, 5)
         assert abs(out - math.cos(0.7 * math.sqrt(6.0))) < 1e-12
 
     def test_direct_evaluation(self):
         # Omega T / 2 = 2, g tau sqrt(51) = 2.3: cos(-0.3) c_prev.
         tau = 2.3 / math.sqrt(51.0)
-        out = approx_cm_coefficient(1.0, 1.0, 4.0, G1, tau, 50)
+        out = approx_cm_coefficient(1.0, 1.0, 4.0, tau, 50)
         assert abs(out - math.cos(-0.3)) < 1e-12
         assert abs(out - 0.955336) < 1e-6
 
@@ -294,16 +288,16 @@ class TestApproxCmCoefficient:
 class TestCorrelatedCmFactors:
     def test_matches_approx_coefficient(self):
         tau, omega, T = 0.61, 1.3, 4.7
-        success, _ = correlated_cm_factors(omega, T, G1, tau, 12)
+        success, _ = correlated_cm_factors(omega, T, tau, 12)
         for n in range(13):
-            assert abs(success[n] - approx_cm_coefficient(1.0, omega, T, G1, tau, n)) < 1e-12
+            assert abs(success[n] - approx_cm_coefficient(1.0, omega, T, tau, n)) < 1e-12
 
     def test_stationary_level_held_exactly(self):
         n_t = 21
         omega = 1.0
-        r = stationary_phase_ratio(n_t, G1, omega)
+        r = stationary_phase_ratio(n_t, omega)
         for tau in (0.3, 0.5, 0.67, 1.1):
-            success, failure = correlated_cm_factors(omega, r * tau, G1, tau, 40)
+            success, failure = correlated_cm_factors(omega, r * tau, tau, 40)
             assert success[n_t] == 1.0
             assert failure[n_t] == 0.0
 
@@ -314,7 +308,7 @@ class TestCorrelatedCmFactors:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_completeness_per_level(self, tau, T, phi_f):
-        success, failure = correlated_cm_factors(1.0, T, G1, tau, 25, phi_f=phi_f)
+        success, failure = correlated_cm_factors(1.0, T, tau, 25, phi_f=phi_f)
         total = np.abs(success) ** 2 + np.abs(failure) ** 2
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
@@ -336,11 +330,11 @@ class TestLargeNConsistency:
 
         tau = 0.96 * math.pi / math.sqrt(451.0)
         omega = 1.0
-        T = 2.0 * theta(G1, tau, 450) / omega
-        exact, _ = cm_project(jcm_entangle(state, G1, tau), ramsey_coeffs(omega, T, -math.pi / 2))
+        T = 2.0 * theta(tau, 450) / omega
+        exact, _ = cm_project(jcm_entangle(state, tau), ramsey_coeffs(omega, T, -math.pi / 2))
 
         approx = np.array(
-            [approx_cm_coefficient(amps[n], omega, T, G1, tau, n) for n in range(n_max + 1)]
+            [approx_cm_coefficient(amps[n], omega, T, tau, n) for n in range(n_max + 1)]
         )
         approx /= np.linalg.norm(approx)
 
@@ -358,17 +352,13 @@ class TestSchemeTypes:
 
     def test_superposition_needs_ratio(self):
         cfg = build_run_config(scheme="superposition", trap_target=21, n_atoms=1, alpha=1.0)
-        assert cfg.timing.ramsey_ratio == stationary_phase_ratio(21, G1, 1.0)
+        assert cfg.timing.ramsey_ratio == stationary_phase_ratio(21, 1.0)
         assert cfg.scheme.phi_f == -math.pi / 2
         with pytest.raises(ConfigError, match="ramsey_ratio > 0"):
             replace(cfg, timing=replace(cfg.timing, ramsey_ratio=0.0)).validate()
 
-    def test_coupling_positive(self):
-        with pytest.raises(ValueError):
-            CouplingParams(0.0)
-
     def test_stationary_phase_ratio_closure(self):
-        r = stationary_phase_ratio(21, G1, 2.0)
+        r = stationary_phase_ratio(21, 2.0)
         assert r * 2.0 == 2.0 * math.sqrt(22.0)
         with pytest.raises(ValueError):
-            stationary_phase_ratio(21, G1, 0.0)
+            stationary_phase_ratio(21, 0.0)

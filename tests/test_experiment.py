@@ -10,7 +10,6 @@ from jctrap import experiment
 from jctrap.dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
-    CouplingParams,
     cm_project,
     correlated_cm_factors,
     critical_spread,
@@ -56,7 +55,7 @@ def fig3cd_config(n_atoms=300, stream=0, mode="postselect"):
 class TestBuildConfig:
     def test_defaults(self):
         cfg = fig3cd_config()
-        assert cfg.timing.tau_bar == trapping_time(21, 1, cfg.coupling)
+        assert cfg.timing.tau_bar == trapping_time(21, 1)
         assert cfg.n_max == default_n_max(21)
         assert cfg.timing.spread == pytest.approx(math.pi / math.sqrt(22.0))
         assert cfg.timing.ramsey_ratio * cfg.omega == 2.0 * math.sqrt(22.0)
@@ -80,16 +79,17 @@ class TestBuildConfig:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            pytest.param({"g": 0.0}, "g: must be > 0, got 0.0", id="g"),
             pytest.param({"trap_target": -1}, "trap: must be >= 0, got -1", id="trap"),
             pytest.param({"q": -1}, "q: must be >= 1 in a run config, got -1", id="q"),
             pytest.param({"omega": 0.0}, "omega: must be > 0, got 0.0", id="omega"),
             pytest.param({"alpha": None, "fock_n": -1}, "fock: must be >= 0, got -1", id="fock"),
+            pytest.param({"alpha": None, "fock_n": 43, "n_max": 42},
+                         "fock: initial level 43 exceeds n_max 42", id="fock-above-nmax"),
         ],
     )
     def test_bad_input_named_before_derivation(self, bad, message):
-        # Each would otherwise reach a derivation (coupling, trapping time,
-        # Ramsey ratio, Fock state) and fail there with a bare ValueError.
+        # Each would otherwise reach a derivation (trapping time, Ramsey
+        # ratio, Fock state) and fail there with a bare ValueError.
         args = dict(scheme="superposition", trap_target=21, n_atoms=1, alpha=1.0)
         with pytest.raises(ConfigError) as exc:
             build_run_config(**{**args, **bad})
@@ -115,9 +115,7 @@ class TestBuildConfig:
     def test_spread_rule(self):
         args = dict(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0, tau_bar=0.5)
         assert build_run_config(**args).timing.spread == 0.0
-        assert build_run_config(**args, spread_mult=2.0).timing.spread == 2 * critical_spread(
-            20, CouplingParams(1.0)
-        )
+        assert build_run_config(**args, spread_mult=2.0).timing.spread == 2 * critical_spread(20)
         assert build_run_config(**args, spread_mult=2.0, spread_frac=0.1).timing.spread == 0.05
         both = build_run_config(**args, spread_time=0.2, spread_frac=0.1, spread_mult=2.0)
         assert both.timing.spread == 0.2
@@ -250,15 +248,15 @@ def _reference_step(config, field, tau, ramsey_t, rng):
     """
     scheme = config.scheme
     if scheme.kind == "nsm":
-        return nsm_step(field, config.coupling, tau), 1.0, None
+        return nsm_step(field, tau), 1.0, None
     if scheme.kind == "superposition":
         success, failure = correlated_cm_factors(
-            config.omega, ramsey_t, config.coupling, tau, config.n_max, scheme.phi_f
+            config.omega, ramsey_t, tau, config.n_max, scheme.phi_f
         )
         d, d_orth = success * field.amplitudes, failure * field.amplitudes
     else:
         rot = ELASTIC_ROTATION if scheme.kind == "elastic" else INELASTIC_ROTATION
-        ent = jcm_entangle(field, config.coupling, tau)
+        ent = jcm_entangle(field, tau)
         if config.mode == "postselect":
             state, p_k = cm_project(ent, rot)
             return state, p_k, None
@@ -405,7 +403,7 @@ class TestKernel:
         )
         table = sweep(base, mults, ensemble=2)
         assert [c.error is not None for c in table.cells] == errors
-        spread = critical_spread(base.trap_target, base.coupling)
+        spread = critical_spread(base.trap_target)
         for cell in table.cells:
             config = replace(
                 base,
@@ -521,26 +519,30 @@ class TestBlockSize:
         assert outcomes == outcomes[:1] * 9
 
     @pytest.mark.parametrize(
-        "scheme, factor, level, message",
+        "scheme, mode, factor, level, message",
         [
-            ("nsm", 0, 3, "SimulationError: state norm drifted to nan at atom 5"),
+            ("nsm", "postselect", 0, 3, "SimulationError: state norm drifted to nan at atom 5"),
             # The NaN norm divides the row: numpy warns of it, and the guard ends the cell.
             pytest.param(
-                "elastic", 0, 3,
+                "elastic", "postselect", 0, 3,
                 "OrthogonalOutcomeError: cannot renormalize state with squared norm nan",
                 marks=pytest.mark.filterwarnings(
                     "ignore:invalid value encountered in divide:RuntimeWarning"
                 ),
             ),
+            # A NaN selected norm fails the draw and the orthogonal row is finite:
+            # the NaN P_k alone ends the cell, before the atom is booked.
+            ("elastic", "sample", 0, 3,
+             "SimulationError: selected outcome's squared norm is nan at atom 5"),
             # The top level's sin only enters the leak guard: the field stays finite.
-            ("elastic", 1, -1,
+            ("elastic", "postselect", 1, -1,
              "LeakageError: population would leave truncation: P(n_max) sin^2 theta_nmax = nan"),
-            ("nsm", 1, -1,
+            ("nsm", "postselect", 1, -1,
              "LeakageError: population would leave truncation: P(n_max) sin^2 theta_nmax = nan"),
         ],
-        ids=["nsm-cos", "elastic-cos", "elastic-top-sin", "nsm-top-sin"],
+        ids=["nsm-cos", "elastic-cos", "elastic-cos-sampled", "elastic-top-sin", "nsm-top-sin"],
     )
-    def test_nan_factor_ends_the_cell(self, monkeypatch, scheme, factor, level, message):
+    def test_nan_factor_ends_the_cell(self, monkeypatch, scheme, mode, factor, level, message):
         # A NaN cos (factor 0) or sin (1) at atom 5 of one cell, at every
         # block and batch size.  The block's test must see it wherever it
         # sits among the block's guard inputs, although a NaN passes every
@@ -554,8 +556,8 @@ class TestBlockSize:
             drawn[0] = 0 if seeds[-1].stream_id == poisoned_stream[0] else None
             return original_derive(seeds)
 
-        def poisoned(coupling, taus, n_max):
-            factors = original_rabi(coupling, taus, n_max)
+        def poisoned(taus, n_max):
+            factors = original_rabi(taus, n_max)
             if drawn[0] is not None:
                 if 0 <= 4 - drawn[0] < len(taus):
                     factors[factor][4 - drawn[0], -1, level] = math.nan
@@ -566,7 +568,8 @@ class TestBlockSize:
         monkeypatch.setattr(experiment, "rabi_cos_sin", poisoned)
         trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
         base = build_run_config(
-            scheme=scheme, trap_target=trap, n_atoms=10, **initial, n_max=n_max, master_seed=3
+            scheme=scheme, trap_target=trap, n_atoms=10, **initial, n_max=n_max, master_seed=3,
+            mode=mode, halt_on_failure=False,
         )
         assert self.each_block_size(monkeypatch, lambda: run_sequence(base)) == [message] * 9
         poisoned_stream[0] = 2
@@ -691,6 +694,42 @@ class TestSampledMode:
         with pytest.raises(ConfigError):
             sampled_success_estimate(cfg, 10)
 
+    def test_estimator_requires_a_trajectory(self):
+        cfg = build_run_config(
+            scheme="elastic", trap_target=5, n_atoms=1, fock_n=0, n_max=30, mode="sample"
+        )
+        with pytest.raises(ConfigError, match=r"^trajectories: must be >= 1, got 0$"):
+            sampled_success_estimate(cfg, 0)
+
+    def test_estimator_raises_the_first_trajectory_error(self):
+        # Every trajectory leaks out of the 42-level basis, each at its own
+        # P(n_max) sin^2 theta_nmax: the estimate raises trajectory 0's error.
+        cfg = build_run_config(
+            scheme="elastic", trap_target=20, n_atoms=300, alpha=3.0, n_max=41, spread_mult=1.0,
+            mode="sample", halt_on_failure=False,
+        )
+        with pytest.raises(LeakageError) as first:
+            run_sequence(cfg)
+        with pytest.raises(LeakageError) as second:
+            run_sequence(replace(cfg, seed=SeedSpec(0, 1)))
+        with pytest.raises(LeakageError) as raised:
+            sampled_success_estimate(cfg, 5)
+        assert str(raised.value) == str(first.value) != str(second.value)
+
+    def test_zero_success_probability_booked(self):
+        # |5> is the trap: no atom can emit, so each selected outcome has
+        # P_k = 0, fails and keeps the field in |5>.
+        cfg = build_run_config(
+            scheme="inelastic", trap_target=5, n_atoms=4, fock_n=5, mode="sample",
+            halt_on_failure=False,
+        )
+        result = run_sequence(cfg)
+        assert [(s.P_k, s.cum_P, s.outcome) for s in result.steps] == [
+            (0.0, 0.0, "sampled_failure")
+        ] * 4
+        assert (result.n_failures, result.final_cum_P, result.terminated_early) == (4, 0.0, None)
+        assert result.final_distribution[5] == 1.0
+
     def test_matches_postselected_product_for_fixed_times(self):
         post = build_run_config(
             scheme="elastic",
@@ -740,7 +779,7 @@ class TestSweep:
         seen = set()
         for base, multipliers, ensemble in cases:
             table = sweep(base, multipliers, ensemble=ensemble)
-            spread = critical_spread(base.trap_target, base.coupling)
+            spread = critical_spread(base.trap_target)
             for cell in table.cells:
                 try:
                     config = replace(

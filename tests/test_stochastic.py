@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from jctrap.dynamics import CouplingParams, critical_spread, trapping_time
+from jctrap.dynamics import critical_spread, trapping_time
 from jctrap.errors import ConfigError
 from jctrap.stochastic import (
     _STREAM_SALT,
@@ -17,8 +17,6 @@ from jctrap.stochastic import (
     sample_timing,
     sample_timing_array,
 )
-
-G1 = CouplingParams(1.0)
 
 
 class TestTimingModel:
@@ -51,8 +49,8 @@ class TestSampleTiming:
             assert ramsey_t == 3.0 * 0.7
 
     def test_uniform_bounds_fig2a(self):
-        tau_bar = trapping_time(20, 1, G1)
-        spread = critical_spread(20, G1) / 10.0
+        tau_bar = trapping_time(20, 1)
+        spread = critical_spread(20) / 10.0
         model = TimingModel(tau_bar=tau_bar, spread=spread)
         rng = derive_stream(SeedSpec(5, 0))
         lo, hi = tau_bar - spread / 2.0, tau_bar + spread / 2.0
