@@ -6,7 +6,7 @@ values.  The coupling g is the unit of frequency, so times are in units of
 when g was a token loads if it holds g = 1, the only value it ever had.
 Every run writes a manifest holding the fully resolved config, the master
 seed and sha256 digests of each output file, which is enough to
-bit-reproduce them.
+bit-reproduce them; a sweep's manifest also names each failed cell's error.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import math
 import operator
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -87,6 +87,7 @@ class Manifest:
     config_tokens: dict[str, str]
     outputs: dict[str, str]
     terminated_early: str | None = None
+    errors: dict[int, str] = field(default_factory=dict)  # failed sweep cell -> its error
 
     def to_text(self) -> str:
         lines = [
@@ -99,6 +100,9 @@ class Manifest:
             "[config]",
         ]
         lines += [f"{k} = {v}" for k, v in self.config_tokens.items()]
+        if self.errors:  # before [outputs], every key of which is a digest
+            lines += ["", "[errors]"]
+            lines += [f"cell {index} = {error}" for index, error in self.errors.items()]
         lines += ["", "[outputs]"]
         lines += [f"{name} = sha256:{digest}" for name, digest in self.outputs.items()]
         return "\n".join(lines) + "\n"
@@ -360,6 +364,7 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
     terminated = None
+    errors: dict[int, str] = {}
 
     if parsed.command == "run":
         outputs["trajectory.csv"] = write_trajectory_csv(out / "trajectory.csv", result)
@@ -372,6 +377,7 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
         outputs["classical.csv"] = write_classical_csv(out / "classical.csv", taus, epsilons)
     elif parsed.command == "sweep":
         outputs["sweep.csv"] = write_sweep_csv(out / "sweep.csv", result)
+        errors = {cell.cell: cell.error for cell in result.cells if cell.error is not None}
 
     manifest = Manifest(
         command=parsed.command,
@@ -381,6 +387,7 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
         config_tokens=parsed.tokens,
         outputs=outputs,
         terminated_early=terminated,
+        errors=errors,
     )
     (out / "manifest.txt").write_text(manifest.to_text(), encoding="utf-8")
     return manifest
@@ -541,7 +548,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"run terminated early: {result.terminated_early}", file=sys.stderr)
         return 2
     if parsed.command == "sweep" and any(cell.error for cell in result.cells):
-        print("some sweep cells failed; see sweep.csv and manifest", file=sys.stderr)
+        print("some sweep cells failed; see [errors] in manifest.txt", file=sys.stderr)
     return 0
 
 

@@ -62,8 +62,10 @@ TOP_LEVEL_GUARD = 1e-8
 # A trap level counts as converged when it holds more than this probability.
 CONVERGENCE_P = 0.9
 
-# Sweep cells and sampled trajectories advance together in batches of at
-# most this many, which bounds a batch's arrays at this many rows.
+# Sweep cells and sampled trajectories advance together in batches of this
+# many cells, or of as many as fill a one-atom block of _BLOCK_ENTRIES
+# factors where more fit (264 at 31 levels).  A batch's arrays and streams
+# then stay small while its per-block and per-batch costs are shared.
 _BATCH_CELLS = 64
 
 # A block of atoms, whose times a batch draws at once, has as many atoms as
@@ -286,7 +288,7 @@ class _Cell:
     cum: _LogSum = field(default_factory=_LogSum)
     steps: list[StepRecord] = field(default_factory=list)
     failures: int = 0
-    result: RunResult | SimulationError | None = None  # set when the cell ends
+    result: RunResult | bool | SimulationError | None = None  # set when the cell ends
 
 
 class _Run(NamedTuple):
@@ -294,6 +296,7 @@ class _Run(NamedTuple):
 
     config: RunConfig
     collect_steps: bool
+    counting: bool  # a cell ends as whether it succeeded, not as a RunResult
     nsm: bool
     sampled: bool  # outcomes are drawn; NSM ignores them
     halting: bool  # a sampled failure ends the cell
@@ -399,8 +402,14 @@ def _guard(run: _Run, inputs: tuple[float, ...], atom: int) -> SimulationError |
     return None
 
 
-def _result(run: _Run, cell: _Cell, field_row, dist_row, reason: str | None) -> RunResult:
-    """The RunResult of a cell whose final field is field_row."""
+def _result(run: _Run, cell: _Cell, field_row, dist_row, reason: str | None) -> RunResult | bool:
+    """The RunResult of a cell whose final field is field_row.
+
+    A counting run builds none: whether the cell ran to its end with no
+    failed outcome.
+    """
+    if run.counting:
+        return reason is None and cell.failures == 0
     final = dist_row if run.nsm else FieldState(field_row, run.config.n_max)
     return RunResult(cell.steps, dist_row, final, reason, cell.failures, cell.cum.value)
 
@@ -412,7 +421,7 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
     per block.  The block clears when the guard passes on its worst value of
     each input; else each cell runs the guard atom by atom in a one-cell
     run's order, books the atoms before its first trip and ends, as a halting
-    cell does at a failure.
+    cell does at a failure.  A counting run books failures alone.
     """
     times, edge, fields, norms, successes, failed = block
     b, n = norms.shape
@@ -433,7 +442,7 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
             if i not in ends and (end := _guard(run, atom, k + j + 1)) is not None:
                 ends[i] = (j, end)
     # NSM's P_k are all one float object, which every step record then shares.
-    p_k = [1.0] * (b * n) if run.nsm else p_k.ravel().tolist()
+    p_k = [] if run.counting else [1.0] * (b * n) if run.nsm else p_k.ravel().tolist()
     failed = failed.ravel().tolist()
     if run.halting:  # a halting batch runs one atom a block
         for i in itertools.compress(range(n), failed):
@@ -452,7 +461,8 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
         m, end = ends.get(i, (b, None))
         at = slice(i, m * n, n)  # cell i's booked atoms in the (atoms, cells) lists
         cums = [] if run.collect_steps else None
-        cell.cum.extend(p_k[at], cums)
+        if not run.counting:
+            cell.cum.extend(p_k[at], cums)
         if run.collect_steps:
             tau_k, t_k, mean, delta, p_trap, p_above, outcome = (c[at] for c in columns)
             cell.steps.extend(map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_k[at], cums,
@@ -469,18 +479,22 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
 
 
 def _run_cells(
-    config: RunConfig, cells: list[tuple[TimingModel, SeedSpec]], collect_steps: bool
-) -> list[RunResult | SimulationError]:
+    config: RunConfig, cells: list[tuple[TimingModel, SeedSpec]], collect: str
+) -> list[RunResult | bool | SimulationError]:
     """Run a batch of cells, a block of atoms at a time, through one update kernel.
 
     Each cell runs config with its own (timing model, seed) pair, its field
     one row of a (cells, levels) array: amplitudes, or populations for NSM.
     Per block, _draw_block draws, _advance updates and _book guards and books.
-    Returns, per cell, its RunResult or the SimulationError that ended it.
+    Returns, per cell, the SimulationError that ended it or, by collect:
+    "steps", its RunResult with step records; "results", its RunResult
+    without them; "successes", whether it ran to its end with no failed
+    outcome, for which no RunResult, FieldState or cum_P is built.
     """
     nsm = config.scheme.kind == "nsm"
     sampled = config.mode == "sample" and not nsm
-    run = _Run(config, collect_steps, nsm, sampled, sampled and config.halt_on_failure)
+    run = _Run(config, collect == "steps", collect == "successes", nsm, sampled,
+               sampled and config.halt_on_failure)
     initial = config.initial_field.build(config.n_max)
     state = initial.probabilities() if nsm else initial.amplitudes
     state = state[None].repeat(len(cells), axis=0)
@@ -498,13 +512,18 @@ def _run_cells(
     return [cell.result for cell in everyone]
 
 
+def _batch_cells(n_max: int) -> int:
+    """How many cells a batch holds at n_max + 1 levels."""
+    return max(_BATCH_CELLS, _BLOCK_ENTRIES // (n_max + 1))
+
+
 def _run_batches(
-    config: RunConfig, cells: Iterable[tuple[TimingModel, SeedSpec]], collect_steps: bool
-) -> Iterator[RunResult | SimulationError]:
-    """_run_cells over the cells, in batches of at most _BATCH_CELLS cells."""
-    cells = iter(cells)
-    while batch := list(itertools.islice(cells, _BATCH_CELLS)):
-        yield from _run_cells(config, batch, collect_steps)
+    config: RunConfig, cells: Iterable[tuple[TimingModel, SeedSpec]], collect: str
+) -> Iterator[RunResult | bool | SimulationError]:
+    """_run_cells over the cells, in batches of _batch_cells(config.n_max) cells."""
+    cells, size = iter(cells), _batch_cells(config.n_max)
+    while batch := list(itertools.islice(cells, size)):
+        yield from _run_cells(config, batch, collect)
 
 
 def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
@@ -519,7 +538,8 @@ def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     one-cell case of the kernel that `sweep` runs its cells through.
     """
     config.validate()
-    result = _run_cells(config, [(config.timing, config.seed)], collect_steps)[0]
+    collect = "steps" if collect_steps else "results"
+    result = _run_cells(config, [(config.timing, config.seed)], collect)[0]
     if isinstance(result, SimulationError):
         raise result
     return result
@@ -570,7 +590,7 @@ def sweep(
             outcomes[index] = exc
         else:
             runs[index] = (timing, SeedSpec(base.seed.master_seed, index))
-    outcomes.update(zip(runs, _run_batches(base, runs.values(), collect_steps=False)))
+    outcomes.update(zip(runs, _run_batches(base, runs.values(), "results")))
 
     cells = []
     for mult, index in jobs:
@@ -589,8 +609,8 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     Trajectory t runs with stream_id = config.seed.stream_id + t.  For
     fixed times this estimates the PostSelected cumulative probability to
     within binomial error.  The trajectories advance together through the
-    batch kernel, as sweep cells do; the first one to raise, in trajectory
-    order, raises here.
+    batch kernel, as sweep cells do, and each returns only whether it
+    succeeded; the first one to raise, in trajectory order, raises here.
     """
     if config.mode != "sample":
         raise ConfigError("mode: sampled_success_estimate requires mode='sample'")
@@ -603,10 +623,10 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
         for t in range(trajectories)
     )
     successes = 0
-    for result in _run_batches(config, cells, collect_steps=False):
-        if isinstance(result, SimulationError):
-            raise result
-        successes += result.n_failures == 0 and result.terminated_early is None
+    for success in _run_batches(config, cells, "successes"):
+        if isinstance(success, SimulationError):
+            raise success
+        successes += success
     return successes / trajectories
 
 

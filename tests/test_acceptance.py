@@ -223,6 +223,33 @@ def test_criterion_8_sampled_matches_postselected():
     )
 
 
+def test_criterion_8b_sampled_matches_postselected_under_fluctuations():
+    # Given a trajectory's times, its all-success probability is their
+    # post-selected cum_P, so the sampled fraction estimates the mean cum_P
+    # over times.  Elastic from the vacuum at tau_bar = pi/6 with the uniform
+    # spread at its critical value: the fixed-time product cos^10(pi/6) =
+    # 0.237 lies about 5 sigma above the mean.  The post-selected streams
+    # come from another master seed than the sampled ones.
+    post = build_run_config(
+        scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=math.pi / 6.0,
+        spread_mult=1.0, n_max=30, master_seed=809,
+    )
+    n_p, n_s = 2_000, 10_000
+    cums = np.array([cell.cum_P for cell in sweep(post, [1.0], ensemble=n_p).cells])
+    sampled = replace(post, mode="sample", seed=SeedSpec(808, 0))
+    fraction = sampled_success_estimate(sampled, n_s)
+    mean = cums.mean()
+    sigma = math.sqrt(fraction * (1.0 - fraction) / n_s + cums.var(ddof=1) / n_p)
+    fixed = math.cos(math.pi / 6.0) ** 10
+    _report(
+        "criterion 8b (sampled all-success fraction matches mean cum_P under fluctuations)",
+        abs(fraction - mean) < 4.0 * sigma,
+        f"fraction = {fraction:.5f} over {n_s} trajectories, mean cum_P = {mean:.5f} over "
+        f"{n_p} streams, |diff| = {abs(fraction - mean):.2e} < 4 sigma = {4 * sigma:.2e}; "
+        f"fixed-time cum_P = {fixed:.5f}",
+    )
+
+
 def test_criterion_9_numerical_hygiene(tmp_path):
     # Per-step norms along a large-spread run, checked against the ops directly.
     base = preset("fig4").run

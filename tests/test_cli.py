@@ -317,10 +317,37 @@ class TestCliEndToEnd:
         out_dir = tmp_path / "sw"
         argv = ["sweep", "--preset", "fig2a", "--atoms", "5", "--spread-mults", "0.1,100"]
         assert main([*argv, "--out-dir", str(out_dir)]) == 0
-        assert capsys.readouterr().err == "some sweep cells failed; see sweep.csv and manifest\n"
+        assert capsys.readouterr().err == "some sweep cells failed; see [errors] in manifest.txt\n"
         rows = (out_dir / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3 and rows[1].startswith("0.10000000000000001,0,")
         assert rows[2] == "100,1,nan,nan,0"
+
+    def test_failed_sweep_cells_named_in_the_manifest(self, tmp_path, capsys):
+        # At n_max = 45 the three cells at 2.5 critical spreads leak; their
+        # errors go to [errors], before [outputs], whose every key is a file.
+        argv = ["sweep", "--preset", "fig2a", "--nmax", "45", "--spread-mults", "0.1,2.5",
+                "--ensemble", "3"]
+        assert main([*argv, "--out-dir", str(tmp_path / "sw")]) == 0
+        assert capsys.readouterr().err == "some sweep cells failed; see [errors] in manifest.txt\n"
+        text = (tmp_path / "sw" / "manifest.txt").read_text()
+        errors = text.partition("\n[errors]\n")[2].partition("\n\n[outputs]\n")[0].splitlines()
+        assert [line.partition(" = ")[0] for line in errors] == ["cell 3", "cell 4", "cell 5"]
+        assert all(
+            line.partition(" = ")[2].startswith("population would leave truncation: P(n_max) ")
+            for line in errors
+        )
+        assert list(manifest_outputs(tmp_path / "sw")) == ["sweep.csv"]
+        # The manifest still reruns to its own digests.
+        config = ["sweep", "--config", str(tmp_path / "sw" / "manifest.txt")]
+        assert main([*config, "--out-dir", str(tmp_path / "rerun")]) == 0
+        assert capsys.readouterr().err.startswith("some sweep cells failed")
+        assert manifest_outputs(tmp_path / "rerun") == manifest_outputs(tmp_path / "sw")
+        assert (tmp_path / "rerun" / "manifest.txt").read_text().count("\n[errors]\n") == 1
+        # A sweep whose cells all pass writes no [errors] section.
+        passing = ["sweep", "--preset", "fig2a", "--atoms", "5", "--spread-mults", "0.1"]
+        assert main([*passing, "--out-dir", str(tmp_path / "ok")]) == 0
+        assert capsys.readouterr().err == ""
+        assert "[errors]" not in (tmp_path / "ok" / "manifest.txt").read_text()
 
     def test_preset_subcommand_prints_config(self, capsys):
         assert main(["preset", "fig4"]) == 0

@@ -439,15 +439,16 @@ class TestBlockSize:
         """run() with one atom a block, the default blocks and whole-run blocks.
 
         Each block size runs in batches of one cell, of three cells and of the
-        default size; the outcomes for one block size, batch sizes in that
-        order, follow one another.
+        size the entries rule gives at that block size; the outcomes for one
+        block size, batch sizes in that order, follow one another.
         """
         outcomes = []
-        batches = (1, 3, experiment._BATCH_CELLS)
+        rule = experiment._batch_cells
+        batches = (lambda n_max: 1, lambda n_max: 3, rule)
         for entries in (1, experiment._BLOCK_ENTRIES, 10**6):
             monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", entries)
             for batch in batches:
-                monkeypatch.setattr(experiment, "_BATCH_CELLS", batch)
+                monkeypatch.setattr(experiment, "_batch_cells", batch)
                 try:
                     outcomes.append(run())
                 except SimulationError as exc:
@@ -489,10 +490,32 @@ class TestBlockSize:
         assert outcomes == outcomes[:1] * 9
         assert "population would leave truncation" in outcomes[0]
 
-    def test_sampled_estimate(self, monkeypatch):
-        config = replace(fig3cd_config(n_atoms=100, mode="sample"), halt_on_failure=False)
+    @pytest.mark.parametrize("halt", [False, True], ids=["continuing", "halting"])
+    def test_sampled_estimate(self, monkeypatch, halt):
+        config = replace(fig3cd_config(n_atoms=100, mode="sample"), halt_on_failure=halt)
         outcomes = self.each_block_size(monkeypatch, lambda: sampled_success_estimate(config, 30))
         assert outcomes == outcomes[:1] * 9
+
+    def test_batches_sized_by_entries(self, monkeypatch):
+        # A batch holds 64 cells, or as many as fill a one-atom block where
+        # more fit: 264 at 31 levels, 64 from 127 levels on.
+        assert [experiment._batch_cells(n_max) for n_max in (30, 125, 126, 650)] == [
+            264, 65, 64, 64
+        ]
+        sizes = []
+        original = experiment._run_cells
+
+        def recorded(config, cells, collect):
+            sizes.append(len(cells))
+            return original(config, cells, collect)
+
+        monkeypatch.setattr(experiment, "_run_cells", recorded)
+        config = build_run_config(
+            scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=math.pi / 3.0,
+            n_max=30, mode="sample",
+        )
+        sampled_success_estimate(config, 600)
+        assert sizes == [264, 264, 72]
 
     def test_post_selection_impossible_at_atom_two(self, monkeypatch):
         # From |19>, the first selected atom leaves |20>, the trap, which no
@@ -715,6 +738,57 @@ class TestSampledMode:
         with pytest.raises(LeakageError) as raised:
             sampled_success_estimate(cfg, 5)
         assert str(raised.value) == str(first.value) != str(second.value)
+
+    def test_estimator_raises_the_first_error_of_a_mixed_batch(self):
+        # In one batch of 12, trajectories 0-3 run through, 4 and 10 leak out
+        # of the 51-level basis at their own P(n_max) sin^2 theta_nmax.
+        cfg = build_run_config(
+            scheme="elastic", trap_target=20, n_atoms=40, alpha=3.0, n_max=50, spread_mult=1.0,
+            mode="sample", halt_on_failure=False,
+        )
+        errors = {}
+        for t in range(12):
+            try:
+                run_sequence(replace(cfg, seed=SeedSpec(0, t)), collect_steps=False)
+            except LeakageError as exc:
+                errors[t] = str(exc)
+        assert list(errors) == [4, 10] and errors[4] != errors[10]
+        with pytest.raises(LeakageError) as raised:
+            sampled_success_estimate(cfg, 12)
+        assert str(raised.value) == errors[4]
+
+    @pytest.mark.parametrize("halt", [True, False], ids=["halting", "continuing"])
+    @pytest.mark.parametrize("spread_frac", [0.0, 0.6], ids=["fixed", "fluctuating"])
+    def test_estimate_equals_the_fraction_of_full_results(self, halt, spread_frac):
+        # From the vacuum at tau_bar = pi/6, about a quarter of the
+        # trajectories select all five outcomes.
+        cfg = build_run_config(
+            scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=math.pi / 6.0,
+            spread_frac=spread_frac, n_max=30, mode="sample", master_seed=41,
+            halt_on_failure=halt,
+        )
+        results = [run_sequence(replace(cfg, seed=SeedSpec(41, t))) for t in range(300)]
+        successes = sum(r.n_failures == 0 and r.terminated_early is None for r in results)
+        assert 0 < successes < 300
+        assert sampled_success_estimate(cfg, 300) == successes / 300
+
+    def test_estimate_builds_one_field_state_per_batch(self, monkeypatch):
+        # Only each batch's initial field is a FieldState: 600 trajectories
+        # of 31 levels run in three batches.
+        built = []
+        original = FieldState.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(FieldState, "__post_init__", counted)
+        cfg = build_run_config(
+            scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=math.pi / 3.0,
+            n_max=30, mode="sample", halt_on_failure=False,
+        )
+        sampled_success_estimate(cfg, 600)
+        assert len(built) == 3
 
     def test_zero_success_probability_booked(self):
         # |5> is the trap: no atom can emit, so each selected outcome has
