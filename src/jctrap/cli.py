@@ -2,8 +2,9 @@
 
 Configs are flat `key = value` text; command-line flags override file
 values.  The coupling g is the unit of frequency, so times are in units of
-1/g, marked in the key names, and no config sets g: a manifest written
-when g was a token loads if it holds g = 1, the only value it ever had.
+1/g, marked in the key names, and the Ramsey angle is the Ramsey time.  No
+config sets g or the Ramsey frequency omega_in_g: a manifest written when
+they were tokens loads if it holds them at 1, the only value they had.
 Every run writes a manifest holding the fully resolved config, the master
 seed and sha256 digests of each output file, which is enough to
 bit-reproduce them; a sweep's manifest also names each failed cell's error.
@@ -177,9 +178,9 @@ def _back(path: str, fmt=str):
     return lambda config, given: fmt(get(config))
 
 
-def _given_for(field_kind: str, canonical):
-    """Write alpha or fock back, as canonical(given), when the initial field is of its kind."""
-    return lambda config, given: canonical(given) if config.initial_field.kind == field_kind else ""
+def _given_for(attr: str, canonical):
+    """Write alpha or fock back, as canonical(given), when the config sets that attribute."""
+    return lambda config, given: "" if getattr(config, attr) is None else canonical(given)
 
 
 def _alpha_text(text: str) -> str:
@@ -194,13 +195,13 @@ def _alpha_text(text: str) -> str:
 # are not written back.  The sweep's own two set no keyword: they are written
 # back from the text given, and the sweep reads them off the tokens.
 _TOKENS = {
-    "scheme": ("scheme", str, _back("scheme.kind")),
+    "scheme": ("scheme", str, _back("scheme")),
     "trap": ("trap_target", int, _back("trap_target")),
     "q": ("q", int, _back("q")),
     "atoms": ("n_atoms", int, _back("n_atoms")),
     "epsilon0": ("epsilon0", float, _back("epsilon0", _fmt)),
     "steps": ("n_steps", int, _back("n_steps")),
-    "alpha": ("alpha", parse_alpha_token, _given_for("coherent", _alpha_text)),
+    "alpha": ("alpha", parse_alpha_token, _given_for("alpha", _alpha_text)),
     "fock": ("fock_n", int, _given_for("fock", lambda text: str(int(text)))),
     "dist": ("law", str, _back("timing.law")),
     "mode": ("mode", str, _back("mode")),
@@ -208,8 +209,7 @@ _TOKENS = {
     "spread_in_inv_g": ("spread_time", float, _back("timing.spread", _fmt)),
     "spread_frac": ("spread_frac", float, None),
     "spread_mult": ("spread_mult", float, None),
-    "omega_in_g": ("omega", float, _back("omega", _fmt)),
-    "phi_f_rad": ("phi_f", float, _back("scheme.phi_f", _fmt)),
+    "phi_f_rad": ("phi_f", float, _back("phi_f", _fmt)),
     "nmax": ("n_max", int, _back("n_max")),
     "seed": ("master_seed", int, _back("seed.master_seed")),
     "stream": ("stream_id", int, _back("seed.stream_id")),
@@ -222,8 +222,8 @@ _TOKENS = {
 
 _RUN_TOKENS = (
     "scheme", "trap", "q", "atoms", "alpha", "fock", "dist", "mode", "tau_bar_in_inv_g",
-    "spread_in_inv_g", "spread_frac", "spread_mult", "omega_in_g", "phi_f_rad", "nmax", "seed",
-    "stream", "halt_on_failure",
+    "spread_in_inv_g", "spread_frac", "spread_mult", "phi_f_rad", "nmax", "seed", "stream",
+    "halt_on_failure",
 )
 _SPREAD_INPUTS = ("spread_in_inv_g", "spread_frac", "spread_mult")
 
@@ -248,6 +248,15 @@ _REQUIRED = {
     "classical": (("tau_bar_in_inv_g", "--gtau-bar"), ("epsilon0", None), ("steps", None)),
 }
 _REQUIRED["sweep"] = (*_REQUIRED["run"], ("spread_mults", "--spread-mults"))
+
+# Retired tokens, which every command accepts at 1, the only value they had,
+# and why any other value would not rerun the manifest that holds it.
+_RETIRED = {
+    "g": "times are in units of 1/g, so g must be 1, got {!r}; "
+         "scale tau_bar_in_inv_g and spread_in_inv_g by g instead",
+    "omega_in_g": "the closure fixes the Ramsey angle and T_k is written for omega_in_g = 1, "
+                  "so it must be 1, got {!r}; divide T_k by omega_in_g instead",
+}
 
 
 def _parse(token: str, text: str):
@@ -278,15 +287,14 @@ def parse_config(overrides: dict[str, str], command: str | None = None) -> Parse
         )
     if cmd not in _COMMAND_TOKENS:
         raise ConfigError(f"command: unknown command {cmd!r}")
-    # Any g but the unit would rerun an older manifest with every time rescaled.
-    g = given.pop("g", "1")
-    try:
-        g_is_unit = float(g) == 1.0
-    except ValueError:
-        g_is_unit = False
-    if not g_is_unit:
-        raise ConfigError(f"g: times are in units of 1/g, so g must be 1, got {g!r}; "
-                          "scale tau_bar_in_inv_g and spread_in_inv_g by g instead")
+    for token, why in _RETIRED.items():
+        text = given.pop(token, "1")
+        try:
+            is_unit = float(text) == 1.0
+        except ValueError:
+            is_unit = False
+        if not is_unit:
+            raise ConfigError(f"{token}: " + why.format(text))
     names = _COMMAND_TOKENS[cmd]
     for key in given:
         if key not in (*names, "command", *_IGNORED[cmd]):
@@ -410,9 +418,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spread-frac", type=float, help="spread as a fraction of tau_bar")
     p.add_argument("--dist", choices=TIMING_LAWS, help="timing law")
     p.add_argument("--mode", choices=RUN_MODES, help="outcome handling")
-    p.add_argument(
-        "--omega", dest="omega_in_g", type=float, help="Ramsey Rabi frequency in units of g"
-    )
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--stream", type=int, help="stream id (trajectory index)")
     p.add_argument("--nmax", type=int, help="Fock truncation bound")

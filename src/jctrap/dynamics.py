@@ -22,6 +22,8 @@ out of them vanishes, so population piles up there from below.
 
 The field-dipole coupling g is the unit of frequency and 1/g that of time:
 only the product g tau enters the dynamics, so every time here is g tau.
+The Ramsey angle Omega T enters alone and the stationary-phase closure
+fixes it, so Ramsey times T are written for Omega = g: the angle is T.
 """
 from __future__ import annotations
 
@@ -97,21 +99,9 @@ class AtomRotation:
 ELASTIC_ROTATION = AtomRotation(1.0 + 0j, 0j)      # keep atoms detected in |e>
 INELASTIC_ROTATION = AtomRotation(0j, 1.0 + 0j)    # keep atoms detected in |g>
 
+# After each atom "nsm" ignores the outcome, "elastic"/"inelastic" post-select
+# |e>/|g> and "superposition" the Ramsey-rotated state of final phase phi_f.
 SCHEME_KINDS = ("nsm", "elastic", "inelastic", "superposition")
-
-
-@dataclass(frozen=True)
-class MeasurementScheme:
-    """One of the four measurement regimes applied after each atom.
-
-    kind "nsm" ignores the atomic outcome; "elastic"/"inelastic" post-select
-    |e>/|g>; "superposition" post-selects the Ramsey-rotated state with
-    final phase phi_f, the rotation time being the T_k = ramsey_ratio * tau_k
-    of the run's TimingModel.  RunConfig.validate checks the kind.
-    """
-
-    kind: str
-    phi_f: float
 
 
 def theta(tau: float, n: int) -> float:
@@ -142,18 +132,16 @@ def critical_spread(n_t: int) -> float:
     return math.pi / (2.0 * math.sqrt(n_t + 1.0))
 
 
-def stationary_phase_ratio(n_t: int, omega: float) -> float:
+def stationary_phase_ratio(n_t: int) -> float:
     """Ramsey-to-cavity time ratio r making the CM phase stationary at n_t.
 
-    With T_k = r tau_k and Omega r = 2 sqrt(n_t+1), the correlated-CM
-    cosine argument Omega T_k / 2 - tau_k sqrt(n+1) vanishes at n = n_t
-    for every tau_k, pinning the trap level against timing fluctuations.
+    With T_k = r tau_k and r = 2 sqrt(n_t+1), the correlated-CM cosine
+    argument T_k / 2 - tau_k sqrt(n+1) vanishes at n = n_t for every tau_k,
+    pinning the trap level against timing fluctuations.
     """
-    if not omega > 0:
-        raise ValueError("omega must be > 0")
     if n_t < 0:
         raise ValueError("n_t must be >= 0")
-    return 2.0 * math.sqrt(n_t + 1.0) / omega
+    return 2.0 * math.sqrt(n_t + 1.0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -233,14 +221,14 @@ def nsm_step(probs: np.ndarray, tau: float) -> np.ndarray:
     return out
 
 
-def ramsey_coeffs(omega: float, T: float, phi_f: float) -> AtomRotation:
-    """Final-state coefficients after a Ramsey rotation of angle Omega T.
+def ramsey_coeffs(T: float, phi_f: float) -> AtomRotation:
+    """Final-state coefficients after a Ramsey rotation of angle T.
 
-    alpha_f = cos(Omega T / 2), beta_f = sin(Omega T / 2) e^{i phi_f}.
+    alpha_f = cos(T / 2), beta_f = sin(T / 2) e^{i phi_f}.
     """
     if T < 0:
         raise ValueError("Ramsey time T must be >= 0")
-    half = omega * T / 2.0
+    half = T / 2.0
     return AtomRotation(complex(math.cos(half)), math.sin(half) * cmath.exp(1j * phi_f))
 
 
@@ -274,18 +262,17 @@ def cm_project(ent: EntangledState, rot: AtomRotation) -> tuple[FieldState, floa
     return state, min(p_k, 1.0)
 
 
-def approx_cm_coefficient(c_prev: complex, omega: float, T: float, tau: float, n: int) -> complex:
+def approx_cm_coefficient(c_prev: complex, T: float, tau: float, n: int) -> complex:
     """Large-n conditional-measurement update of a single amplitude.
 
     For phi_f = -pi/2 and slowly varying amplitudes the projection reduces
-    per component to cos(Omega T/2 - tau sqrt(n+1)) c_n, up to the common
+    per component to cos(T/2 - tau sqrt(n+1)) c_n, up to the common
     normalization.  Serves as the consistency oracle for cm_project.
     """
-    return math.cos(omega * T / 2.0 - theta(tau, n)) * c_prev
+    return math.cos(T / 2.0 - theta(tau, n)) * c_prev
 
 
 def correlated_cm_factors(
-    omega: float,
     T: float,
     tau: float,
     n_max: int,
@@ -297,13 +284,13 @@ def correlated_cm_factors(
     for Ramsey times correlated with the interaction time: amplitude n is
     multiplied by the success factor on the desired detection or by the
     orthogonal factor otherwise, with |f|^2 + |f_orth|^2 = 1 per level.
-    For phi_f = -pi/2 the factors are cos/sin(Omega T/2 - theta_n);
+    For phi_f = -pi/2 the factors are cos/sin(T/2 - theta_n);
     arguments within 1e-12 of zero are snapped so the stationary level is
     held exactly.  T and tau may be times of one shape ending in 1, such as
     (atoms, cells, 1): each row of levels equals the one-pair result bit for bit.
     """
     thetas = _theta_array(tau, n_max)
-    half = omega * T / 2.0
+    half = T / 2.0
     if phi_f == -math.pi / 2:
         arg = half - thetas
         arg[np.abs(arg) < TRAP_SNAP_TOL] = 0.0

@@ -28,7 +28,6 @@ from .dynamics import (
     LEAK_P_TOL,
     ORTHOGONAL_P_TOL,
     SCHEME_KINDS,
-    MeasurementScheme,
     correlated_cm_factors,
     critical_spread,
     rabi_cos_sin,
@@ -78,63 +77,48 @@ OUTCOME_SUCCESS = "sampled_success"
 OUTCOME_FAILURE = "sampled_failure"
 
 
-@dataclass(frozen=True)
-class InitialField:
-    """Initial cavity field: coherent |alpha> or Fock |n>."""
-
-    kind: str
-    alpha: complex = 0j
-    n: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("coherent", "fock"):
-            raise ConfigError(f"initial field kind must be coherent or fock, got {self.kind!r}")
-
-    def build(self, n_max: int) -> FieldState:
-        if self.kind == "coherent":
-            state, _ = coherent_state(self.alpha, n_max)
-            return state
-        return fock_basis_state(self.n, n_max)
-
-
-def _check_derivation_inputs(trap_target: int, q: int, scheme: str, omega: float) -> None:
+def _check_derivation_inputs(trap_target: int, q: int) -> None:
     """The values the trapping time, critical spread and Ramsey ratio derive from."""
     if trap_target < 0:
         raise ConfigError(f"trap: must be >= 0, got {trap_target}")
     if q < 1:
         raise ConfigError(f"q: must be >= 1 in a run config, got {q}")
-    if not math.isfinite(omega):
-        raise ConfigError(f"omega: must be finite, got {omega}")
-    if scheme == "superposition" and not omega > 0:
-        raise ConfigError(f"omega: must be > 0, got {omega}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full description of one atom-sequence run; build_run_config makes one."""
+    """Full description of one atom-sequence run; build_run_config makes one.
 
-    scheme: MeasurementScheme
+    scheme is one of SCHEME_KINDS and phi_f the final phase a superposition
+    scheme post-selects.  The initial field is the coherent |alpha> or the
+    Fock |fock>: exactly one of the two is set, the other None.
+    """
+
+    scheme: str
+    phi_f: float
     n_atoms: int
     trap_target: int
     q: int
-    initial_field: InitialField
+    alpha: complex | None
+    fock: int | None
     timing: TimingModel
     n_max: int
     mode: str
     seed: SeedSpec
-    omega: float
     halt_on_failure: bool
 
     def validate(self) -> None:
         """Check the fields a run reads; the message names the config token."""
-        if self.scheme.kind not in SCHEME_KINDS:
-            raise ConfigError(f"scheme: unknown scheme {self.scheme.kind!r}")
-        alpha = self.initial_field.alpha
+        if self.scheme not in SCHEME_KINDS:
+            raise ConfigError(f"scheme: unknown scheme {self.scheme!r}")
+        if (self.alpha is None) == (self.fock is None):
+            raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
+        alpha = self.alpha or 0j
         for token, value in (("alpha", alpha if alpha.imag else alpha.real),
-                             ("phi_f_rad", self.scheme.phi_f)):
+                             ("phi_f_rad", self.phi_f)):
             if not cmath.isfinite(value):
                 raise ConfigError(f"{token}: must be finite, got {value}")
-        _check_derivation_inputs(self.trap_target, self.q, self.scheme.kind, self.omega)
+        _check_derivation_inputs(self.trap_target, self.q)
         if self.n_atoms < 0:
             raise ConfigError(f"atoms: must be >= 0, got {self.n_atoms}")
         if self.mode not in RUN_MODES:
@@ -144,12 +128,12 @@ class RunConfig:
                 f"nmax: trap level {self.trap_target} needs n_max > {self.trap_target + 20}, "
                 f"got {self.n_max}"
             )
-        fock = self.initial_field.n if self.initial_field.kind == "fock" else 0
+        fock = self.fock or 0
         if fock < 0:
             raise ConfigError(f"fock: must be >= 0, got {fock}")
         if fock > self.n_max:
             raise ConfigError(f"fock: initial level {fock} exceeds n_max {self.n_max}")
-        if self.scheme.kind == "superposition" and not self.timing.ramsey_ratio > 0:
+        if self.scheme == "superposition" and not self.timing.ramsey_ratio > 0:
             raise ConfigError("scheme: superposition requires timing.ramsey_ratio > 0")
 
 
@@ -195,7 +179,6 @@ def build_run_config(
     tau_bar: float | None = None,
     law: str = "uniform",
     mode: str = "postselect",
-    omega: float = 1.0,
     phi_f: float = -math.pi / 2,
     master_seed: int = 0,
     stream_id: int = 0,
@@ -208,12 +191,10 @@ def build_run_config(
     to the truncation policy.  The spread is spread_time if given, else
     spread_frac * tau_bar, else spread_mult times the critical spread.  The
     superposition Ramsey ratio is the stationary-phase closure
-    2 sqrt(n_t+1) / omega.  Each value is checked before anything is
-    derived from it; a bad one raises ConfigError naming its config token.
+    2 sqrt(n_t+1).  Each value is checked before anything is derived from
+    it; a bad one raises ConfigError naming its config token.
     """
-    if (alpha is None) == (fock_n is None):
-        raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
-    _check_derivation_inputs(trap_target, q, scheme, omega)
+    _check_derivation_inputs(trap_target, q)
     if tau_bar is None:
         tau_bar = trapping_time(trap_target, q)
     if spread_time is None and spread_frac is not None:
@@ -222,22 +203,19 @@ def build_run_config(
         spread_time = spread_mult * critical_spread(trap_target)
     ratio = 0.0
     if scheme == "superposition":
-        ratio = stationary_phase_ratio(trap_target, omega)
+        ratio = stationary_phase_ratio(trap_target)
     config = RunConfig(
-        scheme=MeasurementScheme(scheme, phi_f),
+        scheme=scheme,
+        phi_f=phi_f,
         n_atoms=n_atoms,
         trap_target=trap_target,
         q=q,
-        initial_field=(
-            InitialField("coherent", alpha=complex(alpha))
-            if fock_n is None
-            else InitialField("fock", n=int(fock_n))
-        ),
+        alpha=None if alpha is None else complex(alpha),
+        fock=None if fock_n is None else int(fock_n),
         timing=TimingModel(tau_bar=tau_bar, spread=spread_time, law=law, ramsey_ratio=ratio),
         n_max=n_max if n_max is not None else default_n_max(trap_target),
         mode=mode,
         seed=SeedSpec(master_seed, stream_id),
-        omega=omega,
         halt_on_failure=halt_on_failure,
     )
     config.validate()
@@ -329,19 +307,19 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
     its CM success, else failure, factor; NSM's one outcome keeps populations
     by cos^2 theta_n and emits by sin^2 theta_n.
     """
-    config, kind, sampled = run.config, run.config.scheme.kind, run.sampled
+    config, sampled = run.config, run.sampled
     times = np.array([[(*sample_timing(c.timing, c.rng), c.rng.random()) if sampled
                        else sample_timing(c.timing, c.rng) for c in cells] for _ in range(b)])
     taus, ramsey = times[..., :1], times[..., 1:2]
-    if kind == "superposition":
-        cm = correlated_cm_factors(config.omega, ramsey, taus, config.n_max, config.scheme.phi_f)
+    if config.scheme == "superposition":
+        cm = correlated_cm_factors(ramsey, taus, config.n_max, config.phi_f)
         return times, None, [(f, None) for f in cm]
     cos_t, sin_t = rabi_cos_sin(taus, config.n_max)
     if run.nsm:
         sin_sq = np.square(sin_t, out=sin_t)
         return times, sin_sq[..., -1], [(np.square(cos_t, out=cos_t), sin_sq)]
     selected, orthogonal = (cos_t, None), (None, -1j * sin_t)  # elastic
-    if kind == "inelastic":
+    if config.scheme == "inelastic":
         selected, orthogonal = orthogonal, (-cos_t, None)
     return times, np.square(sin_t[..., -1]), (selected, orthogonal)
 
@@ -491,11 +469,14 @@ def _run_cells(
     without them; "successes", whether it ran to its end with no failed
     outcome, for which no RunResult, FieldState or cum_P is built.
     """
-    nsm = config.scheme.kind == "nsm"
+    nsm = config.scheme == "nsm"
     sampled = config.mode == "sample" and not nsm
     run = _Run(config, collect == "steps", collect == "successes", nsm, sampled,
                sampled and config.halt_on_failure)
-    initial = config.initial_field.build(config.n_max)
+    if config.fock is None:
+        initial, _ = coherent_state(config.alpha, config.n_max)
+    else:
+        initial = fock_basis_state(config.fock, config.n_max)
     state = initial.probabilities() if nsm else initial.amplitudes
     state = state[None].repeat(len(cells), axis=0)
     timings, seeds = zip(*cells)
@@ -570,7 +551,8 @@ def sweep(
     Cell (i, j) uses stream_id = i * ensemble + j derived from the base
     master seed, so the whole table is reproducible from that one seed.
     The cells advance together through the batch kernel; per-cell failures,
-    an invalid spread among them, are recorded in the cell, not raised.
+    an invalid spread or a run that ended early among them, are recorded in
+    the cell as its error, with nan values, not raised.
     """
     if ensemble < 1:
         raise ConfigError(f"ensemble: must be >= 1, got {ensemble}")
@@ -595,8 +577,9 @@ def sweep(
     cells = []
     for mult, index in jobs:
         outcome = outcomes[index]
-        if isinstance(outcome, Exception):
-            cells.append(SweepCell(mult, index, math.nan, math.nan, False, error=str(outcome)))
+        error = str(outcome) if isinstance(outcome, Exception) else outcome.terminated_early
+        if error is not None:
+            cells.append(SweepCell(mult, index, math.nan, math.nan, False, error=error))
             continue
         p_trap = float(outcome.final_distribution[base.trap_target])
         cells.append(SweepCell(mult, index, p_trap, outcome.final_cum_P, p_trap > CONVERGENCE_P))

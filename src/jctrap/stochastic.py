@@ -60,7 +60,7 @@ class TimingModel:
                 "(interaction times must stay positive)"
             )
         if self.ramsey_ratio < 0:
-            raise ConfigError(f"ramsey_ratio must be >= 0, got {self.ramsey_ratio}")
+            raise ConfigError(f"ramsey_ratio: must be >= 0, got {self.ramsey_ratio}")
 
     @property
     def rms(self) -> float:

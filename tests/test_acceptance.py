@@ -24,7 +24,6 @@ from jctrap.dynamics import (
     nsm_step,
     project_amplitudes,
     ramsey_coeffs,
-    stationary_phase_ratio,
     theta,
     trapping_time,
 )
@@ -183,13 +182,10 @@ def test_criterion_7_exact_vs_large_n_update():
     premise = np.abs(np.diff(amps[window])) / np.abs(amps[401:501])
 
     tau = 0.96 * math.pi / math.sqrt(451.0)
-    omega = 1.0
-    ramsey_T = 2.0 * theta(tau, 450) / omega
-    exact, _ = cm_project(
-        jcm_entangle(state, tau), ramsey_coeffs(omega, ramsey_T, -math.pi / 2)
-    )
+    ramsey_T = 2.0 * theta(tau, 450)
+    exact, _ = cm_project(jcm_entangle(state, tau), ramsey_coeffs(ramsey_T, -math.pi / 2))
     approx = np.array(
-        [approx_cm_coefficient(amps[n], omega, ramsey_T, tau, n) for n in range(n_max + 1)]
+        [approx_cm_coefficient(amps[n], ramsey_T, tau, n) for n in range(n_max + 1)]
     )
     approx /= np.linalg.norm(approx)
     rel = np.abs(exact.amplitudes[window] - approx[window]) / np.abs(approx[window])
@@ -254,12 +250,11 @@ def test_criterion_9_numerical_hygiene(tmp_path):
     # Per-step norms along a large-spread run, checked against the ops directly.
     base = preset("fig4").run
     rng = derive_stream(base.seed)
-    state = base.initial_field.build(base.n_max)
-    ratio = stationary_phase_ratio(21, base.omega)
+    state, _ = coherent_state(base.alpha, base.n_max)
     worst = abs(state.norm_sq - 1.0)
     for _ in range(300):
         tau, ramsey_T = sample_timing(base.timing, rng)
-        success, _ = correlated_cm_factors(base.omega, ramsey_T, tau, base.n_max)
+        success, _ = correlated_cm_factors(ramsey_T, tau, base.n_max)
         d = success * state.amplitudes
         p = float(np.vdot(d, d).real)
         state = FieldState(d / math.sqrt(p), base.n_max)

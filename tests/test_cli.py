@@ -46,9 +46,9 @@ class TestPresets:
     def test_fig2a_values(self):
         parsed = preset("fig2a")
         cfg = parsed.run
-        assert cfg.scheme.kind == "elastic"
+        assert cfg.scheme == "elastic"
         assert cfg.trap_target == 20
-        assert cfg.initial_field.alpha == 3.0
+        assert cfg.alpha == 3.0
         assert cfg.timing.tau_bar == trapping_time(20, 1)
         assert cfg.timing.spread == pytest.approx(critical_spread(20) / 10.0)
         assert cfg.n_atoms == 2000
@@ -63,15 +63,15 @@ class TestPresets:
 
     def test_fig1b_one_percent_spread(self):
         cfg = preset("fig1b").run
-        assert cfg.scheme.kind == "nsm"
+        assert cfg.scheme == "nsm"
         assert cfg.trap_target == 138
         assert cfg.timing.spread == pytest.approx(0.01 * cfg.timing.tau_bar)
 
     def test_fig4_values(self):
         cfg = preset("fig4").run
-        assert cfg.scheme.kind == "superposition"
+        assert cfg.scheme == "superposition"
         assert cfg.trap_target == 21
-        assert cfg.initial_field.alpha == math.sqrt(21.0)
+        assert cfg.alpha == math.sqrt(21.0)
         assert cfg.timing.spread == pytest.approx(2.0 * critical_spread(21))
         assert cfg.n_atoms == 2000
         assert cfg.mode == "postselect"
@@ -97,14 +97,16 @@ class TestPresets:
     def test_printed_tokens_pinned(self, capsys, name, digest):
         # sha256 of `jctrap preset <name>` as first recorded: every resolved
         # token, its text and its order.  The record also held the retired
-        # `g = 1`, after spread_in_inv_g (run) or dist (classical).
+        # `g = 1`, after spread_in_inv_g (run) or dist (classical), and a
+        # run's `omega_in_g = 1` after that.
         assert main(["preset", name]) == 0
         out = capsys.readouterr().out
-        assert "\ng = " not in out
+        assert "\ng = " not in out and "omega_in_g" not in out
         lines = out.splitlines(keepends=True)
-        anchor = "dist = " if "command = classical" in out else "spread_in_inv_g = "
+        anchor, retired = ("dist = ", ["g = 1\n"]) if "command = classical" in out else (
+            "spread_in_inv_g = ", ["g = 1\n", "omega_in_g = 1\n"])
         at = next(i for i, line in enumerate(lines) if line.startswith(anchor)) + 1
-        recorded = "".join([*lines[:at], "g = 1\n", *lines[at:]])
+        recorded = "".join([*lines[:at], *retired, *lines[at:]])
         assert hashlib.sha256(recorded.encode()).hexdigest() == digest
 
 
@@ -130,7 +132,17 @@ class TestParseConfig:
                 overrides={"command": "run", "scheme": "elastic", "atoms": "10", "alpha": "3"}
             )
 
-    def test_missing_initial_field_named(self):
+    def test_missing_command_named(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(overrides={"scheme": "elastic", "trap": "20", "atoms": "1"})
+        assert str(exc.value) == "command: required field missing (run, classical or sweep)"
+
+    def test_unknown_command_named(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(overrides={"command": "foo"})
+        assert str(exc.value) == "command: unknown command 'foo'"
+
+    def test_missing_alpha_and_fock_named(self):
         with pytest.raises(ConfigError, match="alpha/fock"):
             parse_config(
                 overrides={"command": "run", "scheme": "elastic", "trap": "20", "atoms": "10"}
@@ -349,6 +361,19 @@ class TestCliEndToEnd:
         assert capsys.readouterr().err == ""
         assert "[errors]" not in (tmp_path / "ok" / "manifest.txt").read_text()
 
+    def test_sweep_cell_that_ends_early_is_a_failed_cell(self, tmp_path, capsys):
+        # From |19>, atom 1 emits into the n_t = 20 trap and atom 2 cannot
+        # leave it in |g>: the run ends early, and its sweep cell fails.
+        config = ["--scheme", "inelastic", "--trap", "20", "--fock", "19", "--atoms", "5"]
+        assert main(["run", *config, "--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "run terminated early: impossible post-selection\n"
+        cells = ["--spread-mults", "0", "--ensemble", "1"]
+        assert main(["sweep", *config, *cells, "--out-dir", str(tmp_path / "sw")]) == 0
+        assert capsys.readouterr().err == "some sweep cells failed; see [errors] in manifest.txt\n"
+        assert (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:] == ["0,0,nan,nan,0"]
+        text = (tmp_path / "sw" / "manifest.txt").read_text()
+        assert "\n[errors]\ncell 0 = impossible post-selection\n" in text
+
     def test_preset_subcommand_prints_config(self, capsys):
         assert main(["preset", "fig4"]) == 0
         out = capsys.readouterr().out
@@ -401,7 +426,6 @@ class TestFlagLayers:
     @pytest.mark.parametrize(
         "argv, token, value",
         [
-            pytest.param(["run", *RUN_FLAGS, "--omega", "2.5"], "omega_in_g", "2.5", id="omega"),
             pytest.param(
                 ["classical", "--preset", "fig1c", "--steps", "1", "--gtau-bar", "0.5"],
                 "tau_bar_in_inv_g", "0.5", id="gtau-bar",
@@ -550,7 +574,6 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "argv, token",
         [
-            pytest.param(["run", "--preset", "fig3ab", "--omega", "0"], "omega", id="omega"),
             pytest.param(["run", "--preset", "fig2a", "--trap", "-1"], "trap", id="trap"),
             pytest.param(["run", "--preset", "fig2a", "--fock", "-1"], "fock", id="fock"),
             pytest.param(["classical", "--preset", "fig1c", "--steps", "-3"], "steps", id="steps"),
@@ -614,10 +637,6 @@ class TestConfigErrors:
         [
             pytest.param(["classical", "--preset", "fig1d", "--epsilon0", "inf"], "epsilon0",
                          id="epsilon0-inf"),
-            pytest.param(["run", "--preset", "fig4", "--omega", "inf"], "omega", id="omega-inf"),
-            # Only the superposition scheme reads omega, but every scheme checks it.
-            pytest.param(["run", "--preset", "fig2a", "--atoms", "3", "--omega", "nan"], "omega",
-                         id="omega-nan-elastic"),
         ],
     )
     def test_non_finite_derivation_input_rejected(self, tmp_path, capsys, argv, token):
@@ -680,7 +699,7 @@ class TestConfigErrors:
             pytest.param(
                 "run", ["--preset", "fig3ab", "--atoms", "3"],
                 ["--trap", "--q", "--alpha", "--fock", "--atoms", "--spread-mult",
-                 "--spread-frac", "--omega", "--seed", "--stream", "--nmax"],
+                 "--spread-frac", "--seed", "--stream", "--nmax"],
                 id="run",
             ),
             pytest.param(
@@ -763,6 +782,18 @@ class TestConfigErrors:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", ["2", "0", "nan", "x"])
+    def test_retired_omega_other_than_one_rejected(self, tmp_path, capsys, value):
+        # The closure fixes the Ramsey angle: another omega_in_g would rerun a
+        # manifest with another T_k column.
+        path = tmp_path / "omega.cfg"
+        path.write_text(f"{RUN_CONFIG}omega_in_g = {value}\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("config error: omega_in_g: ") and f"got {value!r}" in error
+        assert not out_dir.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
         path.write_text(
@@ -783,13 +814,15 @@ class TestConfigErrors:
         "argv",
         [
             pytest.param(["classical", "--preset", "fig1c", "--g", "2"], id="classical-g"),
-            pytest.param(["run", "--preset", "fig2a", "--om", "2"], id="run-om"),
+            pytest.param(["run", "--preset", "fig2a", "--nm", "70"], id="run-nm"),
             pytest.param(["run", "--preset", "fig2a", "--g", "1"], id="run-g"),
+            pytest.param(["run", "--preset", "fig3ab", "--omega", "1"], id="run-omega"),
         ],
     )
     def test_flag_prefix_not_expanded(self, tmp_path, argv):
         # g is the unit of time, so --g is no flag: on classical it must not
-        # reach --gtau-bar.  --om is not --omega.
+        # reach --gtau-bar.  --nm is not --nmax.  The closure cancels the
+        # Ramsey frequency, so --omega is no flag either.
         out_dir = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out-dir", str(out_dir)])
@@ -807,8 +840,9 @@ def manifest_outputs(out_dir):
     )
 
 
-# Manifests as written while g was a config token, which each one held as g = 1.
-G_TOKEN_MANIFESTS = {
+# Manifests as written while g, and later omega_in_g, were config tokens,
+# which each one held at 1.
+RETIRED_TOKEN_MANIFESTS = {
     "run": """\
 artifact_version = 0.1.0
 command = run
@@ -861,19 +895,50 @@ stream = 0
 [outputs]
 classical.csv = sha256:e75a0b21b0b36bbc28415031223e77da4780e0abd6fdbe5b0479f1b900e1f3b5
 """,
+    "superposition": """\
+artifact_version = 0.1.0
+command = run
+master_seed = 7
+duration_seconds = 0.00994278
+terminated_early = none
+
+[config]
+command = run
+scheme = superposition
+trap = 21
+q = 1
+atoms = 30
+alpha = sqrt21
+fock =
+dist = uniform
+mode = postselect
+tau_bar_in_inv_g = 0.66978980424286694
+spread_in_inv_g = 0.033489490212143348
+omega_in_g = 1
+phi_f_rad = -1.5707963267948966
+nmax = 59
+seed = 7
+stream = 0
+halt_on_failure = true
+
+[outputs]
+trajectory.csv = sha256:65cc9f3014b68ad3de8494761d5c589277f19cd9e3db59575b61de27f5d9a238
+distribution.csv = sha256:e21e6c60d32c8eb72b2bdcc524b241e2a08d03aa51266659b0c3d755b469d76e
+""",
 }
 
 
 class TestOutputDigests:
-    @pytest.mark.parametrize("command", sorted(G_TOKEN_MANIFESTS))
-    def test_manifest_with_retired_g_reproduces_its_digests(self, tmp_path, command):
-        (tmp_path / "manifest.txt").write_text(G_TOKEN_MANIFESTS[command], encoding="utf-8")
+    @pytest.mark.parametrize("name", sorted(RETIRED_TOKEN_MANIFESTS))
+    def test_manifest_with_retired_tokens_reproduces_its_digests(self, tmp_path, name):
+        (tmp_path / "manifest.txt").write_text(RETIRED_TOKEN_MANIFESTS[name], encoding="utf-8")
+        old_tokens = parse_kv_file(tmp_path / "manifest.txt")
         out_dir = tmp_path / "again"
-        assert main([command, "--config", str(tmp_path / "manifest.txt"),
+        assert main([old_tokens["command"], "--config", str(tmp_path / "manifest.txt"),
                      "--out-dir", str(out_dir)]) == 0
         assert manifest_outputs(out_dir) == manifest_outputs(tmp_path)
-        old_tokens = parse_kv_file(tmp_path / "manifest.txt")
-        assert old_tokens.pop("g") == "1"
+        retired = [old_tokens.pop(token) for token in ("g", "omega_in_g") if token in old_tokens]
+        assert retired and set(retired) == {"1"}
         assert parse_kv_file(out_dir / "manifest.txt") == old_tokens
 
     @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from jctrap.dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
     AtomRotation,
-    MeasurementScheme,
     approx_cm_coefficient,
     cm_project,
     correlated_cm_factors,
@@ -171,23 +170,23 @@ class TestNsmStep:
 
 class TestRamseyCoeffs:
     def test_no_rotation(self):
-        rot = ramsey_coeffs(1.0, 0.0, -math.pi / 2)
+        rot = ramsey_coeffs(0.0, -math.pi / 2)
         assert rot.alpha_f == 1.0
         assert rot.beta_f == 0.0
 
     def test_pi_rotation(self):
-        rot = ramsey_coeffs(1.0, math.pi, -math.pi / 2)
+        rot = ramsey_coeffs(math.pi, -math.pi / 2)
         assert abs(rot.alpha_f) < 1e-12
         assert abs(rot.beta_f - (-1j)) < 1e-12
 
     def test_half_pi_rotation(self):
-        rot = ramsey_coeffs(1.0, math.pi / 2.0, -math.pi / 2)
+        rot = ramsey_coeffs(math.pi / 2.0, -math.pi / 2)
         assert abs(rot.alpha_f - math.cos(math.pi / 4.0)) < 1e-12
         assert abs(rot.beta_f - (-1j) * math.sin(math.pi / 4.0)) < 1e-12
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            ramsey_coeffs(1.0, -0.1, 0.0)
+            ramsey_coeffs(-0.1, 0.0)
 
     def test_rotation_must_be_normalized(self):
         with pytest.raises(ValueError):
@@ -262,42 +261,41 @@ class TestTrappingBlockage:
         assert np.all(after_nsm[n_t + 1 :] == 0.0)
 
         ent = jcm_entangle(state, tau)
-        rot = ramsey_coeffs(1.0, 0.7, -math.pi / 2)
+        rot = ramsey_coeffs(0.7, -math.pi / 2)
         projected, _ = cm_project(ent, rot)
         assert np.all(projected.probabilities()[n_t + 1 :] == 0.0)
 
 
 class TestApproxCmCoefficient:
     def test_stationary_point_identity(self):
-        # Omega T / 2 equals g tau sqrt(n+1) exactly: coefficient is 1.
-        out = approx_cm_coefficient(0.3 + 0.1j, 2.0, 1.0, 0.5, 3)
+        # T / 2 equals tau sqrt(n+1) exactly: coefficient is 1.
+        out = approx_cm_coefficient(0.3 + 0.1j, 2.0, 0.5, 3)
         assert out == 0.3 + 0.1j
 
     def test_reduces_to_elastic_at_zero_rotation(self):
-        out = approx_cm_coefficient(1.0, 1.0, 0.0, 0.7, 5)
+        out = approx_cm_coefficient(1.0, 0.0, 0.7, 5)
         assert abs(out - math.cos(0.7 * math.sqrt(6.0))) < 1e-12
 
     def test_direct_evaluation(self):
-        # Omega T / 2 = 2, g tau sqrt(51) = 2.3: cos(-0.3) c_prev.
+        # T / 2 = 2, tau sqrt(51) = 2.3: cos(-0.3) c_prev.
         tau = 2.3 / math.sqrt(51.0)
-        out = approx_cm_coefficient(1.0, 1.0, 4.0, tau, 50)
+        out = approx_cm_coefficient(1.0, 4.0, tau, 50)
         assert abs(out - math.cos(-0.3)) < 1e-12
         assert abs(out - 0.955336) < 1e-6
 
 
 class TestCorrelatedCmFactors:
     def test_matches_approx_coefficient(self):
-        tau, omega, T = 0.61, 1.3, 4.7
-        success, _ = correlated_cm_factors(omega, T, tau, 12)
+        tau, T = 0.61, 6.11
+        success, _ = correlated_cm_factors(T, tau, 12)
         for n in range(13):
-            assert abs(success[n] - approx_cm_coefficient(1.0, omega, T, tau, n)) < 1e-12
+            assert abs(success[n] - approx_cm_coefficient(1.0, T, tau, n)) < 1e-12
 
     def test_stationary_level_held_exactly(self):
         n_t = 21
-        omega = 1.0
-        r = stationary_phase_ratio(n_t, omega)
+        r = stationary_phase_ratio(n_t)
         for tau in (0.3, 0.5, 0.67, 1.1):
-            success, failure = correlated_cm_factors(omega, r * tau, tau, 40)
+            success, failure = correlated_cm_factors(r * tau, tau, 40)
             assert success[n_t] == 1.0
             assert failure[n_t] == 0.0
 
@@ -308,7 +306,7 @@ class TestCorrelatedCmFactors:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_completeness_per_level(self, tau, T, phi_f):
-        success, failure = correlated_cm_factors(1.0, T, tau, 25, phi_f=phi_f)
+        success, failure = correlated_cm_factors(T, tau, 25, phi_f=phi_f)
         total = np.abs(success) ** 2 + np.abs(failure) ** 2
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
@@ -329,13 +327,10 @@ class TestLargeNConsistency:
         assert steps.max() < 0.02  # slow-variation premise
 
         tau = 0.96 * math.pi / math.sqrt(451.0)
-        omega = 1.0
-        T = 2.0 * theta(tau, 450) / omega
-        exact, _ = cm_project(jcm_entangle(state, tau), ramsey_coeffs(omega, T, -math.pi / 2))
+        T = 2.0 * theta(tau, 450)
+        exact, _ = cm_project(jcm_entangle(state, tau), ramsey_coeffs(T, -math.pi / 2))
 
-        approx = np.array(
-            [approx_cm_coefficient(amps[n], omega, T, tau, n) for n in range(n_max + 1)]
-        )
+        approx = np.array([approx_cm_coefficient(amps[n], T, tau, n) for n in range(n_max + 1)])
         approx /= np.linalg.norm(approx)
 
         rel = np.abs(exact.amplitudes[window] - approx[window]) / np.abs(approx[window])
@@ -348,17 +343,16 @@ class TestSchemeTypes:
             build_run_config(scheme="thermal", trap_target=5, n_atoms=1, alpha=1.0)
         cfg = build_run_config(scheme="elastic", trap_target=5, n_atoms=1, alpha=1.0)
         with pytest.raises(ConfigError, match="scheme: unknown scheme 'thermal'"):
-            replace(cfg, scheme=MeasurementScheme("thermal", cfg.scheme.phi_f)).validate()
+            replace(cfg, scheme="thermal").validate()
 
     def test_superposition_needs_ratio(self):
         cfg = build_run_config(scheme="superposition", trap_target=21, n_atoms=1, alpha=1.0)
-        assert cfg.timing.ramsey_ratio == stationary_phase_ratio(21, 1.0)
-        assert cfg.scheme.phi_f == -math.pi / 2
+        assert cfg.timing.ramsey_ratio == stationary_phase_ratio(21)
+        assert cfg.phi_f == -math.pi / 2
         with pytest.raises(ConfigError, match="ramsey_ratio > 0"):
             replace(cfg, timing=replace(cfg.timing, ramsey_ratio=0.0)).validate()
 
     def test_stationary_phase_ratio_closure(self):
-        r = stationary_phase_ratio(21, 2.0)
-        assert r * 2.0 == 2.0 * math.sqrt(22.0)
+        assert stationary_phase_ratio(21) == 2.0 * math.sqrt(22.0)
         with pytest.raises(ValueError):
-            stationary_phase_ratio(21, 0.0)
+            stationary_phase_ratio(-1)

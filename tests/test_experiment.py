@@ -34,6 +34,7 @@ from jctrap.fock import (
     coherent_state,
     default_n_max,
     distribution_stats,
+    fock_basis_state,
     renormalize,
 )
 from jctrap.stochastic import SeedSpec, derive_stream, sample_timing
@@ -58,13 +59,17 @@ class TestBuildConfig:
         assert cfg.timing.tau_bar == trapping_time(21, 1)
         assert cfg.n_max == default_n_max(21)
         assert cfg.timing.spread == pytest.approx(math.pi / math.sqrt(22.0))
-        assert cfg.timing.ramsey_ratio * cfg.omega == 2.0 * math.sqrt(22.0)
+        assert cfg.timing.ramsey_ratio == 2.0 * math.sqrt(22.0)
 
-    def test_initial_field_exclusive(self):
+    def test_alpha_and_fock_exclusive(self):
         with pytest.raises(ConfigError):
             build_run_config(scheme="nsm", trap_target=5, n_atoms=1)
         with pytest.raises(ConfigError):
             build_run_config(scheme="nsm", trap_target=5, n_atoms=1, alpha=1.0, fock_n=2)
+        cfg = build_run_config(scheme="nsm", trap_target=5, n_atoms=1, alpha=1.0)
+        for bad in ({"fock": 2}, {"alpha": None}):
+            with pytest.raises(ConfigError, match="alpha/fock: set exactly one initial field"):
+                replace(cfg, **bad).validate()
 
     def test_validation_messages_name_fields(self):
         with pytest.raises(ConfigError, match="q:"):
@@ -81,7 +86,6 @@ class TestBuildConfig:
         [
             pytest.param({"trap_target": -1}, "trap: must be >= 0, got -1", id="trap"),
             pytest.param({"q": -1}, "q: must be >= 1 in a run config, got -1", id="q"),
-            pytest.param({"omega": 0.0}, "omega: must be > 0, got 0.0", id="omega"),
             pytest.param({"alpha": None, "fock_n": -1}, "fock: must be >= 0, got -1", id="fock"),
             pytest.param({"alpha": None, "fock_n": 43, "n_max": 42},
                          "fock: initial level 43 exceeds n_max 42", id="fock-above-nmax"),
@@ -100,10 +104,8 @@ class TestBuildConfig:
         for bad, message in (
             ({"trap_target": -1}, "trap: must be >= 0"),
             ({"q": 0}, "q: must be >= 1"),
-            ({"omega": 0.0}, "omega: must be > 0"),
-            ({"scheme": replace(cfg.scheme, phi_f=math.nan)}, "phi_f_rad: must be finite, got nan"),
-            ({"initial_field": replace(cfg.initial_field, alpha=complex(math.nan))},
-             "alpha: must be finite, got nan"),
+            ({"phi_f": math.nan}, "phi_f_rad: must be finite, got nan"),
+            ({"alpha": complex(math.nan)}, "alpha: must be finite, got nan"),
         ):
             with pytest.raises(ConfigError, match=message):
                 run_sequence(replace(cfg, **bad))
@@ -246,16 +248,13 @@ def _reference_step(config, field, tau, ramsey_t, rng):
     after the atom, its success probability and the sampled outcome, None
     unless outcomes are sampled.
     """
-    scheme = config.scheme
-    if scheme.kind == "nsm":
+    if config.scheme == "nsm":
         return nsm_step(field, tau), 1.0, None
-    if scheme.kind == "superposition":
-        success, failure = correlated_cm_factors(
-            config.omega, ramsey_t, tau, config.n_max, scheme.phi_f
-        )
+    if config.scheme == "superposition":
+        success, failure = correlated_cm_factors(ramsey_t, tau, config.n_max, config.phi_f)
         d, d_orth = success * field.amplitudes, failure * field.amplitudes
     else:
-        rot = ELASTIC_ROTATION if scheme.kind == "elastic" else INELASTIC_ROTATION
+        rot = ELASTIC_ROTATION if config.scheme == "elastic" else INELASTIC_ROTATION
         ent = jcm_entangle(field, tau)
         if config.mode == "postselect":
             state, p_k = cm_project(ent, rot)
@@ -278,14 +277,17 @@ def _reference_run(config):
     first failed outcome when the config halts on one.
     """
     rng = derive_stream(config.seed)
-    field = config.initial_field.build(config.n_max)
-    if config.scheme.kind == "nsm":
+    if config.fock is None:
+        field, _ = coherent_state(config.alpha, config.n_max)
+    else:
+        field = fock_basis_state(config.fock, config.n_max)
+    if config.scheme == "nsm":
         field = field.probabilities()
     steps = []
     for _ in range(config.n_atoms):
         tau, ramsey_t = sample_timing(config.timing, rng)
         field, p_k, success = _reference_step(config, field, tau, ramsey_t, rng)
-        dist = field if config.scheme.kind == "nsm" else field.probabilities()
+        dist = field if config.scheme == "nsm" else field.probabilities()
         steps.append((tau, p_k, success, dist))
         if success is False and config.halt_on_failure:
             break
@@ -295,7 +297,7 @@ def _reference_run(config):
 def _assert_equals_reference(config, result):
     """result is run_sequence(config) with steps, bit for bit as _reference_run."""
     field, steps = _reference_run(config)
-    if config.scheme.kind == "nsm":
+    if config.scheme == "nsm":
         assert np.array_equal(result.final_state, field)
     else:
         assert np.array_equal(result.final_state.amplitudes, field.amplitudes)
@@ -868,10 +870,30 @@ class TestSweep:
                     assert math.isnan(cell.final_p_trap) and not cell.converged
                     continue
                 seen.add(direct.terminated_early or "ran")
-                assert cell.error is None
+                assert cell.error == direct.terminated_early
+                if direct.terminated_early:  # a failed cell, as one that raised
+                    assert math.isnan(cell.final_p_trap) and math.isnan(cell.cum_P)
+                    assert not cell.converged
+                    continue
                 assert cell.final_p_trap == direct.final_distribution[base.trap_target]
                 assert cell.cum_P == direct.final_cum_P
         assert seen == {"ran", "impossible post-selection", "LeakageError", "ConfigError"}
+
+    def test_halted_sampled_cell_is_a_failed_cell(self):
+        # A halting sampled cell stops at its first orthogonal outcome: its
+        # row is a failed cell's, with the reason run_sequence gives.  Seed
+        # 22 runs one of fig2a's five sampled cells to its end.
+        base = build_run_config(scheme="elastic", trap_target=20, n_atoms=200, alpha=3.0,
+                                spread_mult=0.1, mode="sample", master_seed=22)
+        table = sweep(base, [0.1], ensemble=5)
+        for cell in table.cells:
+            seed = SeedSpec(base.seed.master_seed, cell.cell)
+            direct = run_sequence(replace(base, seed=seed), collect_steps=False)
+            assert cell.error == direct.terminated_early
+            assert math.isnan(cell.cum_P) == (cell.error is not None)
+        assert any(c.error is None for c in table.cells)
+        assert any(c.error and c.error.startswith("sampled orthogonal outcome at atom ")
+                   for c in table.cells)
 
     def test_deterministic_given_master_seed(self, tmp_path):
         table_a = sweep(self.base(), [0.1, 1.0], ensemble=3)

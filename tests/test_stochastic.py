@@ -30,6 +30,8 @@ class TestTimingModel:
             TimingModel(tau_bar=1.0, spread=2.0, law="uniform")
         with pytest.raises(ConfigError, match="^dist: "):
             TimingModel(tau_bar=1.0, spread=0.1, law="lognormal")
+        with pytest.raises(ConfigError, match=r"^ramsey_ratio: must be >= 0, got -1\.0$"):
+            TimingModel(tau_bar=1.0, spread=0.1, ramsey_ratio=-1.0)
 
     def test_gaussian_allows_wide_spread(self):
         TimingModel(tau_bar=0.1, spread=1.0, law="gaussian")
