@@ -89,6 +89,7 @@ class Manifest:
     outputs: dict[str, str]
     terminated_early: str | None = None
     errors: dict[int, str] = field(default_factory=dict)  # failed sweep cell -> its error
+    failures: dict[int, int] = field(default_factory=dict)  # sampled sweep cell -> its failures
 
     def to_text(self) -> str:
         lines = [
@@ -101,9 +102,11 @@ class Manifest:
             "[config]",
         ]
         lines += [f"{k} = {v}" for k, v in self.config_tokens.items()]
-        if self.errors:  # before [outputs], every key of which is a digest
-            lines += ["", "[errors]"]
-            lines += [f"cell {index} = {error}" for index, error in self.errors.items()]
+        # Before [outputs], every key of which is a digest.
+        for section, values in (("errors", self.errors), ("failures", self.failures)):
+            if values:
+                lines += ["", f"[{section}]"]
+                lines += [f"cell {index} = {value}" for index, value in values.items()]
         lines += ["", "[outputs]"]
         lines += [f"{name} = sha256:{digest}" for name, digest in self.outputs.items()]
         return "\n".join(lines) + "\n"
@@ -373,6 +376,7 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
     outputs: dict[str, str] = {}
     terminated = None
     errors: dict[int, str] = {}
+    failures: dict[int, int] = {}
 
     if parsed.command == "run":
         outputs["trajectory.csv"] = write_trajectory_csv(out / "trajectory.csv", result)
@@ -386,6 +390,7 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
     elif parsed.command == "sweep":
         outputs["sweep.csv"] = write_sweep_csv(out / "sweep.csv", result)
         errors = {cell.cell: cell.error for cell in result.cells if cell.error is not None}
+        failures = {cell.cell: cell.n_failures for cell in result.cells if cell.n_failures}
 
     manifest = Manifest(
         command=parsed.command,
@@ -396,6 +401,7 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
         outputs=outputs,
         terminated_early=terminated,
         errors=errors,
+        failures=failures,
     )
     (out / "manifest.txt").write_text(manifest.to_text(), encoding="utf-8")
     return manifest

@@ -18,7 +18,7 @@ import cmath
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -259,14 +259,17 @@ class _LogSum:
 
 @dataclass(slots=True)
 class _Cell:
-    """What one cell of a running batch keeps outside the batch arrays."""
+    """What one cell of a running batch keeps outside the batch arrays.
+
+    A counting cell keeps no cum and no steps; its result stays False unless it succeeds.
+    """
 
     timing: TimingModel
     rng: np.random.Generator
-    cum: _LogSum = field(default_factory=_LogSum)
-    steps: list[StepRecord] = field(default_factory=list)
+    cum: _LogSum | None = None
+    steps: list[StepRecord] | None = None
     failures: int = 0
-    result: RunResult | bool | SimulationError | None = None  # set when the cell ends
+    result: RunResult | bool | SimulationError = False  # set when the cell ends
 
 
 class _Run(NamedTuple):
@@ -284,16 +287,29 @@ def _conditioned(s: np.ndarray, outcome: tuple, j: int, out: np.ndarray) -> np.n
     """Rows s after block atom j's outcome (keep, emit), unnormalized, written into out.
 
     d_n = keep_n s_n + emit_{n-1} s_{n-1}; a factor that is None drops its term.
+    out is flat and one value longer than s: the rows fill all but its last.
     """
     keep, emit = outcome
-    if keep is None:
-        out[:, 0] = 0
-        np.multiply(emit[j, :, :-1], s[:, :-1], out=out[:, 1:])
-        return out
-    np.multiply(keep[j], s, out=out)
-    if emit is not None:
-        out[:, 1:] += s[:, :-1] * emit[j, :, :-1]
-    return out
+    d = out[:-1].reshape(s.shape)
+    if emit is None:
+        return np.multiply(keep[j], s, out=d)
+    # Every emit_n s_n over whole rows, written one value on: the top level's
+    # lands on the next row's level 0, which the keep term (or 0) takes.
+    # Rows shifted by slicing would make numpy stage them through buffers.
+    np.multiply(emit[j], s, out=out[1:].reshape(s.shape))
+    d[:, 0] = 0
+    if keep is not None:
+        d += keep[j] * s
+    return d
+
+
+def _draws(cells: list[_Cell], b: int, sampled: bool) -> Iterator[float]:
+    """Per atom, then per cell: tau_k, T_k and, when outcomes are sampled, u_k."""
+    for _ in range(b):
+        for cell in cells:
+            yield from sample_timing(cell.timing, cell.rng)
+            if sampled:
+                yield cell.rng.random()
 
 
 def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
@@ -305,23 +321,38 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
     keeps level n by cos theta_n, else emits into n + 1 by -i sin theta_n;
     inelastic the reverse, keeping by -cos theta_n; superposition keeps by
     its CM success, else failure, factor; NSM's one outcome keeps populations
-    by cos^2 theta_n and emits by sin^2 theta_n.
+    by cos^2 theta_n and emits by sin^2 theta_n.  When every atom and cell
+    of the block has the same times, the factors are one row, computed once
+    and broadcast to (atoms, cells, levels) without a copy.
     """
     config, sampled = run.config, run.sampled
-    times = np.array([[(*sample_timing(c.timing, c.rng), c.rng.random()) if sampled
-                       else sample_timing(c.timing, c.rng) for c in cells] for _ in range(b)])
-    taus, ramsey = times[..., :1], times[..., 1:2]
+    shape = (b, len(cells), config.n_max + 1)
+    times = np.fromiter(_draws(cells, b, sampled), float, b * len(cells) * (2 + sampled))
+    times = times.reshape(*shape[:2], -1)
+    pair = times[..., :2]
+    shared = bool((pair == pair[0, 0]).all())
+    if shared:  # a row equals the one-time result bit for bit
+        pair = pair[:1, :1]
+    taus, ramsey = pair[..., :1], pair[..., 1:]
+    edge = None
     if config.scheme == "superposition":
         cm = correlated_cm_factors(ramsey, taus, config.n_max, config.phi_f)
-        return times, None, [(f, None) for f in cm]
-    cos_t, sin_t = rabi_cos_sin(taus, config.n_max)
-    if run.nsm:
-        sin_sq = np.square(sin_t, out=sin_t)
-        return times, sin_sq[..., -1], [(np.square(cos_t, out=cos_t), sin_sq)]
-    selected, orthogonal = (cos_t, None), (None, -1j * sin_t)  # elastic
-    if config.scheme == "inelastic":
-        selected, orthogonal = orthogonal, (-cos_t, None)
-    return times, np.square(sin_t[..., -1]), (selected, orthogonal)
+        outcomes = [(f, None) for f in cm]
+    else:
+        cos_t, sin_t = rabi_cos_sin(taus, config.n_max)
+        if run.nsm:
+            sin_sq = np.square(sin_t, out=sin_t)
+            edge, outcomes = sin_sq[..., -1], [(np.square(cos_t, out=cos_t), sin_sq)]
+        else:
+            selected, orthogonal = (cos_t, None), (None, -1j * sin_t)  # elastic
+            if config.scheme == "inelastic":
+                selected, orthogonal = orthogonal, (-cos_t, None)
+            edge, outcomes = np.square(sin_t[..., -1]), (selected, orthogonal)
+    if shared:
+        edge = None if edge is None else np.broadcast_to(edge, shape[:2])
+        outcomes = [tuple(None if f is None else np.broadcast_to(f, shape) for f in outcome)
+                    for outcome in outcomes]
+    return times, edge, outcomes
 
 
 def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
@@ -334,14 +365,16 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
     """
     times, edge, outcomes = draw
     (b, n), nsm, sampled = times.shape[:2], run.nsm, run.sampled
-    fields = np.empty((b + 1, *state.shape), state.dtype)
+    size = state.size
+    flat = np.empty((b + 1) * size + 1, state.dtype)  # the spare value: see _conditioned
+    fields = flat[:-1].reshape(b + 1, *state.shape)
     fields[0] = state
     norms = np.ones((b, n))  # NSM keeps these
     successes = np.empty((b, n)) if sampled else norms
     failed = np.zeros((b, n), dtype=bool)
     for j in range(b):
         s = fields[j]
-        d = _conditioned(s, outcomes[0], j, fields[j + 1])
+        d = _conditioned(s, outcomes[0], j, flat[(j + 1) * size : (j + 2) * size + 1])
         if nsm:  # populations need no renormalization
             continue
         norm = successes[j] = np.vecdot(d, d).real
@@ -349,12 +382,14 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
             # u_k < 1, so u_k < min(norm, 1) exactly when u_k < norm.
             failed[j] = fails = ~(times[j, :, 2] < norm)
             if fails.any():
-                d_orth = _conditioned(s, outcomes[1], j, np.empty_like(s))
+                d_orth = _conditioned(s, outcomes[1], j, np.empty(size + 1, s.dtype))
                 np.copyto(d, d_orth, where=fails[:, None])
                 norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
         norms[j] = norm
         # A row at or below the floor ends below; the floor keeps 0/0 out.
-        d /= np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ))[:, None]
+        # numpy divides complex x by real c as x * (1 / c): this is that
+        # product on the real and imaginary parts, up to the sign of a zero.
+        d.view(np.float64)[...] *= (1.0 / np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ)))[:, None]
     return times, edge, fields, norms, successes, failed
 
 
@@ -402,25 +437,34 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
     cell does at a failure.  A counting run books failures alone.
     """
     times, edge, fields, norms, successes, failed = block
-    b, n = norms.shape
+    b, n = failed.shape
     rows = fields if run.nsm else np.abs(fields) ** 2  # row j: before block atom j
     after = rows[1:]
-    leak = np.zeros((b, n)) if edge is None else rows[:b, :, -1] * edge
-    p_k = np.minimum(successes, 1.0)
     total = after.sum(axis=-1)
     top = top_level_probability(after)
+    # An input every atom shares is one float: superposition leaks nothing,
+    # and NSM's P_k and norms are all 1.
+    leak = 0.0 if edge is None else rows[:b, :, -1] * edge
+    p_k, norms = (1.0, 1.0) if run.nsm else (np.minimum(successes, 1.0), norms)
     inputs = (leak, p_k, norms, total, top)
     ends = {}  # per cell that ends: (atoms booked, its error or reason)
     # The guard on the block's worst value of each input; numpy's max and
     # min return a NaN if there is one, and a NaN trips the guard.
     far = max(total.min(), total.max(), key=lambda t: abs(t - 1.0))
-    if _guard(run, (leak.max(), p_k.min(), norms.min(), far, top.max()), k + 1):
-        for at, atom in enumerate(zip(*(a.ravel().tolist() for a in inputs))):
+    worst = (leak if edge is None else leak.max(), p_k if run.nsm else p_k.min(),
+             norms if run.nsm else norms.min(), far, top.max())
+    if _guard(run, worst, k + 1) is not None:
+        per_atom = (a.ravel().tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
+                    for a in inputs)
+        for at, atom in enumerate(zip(*per_atom)):
             j, i = divmod(at, n)
             if i not in ends and (end := _guard(run, atom, k + j + 1)) is not None:
                 ends[i] = (j, end)
-    # NSM's P_k are all one float object, which every step record then shares.
-    p_k = [] if run.counting else [1.0] * (b * n) if run.nsm else p_k.ravel().tolist()
+    elif run.counting and run.halting:  # one atom a block; a failed cell stays False
+        keep = np.flatnonzero(~failed[0])
+        return [cells[i] for i in keep.tolist()], fields[1].take(keep, axis=0)
+    # NSM books no P_k: each is 1.0, one float object every step record shares.
+    p_k = None if run.counting or run.nsm else p_k.ravel().tolist()
     failed = failed.ravel().tolist()
     if run.halting:  # a halting batch runs one atom a block
         for i in itertools.compress(range(n), failed):
@@ -438,12 +482,14 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
     for i, cell in enumerate(cells):
         m, end = ends.get(i, (b, None))
         at = slice(i, m * n, n)  # cell i's booked atoms in the (atoms, cells) lists
-        cums = [] if run.collect_steps else None
-        if not run.counting:
-            cell.cum.extend(p_k[at], cums)
+        if p_k is None:  # counting books no cum_P, and NSM's stays 1.0 since log 1 = 0
+            p_ks, cums = itertools.repeat(1.0), itertools.repeat(1.0)
+        else:
+            p_ks, cums = p_k[at], [] if run.collect_steps else None
+            cell.cum.extend(p_ks, cums)
         if run.collect_steps:
             tau_k, t_k, mean, delta, p_trap, p_above, outcome = (c[at] for c in columns)
-            cell.steps.extend(map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_k[at], cums,
+            cell.steps.extend(map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_ks, cums,
                                   mean, delta, outcome, p_trap, p_above))
         if run.sampled:
             cell.failures += failed[at].count(True)
@@ -480,7 +526,11 @@ def _run_cells(
     state = initial.probabilities() if nsm else initial.amplitudes
     state = state[None].repeat(len(cells), axis=0)
     timings, seeds = zip(*cells)
-    cells = everyone = [_Cell(t, rng) for t, rng in zip(timings, derive_streams(seeds))]
+    streams = zip(timings, derive_streams(seeds))
+    if run.counting:
+        cells = everyone = [_Cell(t, rng) for t, rng in streams]
+    else:
+        cells = everyone = [_Cell(t, rng, _LogSum(), []) for t, rng in streams]
     k = 0
     while k < config.n_atoms and cells:
         b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(cells) * (config.n_max + 1)))
@@ -534,6 +584,7 @@ class SweepCell:
     cum_P: float
     converged: bool
     error: str | None = None
+    n_failures: int = 0  # sampled outcomes that failed, as RunResult.n_failures
 
 
 @dataclass
@@ -577,12 +628,15 @@ def sweep(
     cells = []
     for mult, index in jobs:
         outcome = outcomes[index]
-        error = str(outcome) if isinstance(outcome, Exception) else outcome.terminated_early
+        failed = isinstance(outcome, Exception)
+        error = str(outcome) if failed else outcome.terminated_early
+        failures = 0 if failed else outcome.n_failures
         if error is not None:
-            cells.append(SweepCell(mult, index, math.nan, math.nan, False, error=error))
+            cells.append(SweepCell(mult, index, math.nan, math.nan, False, error, failures))
             continue
         p_trap = float(outcome.final_distribution[base.trap_target])
-        cells.append(SweepCell(mult, index, p_trap, outcome.final_cum_P, p_trap > CONVERGENCE_P))
+        cells.append(SweepCell(mult, index, p_trap, outcome.final_cum_P, p_trap > CONVERGENCE_P,
+                               None, failures))
     return SweepResult(cells=cells)
 
 

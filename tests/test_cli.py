@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,9 @@ from jctrap.cli import (
 )
 from jctrap.dynamics import critical_spread, trapping_time
 from jctrap.errors import ConfigError
+from jctrap.experiment import run_sequence
 from jctrap.fock import coherent_state
+from jctrap.stochastic import SeedSpec
 
 
 class TestAlphaTokens:
@@ -360,6 +363,7 @@ class TestCliEndToEnd:
         assert main([*passing, "--out-dir", str(tmp_path / "ok")]) == 0
         assert capsys.readouterr().err == ""
         assert "[errors]" not in (tmp_path / "ok" / "manifest.txt").read_text()
+        assert "[failures]" not in (tmp_path / "ok" / "manifest.txt").read_text()
 
     def test_sweep_cell_that_ends_early_is_a_failed_cell(self, tmp_path, capsys):
         # From |19>, atom 1 emits into the n_t = 20 trap and atom 2 cannot
@@ -373,6 +377,36 @@ class TestCliEndToEnd:
         assert (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:] == ["0,0,nan,nan,0"]
         text = (tmp_path / "sw" / "manifest.txt").read_text()
         assert "\n[errors]\ncell 0 = impossible post-selection\n" in text
+        assert "[failures]" not in text
+
+    def test_sampled_sweep_counts_failed_outcomes(self, tmp_path, capsys):
+        # Cells 1 and 2 run on through failed outcomes: [failures], before
+        # [outputs], names them with run_sequence's n_failures.
+        (tmp_path / "continue.cfg").write_text("halt_on_failure = false\n")
+        argv = ["sweep", "--preset", "fig2a", "--config", str(tmp_path / "continue.cfg"),
+                "--mode", "sample", "--atoms", "200", "--spread-mults", "0.1", "--ensemble", "3"]
+        assert main([*argv, "--out-dir", str(tmp_path / "sw")]) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "sw" / "manifest.txt").read_text()
+        assert "\n[failures]\ncell 1 = 13\ncell 2 = 8\n\n[outputs]\n" in text
+        base = parse_config(overrides={**preset("fig2a").tokens, "mode": "sample", "atoms": "200",
+                                       "spread_mult": "0.1", "halt_on_failure": "false"}).run
+        assert [run_sequence(replace(base, seed=SeedSpec(base.seed.master_seed, cell))).n_failures
+                for cell in range(3)] == [0, 13, 8]
+        # The manifest reruns to its own digests and sections.
+        config = ["sweep", "--config", str(tmp_path / "sw" / "manifest.txt")]
+        assert main([*config, "--out-dir", str(tmp_path / "rerun")]) == 0
+        assert manifest_outputs(tmp_path / "rerun") == manifest_outputs(tmp_path / "sw")
+        rerun = (tmp_path / "rerun" / "manifest.txt").read_text()
+        assert rerun.partition("[config]")[2] == text.partition("[config]")[2]
+        # A halting cell's one failed outcome ends it: it is named in both sections.
+        halting = ["sweep", "--preset", "fig2a", "--mode", "sample", "--spread-mults", "0",
+                   "--ensemble", "1"]
+        assert main([*halting, "--out-dir", str(tmp_path / "halt")]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "halt" / "manifest.txt").read_text()
+        assert "\n[errors]\ncell 0 = sampled orthogonal outcome at atom 1\n" in text
+        assert "\n[failures]\ncell 0 = 1\n" in text
 
     def test_preset_subcommand_prints_config(self, capsys):
         assert main(["preset", "fig4"]) == 0

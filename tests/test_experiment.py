@@ -498,6 +498,65 @@ class TestBlockSize:
         outcomes = self.each_block_size(monkeypatch, lambda: sampled_success_estimate(config, 30))
         assert outcomes == outcomes[:1] * 9
 
+    def test_halting_estimate_raises_the_first_error_in_trajectory_order(self, monkeypatch):
+        # Of 12 halting trajectories, 7 and 11 leak out of the 47-level basis,
+        # 11 at atom 4 and 7 at atom 6; the others halt at a failed outcome
+        # first.  A halting estimate books a block's failures by arrays until
+        # the leak guard trips, then atom by atom: trajectory 7's error wins.
+        cfg = build_run_config(
+            scheme="inelastic", trap_target=20, n_atoms=40, alpha=3.0, n_max=46,
+            spread_mult=1.0, mode="sample",
+        )
+        errors = {}
+        for t in range(12):
+            try:
+                run_sequence(replace(cfg, seed=SeedSpec(0, t)), collect_steps=False)
+            except LeakageError as exc:
+                errors[t] = str(exc)
+        assert list(errors) == [7, 11] and errors[7] != errors[11]
+        with pytest.raises(LeakageError):
+            run_sequence(replace(cfg, n_atoms=4, seed=SeedSpec(0, 11)))
+        assert run_sequence(replace(cfg, n_atoms=5, seed=SeedSpec(0, 7))).terminated_early is None
+        outcomes = self.each_block_size(monkeypatch, lambda: sampled_success_estimate(cfg, 12))
+        assert outcomes == [f"LeakageError: {errors[7]}"] * 9
+
+    @pytest.mark.parametrize(
+        "mode, halt",
+        [("postselect", True), ("sample", True), ("sample", False)],
+        ids=["postselect", "sample-halting", "sample-continuing"],
+    )
+    @pytest.mark.parametrize(
+        "scheme, phi_f",
+        [("nsm", -math.pi / 2), ("elastic", -math.pi / 2), ("superposition", 0.4)],
+    )
+    def test_sweep_mixing_fixed_and_fluctuating_times(self, monkeypatch, scheme, phi_f, mode, halt):
+        # Run alone, a cell at multiplier 0 shares one row of factors a block;
+        # in most of the sweep's batches it sits beside fluctuating cells.
+        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
+        base = build_run_config(
+            scheme=scheme, trap_target=trap, n_atoms=60, **initial, n_max=n_max, phi_f=phi_f,
+            mode=mode, master_seed=13, halt_on_failure=halt,
+        )
+        expected = []
+        for index, mult in enumerate([0.0, 0.0, 0.1, 0.1]):
+            config = replace(
+                base, timing=replace(base.timing, spread=mult * critical_spread(trap)),
+                seed=SeedSpec(13, index),
+            )
+            result = run_sequence(config, collect_steps=False)
+            values = (result.final_distribution[trap], result.final_cum_P)
+            if result.terminated_early is not None:  # a failed cell, with nan values
+                values = (math.nan, math.nan)
+            expected.append(repr((result.terminated_early, *map(float, values),
+                                  float(result.n_failures))))
+
+        def cells():
+            return [repr((c.error, c.final_p_trap, c.cum_P, float(c.n_failures)))
+                    for c in sweep(base, [0.0, 0.1], ensemble=2).cells]
+
+        outcomes = self.each_block_size(monkeypatch, cells)
+        assert outcomes == [expected] * 9
+
     def test_batches_sized_by_entries(self, monkeypatch):
         # A batch holds 64 cells, or as many as fill a one-atom block where
         # more fit: 264 at 31 levels, 64 from 127 levels on.
@@ -572,7 +631,8 @@ class TestBlockSize:
         # block and batch size.  The block's test must see it wherever it
         # sits among the block's guard inputs, although a NaN passes every
         # `x > limit`.  The cell is that of stream `poisoned_stream`, the
-        # last cell of its batch at every batch size.
+        # last cell of its batch at every batch size.  Times fluctuate, so
+        # that every atom and cell has its own row of factors.
         original_derive, original_rabi = experiment.derive_streams, experiment.rabi_cos_sin
         poisoned_stream = [0]
         drawn = [None]  # atoms whose factors the poisoned cell's batch has taken
@@ -594,7 +654,7 @@ class TestBlockSize:
         trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
         base = build_run_config(
             scheme=scheme, trap_target=trap, n_atoms=10, **initial, n_max=n_max, master_seed=3,
-            mode=mode, halt_on_failure=False,
+            spread_mult=0.1, mode=mode, halt_on_failure=False,
         )
         assert self.each_block_size(monkeypatch, lambda: run_sequence(base)) == [message] * 9
         poisoned_stream[0] = 2
@@ -602,6 +662,49 @@ class TestBlockSize:
             monkeypatch, lambda: [cell.error for cell in sweep(base, [0.1], ensemble=3).cells]
         )
         assert errors == [[None, None, message.partition(": ")[2]]] * 9
+
+
+    def test_nan_in_a_shared_row_ends_every_cell_at_one_atom(self, monkeypatch):
+        # At a fixed time one row of factors serves every atom and cell of a
+        # block.  A NaN cos in the row of the block that holds atom 5 ends
+        # every cell at that block's first atom: 5 in one-atom blocks, 1 when
+        # one block holds the whole run.
+        original_derive, original_draw = experiment.derive_streams, experiment._draw_block
+        original_rabi = experiment.rabi_cos_sin
+        block = {}
+
+        def derive_streams(seeds):
+            block["end"] = 0  # atoms the batch has drawn
+            return original_derive(seeds)
+
+        def draw_block(run, cells, b):
+            block["start"], block["end"] = block["end"] + 1, block["end"] + b
+            return original_draw(run, cells, b)
+
+        def poisoned(taus, n_max):
+            factors = original_rabi(taus, n_max)
+            if block["start"] <= 5 <= block["end"]:
+                assert taus.shape == (1, 1, 1)
+                factors[0][..., 3] = math.nan
+                block["poisoned"] = block["start"]
+            return factors
+
+        monkeypatch.setattr(experiment, "derive_streams", derive_streams)
+        monkeypatch.setattr(experiment, "_draw_block", draw_block)
+        monkeypatch.setattr(experiment, "rabi_cos_sin", poisoned)
+        trap, initial, n_max = REFERENCE_SCENARIOS["nsm"]
+        base = build_run_config(
+            scheme="nsm", trap_target=trap, n_atoms=10, **initial, n_max=n_max, master_seed=3
+        )
+
+        def errors():
+            cells = sweep(base, [0.0], ensemble=3).cells
+            return block["poisoned"], [cell.error for cell in cells]
+
+        outcomes = self.each_block_size(monkeypatch, errors)
+        for atom, cells in outcomes:
+            assert cells == [f"state norm drifted to nan at atom {atom}"] * 3
+        assert {atom for atom, _ in outcomes} == {1, 5}
 
 
 class TestDrawAccounting:
