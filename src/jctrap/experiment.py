@@ -387,9 +387,7 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
                 norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
         norms[j] = norm
         # A row at or below the floor ends below; the floor keeps 0/0 out.
-        # numpy divides complex x by real c as x * (1 / c): this is that
-        # product on the real and imaginary parts, up to the sign of a zero.
-        d.view(np.float64)[...] *= (1.0 / np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ)))[:, None]
+        d /= np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ))[:, None]
     return times, edge, fields, norms, successes, failed
 
 

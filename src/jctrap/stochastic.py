@@ -76,17 +76,12 @@ class SeedSpec:
     stream_id: int = 0
 
 
-def _splitmix64(x):
-    """SplitMix64 of a Python int in [0, 2^64), or of each word of a uint64 array."""
-    x = x + 0x9E3779B97F4A7C15 & _MASK64
-    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
-    x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
-    return x ^ x >> 31
-
-
-def _stream_seeds(master, stream):
-    """The seed mixed from master_seed and stream_id, both already taken modulo 2^64."""
-    return _splitmix64(_splitmix64(master) ^ _splitmix64(stream ^ _STREAM_SALT))
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 of each word of a uint64 array, modulo 2^64."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its pool of
@@ -178,19 +173,17 @@ def derive_streams(seeds: Sequence[SeedSpec]) -> list[np.random.Generator]:
     by numpy's SeedSequence(seed), whose entropy-pool hash this computes
     for the whole batch in one pass of array arithmetic.  Each generator's
     state equals default_rng's, so the same pair yields the same sample
-    sequence on every platform and run.  One pair is mixed with Python ints
-    and seeded by default_rng itself, which costs less than the batch pass.
+    sequence on every platform and run.
     """
-    from numpy.random import PCG64, Generator, default_rng  # loaded by the first derivation
+    from numpy.random import PCG64, Generator  # loaded by the first derivation
 
-    if len(seeds) == 1:
-        [seed] = seeds
-        return [default_rng(_stream_seeds(seed.master_seed & _MASK64, seed.stream_id & _MASK64))]
     pairs = np.array(
-        [[s.master_seed & _MASK64 for s in seeds], [s.stream_id & _MASK64 for s in seeds]],
+        [[s.master_seed & _MASK64 for s in seeds],
+         [(s.stream_id ^ _STREAM_SALT) & _MASK64 for s in seeds]],
         dtype=np.uint64,
     )
-    words = _pcg64_seed_words(_stream_seeds(*pairs))
+    h_master, h_stream = _splitmix64(pairs)
+    words = _pcg64_seed_words(_splitmix64(h_master ^ h_stream))
     return [Generator(PCG64(_seed_words(row))) for row in words]
 
 

@@ -160,7 +160,6 @@ class TestDeriveStream:
             SeedSpec(draw.randrange(-(2**63), 2**63), draw.randrange(-(2**63), 2**63))
             for _ in range(1000)
         ]
-        # A batch of one seed takes default_rng's own path, larger ones the batch hash.
         batches = [pairs[:1], pairs[1:64], pairs[64:128], pairs[128:]]
         assert [len(b) for b in batches[:3]] == [1, 63, 64]
         for batch in batches:
@@ -169,13 +168,11 @@ class TestDeriveStream:
         assert derive_streams([]) == []
 
     def test_stream_pickles(self):
-        # One seed's stream and a batch's, which PCG64 takes from precomputed words.
-        batch = derive_streams([SeedSpec(3, 4), SeedSpec(3, 5)])
-        for rng in derive_stream(SeedSpec(3, 4)), batch[0]:
-            rng.random(5)
-            again = pickle.loads(pickle.dumps(rng))
-            assert again.bit_generator.state == rng.bit_generator.state
-            assert again.random() == rng.random()
+        rng = derive_stream(SeedSpec(3, 4))
+        rng.random(5)
+        again = pickle.loads(pickle.dumps(rng))
+        assert again.bit_generator.state == rng.bit_generator.state
+        assert again.random() == rng.random()
 
     @pytest.mark.parametrize(
         "seed, draws",
