@@ -157,17 +157,25 @@ def _theta_array(tau, n_max: int) -> np.ndarray:
     return tau * _level_roots(n_max)
 
 
-def _snapped_cos_sin(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of Rabi phases, exact at snapped multiples of pi; sin is written into thetas."""
+def _snaps(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where Rabi phases lie within TRAP_SNAP_TOL of a multiple q pi, and q."""
     ratio = thetas / math.pi
     q = np.rint(ratio)
-    cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas, out=thetas)
-    snap = np.abs(np.subtract(ratio, q, out=ratio), out=ratio) < TRAP_SNAP_TOL
+    return np.abs(np.subtract(ratio, q, out=ratio), out=ratio) < TRAP_SNAP_TOL, q
+
+
+def _snap_cos(cos_t: np.ndarray, snap: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """cos_t with its snapped phases set to cos(q pi) = +-1, in place."""
+    if snap.any():
+        cos_t[snap] = np.where(q[snap].astype(np.int64) % 2 == 0, 1.0, -1.0)
+    return cos_t
+
+
+def _snap_sin(sin_t: np.ndarray, snap: np.ndarray) -> np.ndarray:
+    """sin_t with its snapped phases set to sin(q pi) = 0, in place."""
     if snap.any():
         sin_t[snap] = 0.0
-        cos_t[snap] = np.where(q[snap].astype(np.int64) % 2 == 0, 1.0, -1.0)
-    return cos_t, sin_t
+    return sin_t
 
 
 def rabi_cos_sin(tau, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +184,26 @@ def rabi_cos_sin(tau, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     tau is one interaction time, or times of any shape ending in 1, such as
     (atoms, cells, 1): each row of levels equals the one-time result bit for bit.
     """
-    return _snapped_cos_sin(_theta_array(tau, n_max))
+    thetas = _theta_array(tau, n_max)
+    snap, q = _snaps(thetas)
+    return _snap_cos(np.cos(thetas), snap, q), _snap_sin(np.sin(thetas, out=thetas), snap)
+
+
+def rabi_cos(tau, n_max: int) -> np.ndarray:
+    """rabi_cos_sin(tau, n_max)[0] bit for bit, without computing the sines."""
+    thetas = _theta_array(tau, n_max)
+    snap, q = _snaps(thetas)
+    return _snap_cos(np.cos(thetas, out=thetas), snap, q)
+
+
+def rabi_sin(tau, n_max: int, first: int = 0) -> np.ndarray:
+    """rabi_cos_sin(tau, n_max)[1][..., first:] bit for bit, without the cosines.
+
+    first = n_max gives the top level's sin theta alone, as (..., 1) rows.
+    """
+    thetas = tau * _level_roots(n_max)[first:]
+    snap, _ = _snaps(thetas)
+    return _snap_sin(np.sin(thetas, out=thetas), snap)
 
 
 def _check_leak(p_top: float, sin_top: float) -> None:
@@ -272,6 +299,13 @@ def approx_cm_coefficient(c_prev: complex, T: float, tau: float, n: int) -> comp
     return math.cos(T / 2.0 - theta(tau, n)) * c_prev
 
 
+def _cm_args(T, tau, n_max: int) -> np.ndarray:
+    """T/2 - theta_n, snapped to 0 within TRAP_SNAP_TOL: the phi_f = -pi/2 CM argument."""
+    arg = T / 2.0 - _theta_array(tau, n_max)
+    arg[np.abs(arg) < TRAP_SNAP_TOL] = 0.0
+    return arg
+
+
 def correlated_cm_factors(
     T: float,
     tau: float,
@@ -289,12 +323,11 @@ def correlated_cm_factors(
     held exactly.  T and tau may be times of one shape ending in 1, such as
     (atoms, cells, 1): each row of levels equals the one-pair result bit for bit.
     """
+    if phi_f == -math.pi / 2:
+        arg = _cm_args(T, tau, n_max)
+        return np.cos(arg), np.sin(arg)
     thetas = _theta_array(tau, n_max)
     half = T / 2.0
-    if phi_f == -math.pi / 2:
-        arg = half - thetas
-        arg[np.abs(arg) < TRAP_SNAP_TOL] = 0.0
-        return np.cos(arg), np.sin(arg)
     # General final phase: success cosA cos(th) - i e^{-i phi} sinA sin(th),
     # orthogonal -e^{i phi} sinA cos(th) - i cosA sin(th).  math.cos per
     # value, since np.cos may differ from it in the last place.
@@ -303,3 +336,9 @@ def correlated_cm_factors(
     success = cos_a * cos_t - 1j * cmath.exp(-1j * phi_f) * sin_a * sin_t
     failure = -cmath.exp(1j * phi_f) * sin_a * cos_t - 1j * cos_a * sin_t
     return success, failure
+
+
+def cm_success_factor(T, tau, n_max: int) -> np.ndarray:
+    """correlated_cm_factors(T, tau, n_max)[0] bit for bit, without the failure factor."""
+    arg = _cm_args(T, tau, n_max)
+    return np.cos(arg, out=arg)

@@ -28,9 +28,12 @@ from .dynamics import (
     LEAK_P_TOL,
     ORTHOGONAL_P_TOL,
     SCHEME_KINDS,
+    cm_success_factor,
     correlated_cm_factors,
     critical_spread,
+    rabi_cos,
     rabi_cos_sin,
+    rabi_sin,
     stationary_phase_ratio,
     trapping_time,
 )
@@ -62,15 +65,18 @@ TOP_LEVEL_GUARD = 1e-8
 CONVERGENCE_P = 0.9
 
 # Sweep cells and sampled trajectories advance together in batches of this
-# many cells, or of as many as fill a one-atom block of _BLOCK_ENTRIES
-# factors where more fit (264 at 31 levels).  A batch's arrays and streams
-# then stay small while its per-block and per-batch costs are shared.
+# many cells, or of as many as fill _BATCH_ENTRIES factors (cells x levels)
+# where more fit (264 at 31 levels).  A batch's arrays and streams then stay
+# small while its per-block and per-batch costs are shared.
 _BATCH_CELLS = 64
+_BATCH_ENTRIES = 8192
 
 # A block of atoms, whose times a batch draws at once, has as many atoms as
 # fit in this many factors (atoms x cells x levels), and never fewer than one.
-# A halting sampled batch draws one atom at a time: it may stop at any atom.
-_BLOCK_ENTRIES = 8192
+# A float64 factor array is then 256 KiB, so a block's few such arrays stay
+# in a 2 MiB L2 cache.  A halting sampled batch draws one atom at a time: it
+# may stop at any atom.
+_BLOCK_ENTRIES = 32768
 
 OUTCOME_POSTSELECTED = "postselected"
 OUTCOME_SUCCESS = "sampled_success"
@@ -317,15 +323,16 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
 
     times is (atoms, cells, (tau_k, T_k[, u_k])) in a one-cell run's draw
     order; edge the top level's sin^2 theta, or None when no outcome emits.
-    outcomes are the selected and orthogonal (keep, emit) factors: elastic
-    keeps level n by cos theta_n, else emits into n + 1 by -i sin theta_n;
-    inelastic the reverse, keeping by -cos theta_n; superposition keeps by
-    its CM success, else failure, factor; NSM's one outcome keeps populations
-    by cos^2 theta_n and emits by sin^2 theta_n.  When every atom and cell
-    of the block has the same times, the factors are one row, computed once
-    and broadcast to (atoms, cells, levels) without a copy.
+    outcomes are the selected and, in sampled mode, the orthogonal (keep,
+    emit) factors: elastic keeps level n by cos theta_n, else emits into
+    n + 1 by -i sin theta_n; inelastic the reverse, keeping by -cos theta_n;
+    superposition keeps by its CM success, else failure, factor; NSM's one
+    outcome keeps populations by cos^2 theta_n and emits by sin^2 theta_n.
+    Only the factors an outcome applies are computed.  When every atom and
+    cell of the block has the same times, the factors are one row, computed
+    once and broadcast to (atoms, cells, levels) without a copy.
     """
-    config, sampled = run.config, run.sampled
+    config, nsm, sampled = run.config, run.nsm, run.sampled
     shape = (b, len(cells), config.n_max + 1)
     times = np.fromiter(_draws(cells, b, sampled), float, b * len(cells) * (2 + sampled))
     times = times.reshape(*shape[:2], -1)
@@ -333,21 +340,31 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
     shared = bool((pair == pair[0, 0]).all())
     if shared:  # a row equals the one-time result bit for bit
         pair = pair[:1, :1]
-    taus, ramsey = pair[..., :1], pair[..., 1:]
+    taus, ramsey, n_max = pair[..., :1], pair[..., 1:], config.n_max
     edge = None
     if config.scheme == "superposition":
-        cm = correlated_cm_factors(ramsey, taus, config.n_max, config.phi_f)
-        outcomes = [(f, None) for f in cm]
-    else:
-        cos_t, sin_t = rabi_cos_sin(taus, config.n_max)
-        if run.nsm:
+        if sampled or config.phi_f != -math.pi / 2:
+            factors = correlated_cm_factors(ramsey, taus, n_max, config.phi_f)
+        else:
+            factors = (cm_success_factor(ramsey, taus, n_max),)
+        outcomes = [(f, None) for f in factors]
+    elif nsm or sampled:
+        cos_t, sin_t = rabi_cos_sin(taus, n_max)
+        if nsm:
             sin_sq = np.square(sin_t, out=sin_t)
             edge, outcomes = sin_sq[..., -1], [(np.square(cos_t, out=cos_t), sin_sq)]
         else:
             selected, orthogonal = (cos_t, None), (None, -1j * sin_t)  # elastic
             if config.scheme == "inelastic":
                 selected, orthogonal = orthogonal, (-cos_t, None)
-            edge, outcomes = np.square(sin_t[..., -1]), (selected, orthogonal)
+            edge, outcomes = np.square(sin_t[..., -1]), [selected, orthogonal]
+    elif config.scheme == "elastic":  # the top level's sin feeds the leak guard alone
+        edge = np.square(rabi_sin(taus, n_max, n_max)[..., 0])
+        outcomes = [(rabi_cos(taus, n_max), None)]
+    else:  # inelastic
+        sin_t = rabi_sin(taus, n_max)
+        edge, outcomes = np.square(sin_t[..., -1]), [(None, -1j * sin_t)]
+    outcomes = outcomes[: 1 + sampled]
     if shared:
         edge = None if edge is None else np.broadcast_to(edge, shape[:2])
         outcomes = [tuple(None if f is None else np.broadcast_to(f, shape) for f in outcome)
@@ -355,18 +372,22 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
     return times, edge, outcomes
 
 
-def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
+def _advance(run: _Run, state: np.ndarray, draw: tuple, buffer: np.ndarray) -> tuple:
     """Per atom, the field update alone: (times, edge, fields, norms, successes, failed).
 
     Row j + 1 of the (atoms + 1, cells, levels) fields follows atom j, equal to
     the one-state references' up to the sign of a zero amplitude.  Per (atom,
     cell): the squared norm it renormalized by, the selected outcome's (by
     np.vecdot, which sums as np.vdot does), and whether the draw failed.
+    fields is a view of buffer, the kernel call's flat scratch array, which
+    the next block overwrites: its first (atoms + 1) x state.size + 1 values
+    hold fields and their spare value (see _conditioned), and in sampled mode
+    its last state.size + 1 values the orthogonal rows.
     """
     times, edge, outcomes = draw
     (b, n), nsm, sampled = times.shape[:2], run.nsm, run.sampled
     size = state.size
-    flat = np.empty((b + 1) * size + 1, state.dtype)  # the spare value: see _conditioned
+    flat = buffer[: (b + 1) * size + 1]
     fields = flat[:-1].reshape(b + 1, *state.shape)
     fields[0] = state
     norms = np.ones((b, n))  # NSM keeps these
@@ -382,7 +403,7 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple) -> tuple:
             # u_k < 1, so u_k < min(norm, 1) exactly when u_k < norm.
             failed[j] = fails = ~(times[j, :, 2] < norm)
             if fails.any():
-                d_orth = _conditioned(s, outcomes[1], j, np.empty(size + 1, s.dtype))
+                d_orth = _conditioned(s, outcomes[1], j, buffer[-(size + 1) :])
                 np.copyto(d, d_orth, where=fails[:, None])
                 norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
         norms[j] = norm
@@ -491,8 +512,8 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
                                   mean, delta, outcome, p_trap, p_above))
         if run.sampled:
             cell.failures += failed[at].count(True)
-        if isinstance(end, str):
-            cell.result = _result(run, cell, fields[m, i], rows[m, i], end)
+        if isinstance(end, str):  # rows[m, i] is a view of the kernel's buffer for NSM
+            cell.result = _result(run, cell, fields[m, i], rows[m, i].copy(), end)
         elif end is not None:
             cell.result = end
     running = [i for i in range(n) if i not in ends]
@@ -501,13 +522,15 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
 
 
 def _run_cells(
-    config: RunConfig, cells: list[tuple[TimingModel, SeedSpec]], collect: str
+    config: RunConfig, cells: list[tuple[TimingModel, tuple[int, int]]], collect: str
 ) -> list[RunResult | bool | SimulationError]:
     """Run a batch of cells, a block of atoms at a time, through one update kernel.
 
-    Each cell runs config with its own (timing model, seed) pair, its field
-    one row of a (cells, levels) array: amplitudes, or populations for NSM.
-    Per block, _draw_block draws, _advance updates and _book guards and books.
+    Each cell runs config with its own timing model and (master_seed,
+    stream_id) pair, its field one row of a (cells, levels) array:
+    amplitudes, or populations for NSM.  Per block, _draw_block draws,
+    _advance updates into the one scratch buffer of the call and _book
+    guards and books.
     Returns, per cell, the SimulationError that ended it or, by collect:
     "steps", its RunResult with step records; "results", its RunResult
     without them; "successes", whether it ran to its end with no failed
@@ -529,11 +552,19 @@ def _run_cells(
         cells = everyone = [_Cell(t, rng) for t, rng in streams]
     else:
         cells = everyone = [_Cell(t, rng, _LogSum(), []) for t, rng in streams]
+    # The buffer holds _advance's largest block: a block's atoms x cells x
+    # levels is one atom of every first-block cell at most in a halting batch,
+    # else at most the run's atoms of them and max(_BLOCK_ENTRIES, one atom of
+    # them), however many cells have left.
+    size = state.size
+    most = size if run.halting else min(config.n_atoms * size, max(_BLOCK_ENTRIES, size))
+    buffer = np.empty(most + (1 + sampled) * (size + 1), state.dtype)
     k = 0
     while k < config.n_atoms and cells:
         b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(cells) * (config.n_max + 1)))
         b = min(b, config.n_atoms - k)
-        cells, state = _book(run, k, cells, _advance(run, state, _draw_block(run, cells, b)))
+        draw = _draw_block(run, cells, b)
+        cells, state = _book(run, k, cells, _advance(run, state, draw, buffer))
         k += b
     rows = state if nsm else np.abs(state) ** 2
     for i, cell in enumerate(cells):
@@ -543,11 +574,11 @@ def _run_cells(
 
 def _batch_cells(n_max: int) -> int:
     """How many cells a batch holds at n_max + 1 levels."""
-    return max(_BATCH_CELLS, _BLOCK_ENTRIES // (n_max + 1))
+    return max(_BATCH_CELLS, _BATCH_ENTRIES // (n_max + 1))
 
 
 def _run_batches(
-    config: RunConfig, cells: Iterable[tuple[TimingModel, SeedSpec]], collect: str
+    config: RunConfig, cells: Iterable[tuple[TimingModel, tuple[int, int]]], collect: str
 ) -> Iterator[RunResult | bool | SimulationError]:
     """_run_cells over the cells, in batches of _batch_cells(config.n_max) cells."""
     cells, size = iter(cells), _batch_cells(config.n_max)
@@ -568,7 +599,7 @@ def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     """
     config.validate()
     collect = "steps" if collect_steps else "results"
-    result = _run_cells(config, [(config.timing, config.seed)], collect)[0]
+    result = _run_cells(config, [(config.timing, tuple(config.seed))], collect)[0]
     if isinstance(result, SimulationError):
         raise result
     return result
@@ -613,14 +644,14 @@ def sweep(
     ]
     critical = critical_spread(base.trap_target)
     outcomes: dict[int, RunResult | Exception] = {}
-    runs: dict[int, tuple[TimingModel, SeedSpec]] = {}
+    runs: dict[int, tuple[TimingModel, tuple[int, int]]] = {}
     for mult, index in jobs:
         try:
             timing = replace(base.timing, spread=mult * critical)
         except ConfigError as exc:
             outcomes[index] = exc
         else:
-            runs[index] = (timing, SeedSpec(base.seed.master_seed, index))
+            runs[index] = (timing, (base.seed.master_seed, index))
     outcomes.update(zip(runs, _run_batches(base, runs.values(), "results")))
 
     cells = []
@@ -652,11 +683,8 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     if trajectories < 1:
         raise ConfigError(f"trajectories: must be >= 1, got {trajectories}")
     config.validate()
-    seed = config.seed
-    cells = (
-        (config.timing, SeedSpec(seed.master_seed, seed.stream_id + t))
-        for t in range(trajectories)
-    )
+    master, first = config.seed
+    cells = ((config.timing, (master, first + t)) for t in range(trajectories))
     successes = 0
     for success in _run_batches(config, cells, "successes"):
         if isinstance(success, SimulationError):

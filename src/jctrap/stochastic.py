@@ -75,6 +75,10 @@ class SeedSpec:
     master_seed: int
     stream_id: int = 0
 
+    def __iter__(self):
+        """Unpacks as its (master_seed, stream_id) pair, as derive_streams reads it."""
+        return iter((self.master_seed, self.stream_id))
+
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 of each word of a uint64 array, modulo 2^64."""
@@ -164,8 +168,10 @@ def _seed_words(words: np.ndarray):
     return _seed_words_type()(words)
 
 
-def derive_streams(seeds: Sequence[SeedSpec]) -> list[np.random.Generator]:
+def derive_streams(seeds: Sequence[tuple[int, int] | SeedSpec]) -> list[np.random.Generator]:
     """Deterministic PCG64 generators, one per (master_seed, stream_id) pair.
+
+    A pair is two ints or a SeedSpec; a batch of plain pairs builds no SeedSpec.
 
     Two SplitMix64 rounds mix each pair into a single 64-bit seed:
     mix(mix(master) XOR mix(stream_id XOR salt)), every value taken modulo
@@ -178,11 +184,10 @@ def derive_streams(seeds: Sequence[SeedSpec]) -> list[np.random.Generator]:
     from numpy.random import PCG64, Generator  # loaded by the first derivation
 
     pairs = np.array(
-        [[s.master_seed & _MASK64 for s in seeds],
-         [(s.stream_id ^ _STREAM_SALT) & _MASK64 for s in seeds]],
+        [(master & _MASK64, (stream ^ _STREAM_SALT) & _MASK64) for master, stream in seeds],
         dtype=np.uint64,
     )
-    h_master, h_stream = _splitmix64(pairs)
+    h_master, h_stream = _splitmix64(pairs.reshape(-1, 2).T)
     words = _pcg64_seed_words(_splitmix64(h_master ^ h_stream))
     return [Generator(PCG64(_seed_words(row))) for row in words]
 

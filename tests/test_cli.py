@@ -1013,7 +1013,7 @@ class TestOutputDigests:
                 },
                 id="fig2a-50-atoms",
             ),
-            # 300 atoms cross many blocks of timing draws: NSM, superposition,
+            # 300 atoms in one or more blocks of timing draws: NSM, superposition,
             # gaussian draws, and a sweep batch of four cells.
             pytest.param(
                 ["run", "--preset", "fig1a", "--atoms", "300"],

@@ -14,12 +14,16 @@ from jctrap.dynamics import (
     AtomRotation,
     approx_cm_coefficient,
     cm_project,
+    cm_success_factor,
     correlated_cm_factors,
     critical_spread,
     jcm_entangle,
     nsm_step,
     orthogonal_rotation,
     project_amplitudes,
+    rabi_cos,
+    rabi_cos_sin,
+    rabi_sin,
     ramsey_coeffs,
     stationary_phase_ratio,
     theta,
@@ -309,6 +313,54 @@ class TestCorrelatedCmFactors:
         success, failure = correlated_cm_factors(T, tau, 25, phi_f=phi_f)
         total = np.abs(success) ** 2 + np.abs(failure) ** 2
         assert np.max(np.abs(total - 1.0)) < 1e-12
+
+
+class TestPrunedFactors:
+    """A function that computes one factor of a pair equals that factor bit for bit."""
+
+    N_MAX = 40
+
+    @classmethod
+    def times(cls) -> dict[str, object]:
+        """Fluctuating times, trapping times theta_n = q pi (snapped), times with
+        theta_n = (q + 1/2) pi (a cos of order 1e-16, not snapped) and one scalar time."""
+        rng = np.random.default_rng(17)
+        levels = [(n, q) for n in (0, 5, 20, cls.N_MAX) for q in (1, 2, 3)]
+        return {
+            "fluctuating": rng.uniform(0.05, 3.0, size=(4, 3, 1)),
+            "trapping": np.array([trapping_time(n, q) for n, q in levels]).reshape(4, 3, 1),
+            "anti-trapping": np.array(
+                [(q - 0.5) * math.pi / math.sqrt(n + 1.0) for n, q in levels]).reshape(4, 3, 1),
+            "scalar": trapping_time(20, 1) * 1.01,
+        }
+
+    @staticmethod
+    def same(a: np.ndarray, b: np.ndarray) -> bool:
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["fluctuating", "trapping", "anti-trapping", "scalar"])
+    def test_rabi_factors(self, kind):
+        tau, n_max = self.times()[kind], self.N_MAX
+        cos_t, sin_t = rabi_cos_sin(tau, n_max)
+        assert self.same(rabi_cos(tau, n_max), cos_t)
+        assert self.same(rabi_sin(tau, n_max), sin_t)
+        for first in (1, 21, n_max):
+            assert self.same(rabi_sin(tau, n_max, first), sin_t[..., first:])
+        if kind == "trapping":  # every time snaps at its trap level, to +-1 and 0
+            assert (sin_t == 0.0).sum() >= 12 and (np.abs(cos_t) == 1.0).sum() >= 12
+            assert self.same(rabi_sin(tau, n_max, n_max)[3], np.zeros((3, 1)))
+        if kind == "anti-trapping":
+            assert (np.abs(cos_t) < 1e-15).sum() >= 12 and not (cos_t == 0.0).any()
+
+    @pytest.mark.parametrize("kind", ["fluctuating", "trapping", "scalar"])
+    def test_cm_success_factor(self, kind):
+        # With T = r tau the CM argument snaps to 0 at n_t = 21 for every tau.
+        tau, n_max = self.times()[kind], self.N_MAX
+        stationary = stationary_phase_ratio(21) * tau
+        for T in (stationary, 2.3 * tau + 0.4):
+            success, _ = correlated_cm_factors(T, tau, n_max)
+            assert self.same(cm_success_factor(T, tau, n_max), success)
+        assert np.all(cm_success_factor(stationary, tau, n_max)[..., 21] == 1.0)
 
 
 class TestLargeNConsistency:

@@ -367,8 +367,10 @@ class TestKernel:
             ("superposition", 0.4),
         ],
     )
-    def test_many_atoms_equal_reference_updates(self, scheme, phi_f, mode, halt):
-        # 150 atoms span several blocks of timing draws in one-cell runs.
+    def test_many_atoms_equal_reference_updates(self, monkeypatch, scheme, phi_f, mode, halt):
+        # 150 atoms span several blocks of timing draws in one-cell runs of
+        # blocks of 8192 entries: 35 atoms at 234 levels, 141 at 58.
+        monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", 8192)
         trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
         lengths = set()
         for stream in range(3):
@@ -397,9 +399,13 @@ class TestKernel:
         ],
         ids=["elastic", "nsm"],
     )
-    def test_sweep_cells_equal_reference_across_a_leak(self, scheme, initial, mults, errors):
-        # Six cells of 46 levels draw their atoms in blocks of 29.  A leaking
-        # cell ends with the reference's error message, the others equal it.
+    def test_sweep_cells_equal_reference_across_a_leak(
+        self, monkeypatch, scheme, initial, mults, errors
+    ):
+        # Six cells of 46 levels draw their atoms in blocks of 29 (8192
+        # entries).  A leaking cell ends with the reference's error message,
+        # the others equal it.
+        monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", 8192)
         base = build_run_config(
             scheme=scheme, trap_target=20, n_atoms=300, **initial, n_max=45, master_seed=4
         )
@@ -590,8 +596,28 @@ class TestBlockSize:
             assert result.final_distribution[20] == 1.0
         assert [_fingerprint(result) for result in outcomes] == [_fingerprint(outcomes[0])] * 9
 
+    def test_cell_ending_mid_block_keeps_its_one_cell_result(self, monkeypatch):
+        # From |19> at the trapping time of 20, a cell's first atom leaves
+        # |20>, which no second atom can leave: it ends at atom 2 of a block
+        # that runs on, while the cells at fluctuating times go on to atom 20
+        # and keep writing the kernel's buffer.
+        base = build_run_config(scheme="inelastic", trap_target=20, n_atoms=20, fock_n=19)
+        configs = [
+            replace(base, timing=replace(base.timing, spread=mult * critical_spread(20)),
+                    seed=SeedSpec(0, stream))
+            for stream, mult in enumerate([0.0, 0.05, 0.0, 0.05, 0.0])
+        ]
+        expected = [_fingerprint(run_sequence(config)) for config in configs]
+        assert [len(result[0]) for result in expected] == [1, 20, 1, 20, 1]
+        cells = [(config.timing, tuple(config.seed)) for config in configs]
+        outcomes = self.each_block_size(
+            monkeypatch,
+            lambda: [_fingerprint(r) for r in experiment._run_batches(base, cells, "steps")],
+        )
+        assert outcomes == [expected] * 9
+
     def test_top_level_guard_trips_inside_a_block(self, monkeypatch):
-        # 36 levels give one-cell blocks of 227 atoms; each selected atom
+        # 36 levels give one-cell blocks of 910 atoms; each selected atom
         # leaves a photon behind, which fills the top three levels at atom 30.
         config = build_run_config(
             scheme="inelastic", trap_target=5, n_atoms=150, fock_n=3, spread_mult=0.1,
@@ -603,12 +629,13 @@ class TestBlockSize:
         assert outcomes == outcomes[:1] * 9
 
     @pytest.mark.parametrize(
-        "scheme, mode, factor, level, message",
+        "scheme, mode, factor, level, source, message",
         [
-            ("nsm", "postselect", 0, 3, "SimulationError: state norm drifted to nan at atom 5"),
+            ("nsm", "postselect", "cos", 3, "rabi_cos_sin",
+             "SimulationError: state norm drifted to nan at atom 5"),
             # The NaN norm divides the row: numpy warns of it, and the guard ends the cell.
             pytest.param(
-                "elastic", "postselect", 0, 3,
+                "elastic", "postselect", "cos", 3, "rabi_cos",
                 "OrthogonalOutcomeError: cannot renormalize state with squared norm nan",
                 marks=pytest.mark.filterwarnings(
                     "ignore:invalid value encountered in divide:RuntimeWarning"
@@ -616,41 +643,59 @@ class TestBlockSize:
             ),
             # A NaN selected norm fails the draw and the orthogonal row is finite:
             # the NaN P_k alone ends the cell, before the atom is booked.
-            ("elastic", "sample", 0, 3,
+            ("elastic", "sample", "cos", 3, "rabi_cos_sin",
              "SimulationError: selected outcome's squared norm is nan at atom 5"),
             # The top level's sin only enters the leak guard: the field stays finite.
-            ("elastic", "postselect", 1, -1,
+            # A post-selected elastic run computes it alone, as the leak guard's edge.
+            ("elastic", "postselect", "sin", -1, "rabi_sin",
              "LeakageError: population would leave truncation: P(n_max) sin^2 theta_nmax = nan"),
-            ("nsm", "postselect", 1, -1,
+            ("nsm", "postselect", "sin", -1, "rabi_cos_sin",
              "LeakageError: population would leave truncation: P(n_max) sin^2 theta_nmax = nan"),
         ],
         ids=["nsm-cos", "elastic-cos", "elastic-cos-sampled", "elastic-top-sin", "nsm-top-sin"],
     )
-    def test_nan_factor_ends_the_cell(self, monkeypatch, scheme, mode, factor, level, message):
-        # A NaN cos (factor 0) or sin (1) at atom 5 of one cell, at every
-        # block and batch size.  The block's test must see it wherever it
-        # sits among the block's guard inputs, although a NaN passes every
-        # `x > limit`.  The cell is that of stream `poisoned_stream`, the
-        # last cell of its batch at every batch size.  Times fluctuate, so
-        # that every atom and cell has its own row of factors.
-        original_derive, original_rabi = experiment.derive_streams, experiment.rabi_cos_sin
+    def test_nan_factor_ends_the_cell(
+        self, monkeypatch, scheme, mode, factor, level, source, message
+    ):
+        # A NaN cos or sin at atom 5 of one cell, at every block and batch
+        # size, in whichever Rabi function computes that factor: the pair
+        # function for NSM and sampled mode, the cos alone or the top level's
+        # sin alone for a post-selected elastic run.  The block's test must
+        # see it wherever it sits among the block's guard inputs, although a
+        # NaN passes every `x > limit`.  The cell is that of stream
+        # `poisoned_stream`, the last cell of its batch at every batch size.
+        # Times fluctuate, so that every atom and cell has its own row of
+        # factors.
+        original_derive = experiment.derive_streams
         poisoned_stream = [0]
-        drawn = [None]  # atoms whose factors the poisoned cell's batch has taken
+        drawn = {}  # per function: atoms whose factors the poisoned cell's batch has taken
+        hits = set()  # the functions whose output took the NaN
 
         def derive_streams(seeds):
-            drawn[0] = 0 if seeds[-1].stream_id == poisoned_stream[0] else None
+            drawn.clear()
+            if seeds[-1][1] == poisoned_stream[0]:
+                drawn.update(dict.fromkeys(("rabi_cos_sin", "rabi_cos", "rabi_sin"), 0))
             return original_derive(seeds)
 
-        def poisoned(taus, n_max):
-            factors = original_rabi(taus, n_max)
-            if drawn[0] is not None:
-                if 0 <= 4 - drawn[0] < len(taus):
-                    factors[factor][4 - drawn[0], -1, level] = math.nan
-                drawn[0] += len(taus)
-            return factors
+        def poisoner(name):
+            original = getattr(experiment, name)
 
+            def poisoned(taus, n_max, *first):
+                factors = original(taus, n_max, *first)
+                named = {"cos": factors[0], "sin": factors[1]} if name == "rabi_cos_sin" else {
+                    name.removeprefix("rabi_"): factors}
+                if name in drawn:
+                    if factor in named and 0 <= 4 - drawn[name] < len(taus):
+                        named[factor][4 - drawn[name], -1, level] = math.nan
+                        hits.add(name)
+                    drawn[name] += len(taus)
+                return factors
+
+            return poisoned
+
+        for name in ("rabi_cos_sin", "rabi_cos", "rabi_sin"):
+            monkeypatch.setattr(experiment, name, poisoner(name))
         monkeypatch.setattr(experiment, "derive_streams", derive_streams)
-        monkeypatch.setattr(experiment, "rabi_cos_sin", poisoned)
         trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
         base = build_run_config(
             scheme=scheme, trap_target=trap, n_atoms=10, **initial, n_max=n_max, master_seed=3,
@@ -662,7 +707,7 @@ class TestBlockSize:
             monkeypatch, lambda: [cell.error for cell in sweep(base, [0.1], ensemble=3).cells]
         )
         assert errors == [[None, None, message.partition(": ")[2]]] * 9
-
+        assert hits == {source}
 
     def test_nan_in_a_shared_row_ends_every_cell_at_one_atom(self, monkeypatch):
         # At a fixed time one row of factors serves every atom and cell of a
@@ -705,6 +750,67 @@ class TestBlockSize:
         for atom, cells in outcomes:
             assert cells == [f"state norm drifted to nan at atom {atom}"] * 3
         assert {atom for atom, _ in outcomes} == {1, 5}
+
+
+class TestScratchBuffer:
+    """Each kernel call allocates one scratch buffer, which its blocks reuse."""
+
+    @pytest.mark.parametrize(
+        "scheme, mode, halt",
+        [("nsm", "postselect", True), ("elastic", "postselect", True),
+         ("superposition", "sample", True), ("elastic", "sample", False)],
+    )
+    def test_one_buffer_per_kernel_call(self, monkeypatch, scheme, mode, halt):
+        calls = []  # per kernel call, the buffer each of its blocks was handed
+        original_run, original_advance = experiment._run_cells, experiment._advance
+
+        def run_cells(config, cells, collect):
+            calls.append([])
+            return original_run(config, cells, collect)
+
+        def advance(run, state, draw, buffer):
+            block = original_advance(run, state, draw, buffer)
+            assert np.shares_memory(block[2], buffer)  # the block's fields
+            calls[-1].append(buffer)
+            return block
+
+        monkeypatch.setattr(experiment, "_run_cells", run_cells)
+        monkeypatch.setattr(experiment, "_advance", advance)
+        monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", 2000)
+        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
+        config = build_run_config(
+            scheme=scheme, trap_target=trap, n_atoms=60, **initial, n_max=n_max,
+            spread_mult=0.5, mode=mode, halt_on_failure=halt, master_seed=2,
+        )
+        run_sequence(config)
+        sweep(config, [0.1, 0.5], ensemble=3)
+        if mode == "sample":
+            sampled_success_estimate(config, 70)
+        # A halting sampled run may end at its first atom; the batches run on.
+        assert len(calls) >= 2 and sum(len(blocks) > 1 for blocks in calls) >= 2
+        for blocks in calls:
+            assert blocks[0].base is None  # an allocation of its own, not a view
+            assert all(buffer is blocks[0] for buffer in blocks)
+
+
+class TestSeedPairs:
+    def test_kernel_derives_streams_from_int_pairs(self, monkeypatch):
+        # Sweeps and sampled estimates hand derive_streams plain int pairs:
+        # no SeedSpec is built per cell or trajectory.
+        seen = []
+        original = experiment.derive_streams
+
+        def derive_streams(seeds):
+            seen.extend(seeds)
+            return original(seeds)
+
+        monkeypatch.setattr(experiment, "derive_streams", derive_streams)
+        config = fig3cd_config(n_atoms=3, stream=5, mode="sample")
+        sampled_success_estimate(config, 4)
+        sweep(config, [0.0, 0.1], ensemble=2)
+        run_sequence(config)
+        assert seen == [(7, 5), (7, 6), (7, 7), (7, 8), (7, 0), (7, 1), (7, 2), (7, 3), (7, 5)]
+        assert {type(seed) for seed in seen} == {tuple}
 
 
 class TestDrawAccounting:
