@@ -18,7 +18,6 @@ from .experiment import (
     RunConfig,
     RunResult,
     StepRecord,
-    SweepResult,
     build_run_config,
     run_sequence,
     sampled_success_estimate,
@@ -34,7 +33,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "StepRecord",
-    "SweepResult",
     "build_run_config",
     "classical_trajectory",
     "run_sequence",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .csvfile import BLOCK_ROWS, write_csv
 from .errors import SimulationError
-from .stochastic import SeedSpec, TimingModel, derive_stream, sample_timing_array
+from .stochastic import TimingModel, derive_stream, sample_timing_array, seed_int
 
 # The smallest epsilon whose 2/epsilon and the largest whose epsilon^2 are finite.
 EPSILON_MIN = math.nextafter(2.0 / sys.float_info.max, 1.0)
@@ -84,9 +84,10 @@ def classical_trajectory(
     epsilon0: float,
     n_steps: int,
     timing: TimingModel,
-    seed: SeedSpec,
+    master_seed: int,
+    stream_id: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate the return map with drawn times.
+    """Iterate the return map with times drawn from the (master_seed, stream_id) stream.
 
     Returns (taus, epsilons), n_steps and n_steps + 1 long (with the initial
     value); raises SimulationError before a block of steps that could overflow.
@@ -95,7 +96,7 @@ def classical_trajectory(
         raise ValueError("epsilon0 must be > 0")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    rng = derive_stream(seed)
+    rng = derive_stream(seed_int("seed", master_seed), seed_int("stream", stream_id))
     taus = np.empty(n_steps)
     eps_out = np.empty(n_steps + 1)
     eps_out[0] = epsilon0
@@ -119,20 +120,6 @@ def classical_trajectory(
         done += count
         eps = float(eps_out[done])
     return taus, eps_out
-
-
-def classical_run(
-    epsilon0: float,
-    n_steps: int,
-    timing: TimingModel,
-    seed: SeedSpec,
-) -> np.ndarray:
-    """Field energy eps^2/4 along a return-map trajectory.
-
-    Entry k is the energy after k atoms; entry 0 is the initial value.
-    """
-    _, eps = classical_trajectory(epsilon0, n_steps, timing, seed)
-    return eps * eps / 4.0
 
 
 def write_classical_csv(path, taus: np.ndarray, epsilons: np.ndarray) -> str:

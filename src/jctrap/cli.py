@@ -12,6 +12,7 @@ bit-reproduce them; a sweep's manifest also names each failed cell's error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import operator
 import sys
@@ -33,7 +34,7 @@ from .experiment import (
     write_trajectory_csv,
 )
 from .fock import write_distribution_csv
-from .stochastic import TIMING_LAWS, SeedSpec, TimingModel
+from .stochastic import TIMING_LAWS, TimingModel, seed_int
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,8 @@ class ClassicalConfig:
     epsilon0: float
     n_steps: int
     timing: TimingModel
-    seed: SeedSpec
+    master_seed: int
+    stream_id: int
 
 
 def build_classical_config(
@@ -68,7 +70,8 @@ def build_classical_config(
     if spread_time is None:
         spread_time = spread_frac * tau_bar
     timing = TimingModel(tau_bar=tau_bar, spread=spread_time, law=law)
-    return ClassicalConfig(epsilon0, n_steps, timing, SeedSpec(master_seed, stream_id))
+    return ClassicalConfig(epsilon0, n_steps, timing, seed_int("seed", master_seed),
+                           seed_int("stream", stream_id))
 
 
 @dataclass
@@ -214,8 +217,8 @@ _TOKENS = {
     "spread_mult": ("spread_mult", float, None),
     "phi_f_rad": ("phi_f", float, _back("phi_f", _fmt)),
     "nmax": ("n_max", int, _back("n_max")),
-    "seed": ("master_seed", int, _back("seed.master_seed")),
-    "stream": ("stream_id", int, _back("seed.stream_id")),
+    "seed": ("master_seed", int, _back("master_seed")),
+    "stream": ("stream_id", int, _back("stream_id")),
     "halt_on_failure": (
         "halt_on_failure", _parse_bool, _back("halt_on_failure", lambda b: str(b).lower())
     ),
@@ -370,9 +373,8 @@ def preset(name: str) -> ParsedConfig:
 
 
 def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float) -> Manifest:
-    """Write the command's CSV outputs plus a manifest with their digests."""
+    """Write the command's CSV outputs plus a manifest with their digests into out_dir."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, str] = {}
     terminated = None
     errors: dict[int, str] = {}
@@ -389,8 +391,8 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
         outputs["classical.csv"] = write_classical_csv(out / "classical.csv", taus, epsilons)
     elif parsed.command == "sweep":
         outputs["sweep.csv"] = write_sweep_csv(out / "sweep.csv", result)
-        errors = {cell.cell: cell.error for cell in result.cells if cell.error is not None}
-        failures = {cell.cell: cell.n_failures for cell in result.cells if cell.n_failures}
+        errors = {cell.cell: cell.error for cell in result if cell.error is not None}
+        failures = {cell.cell: cell.n_failures for cell in result if cell.n_failures}
 
     manifest = Manifest(
         command=parsed.command,
@@ -533,6 +535,29 @@ def _resolve(args: argparse.Namespace, command: str) -> ParsedConfig:
     return parse_config(_merge_layers(layers, command), command=command)
 
 
+def _make_out_dir(path: str) -> list[Path]:
+    """Create the output directory, parents included; returns those it made, deepest first."""
+    out = Path(path)
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out-dir: cannot create {path!r}: {exc.strerror or exc}") from None
+    return made
+
+
+def _simulate(parsed: ParsedConfig):
+    """The command's result: a RunResult, (taus, epsilons) or the sweep's cells."""
+    if parsed.command == "run":
+        return run_sequence(parsed.run)
+    if parsed.command == "classical":
+        cfg = parsed.classical
+        return classical_trajectory(cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.master_seed,
+                                    cfg.stream_id)
+    multipliers = [float(m) for m in parsed.tokens["spread_mults"].split(",")]
+    return sweep(parsed.run, multipliers, int(parsed.tokens["ensemble"]))
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.subcommand == "preset":
         if args.list or not args.name:
@@ -545,20 +570,21 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     parsed = _resolve(args, args.subcommand)
+    made = _make_out_dir(args.out_dir)
     start = time.perf_counter()
-    if parsed.command == "run":
-        result = run_sequence(parsed.run)
-    elif parsed.command == "classical":
-        cfg = parsed.classical
-        result = classical_trajectory(cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.seed)
-    else:
-        multipliers = [float(m) for m in parsed.tokens["spread_mults"].split(",")]
-        result = sweep(parsed.run, multipliers, int(parsed.tokens["ensemble"]))
+    try:
+        result = _simulate(parsed)
+    except BaseException:
+        # A run that ends before its outputs leaves no directory behind.
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     write_outputs(parsed, result, args.out_dir, time.perf_counter() - start)
     if parsed.command == "run" and result.terminated_early:
         print(f"run terminated early: {result.terminated_early}", file=sys.stderr)
         return 2
-    if parsed.command == "sweep" and any(cell.error for cell in result.cells):
+    if parsed.command == "sweep" and any(cell.error for cell in result):
         print("some sweep cells failed; see [errors] in manifest.txt", file=sys.stderr)
     return 0
 

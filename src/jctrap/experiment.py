@@ -47,7 +47,7 @@ from .fock import (
     fock_basis_state,
     top_level_probability,
 )
-from .stochastic import SeedSpec, TimingModel, derive_streams, sample_timing
+from .stochastic import TimingModel, derive_streams, sample_timing, seed_int
 
 # The one-state updates and statistics that _advance and _book reproduce row
 # by row, and the one-stream form of derive_streams.  They stay importable here,
@@ -110,7 +110,8 @@ class RunConfig:
     timing: TimingModel
     n_max: int
     mode: str
-    seed: SeedSpec
+    master_seed: int
+    stream_id: int
     halt_on_failure: bool
 
     def validate(self) -> None:
@@ -129,6 +130,9 @@ class RunConfig:
             raise ConfigError(f"atoms: must be >= 0, got {self.n_atoms}")
         if self.mode not in RUN_MODES:
             raise ConfigError(f"mode: must be one of {RUN_MODES}, got {self.mode!r}")
+        for token, value in (("seed", self.master_seed), ("stream", self.stream_id)):
+            if not isinstance(value, int):
+                raise ConfigError(f"{token}: must be a Python int, got {value!r}")
         if not self.trap_target < self.n_max - 20:
             raise ConfigError(
                 f"nmax: trap level {self.trap_target} needs n_max > {self.trap_target + 20}, "
@@ -221,7 +225,8 @@ def build_run_config(
         timing=TimingModel(tau_bar=tau_bar, spread=spread_time, law=law, ramsey_ratio=ratio),
         n_max=n_max if n_max is not None else default_n_max(trap_target),
         mode=mode,
-        seed=SeedSpec(master_seed, stream_id),
+        master_seed=seed_int("seed", master_seed),
+        stream_id=seed_int("stream", stream_id),
         halt_on_failure=halt_on_failure,
     )
     config.validate()
@@ -599,7 +604,8 @@ def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     """
     config.validate()
     collect = "steps" if collect_steps else "results"
-    result = _run_cells(config, [(config.timing, tuple(config.seed))], collect)[0]
+    seed = (config.master_seed, config.stream_id)
+    result = _run_cells(config, [(config.timing, seed)], collect)[0]
     if isinstance(result, SimulationError):
         raise result
     return result
@@ -616,16 +622,11 @@ class SweepCell:
     n_failures: int = 0  # sampled outcomes that failed, as RunResult.n_failures
 
 
-@dataclass
-class SweepResult:
-    cells: list[SweepCell]
-
-
 def sweep(
     base: RunConfig,
     spread_multipliers: list[float],
     ensemble: int,
-) -> SweepResult:
+) -> list[SweepCell]:
     """Run an ensemble per spread multiplier; each cell records its convergence.
 
     Cell (i, j) uses stream_id = i * ensemble + j derived from the base
@@ -651,7 +652,7 @@ def sweep(
         except ConfigError as exc:
             outcomes[index] = exc
         else:
-            runs[index] = (timing, (base.seed.master_seed, index))
+            runs[index] = (timing, (base.master_seed, index))
     outcomes.update(zip(runs, _run_batches(base, runs.values(), "results")))
 
     cells = []
@@ -666,13 +667,13 @@ def sweep(
         p_trap = float(outcome.final_distribution[base.trap_target])
         cells.append(SweepCell(mult, index, p_trap, outcome.final_cum_P, p_trap > CONVERGENCE_P,
                                None, failures))
-    return SweepResult(cells=cells)
+    return cells
 
 
 def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     """Fraction of sampled trajectories whose every outcome succeeded.
 
-    Trajectory t runs with stream_id = config.seed.stream_id + t.  For
+    Trajectory t runs with stream_id = config.stream_id + t.  For
     fixed times this estimates the PostSelected cumulative probability to
     within binomial error.  The trajectories advance together through the
     batch kernel, as sweep cells do, and each returns only whether it
@@ -683,7 +684,7 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     if trajectories < 1:
         raise ConfigError(f"trajectories: must be >= 1, got {trajectories}")
     config.validate()
-    master, first = config.seed
+    master, first = config.master_seed, config.stream_id
     cells = ((config.timing, (master, first + t)) for t in range(trajectories))
     successes = 0
     for success in _run_batches(config, cells, "successes"):
@@ -706,11 +707,11 @@ def write_trajectory_csv(path, result: RunResult) -> str:
     )
 
 
-def write_sweep_csv(path, result: SweepResult) -> str:
+def write_sweep_csv(path, cells: list[SweepCell]) -> str:
     """Per-cell CSV `multiplier,cell,final_P_nt,cum_P,converged`; returns its sha256."""
     return write_csv(
         path,
         b"multiplier,cell,final_P_nt,cum_P,converged\n",
         b"%.17g,%d,%.17g,%.17g,%d\n",
-        ((c.multiplier, c.cell, c.final_p_trap, c.cum_P, c.converged) for c in result.cells),
+        ((c.multiplier, c.cell, c.final_p_trap, c.cum_P, c.converged) for c in cells),
     )

@@ -60,15 +60,6 @@ class FieldState:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class FieldStats:
-    """Photon-number moments and distribution of a field state."""
-
-    mean_n: float
-    delta_n: float
-    distribution: np.ndarray
-
-
 def default_n_max(trap_target: int) -> int:
     """Truncation bound for runs aiming at trap level n_t.
 
@@ -123,8 +114,8 @@ def fock_basis_state(n: int, n_max: int) -> FieldState:
     return FieldState(c, n_max)
 
 
-def distribution_stats(distribution: np.ndarray) -> FieldStats:
-    """Moments of a photon-number distribution P(n)."""
+def distribution_stats(distribution: np.ndarray) -> tuple[float, float]:
+    """(mean_n, delta_n) of a photon-number distribution P(n)."""
     p = np.asarray(distribution, dtype=float)
     total = float(p.sum())
     if abs(total - 1.0) > 1e-8:
@@ -132,7 +123,7 @@ def distribution_stats(distribution: np.ndarray) -> FieldStats:
     ns = np.arange(p.shape[0], dtype=float)
     mean = float(ns @ p)
     var = float((ns * ns) @ p) - mean * mean
-    return FieldStats(mean_n=mean, delta_n=math.sqrt(max(0.0, var)), distribution=p)
+    return mean, math.sqrt(max(0.0, var))
 
 
 def renormalize(state: FieldState) -> FieldState:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -68,16 +69,12 @@ class TimingModel:
         return self.spread * UNIFORM_RMS
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Reproducibility handle: distinct pairs give independent streams."""
-
-    master_seed: int
-    stream_id: int = 0
-
-    def __iter__(self):
-        """Unpacks as its (master_seed, stream_id) pair, as derive_streams reads it."""
-        return iter((self.master_seed, self.stream_id))
+def seed_int(token: str, value) -> int:
+    """value as the Python int that derive_streams hashes; a ConfigError names token."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{token}: must be an integer, got {value!r}") from None
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -168,18 +165,17 @@ def _seed_words(words: np.ndarray):
     return _seed_words_type()(words)
 
 
-def derive_streams(seeds: Sequence[tuple[int, int] | SeedSpec]) -> list[np.random.Generator]:
-    """Deterministic PCG64 generators, one per (master_seed, stream_id) pair.
+def derive_streams(seeds: Sequence[tuple[int, int]]) -> list[np.random.Generator]:
+    """Deterministic PCG64 generators, one per (master_seed, stream_id) pair of ints.
 
-    A pair is two ints or a SeedSpec; a batch of plain pairs builds no SeedSpec.
-
-    Two SplitMix64 rounds mix each pair into a single 64-bit seed:
-    mix(mix(master) XOR mix(stream_id XOR salt)), every value taken modulo
-    2^64.  The generator is then np.random.default_rng(seed): PCG64 seeded
-    by numpy's SeedSequence(seed), whose entropy-pool hash this computes
-    for the whole batch in one pass of array arithmetic.  Each generator's
-    state equals default_rng's, so the same pair yields the same sample
-    sequence on every platform and run.
+    Distinct pairs give independent streams.  Two SplitMix64 rounds mix
+    each pair into a single 64-bit seed: mix(mix(master) XOR
+    mix(stream_id XOR salt)), every value taken modulo 2^64.  The generator
+    is then np.random.default_rng(seed): PCG64 seeded by numpy's
+    SeedSequence(seed), whose entropy-pool hash this computes for the whole
+    batch in one pass of array arithmetic.  Each generator's state equals
+    default_rng's, so the same pair yields the same sample sequence on
+    every platform and run.
     """
     from numpy.random import PCG64, Generator  # loaded by the first derivation
 
@@ -192,9 +188,9 @@ def derive_streams(seeds: Sequence[tuple[int, int] | SeedSpec]) -> list[np.rando
     return [Generator(PCG64(_seed_words(row))) for row in words]
 
 
-def derive_stream(seed: SeedSpec) -> np.random.Generator:
-    """The generator of one (master_seed, stream_id) pair: derive_streams([seed])[0]."""
-    return derive_streams([seed])[0]
+def derive_stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The generator of one pair: derive_streams([(master_seed, stream_id)])[0]."""
+    return derive_streams([(master_seed, stream_id)])[0]
 
 
 def _draw_tau(model: TimingModel, rng: np.random.Generator) -> float:

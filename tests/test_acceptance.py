@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from jctrap.classical import classical_run, integrate_pendulum, pendulum_energy
+from jctrap.classical import classical_trajectory, integrate_pendulum, pendulum_energy
 from jctrap.classical import PendulumState
 from jctrap.cli import main, preset
 from jctrap.dynamics import (
@@ -29,7 +29,7 @@ from jctrap.dynamics import (
 )
 from jctrap.experiment import build_run_config, run_sequence, sampled_success_estimate, sweep
 from jctrap.fock import FieldState, coherent_state, distribution_stats
-from jctrap.stochastic import SeedSpec, derive_stream, sample_timing
+from jctrap.stochastic import derive_stream, sample_timing
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -38,7 +38,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def _seeded(config, stream):
-    return replace(config, seed=SeedSpec(config.seed.master_seed, stream))
+    return replace(config, stream_id=stream)
 
 
 def test_criterion_1_fig4_trap_convergence():
@@ -46,8 +46,8 @@ def test_criterion_1_fig4_trap_convergence():
     good = 0
     for stream in range(20):
         result = run_sequence(_seeded(base, stream), collect_steps=False)
-        moments = distribution_stats(result.final_distribution)
-        if result.final_distribution[21] > 0.99 and moments.delta_n < 0.1:
+        _, delta_n = distribution_stats(result.final_distribution)
+        if result.final_distribution[21] > 0.99 and delta_n < 0.1:
             good += 1
     _report(
         "criterion 1 (fig4 trap convergence)",
@@ -73,8 +73,8 @@ def test_criterion_2_success_probability_at_110():
 def test_criterion_3_elastic_spread_contrast():
     # Streams 0-19 of each preset, as sweep cells: fig2a's spread is 0.1 and
     # fig2b's 1 times the critical spread.
-    small = sweep(preset("fig2a").run, [0.1], 20).cells
-    large = sweep(preset("fig2b").run, [1.0], 20).cells
+    small = sweep(preset("fig2a").run, [0.1], 20)
+    large = sweep(preset("fig2b").run, [1.0], 20)
     assert [c.error for c in small + large] == [None] * 40
     converged = sum(c.final_p_trap > 0.9 for c in small)
     failed = sum(c.final_p_trap < 0.5 for c in large)
@@ -110,7 +110,9 @@ def test_criterion_5a_classical_fixed_point():
     # for delta = eps* - eps it reads delta <- delta - (g tau)^2 delta^2 / (2 eps*),
     # so the energy gap closes as gap_k ~ C / k with C = 199^2 / (4 pi^2) = 1003.1.
     cfg = preset("fig1c").classical
-    trace = classical_run(cfg.epsilon0, 110_000, cfg.timing, cfg.seed)
+    _, eps = classical_trajectory(cfg.epsilon0, 110_000, cfg.timing, cfg.master_seed,
+                                  cfg.stream_id)
+    trace = eps * eps / 4.0
     c_law = 199.0**2 / (4.0 * math.pi**2)
     gap = 199.0 / 4.0 - trace
     from_below = bool(np.all(np.diff(trace) >= 0.0) and np.all(gap > 0.0))
@@ -131,10 +133,9 @@ def test_criterion_5b_classical_escape():
     cfg = preset("fig1d").classical
     escaped = 0
     for stream in range(10):
-        trace = classical_run(
-            cfg.epsilon0, cfg.n_steps, cfg.timing, SeedSpec(cfg.seed.master_seed, stream)
-        )
-        if trace.max() > 60.0:
+        _, eps = classical_trajectory(cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.master_seed,
+                                      stream)
+        if (eps * eps / 4.0).max() > 60.0:
             escaped += 1
     _report(
         "criterion 5b (classical escape under 1% fluctuations)",
@@ -144,7 +145,7 @@ def test_criterion_5b_classical_escape():
 
 
 def test_criterion_6_measurement_algebra_oracle():
-    rng = derive_stream(SeedSpec(606, 0))
+    rng = derive_stream(606, 0)
     n_max = 30
     worst_mix = 0.0
     worst_sum = 0.0
@@ -231,8 +232,8 @@ def test_criterion_8b_sampled_matches_postselected_under_fluctuations():
         spread_mult=1.0, n_max=30, master_seed=809,
     )
     n_p, n_s = 2_000, 10_000
-    cums = np.array([cell.cum_P for cell in sweep(post, [1.0], ensemble=n_p).cells])
-    sampled = replace(post, mode="sample", seed=SeedSpec(808, 0))
+    cums = np.array([cell.cum_P for cell in sweep(post, [1.0], ensemble=n_p)])
+    sampled = replace(post, mode="sample", master_seed=808, stream_id=0)
     fraction = sampled_success_estimate(sampled, n_s)
     mean = cums.mean()
     sigma = math.sqrt(fraction * (1.0 - fraction) / n_s + cums.var(ddof=1) / n_p)
@@ -249,7 +250,7 @@ def test_criterion_8b_sampled_matches_postselected_under_fluctuations():
 def test_criterion_9_numerical_hygiene(tmp_path):
     # Per-step norms along a large-spread run, checked against the ops directly.
     base = preset("fig4").run
-    rng = derive_stream(base.seed)
+    rng = derive_stream(base.master_seed, base.stream_id)
     state, _ = coherent_state(base.alpha, base.n_max)
     worst = abs(state.norm_sq - 1.0)
     for _ in range(300):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from jctrap.classical import (
     PendulumState,
-    classical_run,
     classical_trajectory,
     integrate_pendulum,
     pendulum_energy,
@@ -16,7 +15,8 @@ from jctrap.classical import (
     return_map_approx,
     write_classical_csv,
 )
-from jctrap.stochastic import SeedSpec, TimingModel
+from jctrap.errors import ConfigError
+from jctrap.stochastic import TimingModel
 
 GTAU_199 = 2.0 * math.pi / math.sqrt(199.0)
 
@@ -105,10 +105,16 @@ class TestReturnMap:
         assert above - eps_star > 1.3e-3  # moved away from it
 
 
+def quarter_energies(epsilon0, n_steps, timing, master_seed, stream_id=0):
+    """Field energy eps^2/4 after each atom of a trajectory; entry 0 is the start."""
+    _, eps = classical_trajectory(epsilon0, n_steps, timing, master_seed, stream_id)
+    return eps * eps / 4.0
+
+
 class TestClassicalRun:
     def test_constant_at_fixed_point(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        out = classical_run(math.sqrt(199.0), 1000, timing, SeedSpec(0, 0))
+        out = quarter_energies(math.sqrt(199.0), 1000, timing, 0, 0)
         assert np.max(np.abs(out - 199.0 / 4.0)) < 1e-12
 
     def test_fixed_time_convergence_rate(self):
@@ -116,7 +122,7 @@ class TestClassicalRun:
         # gap ~ 199^2/(4 pi^2 k), so 0.0996 away after 1e4 iterations and first
         # inside 0.01 at iteration 100 210.
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        out = classical_run(6.0, 120_000, timing, SeedSpec(0, 0))
+        out = quarter_energies(6.0, 120_000, timing, 0, 0)
         assert np.all(np.diff(out) >= 0.0)
         gap_1e4 = 199.0 / 4.0 - out[10_000]
         assert 0.05 < gap_1e4 < 0.15
@@ -129,29 +135,38 @@ class TestClassicalRun:
 
     def test_escape_under_one_percent_noise(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.01 * GTAU_199)
-        out = classical_run(6.0, 100_000, timing, SeedSpec(99, 0))
+        out = quarter_energies(6.0, 100_000, timing, 99, 0)
         assert out.max() > 60.0
 
     def test_initial_value_recorded(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        out = classical_run(6.0, 10, timing, SeedSpec(0, 0))
+        out = quarter_energies(6.0, 10, timing, 0, 0)
         assert out[0] == 9.0
         assert len(out) == 11
 
     def test_deterministic_given_seed(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.01 * GTAU_199)
-        a = classical_run(6.0, 5000, timing, SeedSpec(7, 3))
-        b = classical_run(6.0, 5000, timing, SeedSpec(7, 3))
+        a = quarter_energies(6.0, 5000, timing, 7, 3)
+        b = quarter_energies(6.0, 5000, timing, 7, 3)
         assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_start(self):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
         with pytest.raises(ValueError):
-            classical_run(0.0, 10, timing, SeedSpec(0, 0))
+            quarter_energies(0.0, 10, timing, 0, 0)
+
+    def test_numpy_integer_seed_gives_the_int_stream(self):
+        timing = TimingModel(tau_bar=GTAU_199, spread=0.01 * GTAU_199)
+        taus, eps = classical_trajectory(6.0, 1000, timing, np.int64(7), np.int64(3))
+        expected_taus, expected_eps = classical_trajectory(6.0, 1000, timing, 7, 3)
+        assert np.array_equal(taus, expected_taus) and np.array_equal(eps, expected_eps)
+        for seed, token in (((1.5, 0), "seed"), ((7, 1.5), "stream")):
+            with pytest.raises(ConfigError, match=f"^{token}: must be an integer, got 1.5$"):
+                classical_trajectory(6.0, 10, timing, *seed)
 
     def test_trajectory_csv(self, tmp_path):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        taus, epsilons = classical_trajectory(6.0, 25, timing, SeedSpec(0, 0))
+        taus, epsilons = classical_trajectory(6.0, 25, timing, 0, 0)
         assert len(taus) == 25 and len(epsilons) == 26
         path = tmp_path / "classical.csv"
         write_classical_csv(path, taus, epsilons)

@@ -13,6 +13,7 @@ import pytest
 import jctrap
 from jctrap.cli import (
     PRESET_NAMES,
+    build_classical_config,
     main,
     parse_alpha_token,
     parse_config,
@@ -23,7 +24,6 @@ from jctrap.dynamics import critical_spread, trapping_time
 from jctrap.errors import ConfigError
 from jctrap.experiment import run_sequence
 from jctrap.fock import coherent_state
-from jctrap.stochastic import SeedSpec
 
 
 class TestAlphaTokens:
@@ -167,7 +167,7 @@ class TestParseConfig:
         argv = ["run", "--config", str(path), "--atoms", "7", "--seed", "5"]
         parsed = parse_config(manifest_tokens(tmp_path, argv))
         assert parsed.run.n_atoms == 7
-        assert parsed.run.seed.master_seed == 5
+        assert parsed.run.master_seed == 5
 
     def test_command_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -235,7 +235,7 @@ class TestCliEndToEnd:
         _, out_dir = self.run_small(tmp_path)
         parsed = parse_config(parse_kv_file(out_dir / "manifest.txt"), command="run")
         assert parsed.run.n_atoms == 40
-        assert parsed.run.seed.master_seed == 5
+        assert parsed.run.master_seed == 5
         rerun_dir = tmp_path / "rerun"
         code = main(
             ["run", "--config", str(out_dir / "manifest.txt"), "--out-dir", str(rerun_dir)]
@@ -391,7 +391,7 @@ class TestCliEndToEnd:
         assert "\n[failures]\ncell 1 = 13\ncell 2 = 8\n\n[outputs]\n" in text
         base = parse_config(overrides={**preset("fig2a").tokens, "mode": "sample", "atoms": "200",
                                        "spread_mult": "0.1", "halt_on_failure": "false"}).run
-        assert [run_sequence(replace(base, seed=SeedSpec(base.seed.master_seed, cell))).n_failures
+        assert [run_sequence(replace(base, stream_id=cell)).n_failures
                 for cell in range(3)] == [0, 13, 8]
         # The manifest reruns to its own digests and sections.
         config = ["sweep", "--config", str(tmp_path / "sw" / "manifest.txt")]
@@ -774,6 +774,49 @@ class TestConfigErrors:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "name, reason", [("taken", "File exists"), ("taken/out", "Not a directory")],
+        ids=["existing-file", "parent-is-a-file"],
+    )
+    def test_unusable_out_dir_ends_before_the_run(self, tmp_path, capsys, monkeypatch, name,
+                                                  reason):
+        (tmp_path / "taken").write_text("")
+        runs = []
+        monkeypatch.setattr("jctrap.cli.run_sequence", runs.append)
+        out_dir = tmp_path / name
+        assert main(["run", "--preset", "fig2a", "--atoms", "1", "--out-dir", str(out_dir)]) == 1
+        error = capsys.readouterr().err
+        assert error == f"config error: out-dir: cannot create {str(out_dir)!r}: {reason}\n"
+        assert runs == []
+
+    def test_existing_out_dir_is_reused(self, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("kept")
+        assert main(["run", "--preset", "fig2a", "--atoms", "1", "--out-dir", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "distribution.csv", "manifest.txt", "notes.txt", "trajectory.csv"]
+        assert (out_dir / "notes.txt").read_text() == "kept"
+
+    def test_failed_run_removes_only_the_directories_it_made(self, tmp_path, capsys):
+        # The directory exists before the run; a simulation error removes the
+        # directories this call made, and keeps one that was there before.
+        argv = ["run", "--preset", "fig2a", "--atoms", "3", "--alpha", "1e200", "--out-dir"]
+        assert main([*argv, str(tmp_path / "made" / "out")]) == 2
+        assert not (tmp_path / "made").exists()
+        (tmp_path / "kept").mkdir()
+        assert main([*argv, str(tmp_path / "kept")]) == 2
+        assert (tmp_path / "kept").is_dir()
+        assert capsys.readouterr().err.count("simulation error: coherent state") == 2
+
+    @pytest.mark.parametrize("keyword, token", [("master_seed", "seed"), ("stream_id", "stream")])
+    def test_classical_seed_read_as_int(self, keyword, token):
+        kwargs = dict(epsilon0=6.0, n_steps=1, tau_bar=1.0)
+        config = build_classical_config(**kwargs, **{keyword: np.int64(3)})
+        assert getattr(config, keyword) == 3 and type(getattr(config, keyword)) is int
+        with pytest.raises(ConfigError, match=f"^{token}: must be an integer, got 1.5$"):
+            build_classical_config(**kwargs, **{keyword: 1.5})
+
+    @pytest.mark.parametrize(
         "command, line, message",
         [
             pytest.param("run", "trap = abc", "trap: expected an integer, got 'abc'", id="int"),
@@ -1075,6 +1118,16 @@ class TestOutputDigests:
 
 
 class TestImport:
+    def test_all_names_resolve(self):
+        assert len(set(jctrap.__all__)) == len(jctrap.__all__)
+        for name in jctrap.__all__:
+            assert getattr(jctrap, name) is not None, name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from jctrap import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(jctrap.__all__)
+
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy.random costs about 14 ms and 2.6 MB to import; streams load
         # it when the first run derives them, not at start-up.

@@ -37,7 +37,7 @@ from jctrap.fock import (
     fock_basis_state,
     renormalize,
 )
-from jctrap.stochastic import SeedSpec, derive_stream, sample_timing
+from jctrap.stochastic import derive_stream, sample_timing
 
 
 def fig3cd_config(n_atoms=300, stream=0, mode="postselect"):
@@ -276,7 +276,7 @@ def _reference_run(config):
     (tau_k, P_k, success, populations after the atom).  Stops after the
     first failed outcome when the config halts on one.
     """
-    rng = derive_stream(config.seed)
+    rng = derive_stream(config.master_seed, config.stream_id)
     if config.fock is None:
         field, _ = coherent_state(config.alpha, config.n_max)
     else:
@@ -307,7 +307,7 @@ def _assert_equals_reference(config, result):
     for step, (tau, p_k, success, dist) in zip(result.steps, steps):
         moments = distribution_stats(dist)
         assert (step.tau_k, step.P_k, step.outcome) == (tau, p_k, outcome[success])
-        assert (step.mean_n, step.delta_n) == (moments.mean_n, moments.delta_n)
+        assert (step.mean_n, step.delta_n) == moments
         assert step.p_trap == dist[config.trap_target]
         assert step.p_above_trap == dist[config.trap_target + 1 :].sum()
     assert result.n_failures == sum(success is False for _, _, success, _ in steps)
@@ -410,13 +410,13 @@ class TestKernel:
             scheme=scheme, trap_target=20, n_atoms=300, **initial, n_max=45, master_seed=4
         )
         table = sweep(base, mults, ensemble=2)
-        assert [c.error is not None for c in table.cells] == errors
+        assert [c.error is not None for c in table] == errors
         spread = critical_spread(base.trap_target)
-        for cell in table.cells:
+        for cell in table:
             config = replace(
                 base,
                 timing=replace(base.timing, spread=cell.multiplier * spread),
-                seed=SeedSpec(base.seed.master_seed, cell.cell),
+                stream_id=cell.cell,
             )
             if cell.error is not None:
                 with pytest.raises(LeakageError) as exc:
@@ -493,7 +493,7 @@ class TestBlockSize:
             scheme="elastic", trap_target=20, n_atoms=300, alpha=3.0, n_max=45, master_seed=4
         )
         outcomes = self.each_block_size(
-            monkeypatch, lambda: repr(sweep(base, [0.1, 2.5, 0.5], ensemble=2).cells)
+            monkeypatch, lambda: repr(sweep(base, [0.1, 2.5, 0.5], ensemble=2))
         )
         assert outcomes == outcomes[:1] * 9
         assert "population would leave truncation" in outcomes[0]
@@ -516,13 +516,14 @@ class TestBlockSize:
         errors = {}
         for t in range(12):
             try:
-                run_sequence(replace(cfg, seed=SeedSpec(0, t)), collect_steps=False)
+                run_sequence(replace(cfg, master_seed=0, stream_id=t), collect_steps=False)
             except LeakageError as exc:
                 errors[t] = str(exc)
         assert list(errors) == [7, 11] and errors[7] != errors[11]
         with pytest.raises(LeakageError):
-            run_sequence(replace(cfg, n_atoms=4, seed=SeedSpec(0, 11)))
-        assert run_sequence(replace(cfg, n_atoms=5, seed=SeedSpec(0, 7))).terminated_early is None
+            run_sequence(replace(cfg, n_atoms=4, master_seed=0, stream_id=11))
+        last = run_sequence(replace(cfg, n_atoms=5, master_seed=0, stream_id=7))
+        assert last.terminated_early is None
         outcomes = self.each_block_size(monkeypatch, lambda: sampled_success_estimate(cfg, 12))
         assert outcomes == [f"LeakageError: {errors[7]}"] * 9
 
@@ -547,7 +548,7 @@ class TestBlockSize:
         for index, mult in enumerate([0.0, 0.0, 0.1, 0.1]):
             config = replace(
                 base, timing=replace(base.timing, spread=mult * critical_spread(trap)),
-                seed=SeedSpec(13, index),
+                master_seed=13, stream_id=index,
             )
             result = run_sequence(config, collect_steps=False)
             values = (result.final_distribution[trap], result.final_cum_P)
@@ -558,7 +559,7 @@ class TestBlockSize:
 
         def cells():
             return [repr((c.error, c.final_p_trap, c.cum_P, float(c.n_failures)))
-                    for c in sweep(base, [0.0, 0.1], ensemble=2).cells]
+                    for c in sweep(base, [0.0, 0.1], ensemble=2)]
 
         outcomes = self.each_block_size(monkeypatch, cells)
         assert outcomes == [expected] * 9
@@ -604,12 +605,12 @@ class TestBlockSize:
         base = build_run_config(scheme="inelastic", trap_target=20, n_atoms=20, fock_n=19)
         configs = [
             replace(base, timing=replace(base.timing, spread=mult * critical_spread(20)),
-                    seed=SeedSpec(0, stream))
+                    master_seed=0, stream_id=stream)
             for stream, mult in enumerate([0.0, 0.05, 0.0, 0.05, 0.0])
         ]
         expected = [_fingerprint(run_sequence(config)) for config in configs]
         assert [len(result[0]) for result in expected] == [1, 20, 1, 20, 1]
-        cells = [(config.timing, tuple(config.seed)) for config in configs]
+        cells = [(config.timing, (config.master_seed, config.stream_id)) for config in configs]
         outcomes = self.each_block_size(
             monkeypatch,
             lambda: [_fingerprint(r) for r in experiment._run_batches(base, cells, "steps")],
@@ -704,7 +705,7 @@ class TestBlockSize:
         assert self.each_block_size(monkeypatch, lambda: run_sequence(base)) == [message] * 9
         poisoned_stream[0] = 2
         errors = self.each_block_size(
-            monkeypatch, lambda: [cell.error for cell in sweep(base, [0.1], ensemble=3).cells]
+            monkeypatch, lambda: [cell.error for cell in sweep(base, [0.1], ensemble=3)]
         )
         assert errors == [[None, None, message.partition(": ")[2]]] * 9
         assert hits == {source}
@@ -743,7 +744,7 @@ class TestBlockSize:
         )
 
         def errors():
-            cells = sweep(base, [0.0], ensemble=3).cells
+            cells = sweep(base, [0.0], ensemble=3)
             return block["poisoned"], [cell.error for cell in cells]
 
         outcomes = self.each_block_size(monkeypatch, errors)
@@ -795,8 +796,8 @@ class TestScratchBuffer:
 
 class TestSeedPairs:
     def test_kernel_derives_streams_from_int_pairs(self, monkeypatch):
-        # Sweeps and sampled estimates hand derive_streams plain int pairs:
-        # no SeedSpec is built per cell or trajectory.
+        # Runs, sweeps and sampled estimates hand derive_streams pairs of
+        # Python ints, as the stream contract hashes them.
         seen = []
         original = experiment.derive_streams
 
@@ -811,6 +812,30 @@ class TestSeedPairs:
         run_sequence(config)
         assert seen == [(7, 5), (7, 6), (7, 7), (7, 8), (7, 0), (7, 1), (7, 2), (7, 3), (7, 5)]
         assert {type(seed) for seed in seen} == {tuple}
+        assert {tuple(map(type, seed)) for seed in seen} == {(int, int)}
+
+    def test_numpy_integer_seeds_give_the_int_streams(self):
+        plain = fig3cd_config(n_atoms=30, stream=5)
+        numpy_ints = build_run_config(
+            scheme="superposition", trap_target=21, n_atoms=30, alpha=math.sqrt(21.0),
+            spread_mult=2.0, master_seed=np.int64(7), stream_id=np.int64(5),
+        )
+        assert (numpy_ints.master_seed, numpy_ints.stream_id) == (7, 5)
+        assert (type(numpy_ints.master_seed), type(numpy_ints.stream_id)) == (int, int)
+        assert _fingerprint(run_sequence(numpy_ints)) == _fingerprint(run_sequence(plain))
+        assert sweep(numpy_ints, [0.1, 2.0], ensemble=2) == sweep(plain, [0.1, 2.0], ensemble=2)
+
+    @pytest.mark.parametrize("keyword, token", [("master_seed", "seed"), ("stream_id", "stream")])
+    def test_non_integer_seed_named(self, keyword, token):
+        with pytest.raises(ConfigError, match=f"^{token}: must be an integer, got 1.5$"):
+            build_run_config(scheme="elastic", trap_target=20, n_atoms=3, alpha=3.0,
+                             **{keyword: 1.5})
+        # A replace() that bypasses the builder is caught where the config is run.
+        config = replace(fig3cd_config(n_atoms=3), **{keyword: np.int64(3)})
+        for run in (run_sequence, lambda c: sweep(c, [0.1], ensemble=1),
+                    lambda c: sampled_success_estimate(replace(c, mode="sample"), 2)):
+            with pytest.raises(ConfigError, match=rf"^{token}: must be a Python int, got "):
+                run(config)
 
 
 class TestDrawAccounting:
@@ -847,7 +872,7 @@ class TestDrawAccounting:
             scheme="elastic", trap_target=20, n_atoms=150, alpha=3.0, master_seed=5
         )
         table = sweep(base, [0.1, 0.5], ensemble=3)
-        assert all(cell.error is None for cell in table.cells)
+        assert all(cell.error is None for cell in table)
         assert len(draws) == 150 * 6
 
     def test_halting_estimate_draws_only_the_atoms_run(self, draws):
@@ -858,7 +883,8 @@ class TestDrawAccounting:
         sampled_success_estimate(config, 300)
         counted = len(draws)
         ran = sum(
-            len(run_sequence(replace(config, seed=SeedSpec(808, t))).steps) for t in range(300)
+            len(run_sequence(replace(config, master_seed=808, stream_id=t)).steps)
+            for t in range(300)
         )
         # Most trajectories halt after their first atom or two.
         assert counted == ran < 2 * 300
@@ -945,7 +971,7 @@ class TestSampledMode:
         with pytest.raises(LeakageError) as first:
             run_sequence(cfg)
         with pytest.raises(LeakageError) as second:
-            run_sequence(replace(cfg, seed=SeedSpec(0, 1)))
+            run_sequence(replace(cfg, master_seed=0, stream_id=1))
         with pytest.raises(LeakageError) as raised:
             sampled_success_estimate(cfg, 5)
         assert str(raised.value) == str(first.value) != str(second.value)
@@ -960,7 +986,7 @@ class TestSampledMode:
         errors = {}
         for t in range(12):
             try:
-                run_sequence(replace(cfg, seed=SeedSpec(0, t)), collect_steps=False)
+                run_sequence(replace(cfg, master_seed=0, stream_id=t), collect_steps=False)
             except LeakageError as exc:
                 errors[t] = str(exc)
         assert list(errors) == [4, 10] and errors[4] != errors[10]
@@ -978,7 +1004,7 @@ class TestSampledMode:
             spread_frac=spread_frac, n_max=30, mode="sample", master_seed=41,
             halt_on_failure=halt,
         )
-        results = [run_sequence(replace(cfg, seed=SeedSpec(41, t))) for t in range(300)]
+        results = [run_sequence(replace(cfg, master_seed=41, stream_id=t)) for t in range(300)]
         successes = sum(r.n_failures == 0 and r.terminated_early is None for r in results)
         assert 0 < successes < 300
         assert sampled_success_estimate(cfg, 300) == successes / 300
@@ -1065,12 +1091,12 @@ class TestSweep:
         for base, multipliers, ensemble in cases:
             table = sweep(base, multipliers, ensemble=ensemble)
             spread = critical_spread(base.trap_target)
-            for cell in table.cells:
+            for cell in table:
                 try:
                     config = replace(
                         base,
                         timing=replace(base.timing, spread=cell.multiplier * spread),
-                        seed=SeedSpec(base.seed.master_seed, cell.cell),
+                        stream_id=cell.cell,
                     )
                     direct = run_sequence(config, collect_steps=False)
                 except (SimulationError, ConfigError) as exc:
@@ -1095,19 +1121,18 @@ class TestSweep:
         base = build_run_config(scheme="elastic", trap_target=20, n_atoms=200, alpha=3.0,
                                 spread_mult=0.1, mode="sample", master_seed=22)
         table = sweep(base, [0.1], ensemble=5)
-        for cell in table.cells:
-            seed = SeedSpec(base.seed.master_seed, cell.cell)
-            direct = run_sequence(replace(base, seed=seed), collect_steps=False)
+        for cell in table:
+            direct = run_sequence(replace(base, stream_id=cell.cell), collect_steps=False)
             assert cell.error == direct.terminated_early
             assert math.isnan(cell.cum_P) == (cell.error is not None)
-        assert any(c.error is None for c in table.cells)
+        assert any(c.error is None for c in table)
         assert any(c.error and c.error.startswith("sampled orthogonal outcome at atom ")
-                   for c in table.cells)
+                   for c in table)
 
     def test_deterministic_given_master_seed(self, tmp_path):
         table_a = sweep(self.base(), [0.1, 1.0], ensemble=3)
         table_b = sweep(self.base(), [0.1, 1.0], ensemble=3)
-        assert table_a.cells == table_b.cells
+        assert table_a == table_b
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sweep_csv(a, table_a)
         write_sweep_csv(b, table_b)
@@ -1116,8 +1141,8 @@ class TestSweep:
     def test_cell_errors_recorded_not_fatal(self):
         # Multiplier 4 pushes the uniform spread to 2*tau_bar: invalid model.
         table = sweep(self.base(n_atoms=20), [0.0, 4.0], ensemble=2)
-        good = [c for c in table.cells if c.multiplier == 0.0]
-        bad = [c for c in table.cells if c.multiplier == 4.0]
+        good = [c for c in table if c.multiplier == 0.0]
+        bad = [c for c in table if c.multiplier == 4.0]
         assert all(c.error is None for c in good)
         assert all(c.error is not None and not c.converged for c in bad)
         assert all(math.isnan(c.final_p_trap) and math.isnan(c.cum_P) for c in bad)
@@ -1129,14 +1154,14 @@ class TestSweep:
 
     def test_non_finite_multiplier_recorded_in_its_cell(self):
         table = sweep(self.base(n_atoms=5), [0.1, math.nan, -math.inf], ensemble=1)
-        assert [cell.error for cell in table.cells] == [
+        assert [cell.error for cell in table] == [
             None,
             "spread_in_inv_g: must be finite, got nan",
             "spread_in_inv_g: must be finite, got -inf",
         ]
 
     def test_cells_numbered_and_marked_converged(self):
-        cells = sweep(self.base(), [0.1], ensemble=4).cells
+        cells = sweep(self.base(), [0.1], ensemble=4)
         assert [c.converged for c in cells] == [c.final_p_trap > CONVERGENCE_P for c in cells]
         assert [c.cell for c in cells] == [0, 1, 2, 3]
 
@@ -1148,7 +1173,7 @@ class TestSweep:
         # Small spreads keep the elastic scheme convergent; the critical
         # spread destroys it.
         table = sweep(self.base(n_atoms=2000), [0.1, 1.0], ensemble=5)
-        small, large = ([c.converged for c in table.cells if c.multiplier == mult]
+        small, large = ([c.converged for c in table if c.multiplier == mult]
                         for mult in (0.1, 1.0))
         assert len(small) == len(large) == 5
         assert sum(small) / len(small) >= 0.8

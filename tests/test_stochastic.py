@@ -10,7 +10,6 @@ from jctrap.dynamics import critical_spread, trapping_time
 from jctrap.errors import ConfigError
 from jctrap.stochastic import (
     _STREAM_SALT,
-    SeedSpec,
     TimingModel,
     derive_stream,
     derive_streams,
@@ -44,7 +43,7 @@ class TestTimingModel:
 class TestSampleTiming:
     def test_zero_spread_is_deterministic(self):
         model = TimingModel(tau_bar=0.7, spread=0.0, ramsey_ratio=3.0)
-        rng = derive_stream(SeedSpec(1, 0))
+        rng = derive_stream(1, 0)
         for _ in range(20):
             tau, ramsey_t = sample_timing(model, rng)
             assert tau == 0.7
@@ -54,7 +53,7 @@ class TestSampleTiming:
         tau_bar = trapping_time(20, 1)
         spread = critical_spread(20) / 10.0
         model = TimingModel(tau_bar=tau_bar, spread=spread)
-        rng = derive_stream(SeedSpec(5, 0))
+        rng = derive_stream(5, 0)
         lo, hi = tau_bar - spread / 2.0, tau_bar + spread / 2.0
         draws = [sample_timing(model, rng)[0] for _ in range(2000)]
         assert all(lo <= t <= hi for t in draws)
@@ -65,17 +64,17 @@ class TestSampleTiming:
         ratio = 2.0 * math.sqrt(22.0)
         for law in ("uniform", "gaussian"):
             model = TimingModel(tau_bar=0.67, spread=0.3, law=law, ramsey_ratio=ratio)
-            rng = derive_stream(SeedSpec(9, 3))
+            rng = derive_stream(9, 3)
             for _ in range(1000):
                 tau, ramsey_t = sample_timing(model, rng)
                 assert ramsey_t == ratio * tau  # bitwise, by construction
 
     def test_gaussian_resampling_stays_positive(self):
         model = TimingModel(tau_bar=0.05, spread=1.0, law="gaussian")
-        rng = derive_stream(SeedSpec(11, 0))
+        rng = derive_stream(11, 0)
         draws = [sample_timing(model, rng)[0] for _ in range(2000)]
         assert min(draws) > 0.0
-        taus, _ = sample_timing_array(model, derive_stream(SeedSpec(11, 1)), 100_000)
+        taus, _ = sample_timing_array(model, derive_stream(11, 1), 100_000)
         assert taus.min() > 0.0
 
     @pytest.mark.parametrize(
@@ -90,7 +89,7 @@ class TestSampleTiming:
     def test_array_equals_successive_scalar_draws(self, model):
         # Same values, and the same stream left behind: the gaussian law at
         # spread 6 tau_bar draws many non-positive times to resample.
-        scalar_rng, array_rng = derive_stream(SeedSpec(5, 1)), derive_stream(SeedSpec(5, 1))
+        scalar_rng, array_rng = derive_stream(5, 1), derive_stream(5, 1)
         pairs = [sample_timing(model, scalar_rng) for _ in range(5000)]
         taus, ramsey = sample_timing_array(model, array_rng, 5000)
         assert np.array_equal(taus, [tau for tau, _ in pairs])
@@ -103,7 +102,7 @@ class TestSampleTiming:
         # the values and the stream left behind must not change.  At this
         # spread the gaussian law never draws a non-positive time.
         model = TimingModel(tau_bar=0.6856, spread=0.0343, law=law)
-        ours, numpys = derive_stream(SeedSpec(45, 2)), derive_stream(SeedSpec(45, 2))
+        ours, numpys = derive_stream(45, 2), derive_stream(45, 2)
         half = model.spread / 2.0
         for _ in range(100_000):
             if law == "uniform":
@@ -116,26 +115,26 @@ class TestSampleTiming:
 
 class TestDeriveStream:
     def test_identical_spec_identical_draws(self):
-        a = derive_stream(SeedSpec(123456789, 7)).random(1000)
-        b = derive_stream(SeedSpec(123456789, 7)).random(1000)
+        a = derive_stream(123456789, 7).random(1000)
+        b = derive_stream(123456789, 7).random(1000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = derive_stream(SeedSpec(123456789, 0)).random(1000)
-        b = derive_stream(SeedSpec(123456789, 1)).random(1000)
+        a = derive_stream(123456789, 0).random(1000)
+        b = derive_stream(123456789, 1).random(1000)
         assert not np.array_equal(a, b)
 
     def test_distinct_masters_differ(self):
-        a = derive_stream(SeedSpec(1, 0)).random(1000)
-        b = derive_stream(SeedSpec(2, 0)).random(1000)
+        a = derive_stream(1, 0).random(1000)
+        b = derive_stream(2, 0).random(1000)
         assert not np.array_equal(a, b)
 
     def test_negative_and_large_seeds_accepted(self):
-        derive_stream(SeedSpec(-5, 0)).random(10)
-        derive_stream(SeedSpec(2**70, 123)).random(10)
+        derive_stream(-5, 0).random(10)
+        derive_stream(2**70, 123).random(10)
 
     @staticmethod
-    def reference_stream(seed: SeedSpec) -> np.random.Generator:
+    def reference_stream(master_seed: int, stream_id: int) -> np.random.Generator:
         """The stream contract written out with Python ints and numpy's own seeding."""
         mask = (1 << 64) - 1
 
@@ -145,30 +144,30 @@ class TestDeriveStream:
             x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
             return x ^ (x >> 31)
 
-        h_master = splitmix64(seed.master_seed & mask)
-        h_stream = splitmix64((seed.stream_id ^ _STREAM_SALT) & mask)
+        h_master = splitmix64(master_seed & mask)
+        h_stream = splitmix64((stream_id ^ _STREAM_SALT) & mask)
         return np.random.default_rng(splitmix64(h_master ^ h_stream))
 
     def test_streams_equal_reference_contract(self):
         draw = random.Random(20261018)
         edges = [
-            SeedSpec(0, 0), SeedSpec(-5, 0), SeedSpec(-1, -1), SeedSpec(2**70, 123),
-            SeedSpec(2**64 - 1, 2**64 - 1), SeedSpec(2**64, 2**65 + 3), SeedSpec(7, _STREAM_SALT),
-            SeedSpec(-(2**63), 2**63),
+            (0, 0), (-5, 0), (-1, -1), (2**70, 123),
+            (2**64 - 1, 2**64 - 1), (2**64, 2**65 + 3), (7, _STREAM_SALT),
+            (-(2**63), 2**63),
         ]
         pairs = edges + [
-            SeedSpec(draw.randrange(-(2**63), 2**63), draw.randrange(-(2**63), 2**63))
+            (draw.randrange(-(2**63), 2**63), draw.randrange(-(2**63), 2**63))
             for _ in range(1000)
         ]
         batches = [pairs[:1], pairs[1:64], pairs[64:128], pairs[128:]]
         assert [len(b) for b in batches[:3]] == [1, 63, 64]
         for batch in batches:
             for seed, rng in zip(batch, derive_streams(batch), strict=True):
-                assert rng.bit_generator.state == self.reference_stream(seed).bit_generator.state
+                assert rng.bit_generator.state == self.reference_stream(*seed).bit_generator.state
         assert derive_streams([]) == []
 
     def test_stream_pickles(self):
-        rng = derive_stream(SeedSpec(3, 4))
+        rng = derive_stream(3, 4)
         rng.random(5)
         again = pickle.loads(pickle.dumps(rng))
         assert again.bit_generator.state == rng.bit_generator.state
@@ -177,18 +176,18 @@ class TestDeriveStream:
     @pytest.mark.parametrize(
         "seed, draws",
         [
-            (SeedSpec(0, 0),
+            ((0, 0),
              ["0x1.701f6ab1b92dcp-3", "0x1.2c4e71eeb0f9dp-1", "0x1.cff75129c9caep-2"]),
-            (SeedSpec(808, 19999),
+            ((808, 19999),
              ["0x1.af8e4935af67ep-2", "0x1.9f807c4072c24p-2", "0x1.cf50bbd3eab5bp-1"]),
-            (SeedSpec(2**70, 123),
+            ((2**70, 123),
              ["0x1.2367b816cc54fp-1", "0x1.09677323376abp-1", "0x1.077d031613a64p-2"]),
         ],
         ids=["0-0", "808-19999", "2e70-123"],
     )
     def test_known_answers(self, seed, draws):
         # Recorded draws: they change if numpy's seeding or PCG64 ever does.
-        rng = derive_stream(seed)
+        rng = derive_stream(*seed)
         assert [float.hex(rng.random()) for _ in range(3)] == draws
 
 
@@ -197,7 +196,7 @@ class TestEmpiricalMoments:
 
     def test_uniform_mean_and_rms(self):
         model = TimingModel(tau_bar=0.6856, spread=0.0343)
-        taus, _ = sample_timing_array(model, derive_stream(SeedSpec(42, 0)), self.N)
+        taus, _ = sample_timing_array(model, derive_stream(42, 0), self.N)
         sigma = model.rms
         se_mean = sigma / math.sqrt(self.N)
         assert abs(taus.mean() - model.tau_bar) < 4.0 * se_mean
@@ -210,7 +209,7 @@ class TestEmpiricalMoments:
 
     def test_gaussian_matches_uniform_rms(self):
         model = TimingModel(tau_bar=0.6856, spread=0.0343, law="gaussian")
-        taus, _ = sample_timing_array(model, derive_stream(SeedSpec(43, 0)), self.N)
+        taus, _ = sample_timing_array(model, derive_stream(43, 0), self.N)
         sigma = model.rms
         se_mean = sigma / math.sqrt(self.N)
         se_rms = sigma / math.sqrt(2.0 * self.N)
@@ -219,7 +218,7 @@ class TestEmpiricalMoments:
 
     def test_scalar_and_array_uniform_agree_in_law(self):
         model = TimingModel(tau_bar=1.0, spread=0.5)
-        rng = derive_stream(SeedSpec(44, 0))
+        rng = derive_stream(44, 0)
         scalars = np.array([sample_timing(model, rng)[0] for _ in range(50_000)])
-        arrays, _ = sample_timing_array(model, derive_stream(SeedSpec(44, 1)), 50_000)
+        arrays, _ = sample_timing_array(model, derive_stream(44, 1), 50_000)
         assert abs(scalars.mean() - arrays.mean()) < 6.0 * model.rms / math.sqrt(50_000)
