@@ -23,7 +23,7 @@ import numpy as np
 
 from .csvfile import BLOCK_ROWS, write_csv
 from .errors import SimulationError
-from .stochastic import TimingModel, derive_stream, sample_timing_array, seed_int
+from .stochastic import TimingModel, derive_stream, int_token, sample_timing_array
 
 # The smallest epsilon whose 2/epsilon and the largest whose epsilon^2 are finite.
 EPSILON_MIN = math.nextafter(2.0 / sys.float_info.max, 1.0)
@@ -96,7 +96,7 @@ def classical_trajectory(
         raise ValueError("epsilon0 must be > 0")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    rng = derive_stream(seed_int("seed", master_seed), seed_int("stream", stream_id))
+    rng = derive_stream(int_token("seed", master_seed), int_token("stream", stream_id))
     taus = np.empty(n_steps)
     eps_out = np.empty(n_steps + 1)
     eps_out[0] = epsilon0

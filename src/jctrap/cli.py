@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import operator
 import sys
@@ -34,7 +35,7 @@ from .experiment import (
     write_trajectory_csv,
 )
 from .fock import write_distribution_csv
-from .stochastic import TIMING_LAWS, TimingModel, seed_int
+from .stochastic import TIMING_LAWS, TimingModel, int_token
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ def build_classical_config(
     if spread_time is None:
         spread_time = spread_frac * tau_bar
     timing = TimingModel(tau_bar=tau_bar, spread=spread_time, law=law)
-    return ClassicalConfig(epsilon0, n_steps, timing, seed_int("seed", master_seed),
-                           seed_int("stream", stream_id))
+    return ClassicalConfig(epsilon0, n_steps, timing, int_token("seed", master_seed),
+                           int_token("stream", stream_id))
 
 
 @dataclass
@@ -431,7 +432,12 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nmax", type=int, help="Fock truncation bound")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first call and shared by later ones.
+
+    Importing the CLI builds none, and parse_args leaves the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="jctrap",
         description="Trapping-state dynamics of repeatedly measured atom-cavity interactions",

@@ -47,7 +47,7 @@ from .fock import (
     fock_basis_state,
     top_level_probability,
 )
-from .stochastic import TimingModel, derive_streams, sample_timing, seed_int
+from .stochastic import TimingModel, derive_streams, int_token, sample_timing
 
 # The one-state updates and statistics that _advance and _book reproduce row
 # by row, and the one-stream form of derive_streams.  They stay importable here,
@@ -125,6 +125,9 @@ class RunConfig:
                              ("phi_f_rad", self.phi_f)):
             if not cmath.isfinite(value):
                 raise ConfigError(f"{token}: must be finite, got {value}")
+        for token, value in (("trap", self.trap_target), ("q", self.q), ("atoms", self.n_atoms),
+                             ("nmax", self.n_max), ("fock", 0 if self.fock is None else self.fock)):
+            int_token(token, value)
         _check_derivation_inputs(self.trap_target, self.q)
         if self.n_atoms < 0:
             raise ConfigError(f"atoms: must be >= 0, got {self.n_atoms}")
@@ -147,8 +150,7 @@ class RunConfig:
             raise ConfigError("scheme: superposition requires timing.ramsey_ratio > 0")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Per-atom record: timing, success probability, field statistics."""
 
     k: int
@@ -202,8 +204,11 @@ def build_run_config(
     spread_frac * tau_bar, else spread_mult times the critical spread.  The
     superposition Ramsey ratio is the stationary-phase closure
     2 sqrt(n_t+1).  Each value is checked before anything is derived from
-    it; a bad one raises ConfigError naming its config token.
+    it; a bad one raises ConfigError naming its config token.  The counts
+    and levels are read as Python ints (numpy integers included).
     """
+    trap_target, q, n_atoms = (int_token(token, value) for token, value in
+                               (("trap", trap_target), ("q", q), ("atoms", n_atoms)))
     _check_derivation_inputs(trap_target, q)
     if tau_bar is None:
         tau_bar = trapping_time(trap_target, q)
@@ -221,12 +226,12 @@ def build_run_config(
         trap_target=trap_target,
         q=q,
         alpha=None if alpha is None else complex(alpha),
-        fock=None if fock_n is None else int(fock_n),
+        fock=None if fock_n is None else int_token("fock", fock_n),
         timing=TimingModel(tau_bar=tau_bar, spread=spread_time, law=law, ramsey_ratio=ratio),
-        n_max=n_max if n_max is not None else default_n_max(trap_target),
+        n_max=default_n_max(trap_target) if n_max is None else int_token("nmax", n_max),
         mode=mode,
-        master_seed=seed_int("seed", master_seed),
-        stream_id=seed_int("stream", stream_id),
+        master_seed=int_token("seed", master_seed),
+        stream_id=int_token("stream", stream_id),
         halt_on_failure=halt_on_failure,
     )
     config.validate()
@@ -294,24 +299,22 @@ class _Run(NamedTuple):
     halting: bool  # a sampled failure ends the cell
 
 
-def _conditioned(s: np.ndarray, outcome: tuple, j: int, out: np.ndarray) -> np.ndarray:
-    """Rows s after block atom j's outcome (keep, emit), unnormalized, written into out.
+def _conditioned(s: np.ndarray, keep, emit, d: np.ndarray, shifted: np.ndarray) -> None:
+    """Write into d the rows s after one atom's outcome factors (keep, emit), unnormalized.
 
     d_n = keep_n s_n + emit_{n-1} s_{n-1}; a factor that is None drops its term.
-    out is flat and one value longer than s: the rows fill all but its last.
+    shifted is d one value on in a flat buffer, so its last value lies past d.
     """
-    keep, emit = outcome
-    d = out[:-1].reshape(s.shape)
     if emit is None:
-        return np.multiply(keep[j], s, out=d)
+        np.multiply(keep, s, out=d)
+        return
     # Every emit_n s_n over whole rows, written one value on: the top level's
     # lands on the next row's level 0, which the keep term (or 0) takes.
     # Rows shifted by slicing would make numpy stage them through buffers.
-    np.multiply(emit[j], s, out=out[1:].reshape(s.shape))
+    np.multiply(emit, s, out=shifted)
     d[:, 0] = 0
     if keep is not None:
-        d += keep[j] * s
-    return d
+        d += keep * s
 
 
 def _draws(cells: list[_Cell], b: int, sampled: bool) -> Iterator[float]:
@@ -384,23 +387,28 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple, buffer: np.ndarray) -> t
     the one-state references' up to the sign of a zero amplitude.  Per (atom,
     cell): the squared norm it renormalized by, the selected outcome's (by
     np.vecdot, which sums as np.vdot does), and whether the draw failed.
-    fields is a view of buffer, the kernel call's flat scratch array, which
-    the next block overwrites: its first (atoms + 1) x state.size + 1 values
-    hold fields and their spare value (see _conditioned), and in sampled mode
-    its last state.size + 1 values the orthogonal rows.
+    fields is a view of buffer, the _run_batches call's flat scratch array,
+    which the next block overwrites: its first (atoms + 1) x state.size + 1
+    values hold fields and their spare value (see _conditioned), and in
+    sampled mode its last state.size + 1 values the orthogonal rows.  The
+    loop walks per-atom row views, each array's made once per block.
     """
     times, edge, outcomes = draw
     (b, n), nsm, sampled = times.shape[:2], run.nsm, run.sampled
-    size = state.size
-    flat = buffer[: (b + 1) * size + 1]
-    fields = flat[:-1].reshape(b + 1, *state.shape)
+    shape, size = (b + 1, *state.shape), (b + 1) * state.size
+    fields, shifted = buffer[:size].reshape(shape), buffer[1 : size + 1].reshape(shape)
     fields[0] = state
     norms = np.ones((b, n))  # NSM keeps these
     successes = np.empty((b, n)) if sampled else norms
     failed = np.zeros((b, n), dtype=bool)
-    for j in range(b):
-        s = fields[j]
-        d = _conditioned(s, outcomes[0], j, flat[(j + 1) * size : (j + 2) * size + 1])
+    factors = (*outcomes[0], *(outcomes[1] if sampled else (None, None)))
+    rows = zip(fields[:-1], fields[1:], shifted[1:],
+               *(itertools.repeat(None) if f is None else f for f in factors))
+    if sampled:
+        orth = buffer[-(state.size + 1) :]
+        d_orth, shifted_orth = orth[:-1].reshape(state.shape), orth[1:].reshape(state.shape)
+    for j, (s, d, emit_to, keep, emit, keep_orth, emit_orth) in enumerate(rows):
+        _conditioned(s, keep, emit, d, emit_to)
         if nsm:  # populations need no renormalization
             continue
         norm = successes[j] = np.vecdot(d, d).real
@@ -408,10 +416,10 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple, buffer: np.ndarray) -> t
             # u_k < 1, so u_k < min(norm, 1) exactly when u_k < norm.
             failed[j] = fails = ~(times[j, :, 2] < norm)
             if fails.any():
-                d_orth = _conditioned(s, outcomes[1], j, buffer[-(size + 1) :])
+                _conditioned(s, keep_orth, emit_orth, d_orth, shifted_orth)
                 np.copyto(d, d_orth, where=fails[:, None])
                 norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
-        norms[j] = norm
+            norms[j] = norm  # else norms is successes
         # A row at or below the floor ends below; the floor keeps 0/0 out.
         d /= np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ))[:, None]
     return times, edge, fields, norms, successes, failed
@@ -527,24 +535,18 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
 
 
 def _run_cells(
-    config: RunConfig, cells: list[tuple[TimingModel, tuple[int, int]]], collect: str
+    run: _Run, cells: list[tuple[TimingModel, tuple[int, int]]], buffer: np.ndarray
 ) -> list[RunResult | bool | SimulationError]:
     """Run a batch of cells, a block of atoms at a time, through one update kernel.
 
-    Each cell runs config with its own timing model and (master_seed,
+    Each cell runs run.config with its own timing model and (master_seed,
     stream_id) pair, its field one row of a (cells, levels) array:
     amplitudes, or populations for NSM.  Per block, _draw_block draws,
-    _advance updates into the one scratch buffer of the call and _book
-    guards and books.
-    Returns, per cell, the SimulationError that ended it or, by collect:
-    "steps", its RunResult with step records; "results", its RunResult
-    without them; "successes", whether it ran to its end with no failed
-    outcome, for which no RunResult, FieldState or cum_P is built.
+    _advance updates into buffer, the scratch array of the _run_batches
+    call, and _book guards and books.
+    Returns what _run_batches yields for each of the cells.
     """
-    nsm = config.scheme == "nsm"
-    sampled = config.mode == "sample" and not nsm
-    run = _Run(config, collect == "steps", collect == "successes", nsm, sampled,
-               sampled and config.halt_on_failure)
+    config, nsm = run.config, run.nsm
     if config.fock is None:
         initial, _ = coherent_state(config.alpha, config.n_max)
     else:
@@ -557,13 +559,6 @@ def _run_cells(
         cells = everyone = [_Cell(t, rng) for t, rng in streams]
     else:
         cells = everyone = [_Cell(t, rng, _LogSum(), []) for t, rng in streams]
-    # The buffer holds _advance's largest block: a block's atoms x cells x
-    # levels is one atom of every first-block cell at most in a halting batch,
-    # else at most the run's atoms of them and max(_BLOCK_ENTRIES, one atom of
-    # them), however many cells have left.
-    size = state.size
-    most = size if run.halting else min(config.n_atoms * size, max(_BLOCK_ENTRIES, size))
-    buffer = np.empty(most + (1 + sampled) * (size + 1), state.dtype)
     k = 0
     while k < config.n_atoms and cells:
         b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(cells) * (config.n_max + 1)))
@@ -585,10 +580,30 @@ def _batch_cells(n_max: int) -> int:
 def _run_batches(
     config: RunConfig, cells: Iterable[tuple[TimingModel, tuple[int, int]]], collect: str
 ) -> Iterator[RunResult | bool | SimulationError]:
-    """_run_cells over the cells, in batches of _batch_cells(config.n_max) cells."""
-    cells, size = iter(cells), _batch_cells(config.n_max)
-    while batch := list(itertools.islice(cells, size)):
-        yield from _run_cells(config, batch, collect)
+    """_run_cells over the cells, in batches of _batch_cells(config.n_max) cells.
+
+    Yields, per cell, the SimulationError that ended it or, by collect:
+    "steps", its RunResult with step records; "results", its RunResult
+    without them; "successes", whether it ran to its end with no failed
+    outcome, for which no RunResult, FieldState or cum_P is built.  Every
+    batch's blocks reuse one scratch buffer.
+    """
+    nsm = config.scheme == "nsm"
+    sampled = config.mode == "sample" and not nsm
+    run = _Run(config, collect == "steps", collect == "successes", nsm, sampled,
+               sampled and config.halt_on_failure)
+    cells, batch_cells = iter(cells), _batch_cells(config.n_max)
+    buffer = None
+    while batch := list(itertools.islice(cells, batch_cells)):
+        if buffer is None:
+            # It holds _advance's largest block, which the first batch, the
+            # largest, sets: a block's atoms x cells x levels is one atom of
+            # every cell at most in a halting batch, else at most the run's
+            # atoms of them and max(_BLOCK_ENTRIES, one atom of them).
+            size = len(batch) * (config.n_max + 1)
+            most = size if run.halting else min(config.n_atoms * size, max(_BLOCK_ENTRIES, size))
+            buffer = np.empty(most + (1 + sampled) * (size + 1), float if nsm else complex)
+        yield from _run_cells(run, batch, buffer)
 
 
 def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
@@ -605,7 +620,7 @@ def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     config.validate()
     collect = "steps" if collect_steps else "results"
     seed = (config.master_seed, config.stream_id)
-    result = _run_cells(config, [(config.timing, seed)], collect)[0]
+    (result,) = _run_batches(config, [(config.timing, seed)], collect)
     if isinstance(result, SimulationError):
         raise result
     return result

@@ -69,8 +69,8 @@ class TimingModel:
         return self.spread * UNIFORM_RMS
 
 
-def seed_int(token: str, value) -> int:
-    """value as the Python int that derive_streams hashes; a ConfigError names token."""
+def int_token(token: str, value) -> int:
+    """value as a Python int, such as derive_streams hashes; a ConfigError names token."""
     try:
         return operator.index(value)
     except TypeError:

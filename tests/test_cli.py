@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import jctrap
+from jctrap import cli
 from jctrap.cli import (
     PRESET_NAMES,
     build_classical_config,
@@ -603,6 +604,16 @@ class TestFlagLayers:
         assert f"config error: {key}: " in err and "tau_bar_in_inv_g" in err
         assert not out_dir.exists()
 
+    def test_calls_in_one_process_share_no_tokens(self, tmp_path):
+        # One parser serves every main call of a process; each call's flags
+        # reach its own manifest alone.
+        argv = ["run", "--scheme", "elastic", "--trap", "20", "--alpha", "3", "--atoms", "5"]
+        first = manifest_tokens(tmp_path, [*argv, "--stream", "4", "--seed", "9"], "first")
+        second = manifest_tokens(tmp_path, argv, "second")
+        assert (first["stream"], first["seed"]) == ("4", "9")
+        assert (second["stream"], second["seed"]) == ("0", "0")
+        assert cli._build_parser() is cli._build_parser()
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize(
@@ -1094,6 +1105,31 @@ class TestOutputDigests:
                 {"sweep.csv": "f70fdc07008adf8193dcd4e050de45cb88001c08f06bb7676f242f45ab4903fd"},
                 id="fig2a-sweep-300-atoms",
             ),
+            # The update's other outcome forms: emit alone, a sampled batch
+            # whose failed cells take the orthogonal row, and NSM cells
+            # advancing together.
+            pytest.param(
+                ["run", "--scheme", "inelastic", "--trap", "20", "--fock", "3", "--atoms", "10"],
+                {
+                    "trajectory.csv":
+                        "3955a6613d1038a4b9f9f1aed094d1616704b152512cfdcd6e37fc110aad9bf0",
+                    "distribution.csv":
+                        "7be3a189a6be86fe7ddf418f891873cd878802dd34f1891893f25d7344d912b9",
+                },
+                id="inelastic-emit-only",
+            ),
+            pytest.param(
+                ["sweep", "--preset", "fig2a", "--mode", "sample", "--atoms", "200",
+                 "--spread-mults", "0.1", "--ensemble", "3"],
+                {"sweep.csv": "29cd91125deb79d225b6b209501b9f25e2491293761465ff7584b8c259fb93de"},
+                id="fig2a-sampled-sweep",
+            ),
+            pytest.param(
+                ["sweep", "--preset", "fig1b", "--spread-mults", "0.02", "--ensemble", "2",
+                 "--atoms", "100"],
+                {"sweep.csv": "45bc500147db3beba61349fb7d1c22c93db92768dde00316a07c85d6f9355b21"},
+                id="fig1b-nsm-sweep",
+            ),
         ],
     )
     def test_outputs_byte_identical_to_recorded(self, tmp_path, argv, expected):
@@ -1127,6 +1163,14 @@ class TestImport:
         namespace = {}
         exec("from jctrap import *", namespace)
         assert sorted(set(namespace) - {"__builtins__"}) == sorted(jctrap.__all__)
+
+    def test_import_builds_no_parser(self):
+        # The parser is built on the first main call, once per process.
+        env = {**os.environ, "PYTHONPATH": str(Path(jctrap.__file__).parents[1])}
+        code = "import jctrap.cli; print(jctrap.cli._build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "0"
 
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy.random costs about 14 ms and 2.6 MB to import; streams load

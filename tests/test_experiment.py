@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import jctrap
 from jctrap import experiment
 from jctrap.dynamics import (
     ELASTIC_ROTATION,
@@ -98,6 +99,38 @@ class TestBuildConfig:
         with pytest.raises(ConfigError) as exc:
             build_run_config(**{**args, **bad})
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "keyword, field, value, token",
+        [
+            pytest.param("n_max", "n_max", 45.5, "nmax", id="nmax"),
+            pytest.param("n_atoms", "n_atoms", 2.5, "atoms", id="atoms"),
+            pytest.param("trap_target", "trap_target", 20.0, "trap", id="trap"),
+            pytest.param("q", "q", 1.5, "q", id="q"),
+            pytest.param("fock_n", "fock", 2.5, "fock", id="fock"),
+        ],
+    )
+    def test_non_integer_count_named(self, keyword, field, value, token):
+        # Each would otherwise end in numpy's TypeError, run at theta = 1.5 pi
+        # (q) or start from a truncated Fock level (fock).
+        args = dict(scheme="elastic", trap_target=20, n_atoms=3, fock_n=3)
+        message = f"^{token}: must be an integer, got {value!r}$"
+        with pytest.raises(ConfigError, match=message):
+            build_run_config(**{**args, keyword: value})
+        # A replace() that bypasses the builder is caught where the config is run.
+        with pytest.raises(ConfigError, match=message):
+            run_sequence(replace(build_run_config(**args), **{field: value}))
+
+    def test_numpy_integer_counts_give_the_int_config(self):
+        args = dict(scheme="elastic", trap_target=20, n_atoms=40, q=1, fock_n=3, n_max=50,
+                    spread_mult=0.5, master_seed=4)
+        plain = build_run_config(**args)
+        numpy_ints = build_run_config(
+            **{k: np.int64(v) if type(v) is int else v for k, v in args.items()})
+        assert numpy_ints == plain
+        fields = ("trap_target", "q", "n_atoms", "n_max", "fock")
+        assert {type(getattr(numpy_ints, name)) for name in fields} == {int}
+        assert _fingerprint(run_sequence(numpy_ints)) == _fingerprint(run_sequence(plain))
 
     def test_validate_rechecks_replaced_config(self):
         cfg = fig3cd_config(n_atoms=1)
@@ -754,30 +787,39 @@ class TestBlockSize:
 
 
 class TestScratchBuffer:
-    """Each kernel call allocates one scratch buffer, which its blocks reuse."""
+    """Each _run_batches call allocates one scratch buffer, which every block
+    of every one of its batches reuses."""
 
     @pytest.mark.parametrize(
         "scheme, mode, halt",
         [("nsm", "postselect", True), ("elastic", "postselect", True),
          ("superposition", "sample", True), ("elastic", "sample", False)],
     )
-    def test_one_buffer_per_kernel_call(self, monkeypatch, scheme, mode, halt):
-        calls = []  # per kernel call, the buffer each of its blocks was handed
-        original_run, original_advance = experiment._run_cells, experiment._advance
+    def test_one_buffer_per_run_batches_call(self, monkeypatch, scheme, mode, halt):
+        calls = []  # per _run_batches call: its batches, and the buffer each block was handed
+        original_batches = experiment._run_batches
+        original_cells, original_advance = experiment._run_cells, experiment._advance
 
-        def run_cells(config, cells, collect):
-            calls.append([])
-            return original_run(config, cells, collect)
+        def run_batches(config, cells, collect):
+            calls.append({"batches": 0, "buffers": []})
+            yield from original_batches(config, cells, collect)
+
+        def run_cells(run, cells, buffer):
+            calls[-1]["batches"] += 1
+            return original_cells(run, cells, buffer)
 
         def advance(run, state, draw, buffer):
             block = original_advance(run, state, draw, buffer)
             assert np.shares_memory(block[2], buffer)  # the block's fields
-            calls[-1].append(buffer)
+            calls[-1]["buffers"].append(buffer)
             return block
 
+        monkeypatch.setattr(experiment, "_run_batches", run_batches)
         monkeypatch.setattr(experiment, "_run_cells", run_cells)
         monkeypatch.setattr(experiment, "_advance", advance)
         monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", 2000)
+        monkeypatch.setattr(experiment, "_BATCH_CELLS", 2)  # batches of two cells
+        monkeypatch.setattr(experiment, "_BATCH_ENTRIES", 0)
         trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
         config = build_run_config(
             scheme=scheme, trap_target=trap, n_atoms=60, **initial, n_max=n_max,
@@ -787,11 +829,13 @@ class TestScratchBuffer:
         sweep(config, [0.1, 0.5], ensemble=3)
         if mode == "sample":
             sampled_success_estimate(config, 70)
+        assert [call["batches"] for call in calls] == [1, 3, 35][: 2 + (mode == "sample")]
         # A halting sampled run may end at its first atom; the batches run on.
-        assert len(calls) >= 2 and sum(len(blocks) > 1 for blocks in calls) >= 2
-        for blocks in calls:
-            assert blocks[0].base is None  # an allocation of its own, not a view
-            assert all(buffer is blocks[0] for buffer in blocks)
+        assert sum(len(call["buffers"]) > 1 for call in calls) >= 2
+        for call in calls:
+            first = call["buffers"][0]
+            assert first.base is None  # an allocation of its own, not a view
+            assert all(buffer is first for buffer in call["buffers"])
 
 
 class TestSeedPairs:
@@ -1178,6 +1222,21 @@ class TestSweep:
         assert len(small) == len(large) == 5
         assert sum(small) / len(small) >= 0.8
         assert sum(large) / len(large) <= 0.2
+
+
+class TestStepRecord:
+    def test_immutable_record_of_named_fields(self):
+        step = run_sequence(build_run_config(scheme="elastic", trap_target=20, n_atoms=2,
+                                             alpha=3.0)).steps[1]
+        assert type(step) is experiment.StepRecord is jctrap.StepRecord
+        fields = ("k", "tau_k", "T_k", "P_k", "cum_P", "mean_n", "delta_n", "outcome", "p_trap",
+                  "p_above_trap")
+        assert jctrap.StepRecord._fields == fields
+        assert tuple(step) == tuple(getattr(step, name) for name in fields)
+        assert (step.k, step.outcome) == (2, "postselected")
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(step, name, 0)
 
 
 class TestCsvWriters:
