@@ -12,7 +12,7 @@ submodule (`fock`, `dynamics`, `stochastic`, `classical`, `experiment`,
 
 __version__ = "0.1.0"
 
-from .classical import classical_trajectory
+from .classical import ClassicalConfig, build_classical_config, classical_trajectory
 from .errors import ConfigError, LeakageError, OrthogonalOutcomeError, SimulationError
 from .experiment import (
     RunConfig,
@@ -30,9 +30,11 @@ __all__ = [
     "LeakageError",
     "OrthogonalOutcomeError",
     "SimulationError",
+    "ClassicalConfig",
     "RunConfig",
     "RunResult",
     "StepRecord",
+    "build_classical_config",
     "build_run_config",
     "classical_trajectory",
     "run_sequence",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvfile import BLOCK_ROWS, write_csv
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 from .stochastic import TimingModel, derive_stream, int_token, sample_timing_array
 
 # The smallest epsilon whose 2/epsilon and the largest whose epsilon^2 are finite.
@@ -80,32 +80,74 @@ def return_map_approx(epsilon: float, g_tau: float) -> float:
     return epsilon + (2.0 / epsilon) * s * s
 
 
-def classical_trajectory(
+@dataclass(frozen=True)
+class ClassicalConfig:
+    """One return-map trajectory; build_classical_config makes one.
+
+    It checks its fields when made, so a replace() is checked too; the
+    message names the config token.
+    """
+
+    epsilon0: float
+    n_steps: int
+    timing: TimingModel
+    master_seed: int
+    stream_id: int
+
+    def __post_init__(self):
+        epsilon0 = self.epsilon0
+        if not math.isfinite(epsilon0):
+            raise ConfigError(f"epsilon0: must be finite, got {epsilon0}")
+        if not epsilon0 > 0:
+            raise ConfigError(f"epsilon0: must be > 0, got {epsilon0}")
+        if not EPSILON_MIN <= epsilon0 <= EPSILON_MAX:
+            bound = f">= {EPSILON_MIN!r}" if epsilon0 < EPSILON_MIN else f"<= {EPSILON_MAX!r}"
+            raise ConfigError(f"epsilon0: must be {bound}, got {epsilon0}")
+        if int_token("steps", self.n_steps) < 0:
+            raise ConfigError(f"steps: must be >= 0, got {self.n_steps}")
+        for token, value in (("seed", self.master_seed), ("stream", self.stream_id)):
+            if not isinstance(value, int):
+                raise ConfigError(f"{token}: must be a Python int, got {value!r}")
+
+
+def build_classical_config(
+    *,
     epsilon0: float,
     n_steps: int,
-    timing: TimingModel,
-    master_seed: int,
+    tau_bar: float,
+    spread_time: float | None = None,
+    spread_frac: float = 0.0,
+    law: str = "uniform",
+    master_seed: int = 0,
     stream_id: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate the return map with times drawn from the (master_seed, stream_id) stream.
+) -> ClassicalConfig:
+    """A ClassicalConfig; the spread is spread_time, else spread_frac * tau_bar.
+
+    The step count and seeds are read as Python ints (numpy integers included).
+    """
+    if spread_time is None:
+        spread_time = spread_frac * tau_bar
+    timing = TimingModel(tau_bar=tau_bar, spread=spread_time, law=law)
+    return ClassicalConfig(epsilon0, int_token("steps", n_steps), timing,
+                           int_token("seed", master_seed), int_token("stream", stream_id))
+
+
+def classical_trajectory(config: ClassicalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Iterate the return map with times drawn from the config's stream.
 
     Returns (taus, epsilons), n_steps and n_steps + 1 long (with the initial
     value); raises SimulationError before a block of steps that could overflow.
     """
-    if not epsilon0 > 0:
-        raise ValueError("epsilon0 must be > 0")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    rng = derive_stream(int_token("seed", master_seed), int_token("stream", stream_id))
+    n_steps = config.n_steps
+    rng = derive_stream(config.master_seed, config.stream_id)
     taus = np.empty(n_steps)
     eps_out = np.empty(n_steps + 1)
-    eps_out[0] = epsilon0
-    eps = epsilon0
+    eps_out[0] = eps = config.epsilon0
     done = 0
     block = 8192
     while done < n_steps:
         count = min(block, n_steps - done)
-        chunk, _ = sample_timing_array(timing, rng, count)
+        chunk, _ = sample_timing_array(config.timing, rng, count)
         taus[done : done + count] = chunk
         # A step adds at most min(2/eps, eps (g tau)^2 / 2) <= g tau to eps.
         g_tau = float(chunk.max())

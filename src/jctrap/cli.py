@@ -18,11 +18,16 @@ import math
 import operator
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .classical import EPSILON_MAX, EPSILON_MIN, classical_trajectory, write_classical_csv
+from .classical import (
+    ClassicalConfig,
+    build_classical_config,
+    classical_trajectory,
+    write_classical_csv,
+)
 from .dynamics import SCHEME_KINDS
 from .errors import ConfigError, SimulationError
 from .experiment import (
@@ -35,44 +40,7 @@ from .experiment import (
     write_trajectory_csv,
 )
 from .fock import write_distribution_csv
-from .stochastic import TIMING_LAWS, TimingModel, int_token
-
-
-@dataclass(frozen=True)
-class ClassicalConfig:
-    epsilon0: float
-    n_steps: int
-    timing: TimingModel
-    master_seed: int
-    stream_id: int
-
-
-def build_classical_config(
-    *,
-    epsilon0: float,
-    n_steps: int,
-    tau_bar: float,
-    spread_time: float | None = None,
-    spread_frac: float = 0.0,
-    law: str = "uniform",
-    master_seed: int = 0,
-    stream_id: int = 0,
-) -> ClassicalConfig:
-    """A validated ClassicalConfig; the spread is spread_time, else spread_frac * tau_bar."""
-    if not math.isfinite(epsilon0):
-        raise ConfigError(f"epsilon0: must be finite, got {epsilon0}")
-    if not epsilon0 > 0:
-        raise ConfigError(f"epsilon0: must be > 0, got {epsilon0}")
-    if not EPSILON_MIN <= epsilon0 <= EPSILON_MAX:
-        bound = f">= {EPSILON_MIN!r}" if epsilon0 < EPSILON_MIN else f"<= {EPSILON_MAX!r}"
-        raise ConfigError(f"epsilon0: must be {bound}, got {epsilon0}")
-    if n_steps < 0:
-        raise ConfigError(f"steps: must be >= 0, got {n_steps}")
-    if spread_time is None:
-        spread_time = spread_frac * tau_bar
-    timing = TimingModel(tau_bar=tau_bar, spread=spread_time, law=law)
-    return ClassicalConfig(epsilon0, n_steps, timing, int_token("seed", master_seed),
-                           int_token("stream", stream_id))
+from .stochastic import TIMING_LAWS
 
 
 @dataclass
@@ -81,39 +49,6 @@ class ParsedConfig:
     tokens: dict[str, str]
     run: RunConfig | None = None
     classical: ClassicalConfig | None = None
-
-
-@dataclass
-class Manifest:
-    command: str
-    master_seed: int
-    artifact_version: str
-    duration_seconds: float
-    config_tokens: dict[str, str]
-    outputs: dict[str, str]
-    terminated_early: str | None = None
-    errors: dict[int, str] = field(default_factory=dict)  # failed sweep cell -> its error
-    failures: dict[int, int] = field(default_factory=dict)  # sampled sweep cell -> its failures
-
-    def to_text(self) -> str:
-        lines = [
-            f"artifact_version = {self.artifact_version}",
-            f"command = {self.command}",
-            f"master_seed = {self.master_seed}",
-            f"duration_seconds = {format(self.duration_seconds, '.6g')}",
-            f"terminated_early = {self.terminated_early or 'none'}",
-            "",
-            "[config]",
-        ]
-        lines += [f"{k} = {v}" for k, v in self.config_tokens.items()]
-        # Before [outputs], every key of which is a digest.
-        for section, values in (("errors", self.errors), ("failures", self.failures)):
-            if values:
-                lines += ["", f"[{section}]"]
-                lines += [f"cell {index} = {value}" for index, value in values.items()]
-        lines += ["", "[outputs]"]
-        lines += [f"{name} = sha256:{digest}" for name, digest in self.outputs.items()]
-        return "\n".join(lines) + "\n"
 
 
 def _fmt(value: float) -> str:
@@ -277,7 +212,7 @@ def _parse(token: str, text: str):
 
 
 def parse_config(overrides: dict[str, str], command: str | None = None) -> ParsedConfig:
-    """Resolve config tokens into a validated config and its canonical tokens.
+    """Resolve config tokens into a checked config and its canonical tokens.
 
     Only the tokens given reach build_run_config (or build_classical_config),
     which states every default; the canonical tokens are read back off the
@@ -373,13 +308,16 @@ def preset(name: str) -> ParsedConfig:
 # Output writing.
 
 
-def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float) -> Manifest:
-    """Write the command's CSV outputs plus a manifest with their digests into out_dir."""
+def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float) -> None:
+    """Write the command's CSV outputs plus a manifest with their digests into out_dir.
+
+    The manifest holds the resolved config tokens; a sweep's also names each
+    failed cell's error and each sampled cell's count of failed outcomes.
+    """
     out = Path(out_dir)
     outputs: dict[str, str] = {}
     terminated = None
-    errors: dict[int, str] = {}
-    failures: dict[int, int] = {}
+    sections: dict[str, dict[int, object]] = {}
 
     if parsed.command == "run":
         outputs["trajectory.csv"] = write_trajectory_csv(out / "trajectory.csv", result)
@@ -392,22 +330,27 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
         outputs["classical.csv"] = write_classical_csv(out / "classical.csv", taus, epsilons)
     elif parsed.command == "sweep":
         outputs["sweep.csv"] = write_sweep_csv(out / "sweep.csv", result)
-        errors = {cell.cell: cell.error for cell in result if cell.error is not None}
-        failures = {cell.cell: cell.n_failures for cell in result if cell.n_failures}
+        sections["errors"] = {cell.cell: cell.error for cell in result if cell.error is not None}
+        sections["failures"] = {cell.cell: cell.n_failures for cell in result if cell.n_failures}
 
-    manifest = Manifest(
-        command=parsed.command,
-        master_seed=int(parsed.tokens["seed"]),
-        artifact_version=__version__,
-        duration_seconds=duration_seconds,
-        config_tokens=parsed.tokens,
-        outputs=outputs,
-        terminated_early=terminated,
-        errors=errors,
-        failures=failures,
-    )
-    (out / "manifest.txt").write_text(manifest.to_text(), encoding="utf-8")
-    return manifest
+    lines = [
+        f"artifact_version = {__version__}",
+        f"command = {parsed.command}",
+        f"master_seed = {parsed.tokens['seed']}",
+        f"duration_seconds = {format(duration_seconds, '.6g')}",
+        f"terminated_early = {terminated or 'none'}",
+        "",
+        "[config]",
+    ]
+    lines += [f"{k} = {v}" for k, v in parsed.tokens.items()]
+    # Before [outputs], every key of which is a digest.
+    for section, values in sections.items():
+        if values:
+            lines += ["", f"[{section}]"]
+            lines += [f"cell {index} = {value}" for index, value in values.items()]
+    lines += ["", "[outputs]"]
+    lines += [f"{name} = sha256:{digest}" for name, digest in outputs.items()]
+    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +500,7 @@ def _simulate(parsed: ParsedConfig):
     if parsed.command == "run":
         return run_sequence(parsed.run)
     if parsed.command == "classical":
-        cfg = parsed.classical
-        return classical_trajectory(cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.master_seed,
-                                    cfg.stream_id)
+        return classical_trajectory(parsed.classical)
     multipliers = [float(m) for m in parsed.tokens["spread_mults"].split(",")]
     return sweep(parsed.run, multipliers, int(parsed.tokens["ensemble"]))
 

@@ -91,13 +91,23 @@ def _check_derivation_inputs(trap_target: int, q: int) -> None:
         raise ConfigError(f"q: must be >= 1 in a run config, got {q}")
 
 
+def _ramsey_ratio(scheme: str, trap_target: int) -> float:
+    """T_k / tau_k of a scheme: 2 sqrt(n_t+1) for superposition, else 0 (no Ramsey zone).
+
+    One velocity per atom sets both times, so the scheme and the trap fix it.
+    """
+    return stationary_phase_ratio(trap_target) if scheme == "superposition" else 0.0
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Full description of one atom-sequence run; build_run_config makes one.
 
     scheme is one of SCHEME_KINDS and phi_f the final phase a superposition
     scheme post-selects.  The initial field is the coherent |alpha> or the
-    Fock |fock>: exactly one of the two is set, the other None.
+    Fock |fock>: exactly one of the two is set, the other None.  A config
+    checks itself when it is made (by the builder, by replace() or directly),
+    so no run reads an unchecked one.
     """
 
     scheme: str
@@ -114,8 +124,8 @@ class RunConfig:
     stream_id: int
     halt_on_failure: bool
 
-    def validate(self) -> None:
-        """Check the fields a run reads; the message names the config token."""
+    def __post_init__(self):
+        """Check every field a run reads; the message names the config token."""
         if self.scheme not in SCHEME_KINDS:
             raise ConfigError(f"scheme: unknown scheme {self.scheme!r}")
         if (self.alpha is None) == (self.fock is None):
@@ -136,6 +146,9 @@ class RunConfig:
         for token, value in (("seed", self.master_seed), ("stream", self.stream_id)):
             if not isinstance(value, int):
                 raise ConfigError(f"{token}: must be a Python int, got {value!r}")
+        if not isinstance(self.halt_on_failure, bool):
+            raise ConfigError(
+                f"halt_on_failure: must be True or False, got {self.halt_on_failure!r}")
         if not self.trap_target < self.n_max - 20:
             raise ConfigError(
                 f"nmax: trap level {self.trap_target} needs n_max > {self.trap_target + 20}, "
@@ -146,8 +159,10 @@ class RunConfig:
             raise ConfigError(f"fock: must be >= 0, got {fock}")
         if fock > self.n_max:
             raise ConfigError(f"fock: initial level {fock} exceeds n_max {self.n_max}")
-        if self.scheme == "superposition" and not self.timing.ramsey_ratio > 0:
-            raise ConfigError("scheme: superposition requires timing.ramsey_ratio > 0")
+        ratio = _ramsey_ratio(self.scheme, self.trap_target)
+        if self.timing.ramsey_ratio != ratio:
+            raise ConfigError(f"ramsey_ratio: the {self.scheme} scheme at trap {self.trap_target} "
+                              f"needs {ratio!r}, got {self.timing.ramsey_ratio!r}")
 
 
 class StepRecord(NamedTuple):
@@ -197,7 +212,7 @@ def build_run_config(
     n_max: int | None = None,
     halt_on_failure: bool = True,
 ) -> RunConfig:
-    """Assemble a validated RunConfig; the one place that states its defaults.
+    """Assemble a RunConfig; the one place that states its defaults.
 
     tau_bar defaults to the q-th trapping time of the trap level and n_max
     to the truncation policy.  The spread is spread_time if given, else
@@ -216,10 +231,7 @@ def build_run_config(
         spread_time = spread_frac * tau_bar
     if spread_time is None:
         spread_time = spread_mult * critical_spread(trap_target)
-    ratio = 0.0
-    if scheme == "superposition":
-        ratio = stationary_phase_ratio(trap_target)
-    config = RunConfig(
+    return RunConfig(
         scheme=scheme,
         phi_f=phi_f,
         n_atoms=n_atoms,
@@ -227,15 +239,14 @@ def build_run_config(
         q=q,
         alpha=None if alpha is None else complex(alpha),
         fock=None if fock_n is None else int_token("fock", fock_n),
-        timing=TimingModel(tau_bar=tau_bar, spread=spread_time, law=law, ramsey_ratio=ratio),
+        timing=TimingModel(tau_bar=tau_bar, spread=spread_time, law=law,
+                           ramsey_ratio=_ramsey_ratio(scheme, trap_target)),
         n_max=default_n_max(trap_target) if n_max is None else int_token("nmax", n_max),
         mode=mode,
         master_seed=int_token("seed", master_seed),
         stream_id=int_token("stream", stream_id),
         halt_on_failure=halt_on_failure,
     )
-    config.validate()
-    return config
 
 
 class _LogSum:
@@ -617,7 +628,6 @@ def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     levels exceed the 1e-8 guard aborts the same way.  This is the
     one-cell case of the kernel that `sweep` runs its cells through.
     """
-    config.validate()
     collect = "steps" if collect_steps else "results"
     seed = (config.master_seed, config.stream_id)
     (result,) = _run_batches(config, [(config.timing, seed)], collect)
@@ -650,9 +660,9 @@ def sweep(
     an invalid spread or a run that ended early among them, are recorded in
     the cell as its error, with nan values, not raised.
     """
+    ensemble = int_token("ensemble", ensemble)
     if ensemble < 1:
         raise ConfigError(f"ensemble: must be >= 1, got {ensemble}")
-    base.validate()
     jobs = [
         (mult, i * ensemble + j)
         for i, mult in enumerate(spread_multipliers)
@@ -696,9 +706,9 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     """
     if config.mode != "sample":
         raise ConfigError("mode: sampled_success_estimate requires mode='sample'")
+    trajectories = int_token("trajectories", trajectories)
     if trajectories < 1:
         raise ConfigError(f"trajectories: must be >= 1, got {trajectories}")
-    config.validate()
     master, first = config.master_seed, config.stream_id
     cells = ((config.timing, (master, first + t)) for t in range(trajectories))
     successes = 0

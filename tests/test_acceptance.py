@@ -110,8 +110,7 @@ def test_criterion_5a_classical_fixed_point():
     # for delta = eps* - eps it reads delta <- delta - (g tau)^2 delta^2 / (2 eps*),
     # so the energy gap closes as gap_k ~ C / k with C = 199^2 / (4 pi^2) = 1003.1.
     cfg = preset("fig1c").classical
-    _, eps = classical_trajectory(cfg.epsilon0, 110_000, cfg.timing, cfg.master_seed,
-                                  cfg.stream_id)
+    _, eps = classical_trajectory(replace(cfg, n_steps=110_000))
     trace = eps * eps / 4.0
     c_law = 199.0**2 / (4.0 * math.pi**2)
     gap = 199.0 / 4.0 - trace
@@ -133,8 +132,7 @@ def test_criterion_5b_classical_escape():
     cfg = preset("fig1d").classical
     escaped = 0
     for stream in range(10):
-        _, eps = classical_trajectory(cfg.epsilon0, cfg.n_steps, cfg.timing, cfg.master_seed,
-                                      stream)
+        _, eps = classical_trajectory(replace(cfg, stream_id=stream))
         if (eps * eps / 4.0).max() > 60.0:
             escaped += 1
     _report(

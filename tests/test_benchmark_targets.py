@@ -72,3 +72,18 @@ def test_every_workload_input_resolves(workloads, tmp_path):
             if isinstance(op, workloads["CliOp"]):
                 args = parser.parse_args(op.argv(int(parsed.tokens["seed"]), tmp_path))
                 assert args.subcommand == op.command
+
+
+def test_draw_targets_count_transits(tracer, tmp_path):
+    # The benchmark counts classical steps from the length of the first item
+    # that classical.sample_timing_array returns, and atoms from
+    # experiment.sample_timing calls; installed() also wraps
+    # FieldState.__post_init__, which must exist in every run.
+    with tracer["Tracer"](record_spans=False).installed(tracer["DRAW_TARGETS"]) as traced:
+        assert cli.main(["classical", "--preset", "fig1c", "--steps", "50",
+                         "--out-dir", str(tmp_path / "classical")]) == 0
+        assert cli.main(["run", "--preset", "fig2a", "--atoms", "3",
+                         "--out-dir", str(tmp_path / "run")]) == 0
+    assert traced.missing == []
+    assert traced.counts["map_steps"] == 50
+    assert traced.counts["atoms"] == 3

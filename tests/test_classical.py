@@ -1,5 +1,6 @@
 """Driven-pendulum flow, return map and trajectory runs."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jctrap.classical import (
+    ClassicalConfig,
     PendulumState,
+    build_classical_config,
     classical_trajectory,
     integrate_pendulum,
     pendulum_energy,
@@ -107,7 +110,8 @@ class TestReturnMap:
 
 def quarter_energies(epsilon0, n_steps, timing, master_seed, stream_id=0):
     """Field energy eps^2/4 after each atom of a trajectory; entry 0 is the start."""
-    _, eps = classical_trajectory(epsilon0, n_steps, timing, master_seed, stream_id)
+    _, eps = classical_trajectory(
+        ClassicalConfig(epsilon0, n_steps, timing, master_seed, stream_id))
     return eps * eps / 4.0
 
 
@@ -156,17 +160,21 @@ class TestClassicalRun:
             quarter_energies(0.0, 10, timing, 0, 0)
 
     def test_numpy_integer_seed_gives_the_int_stream(self):
-        timing = TimingModel(tau_bar=GTAU_199, spread=0.01 * GTAU_199)
-        taus, eps = classical_trajectory(6.0, 1000, timing, np.int64(7), np.int64(3))
-        expected_taus, expected_eps = classical_trajectory(6.0, 1000, timing, 7, 3)
+        def config(n_steps, master_seed, stream_id):
+            return build_classical_config(epsilon0=6.0, n_steps=n_steps, tau_bar=GTAU_199,
+                                          spread_time=0.01 * GTAU_199, master_seed=master_seed,
+                                          stream_id=stream_id)
+
+        taus, eps = classical_trajectory(config(1000, np.int64(7), np.int64(3)))
+        expected_taus, expected_eps = classical_trajectory(config(1000, 7, 3))
         assert np.array_equal(taus, expected_taus) and np.array_equal(eps, expected_eps)
         for seed, token in (((1.5, 0), "seed"), ((7, 1.5), "stream")):
             with pytest.raises(ConfigError, match=f"^{token}: must be an integer, got 1.5$"):
-                classical_trajectory(6.0, 10, timing, *seed)
+                classical_trajectory(config(10, *seed))
 
     def test_trajectory_csv(self, tmp_path):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        taus, epsilons = classical_trajectory(6.0, 25, timing, 0, 0)
+        taus, epsilons = classical_trajectory(ClassicalConfig(6.0, 25, timing, 0, 0))
         assert len(taus) == 25 and len(epsilons) == 26
         path = tmp_path / "classical.csv"
         write_classical_csv(path, taus, epsilons)
@@ -186,3 +194,38 @@ class TestClassicalRun:
         rows = path.read_text().splitlines()
         assert rows[1:] == ["0,0,6,9", "1,0.5,13.950552987911985,48.654482167135008"]
         assert format((np.array([eps]) ** 2 / 4)[0], ".17g") == "48.654482167135001"
+
+
+class TestClassicalConfig:
+    """A ClassicalConfig checks itself when made, however it is made."""
+
+    @pytest.fixture
+    def config(self):
+        return build_classical_config(epsilon0=6.0, n_steps=10, tau_bar=GTAU_199)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            pytest.param({"epsilon0": 0.0}, "epsilon0: must be > 0, got 0.0", id="epsilon0"),
+            pytest.param({"epsilon0": math.inf}, "epsilon0: must be finite, got inf",
+                         id="epsilon0-inf"),
+            pytest.param({"n_steps": -1}, "steps: must be >= 0, got -1", id="steps"),
+            pytest.param({"n_steps": 2.5}, "steps: must be an integer, got 2.5",
+                         id="steps-float"),
+            pytest.param({"master_seed": np.int64(3)}, "seed: must be a Python int, got ",
+                         id="seed"),
+            pytest.param({"stream_id": 1.5}, "stream: must be a Python int, got 1.5",
+                         id="stream"),
+        ],
+    )
+    def test_replace_checked_where_made(self, config, bad, message):
+        with pytest.raises(ConfigError) as exc:
+            replace(config, **bad)
+        assert str(exc.value).startswith(message)
+
+    def test_builder_reads_steps_as_int(self):
+        kwargs = dict(epsilon0=6.0, tau_bar=GTAU_199)
+        config = build_classical_config(**kwargs, n_steps=np.int64(5))
+        assert config.n_steps == 5 and type(config.n_steps) is int
+        with pytest.raises(ConfigError, match=r"^steps: must be an integer, got 2\.5$"):
+            build_classical_config(**kwargs, n_steps=2.5)

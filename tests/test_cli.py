@@ -12,9 +12,9 @@ import pytest
 
 import jctrap
 from jctrap import cli
+from jctrap.classical import build_classical_config
 from jctrap.cli import (
     PRESET_NAMES,
-    build_classical_config,
     main,
     parse_alpha_token,
     parse_config,
@@ -1138,6 +1138,51 @@ class TestOutputDigests:
         assert manifest_outputs(tmp_path) == expected
         for name, digest in expected.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "lines, expected, failures",
+        [
+            pytest.param(
+                ("scheme = inelastic", "trap = 20", "alpha = 3", "spread_mult = 0.1",
+                 "atoms = 200", "seed = 22"),
+                {
+                    "trajectory.csv":
+                        "f6faeab784a6f7e7022f1fa13faa263d9522dd855e5107508707bdb42b701d89",
+                    "distribution.csv":
+                        "8c8788dfc0d4fa541d9c43146698454b97d6c160319cac0911e4b2fb9229b877",
+                },
+                184,
+                id="inelastic-sampled-no-halt",
+            ),
+            pytest.param(
+                ("scheme = superposition", "trap = 21", "alpha = sqrt21", "spread_mult = 2",
+                 "atoms = 300", "seed = 7"),
+                {
+                    "trajectory.csv":
+                        "2a4a827dd8e9a22255550869d28c3af77c586e25a76d00da0f391b792ce1167d",
+                    "distribution.csv":
+                        "ddc932c185791a5e0b91e4d27bdcb3cfb27300e2fbfb3d1b01e37fe6e5a1a414",
+                },
+                27,
+                id="superposition-sampled-no-halt",
+            ),
+        ],
+    )
+    def test_non_halting_sampled_run_byte_identical_to_recorded(self, tmp_path, lines,
+                                                                 expected, failures):
+        # A sampled run that goes on past its failed outcomes writes the rows
+        # that the orthogonal update gives; only a config file sets
+        # halt_on_failure.
+        config = tmp_path / "run.txt"
+        config.write_text("\n".join(
+            ("command = run", *lines, "mode = sample", "halt_on_failure = false")) + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert manifest_outputs(out) == expected
+        for name, digest in expected.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows].count("sampled_failure") == failures
 
     def test_sweep_manifest_round_trips(self, tmp_path):
         argv = ["sweep", "--preset", "fig2a", "--atoms", "30", "--spread-mults", "0.5,1",

@@ -395,14 +395,14 @@ class TestSchemeTypes:
             build_run_config(scheme="thermal", trap_target=5, n_atoms=1, alpha=1.0)
         cfg = build_run_config(scheme="elastic", trap_target=5, n_atoms=1, alpha=1.0)
         with pytest.raises(ConfigError, match="scheme: unknown scheme 'thermal'"):
-            replace(cfg, scheme="thermal").validate()
+            replace(cfg, scheme="thermal")
 
     def test_superposition_needs_ratio(self):
         cfg = build_run_config(scheme="superposition", trap_target=21, n_atoms=1, alpha=1.0)
         assert cfg.timing.ramsey_ratio == stationary_phase_ratio(21)
         assert cfg.phi_f == -math.pi / 2
-        with pytest.raises(ConfigError, match="ramsey_ratio > 0"):
-            replace(cfg, timing=replace(cfg.timing, ramsey_ratio=0.0)).validate()
+        with pytest.raises(ConfigError, match="ramsey_ratio: the superposition scheme at trap 21"):
+            replace(cfg, timing=replace(cfg.timing, ramsey_ratio=0.0))
 
     def test_stationary_phase_ratio_closure(self):
         assert stationary_phase_ratio(21) == 2.0 * math.sqrt(22.0)

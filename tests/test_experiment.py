@@ -23,6 +23,7 @@ from jctrap.dynamics import (
 from jctrap.errors import ConfigError, LeakageError, SimulationError
 from jctrap.experiment import (
     CONVERGENCE_P,
+    RunConfig,
     build_run_config,
     run_sequence,
     sampled_success_estimate,
@@ -70,7 +71,7 @@ class TestBuildConfig:
         cfg = build_run_config(scheme="nsm", trap_target=5, n_atoms=1, alpha=1.0)
         for bad in ({"fock": 2}, {"alpha": None}):
             with pytest.raises(ConfigError, match="alpha/fock: set exactly one initial field"):
-                replace(cfg, **bad).validate()
+                replace(cfg, **bad)
 
     def test_validation_messages_name_fields(self):
         with pytest.raises(ConfigError, match="q:"):
@@ -108,6 +109,9 @@ class TestBuildConfig:
             pytest.param("trap_target", "trap_target", 20.0, "trap", id="trap"),
             pytest.param("q", "q", 1.5, "q", id="q"),
             pytest.param("fock_n", "fock", 2.5, "fock", id="fock"),
+            # The counts an entry point reads beside its config.
+            pytest.param("ensemble", None, 2.5, "ensemble", id="ensemble"),
+            pytest.param("trajectories", None, 2.5, "trajectories", id="trajectories"),
         ],
     )
     def test_non_integer_count_named(self, keyword, field, value, token):
@@ -115,11 +119,17 @@ class TestBuildConfig:
         # (q) or start from a truncated Fock level (fock).
         args = dict(scheme="elastic", trap_target=20, n_atoms=3, fock_n=3)
         message = f"^{token}: must be an integer, got {value!r}$"
+        if field is None:
+            entry = {"ensemble": lambda config, n: sweep(config, [0.1], ensemble=n),
+                     "trajectories": sampled_success_estimate}[keyword]
+            with pytest.raises(ConfigError, match=message):
+                entry(build_run_config(**args, mode="sample"), value)
+            return
         with pytest.raises(ConfigError, match=message):
             build_run_config(**{**args, keyword: value})
-        # A replace() that bypasses the builder is caught where the config is run.
+        # A replace() that bypasses the builder is caught where it is made.
         with pytest.raises(ConfigError, match=message):
-            run_sequence(replace(build_run_config(**args), **{field: value}))
+            replace(build_run_config(**args), **{field: value})
 
     def test_numpy_integer_counts_give_the_int_config(self):
         args = dict(scheme="elastic", trap_target=20, n_atoms=40, q=1, fock_n=3, n_max=50,
@@ -131,6 +141,13 @@ class TestBuildConfig:
         fields = ("trap_target", "q", "n_atoms", "n_max", "fock")
         assert {type(getattr(numpy_ints, name)) for name in fields} == {int}
         assert _fingerprint(run_sequence(numpy_ints)) == _fingerprint(run_sequence(plain))
+        # The counts an entry point reads are read as Python ints too.
+        table = sweep(plain, [0.5], ensemble=np.int64(2))
+        assert table == sweep(plain, [0.5], ensemble=2)
+        assert {type(cell.cell) for cell in table} == {int}
+        sampled = replace(plain, mode="sample")
+        estimate = sampled_success_estimate(sampled, np.int64(4))
+        assert type(estimate) is float and estimate == sampled_success_estimate(sampled, 4)
 
     def test_validate_rechecks_replaced_config(self):
         cfg = fig3cd_config(n_atoms=1)
@@ -141,11 +158,45 @@ class TestBuildConfig:
             ({"alpha": complex(math.nan)}, "alpha: must be finite, got nan"),
         ):
             with pytest.raises(ConfigError, match=message):
-                run_sequence(replace(cfg, **bad))
-        # A TimingModel refuses the value before any run can read it.
+                replace(cfg, **bad)
+        # A TimingModel refuses the value before any config can hold it.
         elastic = build_run_config(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0)
         with pytest.raises(ConfigError, match="ramsey_ratio: must be finite, got nan"):
-            run_sequence(replace(elastic, timing=replace(elastic.timing, ramsey_ratio=math.nan)))
+            replace(elastic, timing=replace(elastic.timing, ramsey_ratio=math.nan))
+
+    @pytest.mark.parametrize("value", ["no", 0, None, np.bool_(True)])
+    def test_halt_on_failure_must_be_a_bool(self, value):
+        # "no" is truthy: a run would halt on the failure it was told to pass.
+        cfg = fig3cd_config(n_atoms=1, mode="sample")
+        message = f"^halt_on_failure: must be True or False, got {value!r}$"
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, halt_on_failure=value)
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**{**vars(cfg), "halt_on_failure": value})
+        with pytest.raises(ConfigError, match=message):
+            build_run_config(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0,
+                             halt_on_failure=value)
+
+    def test_ramsey_ratio_fixed_by_scheme_and_trap(self):
+        # One atom velocity sets T_k = 2 sqrt(n_t+1) tau_k for superposition;
+        # the other schemes have no Ramsey zone.
+        sup = fig3cd_config(n_atoms=1)
+        elastic = build_run_config(scheme="elastic", trap_target=21, n_atoms=1, alpha=3.0)
+        assert (sup.timing.ramsey_ratio, elastic.timing.ramsey_ratio) == (2 * math.sqrt(22), 0)
+        for config, bad in (
+            (sup, {"timing": replace(sup.timing, ramsey_ratio=2 * math.sqrt(22) + 1e-12)}),
+            (sup, {"timing": replace(sup.timing, ramsey_ratio=0.0)}),
+            (sup, {"trap_target": 20}),
+            (sup, {"scheme": "elastic"}),
+            (elastic, {"timing": replace(elastic.timing, ramsey_ratio=1.0)}),
+            (elastic, {"scheme": "superposition"}),
+        ):
+            scheme, trap = bad.get("scheme", config.scheme), bad.get("trap_target", 21)
+            message = f"^ramsey_ratio: the {scheme} scheme at trap {trap} needs "
+            with pytest.raises(ConfigError, match=message):
+                replace(config, **bad)
+            with pytest.raises(ConfigError, match=message):
+                RunConfig(**{**vars(config), **bad})
 
     def test_spread_rule(self):
         args = dict(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0, tau_bar=0.5)
@@ -874,12 +925,9 @@ class TestSeedPairs:
         with pytest.raises(ConfigError, match=f"^{token}: must be an integer, got 1.5$"):
             build_run_config(scheme="elastic", trap_target=20, n_atoms=3, alpha=3.0,
                              **{keyword: 1.5})
-        # A replace() that bypasses the builder is caught where the config is run.
-        config = replace(fig3cd_config(n_atoms=3), **{keyword: np.int64(3)})
-        for run in (run_sequence, lambda c: sweep(c, [0.1], ensemble=1),
-                    lambda c: sampled_success_estimate(replace(c, mode="sample"), 2)):
-            with pytest.raises(ConfigError, match=rf"^{token}: must be a Python int, got "):
-                run(config)
+        # A replace() that bypasses the builder is caught where it is made.
+        with pytest.raises(ConfigError, match=rf"^{token}: must be a Python int, got "):
+            replace(fig3cd_config(n_atoms=3), **{keyword: np.int64(3)})
 
 
 class TestDrawAccounting:
