@@ -23,7 +23,7 @@ import numpy as np
 
 from .csvfile import BLOCK_ROWS, write_csv
 from .errors import ConfigError, SimulationError
-from .stochastic import TimingModel, derive_stream, int_token, sample_timing_array
+from .stochastic import TimingModel, derive_stream, int_token, number_token, sample_timing_array
 
 # The smallest epsilon whose 2/epsilon and the largest whose epsilon^2 are finite.
 EPSILON_MIN = math.nextafter(2.0 / sys.float_info.max, 1.0)
@@ -95,7 +95,7 @@ class ClassicalConfig:
     stream_id: int
 
     def __post_init__(self):
-        epsilon0 = self.epsilon0
+        epsilon0 = number_token("epsilon0", self.epsilon0)
         if not math.isfinite(epsilon0):
             raise ConfigError(f"epsilon0: must be finite, got {epsilon0}")
         if not epsilon0 > 0:
@@ -123,10 +123,12 @@ def build_classical_config(
 ) -> ClassicalConfig:
     """A ClassicalConfig; the spread is spread_time, else spread_frac * tau_bar.
 
-    The step count and seeds are read as Python ints (numpy integers included).
+    The step count and seeds are read as Python ints (numpy integers
+    included), and a value that is not a number raises ConfigError.
     """
+    tau_bar = number_token("tau_bar_in_inv_g", tau_bar)
     if spread_time is None:
-        spread_time = spread_frac * tau_bar
+        spread_time = number_token("spread_frac", spread_frac) * tau_bar
     timing = TimingModel(tau_bar=tau_bar, spread=spread_time, law=law)
     return ClassicalConfig(epsilon0, int_token("steps", n_steps), timing,
                            int_token("seed", master_seed), int_token("stream", stream_id))

@@ -152,58 +152,32 @@ def _level_roots(n_max: int) -> np.ndarray:
     return roots
 
 
-def _theta_array(tau, n_max: int) -> np.ndarray:
-    """Rabi phases of levels 0..n_max (a new array); times shaped (..., 1) give a row each."""
-    return tau * _level_roots(n_max)
+def rabi_cos_sin(tau, n_max: int, cos: bool = True, first: int | None = 0) -> tuple:
+    """(cos_t, sin_t) of the Rabi phases theta_n, snapped at multiples of pi.
 
-
-def _snaps(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where Rabi phases lie within TRAP_SNAP_TOL of a multiple q pi, and q."""
+    Only the parts asked for are computed: cos_t covers levels 0..n_max, or
+    is None unless cos; sin_t covers levels first..n_max, or is None when
+    first is None (first = n_max gives the top level's alone).  tau is one
+    interaction time, or times of any shape ending in 1, such as (atoms,
+    cells, 1): each row of levels equals the one-time result bit for bit.
+    """
+    thetas = tau * _level_roots(n_max)
     ratio = thetas / math.pi
     q = np.rint(ratio)
-    return np.abs(np.subtract(ratio, q, out=ratio), out=ratio) < TRAP_SNAP_TOL, q
-
-
-def _snap_cos(cos_t: np.ndarray, snap: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """cos_t with its snapped phases set to cos(q pi) = +-1, in place."""
-    if snap.any():
-        cos_t[snap] = np.where(q[snap].astype(np.int64) % 2 == 0, 1.0, -1.0)
-    return cos_t
-
-
-def _snap_sin(sin_t: np.ndarray, snap: np.ndarray) -> np.ndarray:
-    """sin_t with its snapped phases set to sin(q pi) = 0, in place."""
-    if snap.any():
-        sin_t[snap] = 0.0
-    return sin_t
-
-
-def rabi_cos_sin(tau, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of the Rabi phases theta_n, snapped at multiples of pi.
-
-    tau is one interaction time, or times of any shape ending in 1, such as
-    (atoms, cells, 1): each row of levels equals the one-time result bit for bit.
-    """
-    thetas = _theta_array(tau, n_max)
-    snap, q = _snaps(thetas)
-    return _snap_cos(np.cos(thetas), snap, q), _snap_sin(np.sin(thetas, out=thetas), snap)
-
-
-def rabi_cos(tau, n_max: int) -> np.ndarray:
-    """rabi_cos_sin(tau, n_max)[0] bit for bit, without computing the sines."""
-    thetas = _theta_array(tau, n_max)
-    snap, q = _snaps(thetas)
-    return _snap_cos(np.cos(thetas, out=thetas), snap, q)
-
-
-def rabi_sin(tau, n_max: int, first: int = 0) -> np.ndarray:
-    """rabi_cos_sin(tau, n_max)[1][..., first:] bit for bit, without the cosines.
-
-    first = n_max gives the top level's sin theta alone, as (..., 1) rows.
-    """
-    thetas = tau * _level_roots(n_max)[first:]
-    snap, _ = _snaps(thetas)
-    return _snap_sin(np.sin(thetas, out=thetas), snap)
+    snap = np.abs(np.subtract(ratio, q, out=ratio), out=ratio) < TRAP_SNAP_TOL
+    snapped = snap.any()
+    cos_t = sin_t = None
+    if first:  # some levels' sines, read before the cosines overwrite thetas
+        sin_t = np.sin(thetas[..., first:])
+    if cos:  # into thetas, unless every level's sines are still to come from it
+        cos_t = np.cos(thetas, out=None if first == 0 else thetas)
+        if snapped:
+            cos_t[snap] = np.where(q[snap].astype(np.int64) % 2 == 0, 1.0, -1.0)
+    if first == 0:
+        sin_t = np.sin(thetas, out=thetas)
+    if sin_t is not None and snapped:
+        sin_t[snap[..., first:]] = 0.0
+    return cos_t, sin_t
 
 
 def _check_leak(p_top: float, sin_top: float) -> None:
@@ -299,19 +273,13 @@ def approx_cm_coefficient(c_prev: complex, T: float, tau: float, n: int) -> comp
     return math.cos(T / 2.0 - theta(tau, n)) * c_prev
 
 
-def _cm_args(T, tau, n_max: int) -> np.ndarray:
-    """T/2 - theta_n, snapped to 0 within TRAP_SNAP_TOL: the phi_f = -pi/2 CM argument."""
-    arg = T / 2.0 - _theta_array(tau, n_max)
-    arg[np.abs(arg) < TRAP_SNAP_TOL] = 0.0
-    return arg
-
-
 def correlated_cm_factors(
     T: float,
     tau: float,
     n_max: int,
     phi_f: float = -math.pi / 2,
-) -> tuple[np.ndarray, np.ndarray]:
+    failure: bool = True,
+) -> tuple:
     """Per-level success and orthogonal-outcome factors of a correlated CM.
 
     This is the fluctuation-suppressed form of the conditional measurement
@@ -320,13 +288,15 @@ def correlated_cm_factors(
     orthogonal factor otherwise, with |f|^2 + |f_orth|^2 = 1 per level.
     For phi_f = -pi/2 the factors are cos/sin(T/2 - theta_n);
     arguments within 1e-12 of zero are snapped so the stationary level is
-    held exactly.  T and tau may be times of one shape ending in 1, such as
+    held exactly.  The orthogonal factor is None, and not computed, unless
+    failure.  T and tau may be times of one shape ending in 1, such as
     (atoms, cells, 1): each row of levels equals the one-pair result bit for bit.
     """
     if phi_f == -math.pi / 2:
-        arg = _cm_args(T, tau, n_max)
-        return np.cos(arg), np.sin(arg)
-    thetas = _theta_array(tau, n_max)
+        arg = T / 2.0 - tau * _level_roots(n_max)
+        arg[np.abs(arg) < TRAP_SNAP_TOL] = 0.0
+        return (np.cos(arg), np.sin(arg)) if failure else (np.cos(arg, out=arg), None)
+    thetas = tau * _level_roots(n_max)
     half = T / 2.0
     # General final phase: success cosA cos(th) - i e^{-i phi} sinA sin(th),
     # orthogonal -e^{i phi} sinA cos(th) - i cosA sin(th).  math.cos per
@@ -334,11 +304,5 @@ def correlated_cm_factors(
     cos_a, sin_a = np.vectorize(math.cos)(half), np.vectorize(math.sin)(half)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     success = cos_a * cos_t - 1j * cmath.exp(-1j * phi_f) * sin_a * sin_t
-    failure = -cmath.exp(1j * phi_f) * sin_a * cos_t - 1j * cos_a * sin_t
+    failure = -cmath.exp(1j * phi_f) * sin_a * cos_t - 1j * cos_a * sin_t if failure else None
     return success, failure
-
-
-def cm_success_factor(T, tau, n_max: int) -> np.ndarray:
-    """correlated_cm_factors(T, tau, n_max)[0] bit for bit, without the failure factor."""
-    arg = _cm_args(T, tau, n_max)
-    return np.cos(arg, out=arg)

@@ -1,9 +1,9 @@
 """Drives whole atom sequences through a measurement scheme.
 
 Each atom draws an interaction time, entangles with the field and is
-measured according to the configured scheme.  PostSelected mode conditions
-on the desired outcome at every step and books its probability; Sampled
-mode draws outcomes and marks the trajectory failed on the first
+measured according to the configured scheme.  Mode `postselect` conditions
+on the desired outcome at every step and books its probability; mode
+`sample` draws outcomes and marks the trajectory failed on the first
 orthogonal one.  Per-step statistics, the cumulative success probability
 and the final photon-number distribution are collected; `sweep` scans
 spread multiples over seeded ensembles.  Every run goes through one
@@ -28,12 +28,9 @@ from .dynamics import (
     LEAK_P_TOL,
     ORTHOGONAL_P_TOL,
     SCHEME_KINDS,
-    cm_success_factor,
     correlated_cm_factors,
     critical_spread,
-    rabi_cos,
     rabi_cos_sin,
-    rabi_sin,
     stationary_phase_ratio,
     trapping_time,
 )
@@ -47,7 +44,7 @@ from .fock import (
     fock_basis_state,
     top_level_probability,
 )
-from .stochastic import TimingModel, derive_streams, int_token, sample_timing
+from .stochastic import TimingModel, derive_streams, int_token, number_token, sample_timing
 
 # The one-state updates and statistics that _advance and _book reproduce row
 # by row, and the one-stream form of derive_streams.  They stay importable here,
@@ -130,9 +127,9 @@ class RunConfig:
             raise ConfigError(f"scheme: unknown scheme {self.scheme!r}")
         if (self.alpha is None) == (self.fock is None):
             raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
-        alpha = self.alpha or 0j
+        alpha = number_token("alpha", self.alpha or 0j, complex)
         for token, value in (("alpha", alpha if alpha.imag else alpha.real),
-                             ("phi_f_rad", self.phi_f)):
+                             ("phi_f_rad", number_token("phi_f_rad", self.phi_f))):
             if not cmath.isfinite(value):
                 raise ConfigError(f"{token}: must be finite, got {value}")
         for token, value in (("trap", self.trap_target), ("q", self.q), ("atoms", self.n_atoms),
@@ -219,11 +216,16 @@ def build_run_config(
     spread_frac * tau_bar, else spread_mult times the critical spread.  The
     superposition Ramsey ratio is the stationary-phase closure
     2 sqrt(n_t+1).  Each value is checked before anything is derived from
-    it; a bad one raises ConfigError naming its config token.  The counts
-    and levels are read as Python ints (numpy integers included).
+    it; a bad one raises ConfigError naming its config token, as does a
+    string or other non-number where a number goes.  The counts and levels
+    are read as Python ints (numpy integers included).
     """
     trap_target, q, n_atoms = (int_token(token, value) for token, value in
                                (("trap", trap_target), ("q", q), ("atoms", n_atoms)))
+    # The inputs that defaults derive from; RunConfig and TimingModel check the rest.
+    tau_bar, spread_frac = (None if value is None else number_token(token, value) for token, value
+                            in (("tau_bar_in_inv_g", tau_bar), ("spread_frac", spread_frac)))
+    spread_mult = number_token("spread_mult", spread_mult)
     _check_derivation_inputs(trap_target, q)
     if tau_bar is None:
         tau_bar = trapping_time(trap_target, q)
@@ -237,7 +239,7 @@ def build_run_config(
         n_atoms=n_atoms,
         trap_target=trap_target,
         q=q,
-        alpha=None if alpha is None else complex(alpha),
+        alpha=None if alpha is None else number_token("alpha", alpha, complex),
         fock=None if fock_n is None else int_token("fock", fock_n),
         timing=TimingModel(tau_bar=tau_bar, spread=spread_time, law=law,
                            ramsey_ratio=_ramsey_ratio(scheme, trap_target)),
@@ -360,29 +362,22 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
     if shared:  # a row equals the one-time result bit for bit
         pair = pair[:1, :1]
     taus, ramsey, n_max = pair[..., :1], pair[..., 1:], config.n_max
-    edge = None
     if config.scheme == "superposition":
-        if sampled or config.phi_f != -math.pi / 2:
-            factors = correlated_cm_factors(ramsey, taus, n_max, config.phi_f)
-        else:
-            factors = (cm_success_factor(ramsey, taus, n_max),)
-        outcomes = [(f, None) for f in factors]
-    elif nsm or sampled:
-        cos_t, sin_t = rabi_cos_sin(taus, n_max)
+        success, failure = correlated_cm_factors(ramsey, taus, n_max, config.phi_f, sampled)
+        edge, outcomes = None, [(success, None), (failure, None)]
+    else:  # a post-selected elastic run's leak guard alone reads a sine: the top level's
+        elastic, inelastic = config.scheme == "elastic", config.scheme == "inelastic"
+        every = nsm or sampled or inelastic
+        cos_t, sin_t = rabi_cos_sin(taus, n_max, cos=nsm or sampled or elastic,
+                                    first=0 if every else n_max)
         if nsm:
             sin_sq = np.square(sin_t, out=sin_t)
             edge, outcomes = sin_sq[..., -1], [(np.square(cos_t, out=cos_t), sin_sq)]
         else:
-            selected, orthogonal = (cos_t, None), (None, -1j * sin_t)  # elastic
-            if config.scheme == "inelastic":
-                selected, orthogonal = orthogonal, (-cos_t, None)
-            edge, outcomes = np.square(sin_t[..., -1]), [selected, orthogonal]
-    elif config.scheme == "elastic":  # the top level's sin feeds the leak guard alone
-        edge = np.square(rabi_sin(taus, n_max, n_max)[..., 0])
-        outcomes = [(rabi_cos(taus, n_max), None)]
-    else:  # inelastic
-        sin_t = rabi_sin(taus, n_max)
-        edge, outcomes = np.square(sin_t[..., -1]), [(None, -1j * sin_t)]
+            emitted = (None, -1j * sin_t) if every else None
+            outcomes = ([(cos_t, None), emitted] if elastic
+                        else [emitted, (-cos_t, None) if sampled else None])
+            edge = np.square(sin_t[..., -1])
     outcomes = outcomes[: 1 + sampled]
     if shared:
         edge = None if edge is None else np.broadcast_to(edge, shape[:2])
@@ -620,9 +615,9 @@ def _run_batches(
 def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     """Run one sequence of config.n_atoms atoms through the scheme.
 
-    PostSelected mode applies the desired projection at every step and
+    Mode `postselect` applies the desired projection at every step and
     terminates with reason "impossible post-selection" if its probability
-    vanishes.  Sampled mode draws each outcome; the first orthogonal draw
+    vanishes.  Mode `sample` draws each outcome; the first orthogonal draw
     marks the trajectory failed and, with halt_on_failure, stops it.
     Leakage errors from the dynamics propagate; a run whose top three Fock
     levels exceed the 1e-8 guard aborts the same way.  This is the
@@ -699,7 +694,7 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     """Fraction of sampled trajectories whose every outcome succeeded.
 
     Trajectory t runs with stream_id = config.stream_id + t.  For
-    fixed times this estimates the PostSelected cumulative probability to
+    fixed times this estimates the `postselect` cumulative probability to
     within binomial error.  The trajectories advance together through the
     batch kernel, as sweep cells do, and each returns only whether it
     succeeded; the first one to raise, in trajectory order, raises here.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ class TimingModel:
     def __post_init__(self):
         for token, value in (("tau_bar_in_inv_g", self.tau_bar), ("spread_in_inv_g", self.spread),
                              ("ramsey_ratio", self.ramsey_ratio)):
-            if not math.isfinite(value):
+            if not math.isfinite(number_token(token, value)):
                 raise ConfigError(f"{token}: must be finite, got {value}")
         if not self.tau_bar > 0:
             raise ConfigError(f"tau_bar_in_inv_g: must be > 0, got {self.tau_bar}")
@@ -75,6 +76,13 @@ def int_token(token: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{token}: must be an integer, got {value!r}") from None
+
+
+def number_token(token: str, value, kind: type = float) -> float | complex:
+    """value as a float (for kind complex, any number as a complex), else a ConfigError on token."""
+    if isinstance(value, numbers.Real if kind is float else numbers.Complex):
+        return kind(value)
+    raise ConfigError(f"{token}: must be a {'real ' * (kind is float)}number, got {value!r}")
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

@@ -209,6 +209,8 @@ class TestClassicalConfig:
             pytest.param({"epsilon0": 0.0}, "epsilon0: must be > 0, got 0.0", id="epsilon0"),
             pytest.param({"epsilon0": math.inf}, "epsilon0: must be finite, got inf",
                          id="epsilon0-inf"),
+            pytest.param({"epsilon0": "6"}, "epsilon0: must be a real number, got '6'",
+                         id="epsilon0-str"),
             pytest.param({"n_steps": -1}, "steps: must be >= 0, got -1", id="steps"),
             pytest.param({"n_steps": 2.5}, "steps: must be an integer, got 2.5",
                          id="steps-float"),
@@ -222,6 +224,16 @@ class TestClassicalConfig:
         with pytest.raises(ConfigError) as exc:
             replace(config, **bad)
         assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "keyword, token",
+        [("epsilon0", "epsilon0"), ("tau_bar", "tau_bar_in_inv_g"),
+         ("spread_time", "spread_in_inv_g"), ("spread_frac", "spread_frac")],
+    )
+    def test_builder_names_a_non_number(self, keyword, token):
+        kwargs = {"epsilon0": 6.0, "n_steps": 10, "tau_bar": GTAU_199, keyword: "0.4"}
+        with pytest.raises(ConfigError, match=rf"^{token}: must be a real number, got '0\.4'$"):
+            build_classical_config(**kwargs)
 
     def test_builder_reads_steps_as_int(self):
         kwargs = dict(epsilon0=6.0, tau_bar=GTAU_199)

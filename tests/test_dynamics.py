@@ -14,16 +14,13 @@ from jctrap.dynamics import (
     AtomRotation,
     approx_cm_coefficient,
     cm_project,
-    cm_success_factor,
     correlated_cm_factors,
     critical_spread,
     jcm_entangle,
     nsm_step,
     orthogonal_rotation,
     project_amplitudes,
-    rabi_cos,
     rabi_cos_sin,
-    rabi_sin,
     ramsey_coeffs,
     stationary_phase_ratio,
     theta,
@@ -316,7 +313,8 @@ class TestCorrelatedCmFactors:
 
 
 class TestPrunedFactors:
-    """A function that computes one factor of a pair equals that factor bit for bit."""
+    """A factor function asked for some of its parts returns those parts of its
+    whole result bit for bit, and None for the parts not asked for."""
 
     N_MAX = 40
 
@@ -335,20 +333,37 @@ class TestPrunedFactors:
         }
 
     @staticmethod
-    def same(a: np.ndarray, b: np.ndarray) -> bool:
+    def same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+        if a is None or b is None:
+            return a is b
         return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @classmethod
+    def same_parts(cls, got: tuple, want: tuple) -> bool:
+        return len(got) == len(want) and all(map(cls.same, got, want))
 
     @pytest.mark.parametrize("kind", ["fluctuating", "trapping", "anti-trapping", "scalar"])
     def test_rabi_factors(self, kind):
         tau, n_max = self.times()[kind], self.N_MAX
         cos_t, sin_t = rabi_cos_sin(tau, n_max)
-        assert self.same(rabi_cos(tau, n_max), cos_t)
-        assert self.same(rabi_sin(tau, n_max), sin_t)
+        # The whole pair: numpy's cos and sin of tau sqrt(n+1), except at
+        # phases within TRAP_SNAP_TOL of q pi, which are exactly (-1)^q and 0.
+        thetas = np.multiply(tau, np.sqrt(np.arange(n_max + 1) + 1.0))
+        q = np.rint(thetas / math.pi)
+        snap = np.abs(thetas / math.pi - q) < 1e-12
+        assert self.same(np.where(snap, np.where(q % 2 == 0, 1.0, -1.0), np.cos(thetas)), cos_t)
+        assert self.same(np.where(snap, 0.0, np.sin(thetas)), sin_t)
+        assert self.same_parts(rabi_cos_sin(tau, n_max, first=None), (cos_t, None))
+        assert self.same_parts(rabi_cos_sin(tau, n_max, cos=False), (None, sin_t))
         for first in (1, 21, n_max):
-            assert self.same(rabi_sin(tau, n_max, first), sin_t[..., first:])
+            for cos in (False, True):
+                assert self.same_parts(rabi_cos_sin(tau, n_max, cos=cos, first=first),
+                                       (cos_t if cos else None, sin_t[..., first:]))
         if kind == "trapping":  # every time snaps at its trap level, to +-1 and 0
             assert (sin_t == 0.0).sum() >= 12 and (np.abs(cos_t) == 1.0).sum() >= 12
-            assert self.same(rabi_sin(tau, n_max, n_max)[3], np.zeros((3, 1)))
+            for cos in (False, True):
+                top = rabi_cos_sin(tau, n_max, cos=cos, first=n_max)[1]
+                assert self.same(top[3], np.zeros((3, 1)))
         if kind == "anti-trapping":
             assert (np.abs(cos_t) < 1e-15).sum() >= 12 and not (cos_t == 0.0).any()
 
@@ -358,9 +373,13 @@ class TestPrunedFactors:
         tau, n_max = self.times()[kind], self.N_MAX
         stationary = stationary_phase_ratio(21) * tau
         for T in (stationary, 2.3 * tau + 0.4):
-            success, _ = correlated_cm_factors(T, tau, n_max)
-            assert self.same(cm_success_factor(T, tau, n_max), success)
-        assert np.all(cm_success_factor(stationary, tau, n_max)[..., 21] == 1.0)
+            for phi_f in (-math.pi / 2, 0.4):
+                success, failure = correlated_cm_factors(T, tau, n_max, phi_f)
+                assert failure.shape == success.shape
+                assert self.same_parts(
+                    correlated_cm_factors(T, tau, n_max, phi_f, failure=False), (success, None))
+        success, _ = correlated_cm_factors(stationary, tau, n_max, failure=False)
+        assert np.all(success[..., 21] == 1.0)
 
 
 class TestLargeNConsistency:

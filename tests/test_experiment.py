@@ -73,6 +73,26 @@ class TestBuildConfig:
             with pytest.raises(ConfigError, match="alpha/fock: set exactly one initial field"):
                 replace(cfg, **bad)
 
+    @pytest.mark.parametrize(
+        "keyword, token, value",
+        [
+            ("tau_bar", "tau_bar_in_inv_g", "1"),
+            ("spread_time", "spread_in_inv_g", "0.1"),
+            ("spread_frac", "spread_frac", "0.1"),
+            ("spread_mult", "spread_mult", "0.1"),
+            ("phi_f", "phi_f_rad", "0.4"),
+            ("alpha", "alpha", "3"),
+            ("alpha", "alpha", "sqrt21"),
+        ],
+        ids=["tau_bar", "spread_time", "spread_frac", "spread_mult", "phi_f", "alpha",
+             "alpha-sqrt"],
+    )
+    def test_non_numbers_name_their_token(self, keyword, token, value):
+        kind = "number" if token == "alpha" else "real number"
+        with pytest.raises(ConfigError, match=rf"^{token}: must be a {kind}, got '{value}'$"):
+            build_run_config(scheme="elastic", trap_target=20, n_atoms=3,
+                             **{"alpha": 3.0, keyword: value})
+
     def test_validation_messages_name_fields(self):
         with pytest.raises(ConfigError, match="q:"):
             build_run_config(scheme="nsm", trap_target=5, n_atoms=1, alpha=1.0, q=0)
@@ -156,6 +176,8 @@ class TestBuildConfig:
             ({"q": 0}, "q: must be >= 1"),
             ({"phi_f": math.nan}, "phi_f_rad: must be finite, got nan"),
             ({"alpha": complex(math.nan)}, "alpha: must be finite, got nan"),
+            ({"phi_f": "0.4"}, "phi_f_rad: must be a real number, got '0.4'"),
+            ({"alpha": "3"}, "alpha: must be a number, got '3'"),
         ):
             with pytest.raises(ConfigError, match=message):
                 replace(cfg, **bad)
@@ -163,6 +185,8 @@ class TestBuildConfig:
         elastic = build_run_config(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0)
         with pytest.raises(ConfigError, match="ramsey_ratio: must be finite, got nan"):
             replace(elastic, timing=replace(elastic.timing, ramsey_ratio=math.nan))
+        with pytest.raises(ConfigError, match="tau_bar_in_inv_g: must be a real number, got '1'"):
+            replace(elastic.timing, tau_bar="1")
 
     @pytest.mark.parametrize("value", ["no", 0, None, np.bool_(True)])
     def test_halt_on_failure_must_be_a_bool(self, value):
@@ -471,6 +495,77 @@ class TestKernel:
         # A halting run stops at its first failed outcome, the others run on.
         assert max(lengths) > 1 if halt and mode == "sample" else lengths == {150}
 
+    @pytest.mark.parametrize("halt", [True, False], ids=["sample-halting", "sample-continuing"])
+    @pytest.mark.parametrize("scheme", ["elastic", "superposition"])
+    def test_gaussian_sampled_runs_equal_reference_updates(self, monkeypatch, scheme, halt):
+        # An rms of 0.87 tau_bar puts 12% of the normals at or below 0, each
+        # redrawn.  Per atom the stream gives normals until tau_k > 0, then
+        # u_k.  Halting runs stop at their first failure, a few atoms in, so
+        # they take more streams.
+        monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", 8192)
+        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
+        streams, atoms = (40 if halt else 4), 40
+        redraws = failures = lengths = 0
+        for stream in range(streams):
+            config = build_run_config(
+                scheme=scheme, trap_target=trap, n_atoms=atoms, **initial, n_max=n_max,
+                law="gaussian", spread_frac=3.0, mode="sample", master_seed=31,
+                stream_id=stream, halt_on_failure=halt,
+            )
+            result = run_sequence(config)
+            _assert_equals_reference(config, result)
+            timing, rng = config.timing, derive_stream(31, stream)
+            for step in result.steps:
+                while (tau := timing.tau_bar + timing.rms * rng.standard_normal()) <= 0.0:
+                    redraws += 1
+                assert step.tau_k == tau
+                success = rng.random() < step.P_k
+                assert step.outcome == ("sampled_success" if success else "sampled_failure")
+            failures += result.n_failures
+            lengths += len(result.steps)
+        assert redraws > 0 and failures > 0
+        assert lengths < streams * atoms if halt else lengths == streams * atoms
+
+    @pytest.mark.parametrize("mode", ["postselect", "sample"])
+    @pytest.mark.parametrize(
+        "scheme, phi_f",
+        [
+            ("nsm", -math.pi / 2),
+            ("elastic", -math.pi / 2),
+            ("inelastic", -math.pi / 2),
+            ("superposition", -math.pi / 2),
+            ("superposition", 0.4),
+        ],
+    )
+    def test_one_factor_call_per_block(self, monkeypatch, scheme, phi_f, mode):
+        # Superposition blocks take their factors from one correlated_cm_factors
+        # call, the others from one rabi_cos_sin call, in a run and in a sweep.
+        monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", 2048)
+        calls = dict.fromkeys(("_draw_block", "rabi_cos_sin", "correlated_cm_factors"), 0)
+
+        def counted(name):
+            original = getattr(experiment, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(experiment, name, counted(name))
+        trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
+        base = build_run_config(
+            scheme=scheme, trap_target=trap, n_atoms=60, **initial, n_max=n_max,
+            spread_mult=0.5, phi_f=phi_f, mode=mode, halt_on_failure=False,
+        )
+        run_sequence(base)
+        sweep(base, [0.1, 0.5], ensemble=3)
+        blocks = calls.pop("_draw_block")
+        factors = "correlated_cm_factors" if scheme == "superposition" else "rabi_cos_sin"
+        assert blocks > 2
+        assert calls == {**dict.fromkeys(calls, 0), factors: blocks}
+
     @pytest.mark.parametrize(
         "scheme, initial, mults, errors",
         [
@@ -716,11 +811,11 @@ class TestBlockSize:
     @pytest.mark.parametrize(
         "scheme, mode, factor, level, source, message",
         [
-            ("nsm", "postselect", "cos", 3, "rabi_cos_sin",
+            ("nsm", "postselect", "cos", 3, ("cos", "sin"),
              "SimulationError: state norm drifted to nan at atom 5"),
             # The NaN norm divides the row: numpy warns of it, and the guard ends the cell.
             pytest.param(
-                "elastic", "postselect", "cos", 3, "rabi_cos",
+                "elastic", "postselect", "cos", 3, ("cos", "top sin"),
                 "OrthogonalOutcomeError: cannot renormalize state with squared norm nan",
                 marks=pytest.mark.filterwarnings(
                     "ignore:invalid value encountered in divide:RuntimeWarning"
@@ -728,13 +823,13 @@ class TestBlockSize:
             ),
             # A NaN selected norm fails the draw and the orthogonal row is finite:
             # the NaN P_k alone ends the cell, before the atom is booked.
-            ("elastic", "sample", "cos", 3, "rabi_cos_sin",
+            ("elastic", "sample", "cos", 3, ("cos", "sin"),
              "SimulationError: selected outcome's squared norm is nan at atom 5"),
             # The top level's sin only enters the leak guard: the field stays finite.
             # A post-selected elastic run computes it alone, as the leak guard's edge.
-            ("elastic", "postselect", "sin", -1, "rabi_sin",
+            ("elastic", "postselect", "sin", -1, ("cos", "top sin"),
              "LeakageError: population would leave truncation: P(n_max) sin^2 theta_nmax = nan"),
-            ("nsm", "postselect", "sin", -1, "rabi_cos_sin",
+            ("nsm", "postselect", "sin", -1, ("cos", "sin"),
              "LeakageError: population would leave truncation: P(n_max) sin^2 theta_nmax = nan"),
         ],
         ids=["nsm-cos", "elastic-cos", "elastic-cos-sampled", "elastic-top-sin", "nsm-top-sin"],
@@ -743,43 +838,35 @@ class TestBlockSize:
         self, monkeypatch, scheme, mode, factor, level, source, message
     ):
         # A NaN cos or sin at atom 5 of one cell, at every block and batch
-        # size, in whichever Rabi function computes that factor: the pair
-        # function for NSM and sampled mode, the cos alone or the top level's
-        # sin alone for a post-selected elastic run.  The block's test must
-        # see it wherever it sits among the block's guard inputs, although a
-        # NaN passes every `x > limit`.  The cell is that of stream
+        # size, in the parts of rabi_cos_sin that compute that factor: the
+        # whole pair for NSM and sampled mode, the cos and the top level's sin
+        # alone for a post-selected elastic run.  The block's test must see it
+        # wherever it sits among the block's guard inputs, although a NaN
+        # passes every `x > limit`.  The cell is that of stream
         # `poisoned_stream`, the last cell of its batch at every batch size.
         # Times fluctuate, so that every atom and cell has its own row of
         # factors.
-        original_derive = experiment.derive_streams
+        original_derive, original_rabi = experiment.derive_streams, experiment.rabi_cos_sin
         poisoned_stream = [0]
-        drawn = {}  # per function: atoms whose factors the poisoned cell's batch has taken
-        hits = set()  # the functions whose output took the NaN
+        drawn = []  # atoms whose factors the poisoned cell's batch has taken, if it runs
+        hits = set()  # the parts computed by the calls whose output took the NaN
 
         def derive_streams(seeds):
-            drawn.clear()
-            if seeds[-1][1] == poisoned_stream[0]:
-                drawn.update(dict.fromkeys(("rabi_cos_sin", "rabi_cos", "rabi_sin"), 0))
+            drawn[:] = [0] if seeds[-1][1] == poisoned_stream[0] else []
             return original_derive(seeds)
 
-        def poisoner(name):
-            original = getattr(experiment, name)
+        def poisoned(taus, n_max, cos=True, first=0):
+            factors = original_rabi(taus, n_max, cos=cos, first=first)
+            parts = ("cos",) * cos + {0: ("sin",), n_max: ("top sin",), None: ()}[first]
+            named = {"cos": factors[0], "sin": factors[1]}
+            if drawn:
+                if named[factor] is not None and 0 <= 4 - drawn[0] < len(taus):
+                    named[factor][4 - drawn[0], -1, level] = math.nan
+                    hits.add(parts)
+                drawn[0] += len(taus)
+            return factors
 
-            def poisoned(taus, n_max, *first):
-                factors = original(taus, n_max, *first)
-                named = {"cos": factors[0], "sin": factors[1]} if name == "rabi_cos_sin" else {
-                    name.removeprefix("rabi_"): factors}
-                if name in drawn:
-                    if factor in named and 0 <= 4 - drawn[name] < len(taus):
-                        named[factor][4 - drawn[name], -1, level] = math.nan
-                        hits.add(name)
-                    drawn[name] += len(taus)
-                return factors
-
-            return poisoned
-
-        for name in ("rabi_cos_sin", "rabi_cos", "rabi_sin"):
-            monkeypatch.setattr(experiment, name, poisoner(name))
+        monkeypatch.setattr(experiment, "rabi_cos_sin", poisoned)
         monkeypatch.setattr(experiment, "derive_streams", derive_streams)
         trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
         base = build_run_config(
@@ -811,10 +898,11 @@ class TestBlockSize:
             block["start"], block["end"] = block["end"] + 1, block["end"] + b
             return original_draw(run, cells, b)
 
-        def poisoned(taus, n_max):
-            factors = original_rabi(taus, n_max)
+        def poisoned(taus, n_max, **parts):
+            factors = original_rabi(taus, n_max, **parts)
             if block["start"] <= 5 <= block["end"]:
-                assert taus.shape == (1, 1, 1)
+                # NSM computes every level's cos and sin from one time.
+                assert taus.shape == (1, 1, 1) and parts == {"cos": True, "first": 0}
                 factors[0][..., 3] = math.nan
                 block["poisoned"] = block["start"]
             return factors
