@@ -132,35 +132,49 @@ def _alpha_text(text: str) -> str:
 
 
 # Every config token: (keyword it sets, parser, how the resolved config writes
-# it back).  A run's keywords go to build_run_config and a classical run's to
-# build_classical_config.  The spread inputs resolve into spread_in_inv_g and
-# are not written back.  The sweep's own two set no keyword: they are written
-# back from the text given, and the sweep reads them off the tokens.
+# it back, its flag's help).  A run's keywords go to build_run_config and a
+# classical run's to build_classical_config.  The spread inputs resolve into
+# spread_in_inv_g and are not written back.  The sweep's own two set no
+# keyword: they are written back from the text given, and the sweep reads them
+# off the tokens.  A token with help has a flag (see _flag) on every command
+# that reads it; one with None has none.
 _TOKENS = {
-    "scheme": ("scheme", str, _back("scheme")),
-    "trap": ("trap_target", int, _back("trap_target")),
-    "q": ("q", int, _back("q")),
-    "atoms": ("n_atoms", int, _back("n_atoms")),
-    "epsilon0": ("epsilon0", float, _back("epsilon0", _fmt)),
-    "steps": ("n_steps", int, _back("n_steps")),
-    "alpha": ("alpha", parse_alpha_token, _given_for("alpha", _alpha_text)),
-    "fock": ("fock_n", int, _given_for("fock", lambda text: str(int(text)))),
-    "dist": ("law", str, _back("timing.law")),
-    "mode": ("mode", str, _back("mode")),
-    "tau_bar_in_inv_g": ("tau_bar", float, _back("timing.tau_bar", _fmt)),
-    "spread_in_inv_g": ("spread_time", float, _back("timing.spread", _fmt)),
-    "spread_frac": ("spread_frac", float, None),
-    "spread_mult": ("spread_mult", float, None),
-    "phi_f_rad": ("phi_f", float, _back("phi_f", _fmt)),
-    "nmax": ("n_max", int, _back("n_max")),
-    "seed": ("master_seed", int, _back("master_seed")),
-    "stream": ("stream_id", int, _back("stream_id")),
-    "halt_on_failure": (
-        "halt_on_failure", _parse_bool, _back("halt_on_failure", lambda b: str(b).lower())
+    "scheme": ("scheme", str, _back("scheme"), f"update rule: {', '.join(SCHEME_KINDS)}"),
+    "trap": ("trap_target", int, _back("trap_target"), "target trap level n_t"),
+    "q": ("q", int, _back("q"), "trapping order (theta_nt = q pi)"),
+    "atoms": ("n_atoms", int, _back("n_atoms"), "number of atoms N"),
+    "epsilon0": ("epsilon0", float, _back("epsilon0", _fmt), "initial dimensionless field"),
+    "steps": ("n_steps", int, _back("n_steps"), "number of map iterations"),
+    "alpha": (
+        "alpha", parse_alpha_token, _given_for("alpha", _alpha_text),
+        "coherent initial amplitude (number or sqrtN)",
     ),
-    "spread_mults": (None, _parse_mults, lambda c, given: ",".join(map(_fmt, _parse_mults(given)))),
-    "ensemble": (None, int, lambda c, given: str(int(given or 1))),
+    "fock": ("fock_n", int, _given_for("fock", lambda text: str(int(text))), "Fock initial level"),
+    "dist": ("law", str, _back("timing.law"), f"timing law: {', '.join(TIMING_LAWS)}"),
+    "mode": ("mode", str, _back("mode"), f"outcome handling: {', '.join(RUN_MODES)}"),
+    "tau_bar_in_inv_g": ("tau_bar", float, _back("timing.tau_bar", _fmt), "mean g*tau per transit"),
+    "spread_in_inv_g": ("spread_time", float, _back("timing.spread", _fmt), None),
+    "spread_frac": ("spread_frac", float, None, "spread as a fraction of tau_bar"),
+    "spread_mult": ("spread_mult", float, None, "spread as a multiple of the critical spread"),
+    "phi_f_rad": ("phi_f", float, _back("phi_f", _fmt), None),
+    "nmax": ("n_max", int, _back("n_max"), "Fock truncation bound"),
+    "seed": ("master_seed", int, _back("master_seed"), "master seed"),
+    "stream": ("stream_id", int, _back("stream_id"), "stream id (trajectory index)"),
+    "halt_on_failure": (
+        "halt_on_failure", _parse_bool, _back("halt_on_failure", lambda b: str(b).lower()), None
+    ),
+    "spread_mults": (
+        None, _parse_mults, lambda c, given: ",".join(map(_fmt, _parse_mults(given))),
+        "comma-separated multiples of the critical spread",
+    ),
+    "ensemble": (None, int, lambda c, given: str(int(given or 1)), "runs per multiplier"),
 }
+
+
+def _flag(token: str) -> str:
+    """A token's flag: the token with dashes, but --gtau-bar for tau_bar_in_inv_g."""
+    return "--gtau-bar" if token == "tau_bar_in_inv_g" else "--" + token.replace("_", "-")
+
 
 _RUN_TOKENS = (
     "scheme", "trap", "q", "atoms", "alpha", "fock", "dist", "mode", "tau_bar_in_inv_g",
@@ -184,12 +198,11 @@ _COMMAND_TOKENS = {
 # multiplier times the critical spread, so it ignores a run config's spread.
 _IGNORED = {"run": ("workers",), "classical": ("workers",), "sweep": ("workers", *_SPREAD_INPUTS)}
 
-# The tokens with no default, each with the flag its error names (if any).
+# The tokens with no default; each has a flag, which its error names.
 _REQUIRED = {
-    "run": (("scheme", "--scheme"), ("trap", "--trap"), ("atoms", None)),
-    "classical": (("tau_bar_in_inv_g", "--gtau-bar"), ("epsilon0", None), ("steps", None)),
+    "run": ("scheme", "trap", "atoms"), "classical": ("tau_bar_in_inv_g", "epsilon0", "steps"),
 }
-_REQUIRED["sweep"] = (*_REQUIRED["run"], ("spread_mults", "--spread-mults"))
+_REQUIRED["sweep"] = (*_REQUIRED["run"], "spread_mults")
 
 # Retired tokens, which every command accepts at 1, the only value they had,
 # and why any other value would not rerun the manifest that holds it.
@@ -202,7 +215,7 @@ _RETIRED = {
 
 
 def _parse(token: str, text: str):
-    _, parse, _ = _TOKENS[token]
+    parse = _TOKENS[token][1]
     try:
         return parse(text)
     except ConfigError:
@@ -241,9 +254,9 @@ def parse_config(overrides: dict[str, str], command: str | None = None) -> Parse
     for key in given:
         if key not in (*names, "command", *_IGNORED[cmd]):
             raise ConfigError(f"{key}: not a config key of the {cmd} command")
-    for key, flag in _REQUIRED[cmd]:
+    for key in _REQUIRED[cmd]:
         if key not in given:
-            raise ConfigError(f"{key}: required field missing" + (f" (set {flag})" if flag else ""))
+            raise ConfigError(f"{key}: required field missing (set {_flag(key)})")
     values = {name: _parse(name, given[name]) for name in names if name in given}
     kwargs = {_TOKENS[name][0]: value for name, value in values.items() if _TOKENS[name][0]}
     build = build_classical_config if cmd == "classical" else build_run_config
@@ -357,24 +370,6 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
 # Argument parsing and dispatch.
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file (flat key = value, or a manifest)")
-    p.add_argument("--preset", help="start from a named scenario preset")
-    p.add_argument("--scheme", choices=SCHEME_KINDS)
-    p.add_argument("--trap", type=int, help="target trap level n_t")
-    p.add_argument("--q", type=int, help="trapping order (theta_nt = q pi)")
-    p.add_argument("--alpha", help="coherent initial amplitude (number or sqrtN)")
-    p.add_argument("--fock", type=int, help="Fock initial level")
-    p.add_argument("--atoms", type=int, help="number of atoms N")
-    p.add_argument("--spread-mult", type=float, help="spread as a multiple of the critical spread")
-    p.add_argument("--spread-frac", type=float, help="spread as a fraction of tau_bar")
-    p.add_argument("--dist", choices=TIMING_LAWS, help="timing law")
-    p.add_argument("--mode", choices=RUN_MODES, help="outcome handling")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--stream", type=int, help="stream id (trajectory index)")
-    p.add_argument("--nmax", type=int, help="Fock truncation bound")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built at the first call and shared by later ones.
@@ -392,38 +387,25 @@ def _build_parser() -> argparse.ArgumentParser:
         # No prefix abbreviations: `classical --g` must not reach --gtau-bar.
         return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    p_run = command("run", "run one atom sequence")
-    _add_run_flags(p_run)
-    p_run.add_argument("--out-dir", required=True)
-
-    p_cls = command("classical", "iterate the classical return map")
-    p_cls.add_argument("--config", help="config file")
-    p_cls.add_argument("--preset", help="scenario preset (fig1c, fig1d)")
-    p_cls.add_argument("--epsilon0", type=float, help="initial dimensionless field")
-    p_cls.add_argument("--steps", type=int, help="number of map iterations")
-    p_cls.add_argument(
-        "--gtau-bar", dest="tau_bar_in_inv_g", type=float, help="mean g*tau per transit"
-    )
-    p_cls.add_argument("--spread-frac", type=float, help="spread as a fraction of tau_bar")
-    p_cls.add_argument("--dist", choices=TIMING_LAWS)
-    p_cls.add_argument("--seed", type=int)
-    p_cls.add_argument("--stream", type=int)
-    p_cls.add_argument("--out-dir", required=True)
-
-    p_sweep = command("sweep", "ensemble scan over spread multipliers")
-    _add_run_flags(p_sweep)
-    p_sweep.add_argument("--spread-mults", help="comma-separated multiples of the critical spread")
-    p_sweep.add_argument("--ensemble", type=int, help="runs per multiplier")
-    p_sweep.add_argument("--out-dir", required=True)
+    for name, about in (
+        ("run", "run one atom sequence"),
+        ("classical", "iterate the classical return map"),
+        ("sweep", "ensemble scan over spread multipliers"),
+    ):
+        p = command(name, about)
+        p.add_argument("--config", help="config file (flat key = value, or a manifest)")
+        p.add_argument("--preset", help="start from a named scenario preset")
+        # Each value reaches parse_config as text, as a config file's does.
+        for token in _COMMAND_TOKENS[name]:
+            if _TOKENS[token][3]:
+                p.add_argument(_flag(token), dest=token, help=_TOKENS[token][3])
+        p.add_argument("--out-dir", required=True, help="output directory, made if missing")
 
     p_preset = command("preset", "print a scenario preset as a config")
     p_preset.add_argument("name", nargs="?", help="preset name")
     p_preset.add_argument("--list", action="store_true", help="list preset names")
     return parser
 
-
-# Every other parsed argument is a flag whose dest is its config token.
-_NOT_TOKENS = ("subcommand", "config", "preset", "out_dir")
 
 # A layer that sets any key of a group replaces the whole group from the
 # layers below: the spread keys, and the two ways to give the initial field.
@@ -478,9 +460,11 @@ def _resolve(args: argparse.Namespace, command: str) -> ParsedConfig:
         if command == "sweep" and file_tokens.get("command") == "run":
             file_tokens.pop("command")
         layers.append(file_tokens)
-    layers.append(
-        {k: str(v) for k, v in vars(args).items() if v is not None and k not in _NOT_TOKENS}
-    )
+    flags = {k: v for k, v in vars(args).items() if v is not None and k in _COMMAND_TOKENS[command]}
+    for token, text in flags.items():
+        if not text.strip():
+            raise ConfigError(f"{token}: flag value is blank: {text!r}")
+    layers.append(flags)
     return parse_config(_merge_layers(layers, command), command=command)
 
 
@@ -501,8 +485,9 @@ def _simulate(parsed: ParsedConfig):
         return run_sequence(parsed.run)
     if parsed.command == "classical":
         return classical_trajectory(parsed.classical)
-    multipliers = [float(m) for m in parsed.tokens["spread_mults"].split(",")]
-    return sweep(parsed.run, multipliers, int(parsed.tokens["ensemble"]))
+    tokens = parsed.tokens
+    return sweep(parsed.run, _parse("spread_mults", tokens["spread_mults"]),
+                 _parse("ensemble", tokens["ensemble"]))
 
 
 def _dispatch(args: argparse.Namespace) -> int:

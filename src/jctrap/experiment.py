@@ -658,9 +658,10 @@ def sweep(
     ensemble = int_token("ensemble", ensemble)
     if ensemble < 1:
         raise ConfigError(f"ensemble: must be >= 1, got {ensemble}")
+    multipliers = [number_token("spread_mults", mult) for mult in spread_multipliers]
     jobs = [
         (mult, i * ensemble + j)
-        for i, mult in enumerate(spread_multipliers)
+        for i, mult in enumerate(multipliers)
         for j in range(ensemble)
     ]
     critical = critical_spread(base.trap_target)

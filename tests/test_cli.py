@@ -1,7 +1,9 @@
 """Config parsing, presets, output writing and manifests."""
+import argparse
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -146,6 +148,30 @@ class TestParseConfig:
             parse_config(overrides={"command": "foo"})
         assert str(exc.value) == "command: unknown command 'foo'"
 
+    @pytest.mark.parametrize(
+        "command, token, flag",
+        [
+            ("run", "scheme", "--scheme"),
+            ("run", "trap", "--trap"),
+            ("run", "atoms", "--atoms"),
+            ("classical", "tau_bar_in_inv_g", "--gtau-bar"),
+            ("classical", "epsilon0", "--epsilon0"),
+            ("classical", "steps", "--steps"),
+            ("sweep", "atoms", "--atoms"),
+            ("sweep", "spread_mults", "--spread-mults"),
+        ],
+    )
+    def test_missing_required_token_names_its_flag(self, command, token, flag):
+        tokens = {
+            "run": {"scheme": "elastic", "trap": "20", "alpha": "3", "atoms": "5"},
+            "classical": {"epsilon0": "6", "steps": "1", "tau_bar_in_inv_g": "0.5"},
+        }
+        tokens["sweep"] = {**tokens["run"], "spread_mults": "0.1"}
+        given = {k: v for k, v in tokens[command].items() if k != token}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(given, command)
+        assert str(exc.value) == f"{token}: required field missing (set {flag})"
+
     def test_missing_alpha_and_fock_named(self):
         with pytest.raises(ConfigError, match="alpha/fock"):
             parse_config(
@@ -269,6 +295,26 @@ class TestCliEndToEnd:
         assert code == 2
         manifest = (out_dir / "manifest.txt").read_text()
         assert "terminated_early = impossible post-selection" in manifest
+
+    def test_sampled_run_whose_failures_emit_outgrows_the_default_nmax(self, tmp_path, capsys):
+        # Each failed elastic outcome emits a photon, so a sampled run that
+        # does not halt heats past the levels the default basis covers.
+        path = tmp_path / "no-halt.cfg"
+        path.write_text("halt_on_failure = false\n")
+        argv = ["run", "--config", str(path), "--scheme", "elastic", "--trap", "20", "--alpha",
+                "3", "--atoms", "150", "--spread-mult", "0.5", "--mode", "sample"]
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "simulation error: top-3 Fock levels hold 3.702e-08 probability at atom 115; "
+            "truncation n_max=57 too small for this run\n"
+        )
+        assert not out_dir.exists()
+        assert main([*argv, "--nmax", "80", "--out-dir", str(out_dir)]) == 0
+        rows = (out_dir / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(rows) == 150
+        assert sum(row.endswith(",sampled_failure") for row in rows) == 60
+        assert float(rows[-1].split(",")[5]) == pytest.approx(69.0, abs=0.1)
 
     def test_config_error_exit_code(self, tmp_path):
         code = main(
@@ -465,6 +511,14 @@ class TestFlagLayers:
                 ["classical", "--preset", "fig1c", "--steps", "1", "--gtau-bar", "0.5"],
                 "tau_bar_in_inv_g", "0.5", id="gtau-bar",
             ),
+            pytest.param(
+                ["run", *RUN_FLAGS, "--gtau-bar", "0.5"], "tau_bar_in_inv_g", "0.5",
+                id="run-gtau-bar",
+            ),
+            pytest.param(
+                ["sweep", *RUN_FLAGS, "--spread-mults", "0", "--gtau-bar", "0.5"],
+                "tau_bar_in_inv_g", "0.5", id="sweep-gtau-bar",
+            ),
             pytest.param(["run", *RUN_FLAGS, "--stream", "3"], "stream", "3", id="stream"),
             pytest.param(["run", *RUN_FLAGS, "--nmax", "70"], "nmax", "70", id="nmax"),
             pytest.param(["run", *RUN_FLAGS, "--dist", "gaussian"], "dist", "gaussian", id="dist"),
@@ -631,6 +685,68 @@ class TestConfigErrors:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "argv, token",
+        [
+            pytest.param(["run", "--preset", "fig2a", "--trap", "2.5"], "trap", id="trap"),
+            pytest.param(["run", "--preset", "fig2a", "--atoms", "1e3"], "atoms", id="atoms"),
+            pytest.param(["run", "--preset", "fig2a", "--scheme", "foo"], "scheme", id="scheme"),
+            pytest.param(["run", "--preset", "fig2a", "--dist", "cauchy"], "dist", id="dist"),
+            pytest.param(["run", "--preset", "fig2a", "--mode", "x"], "mode", id="mode"),
+            pytest.param(["classical", "--preset", "fig1c", "--steps", "2.5"], "steps",
+                         id="steps"),
+            pytest.param(["sweep", "--preset", "fig2a", "--spread-mults", "0.1", "--ensemble",
+                          "2.5"], "ensemble", id="ensemble"),
+            pytest.param(["sweep", "--preset", "fig2a", "--spread-mults", "0.1,x"],
+                         "spread_mults", id="spread-mults"),
+        ],
+    )
+    def test_flag_value_read_as_a_file_value(self, tmp_path, capsys, argv, token):
+        # A flag's value is text that its token's parser reads, as it reads a
+        # config file's: the same value ends in the same config error.
+        path = tmp_path / "value.cfg"
+        path.write_text(f"{token} = {argv[-1]}\n")
+        errors = []
+        for args in (argv, [*argv[:-2], "--config", str(path)]):
+            out_dir = tmp_path / "out"
+            assert main([*args, "--out-dir", str(out_dir)]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not out_dir.exists()
+        assert errors[0].startswith(f"config error: {token}: ")
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            pytest.param(["run", "--preset", "fig2a", "--nmax", ""], "nmax", id="nmax-empty"),
+            pytest.param(["run", "--preset", "fig1b", "--spread-mult", " "], "spread_mult",
+                         id="spread-mult-blank"),
+            pytest.param(["run", "--preset", "fig2a", "--scheme="], "scheme", id="scheme-empty"),
+            pytest.param(["classical", "--preset", "fig1c", "--gtau-bar", "\t"],
+                         "tau_bar_in_inv_g", id="gtau-bar-tab"),
+            pytest.param(["sweep", "--preset", "fig2a", "--spread-mults", " "], "spread_mults",
+                         id="spread-mults-blank"),
+        ],
+    )
+    def test_blank_flag_value_rejected(self, tmp_path, capsys, argv, token):
+        # A blank line in a config file leaves its token unset; a blank flag
+        # value is an error, not a run at the token's default.
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {token}: flag value is blank")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--spread-mult", "--spread-frac"])
+    def test_sweep_has_no_singular_spread_flag(self, tmp_path, capsys, flag):
+        # Every cell's spread is its multiplier times the critical spread.
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig2a", flag, "7", "--spread-mults", "0.1", "--ensemble",
+                  "1", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             pytest.param(["classical", "--preset", "fig1c", "--gtau-bar", "0"],
@@ -743,9 +859,14 @@ class TestConfigErrors:
         [
             pytest.param(
                 "run", ["--preset", "fig3ab", "--atoms", "3"],
-                ["--trap", "--q", "--alpha", "--fock", "--atoms", "--spread-mult",
+                ["--trap", "--q", "--alpha", "--fock", "--atoms", "--gtau-bar", "--spread-mult",
                  "--spread-frac", "--seed", "--stream", "--nmax"],
                 id="run",
+            ),
+            pytest.param(
+                "sweep", ["--preset", "fig2a", "--atoms", "3", "--spread-mults", "0.1"],
+                ["--spread-mults", "--ensemble"],
+                id="sweep",
             ),
             pytest.param(
                 "classical", ["--preset", "fig1c", "--steps", "3"],
@@ -756,16 +877,14 @@ class TestConfigErrors:
     )
     def test_extreme_flag_values_end_in_an_exit_code(self, tmp_path, capsys, command, base,
                                                      flags):
-        # One flag at a time; argparse refuses a non-integer for an integer flag (exit 2).
+        # One flag at a time; main returns each code, and argparse exits on none:
+        # a non-integer for an integer token is a config error (exit 1).
         values = ("0", "-1", "1e-300", "-1e-300", "1e200", "1e300", "inf", "-inf", "nan")
         codes = {}
         for flag in flags:
             for value in values:
                 argv = [command, *base, f"{flag}={value}", "--out-dir", str(tmp_path / "out")]
-                try:
-                    codes[flag, value] = main(argv)
-                except SystemExit as exc:
-                    codes[flag, value] = exc.code
+                codes[flag, value] = main(argv)
                 capsys.readouterr()
         assert {call: code for call, code in codes.items() if code not in (0, 1, 2)} == {}
 
@@ -916,6 +1035,59 @@ class TestConfigErrors:
             main([*argv, "--out-dir", str(out_dir)])
         assert exc.value.code == 2
         assert not out_dir.exists()
+
+
+def command_parsers():
+    """The run, classical and sweep subparsers of the CLI's parser."""
+    (commands,) = [action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return {name: commands.choices[name] for name in ("run", "classical", "sweep")}
+
+
+class TestFlags:
+    RUN = {
+        "--scheme", "--trap", "--q", "--atoms", "--alpha", "--fock", "--dist", "--mode",
+        "--gtau-bar", "--spread-frac", "--spread-mult", "--nmax", "--seed", "--stream",
+    }
+
+    def test_each_command_has_its_token_flags(self):
+        # Each token flag is the token's name with dashes (--gtau-bar for
+        # tau_bar_in_inv_g), and every value reaches parse_config as text.
+        expected = {
+            "run": self.RUN,
+            "classical": {"--epsilon0", "--steps", "--gtau-bar", "--spread-frac", "--dist",
+                          "--seed", "--stream"},
+            "sweep": self.RUN - {"--spread-frac", "--spread-mult"} | {"--spread-mults",
+                                                                         "--ensemble"},
+        }
+        for name, parser in command_parsers().items():
+            flags = {}
+            for action in parser._actions:
+                if action.dest in cli._TOKENS:
+                    (flags[action.dest],) = action.option_strings
+                    assert action.type is None and action.choices is None, action.dest
+            assert set(flags.values()) == expected[name], name
+            assert all(
+                flag == ("--gtau-bar" if token == "tau_bar_in_inv_g"
+                         else "--" + token.replace("_", "-"))
+                for token, flag in flags.items()
+            )
+            others = {o for a in parser._actions for o in a.option_strings} - set(flags.values())
+            assert others == {"-h", "--help", "--config", "--preset", "--out-dir"}, name
+
+    def test_every_flag_documented(self):
+        # The README's command-line section names each flag of each command.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        usage = readme.split("\n## Command-line usage\n")[1].split("\n## ")[0]
+        missing = [
+            (name, option)
+            for name, parser in command_parsers().items()
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+            and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", usage)
+        ]
+        assert missing == []
 
 
 def manifest_outputs(out_dir):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import jctrap
-from jctrap import experiment
+from basis_cut import basis_cut_gaps
+from jctrap import cli, experiment
 from jctrap.dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
@@ -1340,6 +1341,18 @@ class TestSweep:
             "spread_in_inv_g: must be finite, got -inf",
         ]
 
+    @pytest.mark.parametrize("multiplier", ["0.1", None], ids=["text", "none"])
+    def test_non_number_multiplier_rejected_before_any_cell(self, monkeypatch, multiplier):
+        # A multiplier that is no number fails the sweep, named, before a cell
+        # runs; a nan or negative one stays an error of its own cell.
+        table = sweep(self.base(n_atoms=5), [-0.1], ensemble=1)
+        assert table[0].error.startswith("spread_in_inv_g: ")
+        batches = []
+        monkeypatch.setattr(experiment, "_run_batches", lambda *args: batches.append(args))
+        with pytest.raises(ConfigError, match="^spread_mults: must be a real number, got "):
+            sweep(self.base(), [0.1, multiplier], ensemble=2)
+        assert batches == []
+
     def test_cells_numbered_and_marked_converged(self):
         cells = sweep(self.base(), [0.1], ensemble=4)
         assert [c.converged for c in cells] == [c.final_p_trap > CONVERGENCE_P for c in cells]
@@ -1358,6 +1371,31 @@ class TestSweep:
         assert len(small) == len(large) == 5
         assert sum(small) / len(small) >= 0.8
         assert sum(large) / len(large) <= 0.2
+
+
+# The basis-cut gaps of each run preset at its n_max against n_max + 20, as
+# (final P(n), cum_P relative, per-step mean_n, per-step delta_n), each about
+# 10x the gap measured on the reference machine; 0 where the gap is exactly 0.
+# Only fig1b's NSM field climbs past its cut: 7.2e-49 of population, at most
+# 8.8e-50 a level, sits above n = 650 in the wider basis.
+BASIS_CUT_BOUNDS = {
+    "fig1a": (0.0, 0.0, 0.0, 0.0),
+    "fig1b": (1e-48, 0.0, 0.0, 0.0),
+    "fig2a": (0.0, 0.0, 2e-14, 1.3e-13),
+    "fig2b": (0.0, 0.0, 4e-14, 3e-13),
+    "fig3ab": (4e-18, 3e-11, 4e-10, 2e-9),
+    "fig3cd": (7e-19, 3e-11, 9e-10, 4e-9),
+    "fig4": (7e-19, 3e-11, 9e-10, 4e-9),
+}
+
+
+class TestBasisCut:
+    @pytest.mark.parametrize("name", sorted(BASIS_CUT_BOUNDS))
+    def test_preset_outputs_do_not_see_the_cut(self, name):
+        # Each run preset at full length: widening the basis by 20 levels
+        # moves no output by more than its stated bound.
+        gaps = basis_cut_gaps(cli.preset(name).run)
+        assert all(gap <= bound for gap, bound in zip(gaps, BASIS_CUT_BOUNDS[name])), gaps
 
 
 class TestStepRecord:
