@@ -49,6 +49,7 @@ class ParsedConfig:
     tokens: dict[str, str]
     run: RunConfig | None = None
     classical: ClassicalConfig | None = None
+    sweep: tuple[list[float], int] | None = None  # a sweep's (multipliers, ensemble)
 
 
 def _fmt(value: float) -> str:
@@ -135,8 +136,8 @@ def _alpha_text(text: str) -> str:
 # it back, its flag's help).  A run's keywords go to build_run_config and a
 # classical run's to build_classical_config.  The spread inputs resolve into
 # spread_in_inv_g and are not written back.  The sweep's own two set no
-# keyword: they are written back from the text given, and the sweep reads them
-# off the tokens.  A token with help has a flag (see _flag) on every command
+# keyword: parse_config keeps them as ParsedConfig.sweep and writes them back,
+# last, from it.  A token with help has a flag (see _flag) on every command
 # that reads it; one with None has none.
 _TOKENS = {
     "scheme": ("scheme", str, _back("scheme"), f"update rule: {', '.join(SCHEME_KINDS)}"),
@@ -163,11 +164,8 @@ _TOKENS = {
     "halt_on_failure": (
         "halt_on_failure", _parse_bool, _back("halt_on_failure", lambda b: str(b).lower()), None
     ),
-    "spread_mults": (
-        None, _parse_mults, lambda c, given: ",".join(map(_fmt, _parse_mults(given))),
-        "comma-separated multiples of the critical spread",
-    ),
-    "ensemble": (None, int, lambda c, given: str(int(given or 1)), "runs per multiplier"),
+    "spread_mults": (None, _parse_mults, None, "comma-separated multiples of the critical spread"),
+    "ensemble": (None, int, None, "runs per multiplier"),
 }
 
 
@@ -269,7 +267,11 @@ def parse_config(overrides: dict[str, str], command: str | None = None) -> Parse
             tokens[name] = write(config, given.get(name, ""))
     if cmd == "classical":
         return ParsedConfig(cmd, tokens, classical=config)
-    return ParsedConfig(cmd, tokens, run=config)
+    if cmd == "run":
+        return ParsedConfig(cmd, tokens, run=config)
+    mults, ensemble = values["spread_mults"], values.get("ensemble", 1)
+    tokens.update(spread_mults=",".join(map(_fmt, mults)), ensemble=str(ensemble))
+    return ParsedConfig(cmd, tokens, run=config, sweep=(mults, ensemble))
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +487,7 @@ def _simulate(parsed: ParsedConfig):
         return run_sequence(parsed.run)
     if parsed.command == "classical":
         return classical_trajectory(parsed.classical)
-    tokens = parsed.tokens
-    return sweep(parsed.run, _parse("spread_mults", tokens["spread_mults"]),
-                 _parse("ensemble", tokens["ensemble"]))
+    return sweep(parsed.run, *parsed.sweep)
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageError, OrthogonalOutcomeError
-from .fock import FieldState, renormalize
+from .fock import ORTHOGONAL_NORM_SQ, FieldState, renormalize
 
 # Rabi phases within this fraction of pi from an exact multiple q*pi are
 # snapped onto it.  Without the snap, sin(theta) at a trapping time computed
@@ -48,10 +48,6 @@ TRAP_SNAP_TOL = 1e-12
 # truncated basis, P(n_max) sin^2 theta_nmax, exceeds this (a NaN too).  The
 # update kernel and the one-state references below read this one limit.
 LEAK_P_TOL = 1e-16
-
-# A conditional measurement with success probability at or below this is an
-# orthogonal outcome.
-ORTHOGONAL_P_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -251,11 +247,11 @@ def cm_project(ent: EntangledState, rot: AtomRotation) -> tuple[FieldState, floa
 
     Returns the renormalized field state and the success probability
     P_k = sum |d_n|^2 of that detection.  Raises OrthogonalOutcomeError
-    when P_k falls below 1e-12.
+    when P_k is at or below 1e-12 (ORTHOGONAL_NORM_SQ).
     """
     d = project_amplitudes(ent, rot)
     p_k = float(np.vdot(d, d).real)
-    if p_k < ORTHOGONAL_P_TOL:
+    if p_k <= ORTHOGONAL_NORM_SQ:
         raise OrthogonalOutcomeError(
             f"post-selected state is orthogonal to the field (P_k = {p_k:.3e})"
         )

@@ -26,7 +26,6 @@ import numpy as np
 from .csvfile import write_csv
 from .dynamics import (
     LEAK_P_TOL,
-    ORTHOGONAL_P_TOL,
     SCHEME_KINDS,
     correlated_cm_factors,
     critical_spread,
@@ -88,23 +87,16 @@ def _check_derivation_inputs(trap_target: int, q: int) -> None:
         raise ConfigError(f"q: must be >= 1 in a run config, got {q}")
 
 
-def _ramsey_ratio(scheme: str, trap_target: int) -> float:
-    """T_k / tau_k of a scheme: 2 sqrt(n_t+1) for superposition, else 0 (no Ramsey zone).
-
-    One velocity per atom sets both times, so the scheme and the trap fix it.
-    """
-    return stationary_phase_ratio(trap_target) if scheme == "superposition" else 0.0
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Full description of one atom-sequence run; build_run_config makes one.
 
     scheme is one of SCHEME_KINDS and phi_f the final phase a superposition
     scheme post-selects.  The initial field is the coherent |alpha> or the
-    Fock |fock>: exactly one of the two is set, the other None.  A config
-    checks itself when it is made (by the builder, by replace() or directly),
-    so no run reads an unchecked one.
+    Fock |fock>: exactly one of the two is set, the other None.  tau_bar,
+    spread and law set the interaction times; timing derives the rest.  A
+    config checks itself when it is made (by the builder, by replace() or
+    directly), so no run reads an unchecked one.
     """
 
     scheme: str
@@ -114,7 +106,9 @@ class RunConfig:
     q: int
     alpha: complex | None
     fock: int | None
-    timing: TimingModel
+    tau_bar: float
+    spread: float
+    law: str
     n_max: int
     mode: str
     master_seed: int
@@ -136,6 +130,7 @@ class RunConfig:
                              ("nmax", self.n_max), ("fock", 0 if self.fock is None else self.fock)):
             int_token(token, value)
         _check_derivation_inputs(self.trap_target, self.q)
+        self.timing  # its model checks tau_bar, spread and law
         if self.n_atoms < 0:
             raise ConfigError(f"atoms: must be >= 0, got {self.n_atoms}")
         if self.mode not in RUN_MODES:
@@ -156,10 +151,16 @@ class RunConfig:
             raise ConfigError(f"fock: must be >= 0, got {fock}")
         if fock > self.n_max:
             raise ConfigError(f"fock: initial level {fock} exceeds n_max {self.n_max}")
-        ratio = _ramsey_ratio(self.scheme, self.trap_target)
-        if self.timing.ramsey_ratio != ratio:
-            raise ConfigError(f"ramsey_ratio: the {self.scheme} scheme at trap {self.trap_target} "
-                              f"needs {ratio!r}, got {self.timing.ramsey_ratio!r}")
+
+    @property
+    def timing(self) -> TimingModel:
+        """The draws' timing model, built anew on each read.
+
+        One velocity per atom sets both times, so the scheme and the trap fix
+        T_k / tau_k: 2 sqrt(n_t+1) for superposition, else 0 (no Ramsey zone).
+        """
+        ratio = stationary_phase_ratio(self.trap_target) if self.scheme == "superposition" else 0.0
+        return TimingModel(self.tau_bar, self.spread, self.law, ratio)
 
 
 class StepRecord(NamedTuple):
@@ -213,12 +214,11 @@ def build_run_config(
 
     tau_bar defaults to the q-th trapping time of the trap level and n_max
     to the truncation policy.  The spread is spread_time if given, else
-    spread_frac * tau_bar, else spread_mult times the critical spread.  The
-    superposition Ramsey ratio is the stationary-phase closure
-    2 sqrt(n_t+1).  Each value is checked before anything is derived from
-    it; a bad one raises ConfigError naming its config token, as does a
-    string or other non-number where a number goes.  The counts and levels
-    are read as Python ints (numpy integers included).
+    spread_frac * tau_bar, else spread_mult times the critical spread.
+    Each value is checked before anything is derived from it; a bad one
+    raises ConfigError naming its config token, as does a string or other
+    non-number where a number goes.  The counts and levels are read as
+    Python ints (numpy integers included).
     """
     trap_target, q, n_atoms = (int_token(token, value) for token, value in
                                (("trap", trap_target), ("q", q), ("atoms", n_atoms)))
@@ -241,8 +241,9 @@ def build_run_config(
         q=q,
         alpha=None if alpha is None else number_token("alpha", alpha, complex),
         fock=None if fock_n is None else int_token("fock", fock_n),
-        timing=TimingModel(tau_bar=tau_bar, spread=spread_time, law=law,
-                           ramsey_ratio=_ramsey_ratio(scheme, trap_target)),
+        tau_bar=tau_bar,
+        spread=spread_time,
+        law=law,
         n_max=default_n_max(trap_target) if n_max is None else int_token("nmax", n_max),
         mode=mode,
         master_seed=int_token("seed", master_seed),
@@ -437,7 +438,7 @@ def _guard(run: _Run, inputs: tuple[float, ...], atom: int) -> SimulationError |
     if not leak <= LEAK_P_TOL:
         return LeakageError(
             f"population would leave truncation: P(n_max) sin^2 theta_nmax = {leak:.3e}")
-    if not run.sampled and p_k < ORTHOGONAL_P_TOL:
+    if not run.sampled and p_k <= ORTHOGONAL_NORM_SQ:
         return "impossible post-selection"
     if not norm > ORTHOGONAL_NORM_SQ:
         return OrthogonalOutcomeError(f"cannot renormalize state with squared norm {norm:.3e}")
@@ -664,12 +665,12 @@ def sweep(
         for i, mult in enumerate(multipliers)
         for j in range(ensemble)
     ]
-    critical = critical_spread(base.trap_target)
+    critical, base_timing = critical_spread(base.trap_target), base.timing
     outcomes: dict[int, RunResult | Exception] = {}
     runs: dict[int, tuple[TimingModel, tuple[int, int]]] = {}
     for mult, index in jobs:
         try:
-            timing = replace(base.timing, spread=mult * critical)
+            timing = replace(base_timing, spread=mult * critical)
         except ConfigError as exc:
             outcomes[index] = exc
         else:
@@ -705,8 +706,8 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     trajectories = int_token("trajectories", trajectories)
     if trajectories < 1:
         raise ConfigError(f"trajectories: must be >= 1, got {trajectories}")
-    master, first = config.master_seed, config.stream_id
-    cells = ((config.timing, (master, first + t)) for t in range(trajectories))
+    master, first, timing = config.master_seed, config.stream_id, config.timing
+    cells = ((timing, (master, first + t)) for t in range(trajectories))
     successes = 0
     for success in _run_batches(config, cells, "successes"):
         if isinstance(success, SimulationError):

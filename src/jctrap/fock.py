@@ -18,8 +18,8 @@ from .errors import LeakageError, OrthogonalOutcomeError
 # Norm of any state returned by this module stays within NORM_ATOL of 1.
 NORM_ATOL = 1e-10
 
-# Renormalizing a vector with squared norm at or below this is treated as a
-# projection onto an orthogonal state.
+# A squared norm at or below this marks a projection onto an orthogonal
+# state: that of a vector to renormalize, or a post-selected atom's P_k.
 ORTHOGONAL_NORM_SQ = 1e-12
 
 # Coherent constructors zero amplitudes below this fraction of the peak.

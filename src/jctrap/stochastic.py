@@ -201,26 +201,20 @@ def derive_stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     return derive_streams([(master_seed, stream_id)])[0]
 
 
-def _draw_tau(model: TimingModel, rng: np.random.Generator) -> float:
+def sample_timing(model: TimingModel, rng: np.random.Generator) -> tuple[float, float]:
+    """Draw one atom's interaction time tau_k and Ramsey time T_k."""
     # Generator.uniform and Generator.normal as numpy defines them: the same
     # values from the same stream, without their per-call argument handling.
     if model.spread == 0.0:
-        return model.tau_bar
-    if model.law == "uniform":
+        tau = model.tau_bar
+    elif model.law == "uniform":
         half = model.spread / 2.0
         low, high = model.tau_bar - half, model.tau_bar + half
-        return low + (high - low) * rng.random()
-    sigma = model.rms
-    for _ in range(1000):
-        tau = model.tau_bar + sigma * rng.standard_normal()
-        if tau > 0.0:
-            return tau
-    raise RuntimeError("gaussian timing law failed to produce a positive time in 1000 draws")
-
-
-def sample_timing(model: TimingModel, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw one atom's interaction time tau_k and Ramsey time T_k."""
-    tau = _draw_tau(model, rng)
+        tau = low + (high - low) * rng.random()
+    else:
+        sigma, tau = model.rms, 0.0
+        while tau <= 0.0:  # at tau_bar > 0, each draw with probability below 1/2
+            tau = model.tau_bar + sigma * rng.standard_normal()
     return tau, model.ramsey_ratio * tau
 
 

@@ -1,5 +1,6 @@
 """Config parsing, presets, output writing and manifests."""
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 
 import jctrap
 from jctrap import cli
-from jctrap.classical import build_classical_config
+from jctrap.classical import ClassicalConfig, build_classical_config
 from jctrap.cli import (
     PRESET_NAMES,
     main,
@@ -25,7 +26,7 @@ from jctrap.cli import (
 )
 from jctrap.dynamics import critical_spread, trapping_time
 from jctrap.errors import ConfigError
-from jctrap.experiment import run_sequence
+from jctrap.experiment import RunConfig, run_sequence
 from jctrap.fock import coherent_state
 
 
@@ -357,6 +358,25 @@ class TestCliEndToEnd:
         lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "multiplier,cell,final_P_nt,cum_P,converged"
         assert len(lines) == 5
+
+    def test_sweep_parses_its_multipliers_once(self, tmp_path, monkeypatch):
+        # parse_config keeps the multipliers it parsed: the manifest's token
+        # and the sweep both take them from it, and no text is parsed again.
+        parse, calls = cli._parse_mults, []
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(cli, "_parse_mults", counting)
+        monkeypatch.setitem(cli._TOKENS, "spread_mults",
+                            (None, counting, *cli._TOKENS["spread_mults"][2:]))
+        argv = ["sweep", "--preset", "fig2a", "--atoms", "5", "--spread-mults", "0.1,1",
+                "--ensemble", "2", "--out-dir", str(tmp_path / "sw")]
+        assert main(argv) == 0
+        assert calls == ["0.1,1"]
+        tokens = parse_kv_file(tmp_path / "sw" / "manifest.txt")
+        assert (tokens["spread_mults"], tokens["ensemble"]) == ("0.10000000000000001,1", "2")
 
     def test_sweep_from_run_manifest(self, tmp_path):
         # The run manifest's `command = run` is dropped and its spread ignored:
@@ -1088,6 +1108,14 @@ class TestFlags:
             and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", usage)
         ]
         assert missing == []
+
+    def test_every_config_field_documented(self):
+        # The README's library section names each field of each config.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        library = readme.split("\n## Library use\n")[1].split("\n## ")[0]
+        fields = [f.name for config in (RunConfig, ClassicalConfig)
+                  for f in dataclasses.fields(config)]
+        assert [name for name in fields if f"`{name}`" not in library] == []
 
 
 def manifest_outputs(out_dir):

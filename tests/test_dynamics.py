@@ -12,6 +12,7 @@ from jctrap.dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
     AtomRotation,
+    EntangledState,
     approx_cm_coefficient,
     cm_project,
     correlated_cm_factors,
@@ -205,6 +206,15 @@ class TestCmProject:
         ent = jcm_entangle(fock_basis_state(20, 40), math.pi / math.sqrt(21.0))
         with pytest.raises(OrthogonalOutcomeError):
             cm_project(ent, INELASTIC_ROTATION)
+
+    def test_success_probability_at_the_limit_is_orthogonal(self):
+        # P_k at ORTHOGONAL_NORM_SQ is orthogonal, as renormalize refuses that norm.
+        e_branch = np.zeros(6, dtype=complex)
+        e_branch[2] = 1e-6
+        ent = EntangledState(e_branch, np.zeros(6, dtype=complex), 5)
+        message = r"orthogonal to the field \(P_k = 1\.000e-12\)"
+        with pytest.raises(OrthogonalOutcomeError, match=message):
+            cm_project(ent, ELASTIC_ROTATION)
 
     def test_inelastic_after_full_transfer(self):
         ent = jcm_entangle(fock_basis_state(0, 5), math.pi / 2.0)
@@ -420,7 +430,8 @@ class TestSchemeTypes:
         cfg = build_run_config(scheme="superposition", trap_target=21, n_atoms=1, alpha=1.0)
         assert cfg.timing.ramsey_ratio == stationary_phase_ratio(21)
         assert cfg.phi_f == -math.pi / 2
-        with pytest.raises(ConfigError, match="ramsey_ratio: the superposition scheme at trap 21"):
+        # The ratio is derived: no config can be given another.
+        with pytest.raises(TypeError, match="unexpected keyword argument 'timing'"):
             replace(cfg, timing=replace(cfg.timing, ramsey_ratio=0.0))
 
     def test_stationary_phase_ratio_closure(self):

@@ -40,7 +40,7 @@ from jctrap.fock import (
     fock_basis_state,
     renormalize,
 )
-from jctrap.stochastic import derive_stream, sample_timing
+from jctrap.stochastic import TimingModel, derive_stream, sample_timing
 
 
 def fig3cd_config(n_atoms=300, stream=0, mode="postselect"):
@@ -185,7 +185,7 @@ class TestBuildConfig:
         # A TimingModel refuses the value before any config can hold it.
         elastic = build_run_config(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0)
         with pytest.raises(ConfigError, match="ramsey_ratio: must be finite, got nan"):
-            replace(elastic, timing=replace(elastic.timing, ramsey_ratio=math.nan))
+            replace(elastic.timing, ramsey_ratio=math.nan)
         with pytest.raises(ConfigError, match="tau_bar_in_inv_g: must be a real number, got '1'"):
             replace(elastic.timing, tau_bar="1")
 
@@ -204,24 +204,24 @@ class TestBuildConfig:
 
     def test_ramsey_ratio_fixed_by_scheme_and_trap(self):
         # One atom velocity sets T_k = 2 sqrt(n_t+1) tau_k for superposition;
-        # the other schemes have no Ramsey zone.
+        # the other schemes have no Ramsey zone.  The ratio is derived, so a
+        # new scheme or trap carries it along and no config holds another.
         sup = fig3cd_config(n_atoms=1)
         elastic = build_run_config(scheme="elastic", trap_target=21, n_atoms=1, alpha=3.0)
         assert (sup.timing.ramsey_ratio, elastic.timing.ramsey_ratio) == (2 * math.sqrt(22), 0)
-        for config, bad in (
-            (sup, {"timing": replace(sup.timing, ramsey_ratio=2 * math.sqrt(22) + 1e-12)}),
-            (sup, {"timing": replace(sup.timing, ramsey_ratio=0.0)}),
-            (sup, {"trap_target": 20}),
-            (sup, {"scheme": "elastic"}),
-            (elastic, {"timing": replace(elastic.timing, ramsey_ratio=1.0)}),
-            (elastic, {"scheme": "superposition"}),
+        for config, change, ratio in (
+            (sup, {"trap_target": 20}, 2 * math.sqrt(21)),
+            (sup, {"scheme": "elastic"}, 0.0),
+            (elastic, {"scheme": "superposition"}, 2 * math.sqrt(22)),
         ):
-            scheme, trap = bad.get("scheme", config.scheme), bad.get("trap_target", 21)
-            message = f"^ramsey_ratio: the {scheme} scheme at trap {trap} needs "
-            with pytest.raises(ConfigError, match=message):
-                replace(config, **bad)
-            with pytest.raises(ConfigError, match=message):
-                RunConfig(**{**vars(config), **bad})
+            assert replace(config, **change).timing.ramsey_ratio == ratio
+            assert RunConfig(**{**vars(config), **change}).timing.ramsey_ratio == ratio
+        # timing is no field: neither replace() nor the constructor takes one.
+        for config in (sup, elastic):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'timing'"):
+                replace(config, timing=replace(config.timing, ramsey_ratio=1.0))
+            with pytest.raises(TypeError, match="unexpected keyword argument 'timing'"):
+                RunConfig(**vars(config), timing=config.timing)
 
     def test_spread_rule(self):
         args = dict(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0, tau_bar=0.5)
@@ -304,6 +304,17 @@ class TestRunSequenceBasics:
         assert result.terminated_early == "impossible post-selection"
         assert result.steps == []
         assert result.final_distribution[20] == 1.0
+
+    def test_post_selection_at_the_orthogonal_limit_is_impossible(self):
+        # A post-selected atom renormalizes by its P_k, so one limit bounds
+        # both: at ORTHOGONAL_NORM_SQ the cell ends as impossible, not as an
+        # error, and just above it the guard passes.
+        cfg = build_run_config(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0)
+        run = experiment._Run(cfg, collect_steps=True, counting=False, nsm=False, sampled=False,
+                              halting=False)
+        limit = experiment.ORTHOGONAL_NORM_SQ
+        for p_k, end in ((limit, "impossible post-selection"), (math.nextafter(limit, 1), None)):
+            assert experiment._guard(run, (0.0, p_k, p_k, 1.0, 0.0), 1) == end
 
     def test_elastic_delta_n_shrinks_toward_trap(self):
         cfg = build_run_config(scheme="elastic", trap_target=20, n_atoms=600, alpha=3.0)
@@ -593,11 +604,7 @@ class TestKernel:
         assert [c.error is not None for c in table] == errors
         spread = critical_spread(base.trap_target)
         for cell in table:
-            config = replace(
-                base,
-                timing=replace(base.timing, spread=cell.multiplier * spread),
-                stream_id=cell.cell,
-            )
+            config = replace(base, spread=cell.multiplier * spread, stream_id=cell.cell)
             if cell.error is not None:
                 with pytest.raises(LeakageError) as exc:
                     _reference_run(config)
@@ -726,10 +733,8 @@ class TestBlockSize:
         )
         expected = []
         for index, mult in enumerate([0.0, 0.0, 0.1, 0.1]):
-            config = replace(
-                base, timing=replace(base.timing, spread=mult * critical_spread(trap)),
-                master_seed=13, stream_id=index,
-            )
+            config = replace(base, spread=mult * critical_spread(trap), master_seed=13,
+                             stream_id=index)
             result = run_sequence(config, collect_steps=False)
             values = (result.final_distribution[trap], result.final_cum_P)
             if result.terminated_early is not None:  # a failed cell, with nan values
@@ -784,8 +789,7 @@ class TestBlockSize:
         # and keep writing the kernel's buffer.
         base = build_run_config(scheme="inelastic", trap_target=20, n_atoms=20, fock_n=19)
         configs = [
-            replace(base, timing=replace(base.timing, spread=mult * critical_spread(20)),
-                    master_seed=0, stream_id=stream)
+            replace(base, spread=mult * critical_spread(20), master_seed=0, stream_id=stream)
             for stream, mult in enumerate([0.0, 0.05, 0.0, 0.05, 0.0])
         ]
         expected = [_fingerprint(run_sequence(config)) for config in configs]
@@ -1095,6 +1099,16 @@ class TestSampledMode:
         )
         assert sampled_success_estimate(cfg, 10) == 1.0
 
+    def test_estimate_builds_one_timing_model(self, monkeypatch):
+        # config.timing builds a TimingModel at each read: the trajectories
+        # share the one that the estimate reads.
+        cfg = fig3cd_config(n_atoms=2, mode="sample")
+        built = []
+        check = TimingModel.__post_init__
+        monkeypatch.setattr(TimingModel, "__post_init__", lambda model: built.append(check(model)))
+        sampled_success_estimate(cfg, 300)
+        assert len(built) <= 1
+
     def test_failure_halts_and_applies_orthogonal_branch(self):
         # theta_0 = pi/2 makes elastic success essentially impossible; the
         # inelastic branch leaves one photon behind.
@@ -1274,11 +1288,7 @@ class TestSweep:
             spread = critical_spread(base.trap_target)
             for cell in table:
                 try:
-                    config = replace(
-                        base,
-                        timing=replace(base.timing, spread=cell.multiplier * spread),
-                        stream_id=cell.cell,
-                    )
+                    config = replace(base, spread=cell.multiplier * spread, stream_id=cell.cell)
                     direct = run_sequence(config, collect_steps=False)
                 except (SimulationError, ConfigError) as exc:
                     seen.add(type(exc).__name__)
