@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfile import BLOCK_ROWS, write_csv
 from .errors import ConfigError, SimulationError
 from .stochastic import TimingModel, derive_stream, int_token, number_token, sample_timing_array
 
@@ -164,28 +163,3 @@ def classical_trajectory(config: ClassicalConfig) -> tuple[np.ndarray, np.ndarra
         done += count
         eps = float(eps_out[done])
     return taus, eps_out
-
-
-def write_classical_csv(path, taus: np.ndarray, epsilons: np.ndarray) -> str:
-    """Trajectory CSV `k,tau_k,epsilon,eps_sq_over_4`; row 0 holds the start.
-
-    Returns the sha256 hex digest of the bytes written.
-    """
-
-    def blocks():
-        e0 = float(epsilons[0])
-        yield [(0, 0, e0, e0 * e0 / 4.0)]
-        for lo in range(0, len(taus), BLOCK_ROWS):
-            eps = epsilons[lo + 1 : lo + 1 + BLOCK_ROWS].tolist()
-            # Python's `e ** 2` (libm pow), not `e * e` as numpy squares: the
-            # two differ in the last bit on 843 of fig1d's 10^6 rows.
-            quarter_sq = [e ** 2 / 4.0 for e in eps]
-            ks = range(lo + 1, lo + 1 + len(eps))
-            yield zip(ks, taus[lo : lo + BLOCK_ROWS].tolist(), eps, quarter_sq)
-
-    return write_csv(
-        path,
-        b"k,tau_k,epsilon,eps_sq_over_4\n",
-        b"%d,%.17g,%.17g,%.17g\n",
-        itertools.chain.from_iterable(blocks()),
-    )

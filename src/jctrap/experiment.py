@@ -23,10 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvfile import write_csv
 from .dynamics import (
     LEAK_P_TOL,
     SCHEME_KINDS,
+    TRAP_SNAP_TOL,
     correlated_cm_factors,
     critical_spread,
     rabi_cos_sin,
@@ -130,7 +130,7 @@ class RunConfig:
                              ("nmax", self.n_max), ("fock", 0 if self.fock is None else self.fock)):
             int_token(token, value)
         _check_derivation_inputs(self.trap_target, self.q)
-        self.timing  # its model checks tau_bar, spread and law
+        timing = self.timing  # its model checks tau_bar, spread and law
         if self.n_atoms < 0:
             raise ConfigError(f"atoms: must be >= 0, got {self.n_atoms}")
         if self.mode not in RUN_MODES:
@@ -146,6 +146,11 @@ class RunConfig:
                 f"nmax: trap level {self.trap_target} needs n_max > {self.trap_target + 20}, "
                 f"got {self.n_max}"
             )
+        # Past this many pi, one rounding of a Rabi phase exceeds the snap tolerance.
+        top = self.tau_bar + (self.spread / 2 if self.law == "uniform" else 8 * timing.rms)
+        if not top * math.sqrt(self.n_max + 1) / math.pi < TRAP_SNAP_TOL * 2.0**52:
+            raise ConfigError(f"tau_bar_in_inv_g: times up to {top:.6g} give Rabi phases past "
+                              f"{TRAP_SNAP_TOL * 2.0**52:.6g} pi, which floats cannot resolve")
         fock = self.fock or 0
         if fock < 0:
             raise ConfigError(f"fock: must be >= 0, got {fock}")
@@ -481,21 +486,18 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
     after = rows[1:]
     total = after.sum(axis=-1)
     top = top_level_probability(after)
-    # An input every atom shares is one float: superposition leaks nothing,
-    # and NSM's P_k and norms are all 1.
-    leak = 0.0 if edge is None else rows[:b, :, -1] * edge
-    p_k, norms = (1.0, 1.0) if run.nsm else (np.minimum(successes, 1.0), norms)
-    inputs = (leak, p_k, norms, total, top)
+    # Every input is an (atoms, cells) array: superposition leaks nothing,
+    # and NSM's successes and norms are all 1.
+    leak = np.zeros((b, n)) if edge is None else rows[:b, :, -1] * edge
+    p_k = np.minimum(successes, 1.0)
     ends = {}  # per cell that ends: (atoms booked, its error or reason)
     # The guard on the block's worst value of each input; numpy's max and
     # min return a NaN if there is one, and a NaN trips the guard.
     far = max(total.min(), total.max(), key=lambda t: abs(t - 1.0))
-    worst = (leak if edge is None else leak.max(), p_k if run.nsm else p_k.min(),
-             norms if run.nsm else norms.min(), far, top.max())
+    worst = (leak.max(), p_k.min(), norms.min(), far, top.max())
     if _guard(run, worst, k + 1) is not None:
-        per_atom = (a.ravel().tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
-                    for a in inputs)
-        for at, atom in enumerate(zip(*per_atom)):
+        inputs = (a.ravel().tolist() for a in (leak, p_k, norms, total, top))
+        for at, atom in enumerate(zip(*inputs)):
             j, i = divmod(at, n)
             if i not in ends and (end := _guard(run, atom, k + j + 1)) is not None:
                 ends[i] = (j, end)
@@ -665,12 +667,12 @@ def sweep(
         for i, mult in enumerate(multipliers)
         for j in range(ensemble)
     ]
-    critical, base_timing = critical_spread(base.trap_target), base.timing
+    critical = critical_spread(base.trap_target)
     outcomes: dict[int, RunResult | Exception] = {}
     runs: dict[int, tuple[TimingModel, tuple[int, int]]] = {}
     for mult, index in jobs:
-        try:
-            timing = replace(base_timing, spread=mult * critical)
+        try:  # each cell's config checks itself, its Rabi phases included
+            timing = replace(base, spread=mult * critical).timing
         except ConfigError as exc:
             outcomes[index] = exc
         else:
@@ -714,26 +716,3 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
             raise success
         successes += success
     return successes / trajectories
-
-
-def write_trajectory_csv(path, result: RunResult) -> str:
-    """Per-step CSV `k,tau_k,T_k,P_k,cum_P,mean_n,delta_n,outcome`; returns its sha256."""
-    return write_csv(
-        path,
-        b"k,tau_k,T_k,P_k,cum_P,mean_n,delta_n,outcome\n",
-        b"%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n",
-        (
-            (s.k, s.tau_k, s.T_k, s.P_k, s.cum_P, s.mean_n, s.delta_n, s.outcome.encode())
-            for s in result.steps
-        ),
-    )
-
-
-def write_sweep_csv(path, cells: list[SweepCell]) -> str:
-    """Per-cell CSV `multiplier,cell,final_P_nt,cum_P,converged`; returns its sha256."""
-    return write_csv(
-        path,
-        b"multiplier,cell,final_P_nt,cum_P,converged\n",
-        b"%.17g,%d,%.17g,%.17g,%d\n",
-        ((c.multiplier, c.cell, c.final_p_trap, c.cum_P, c.converged) for c in cells),
-    )

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvfile import write_csv
 from .errors import LeakageError, OrthogonalOutcomeError
 
 # Norm of any state returned by this module stays within NORM_ATOL of 1.
@@ -149,9 +148,3 @@ def top_level_probability(distribution: np.ndarray, levels: int = 3) -> float | 
     """
     p = np.asarray(distribution, dtype=float)
     return p[..., -levels:].sum(axis=-1)
-
-
-def write_distribution_csv(path, distribution: np.ndarray) -> str:
-    """Write a photon-number distribution as two-column CSV `n,P(n)`; returns its sha256."""
-    p = np.asarray(distribution, dtype=float)
-    return write_csv(path, b"n,P(n)\n", b"%d,%.17g\n", enumerate(p.tolist()))

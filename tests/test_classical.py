@@ -16,8 +16,8 @@ from jctrap.classical import (
     pendulum_energy,
     pendulum_rhs,
     return_map_approx,
-    write_classical_csv,
 )
+from jctrap.cli import write_classical_csv
 from jctrap.errors import ConfigError
 from jctrap.stochastic import TimingModel
 

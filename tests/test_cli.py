@@ -2,6 +2,7 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import math
 import os
 import re
@@ -883,6 +884,12 @@ class TestConfigErrors:
                  "--spread-frac", "--seed", "--stream", "--nmax"],
                 id="run",
             ),
+            pytest.param(  # fig3ab's superposition reads no Rabi phase; fig2a's does
+                "run", ["--preset", "fig2a", "--atoms", "3"],
+                ["--trap", "--q", "--alpha", "--fock", "--gtau-bar", "--spread-mult",
+                 "--spread-frac", "--nmax"],
+                id="run-rabi",
+            ),
             pytest.param(
                 "sweep", ["--preset", "fig2a", "--atoms", "3", "--spread-mults", "0.1"],
                 ["--spread-mults", "--ensemble"],
@@ -937,6 +944,16 @@ class TestConfigErrors:
         error = capsys.readouterr().err
         assert error == f"config error: out-dir: cannot create {str(out_dir)!r}: {reason}\n"
         assert runs == []
+
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys):
+        # write_outputs writes the manifest last, so a failed write leaves none.
+        out_dir = tmp_path / "out"
+        (out_dir / "trajectory.csv").mkdir(parents=True)
+        assert main(["run", "--preset", "fig2a", "--atoms", "3", "--out-dir", str(out_dir)]) == 1
+        path = str(out_dir / "trajectory.csv")
+        assert capsys.readouterr().err == (
+            f"config error: out-dir: cannot write {path!r}: Is a directory\n")
+        assert not (out_dir / "manifest.txt").exists()
 
     def test_existing_out_dir_is_reused(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -1217,6 +1234,23 @@ distribution.csv = sha256:e21e6c60d32c8eb72b2bdcc524b241e2a08d03aa51266659b0c3d7
 
 
 class TestOutputDigests:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "fig2a", "--atoms", "3"],
+        ["sweep", "--preset", "fig2a", "--atoms", "3", "--spread-mults", "0.1,1"],
+        ["classical", "--preset", "fig1c", "--steps", "3"],
+    ], ids=["run", "sweep", "classical"])
+    def test_cli_writes_every_output(self, tmp_path, monkeypatch, argv):
+        # Every output file goes through the one hashing writer in cli.
+        written, write_csv = [], cli.write_csv
+
+        def counted(path, *rest):
+            written.append(Path(path).name)
+            return write_csv(path, *rest)
+
+        monkeypatch.setattr(cli, "write_csv", counted)
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert written == list(manifest_outputs(tmp_path))
+
     @pytest.mark.parametrize("name", sorted(RETIRED_TOKEN_MANIFESTS))
     def test_manifest_with_retired_tokens_reproduces_its_digests(self, tmp_path, name):
         (tmp_path / "manifest.txt").write_text(RETIRED_TOKEN_MANIFESTS[name], encoding="utf-8")
@@ -1399,6 +1433,15 @@ class TestOutputDigests:
 
 
 class TestImport:
+    def test_simulation_modules_write_no_files(self):
+        # cli alone opens and hashes output files; the simulation only computes.
+        for name in ("experiment", "fock", "classical"):
+            module = importlib.import_module(f"jctrap.{name}")
+            assert [name for name in vars(module) if name.startswith("write_")] == []
+            assert "hashlib" not in vars(module)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("jctrap.csvfile")
+
     def test_all_names_resolve(self):
         assert len(set(jctrap.__all__)) == len(jctrap.__all__)
         for name in jctrap.__all__:

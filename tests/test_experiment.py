@@ -9,9 +9,11 @@ import pytest
 import jctrap
 from basis_cut import basis_cut_gaps
 from jctrap import cli, experiment
+from jctrap.cli import write_sweep_csv, write_trajectory_csv
 from jctrap.dynamics import (
     ELASTIC_ROTATION,
     INELASTIC_ROTATION,
+    TRAP_SNAP_TOL,
     cm_project,
     correlated_cm_factors,
     critical_spread,
@@ -29,8 +31,6 @@ from jctrap.experiment import (
     run_sequence,
     sampled_success_estimate,
     sweep,
-    write_sweep_csv,
-    write_trajectory_csv,
 )
 from jctrap.fock import (
     FieldState,
@@ -188,6 +188,24 @@ class TestBuildConfig:
             replace(elastic.timing, ramsey_ratio=math.nan)
         with pytest.raises(ConfigError, match="tau_bar_in_inv_g: must be a real number, got '1'"):
             replace(elastic.timing, tau_bar="1")
+
+    def test_rabi_phases_floats_cannot_resolve_are_refused(self):
+        # Past theta/pi = TRAP_SNAP_TOL * 2**52, one rounding of a phase exceeds
+        # the snap tolerance; at tau_bar = 1e300 every phase is a multiple of pi.
+        kwargs = dict(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0)
+        message = r"^tau_bar_in_inv_g: times up to .* give Rabi phases past 4503.6 pi"
+        with pytest.raises(ConfigError, match=message):
+            build_run_config(**kwargs, tau_bar=1e300)
+        # The longest time is tau_bar + spread/2 (uniform) or tau_bar + 8 rms
+        # (gaussian), at the top level's sqrt(n_max + 1).
+        cfg = build_run_config(**kwargs)
+        edge = TRAP_SNAP_TOL * 2.0**52 * math.pi / math.sqrt(cfg.n_max + 1)
+        assert replace(cfg, tau_bar=0.99 * edge).tau_bar == 0.99 * edge
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, tau_bar=1.01 * edge)
+        uniform = replace(cfg, tau_bar=0.98 * edge, spread=0.03 * edge)  # top 0.995 edge
+        with pytest.raises(ConfigError, match=message):  # top 1.049 edge
+            replace(uniform, law="gaussian")
 
     @pytest.mark.parametrize("value", ["no", 0, None, np.bool_(True)])
     def test_halt_on_failure_must_be_a_bool(self, value):
@@ -1277,6 +1295,10 @@ class TestSweep:
             # Multiplier 3 leaks out of n_max = 41; multiplier 5 is an invalid spread.
             (build_run_config(scheme="elastic", trap_target=20, n_atoms=300, alpha=3.0, n_max=41,
                               master_seed=3), [0.0, 3.0, 5.0], 3),
+            # Multiplier 1e300 gives gaussian times whose Rabi phases floats
+            # cannot resolve: the cell's config refuses it.
+            (build_run_config(scheme="elastic", trap_target=20, n_atoms=3, alpha=3.0,
+                              law="gaussian", master_seed=3), [0.0, 1e300], 1),
             # theta_0 = pi/2 from the vacuum: impossible post-selection at atom 1.
             # 80 cells span more than one batch.
             (build_run_config(scheme="elastic", trap_target=5, n_atoms=4, fock_n=0,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jctrap.cli import write_distribution_csv
 from jctrap.errors import LeakageError, OrthogonalOutcomeError
 from jctrap.fock import (
     FieldState,
@@ -15,7 +16,6 @@ from jctrap.fock import (
     fock_basis_state,
     renormalize,
     top_level_probability,
-    write_distribution_csv,
 )
 
 
