@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ from .stochastic import TimingModel, derive_stream, int_token, number_token, sam
 # The smallest epsilon whose 2/epsilon and the largest whose epsilon^2 are finite.
 EPSILON_MIN = math.nextafter(2.0 / sys.float_info.max, 1.0)
 EPSILON_MAX = math.sqrt(sys.float_info.max)
+
+# Steps per block: one timing draw and one overflow check each.
+MAP_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -133,33 +137,30 @@ def build_classical_config(
                            int_token("seed", master_seed), int_token("stream", stream_id))
 
 
-def classical_trajectory(config: ClassicalConfig) -> tuple[np.ndarray, np.ndarray]:
+def classical_trajectory(config: ClassicalConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Iterate the return map with times drawn from the config's stream.
 
-    Returns (taus, epsilons), n_steps and n_steps + 1 long (with the initial
-    value); raises SimulationError before a block of steps that could overflow.
+    Yields (taus, epsilons) per block of at most MAP_BLOCK steps: the block's
+    times and epsilon after each of its steps (epsilon before the first step
+    is config.epsilon0).  Raises SimulationError before a block of steps that
+    could overflow, so the blocks yielded before it stand.
     """
     n_steps = config.n_steps
     rng = derive_stream(config.master_seed, config.stream_id)
-    taus = np.empty(n_steps)
-    eps_out = np.empty(n_steps + 1)
-    eps_out[0] = eps = config.epsilon0
-    done = 0
-    block = 8192
-    while done < n_steps:
-        count = min(block, n_steps - done)
-        chunk, _ = sample_timing_array(config.timing, rng, count)
-        taus[done : done + count] = chunk
+    eps = config.epsilon0
+    for done in range(0, n_steps, MAP_BLOCK):
+        count = min(MAP_BLOCK, n_steps - done)
+        taus, _ = sample_timing_array(config.timing, rng, count)
         # A step adds at most min(2/eps, eps (g tau)^2 / 2) <= g tau to eps.
-        g_tau = float(chunk.max())
+        g_tau = float(taus.max())
         top = eps + count * g_tau  # above every eps of the block
         if not (top <= EPSILON_MAX and math.isfinite(top * g_tau)):
             raise SimulationError(f"return map may overflow in steps {done + 1}-{done + count}: "
                                   f"epsilon may reach {top:.6g}, epsilon g tau {top * g_tau:.6g}")
-        # eps, map(eps), map(map(eps)), ...: the block's start and its `count`
-        # steps, read one at a time so no list of the block's floats is built.
-        steps = itertools.accumulate(chunk.tolist(), return_map_approx, initial=eps)
-        eps_out[done : done + count + 1] = np.fromiter(steps, float, count + 1)
-        done += count
-        eps = float(eps_out[done])
-    return taus, eps_out
+        # map(eps), map(map(eps)), ...: the block's `count` steps, read one at
+        # a time; the list of its times lives only while they are read.
+        epsilons = np.fromiter(itertools.islice(
+            itertools.accumulate(taus.tolist(), return_map_approx, initial=eps), 1, None),
+            float, count)
+        eps = float(epsilons[-1])
+        yield taus, epsilons

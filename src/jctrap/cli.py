@@ -20,7 +20,7 @@ import math
 import operator
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -371,38 +371,49 @@ def write_distribution_csv(path, distribution: np.ndarray) -> str:
     return write_csv(path, b"n,P(n)\n", b"%d,%.17g\n", enumerate(p.tolist()))
 
 
-def write_classical_csv(path, taus: np.ndarray, epsilons: np.ndarray) -> str:
-    """Trajectory CSV `k,tau_k,epsilon,eps_sq_over_4`; row 0 holds the start.
+def write_classical_csv(path, epsilon0: float,
+                        blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> str:
+    """Trajectory CSV `k,tau_k,epsilon,eps_sq_over_4`; row 0 holds the start epsilon0.
 
-    Returns the sha256 hex digest of the bytes written.
+    Each `(taus, epsilons)` block, as `classical_trajectory` yields them, is
+    written and hashed as it arrives.  Returns the sha256 hex digest of the
+    bytes written.
     """
 
-    def blocks():
-        e0 = float(epsilons[0])
-        yield [(0, 0, e0, e0 * e0 / 4.0)]
-        for lo in range(0, len(taus), BLOCK_ROWS):
-            eps = epsilons[lo + 1 : lo + 1 + BLOCK_ROWS].tolist()
-            # Python's `e ** 2` (libm pow), not `e * e` as numpy squares: the
-            # two differ in the last bit on 843 of fig1d's 10^6 rows.
-            quarter_sq = [e ** 2 / 4.0 for e in eps]
-            ks = range(lo + 1, lo + 1 + len(eps))
-            yield zip(ks, taus[lo : lo + BLOCK_ROWS].tolist(), eps, quarter_sq)
+    def slices():
+        # Python's `e ** 2` (libm pow), not `e * e` as numpy squares: the two
+        # differ in the last bit on 843 of fig1d's 10^6 rows.
+        yield [(0, 0, epsilon0, epsilon0 ** 2 / 4.0)]
+        k = 1
+        for taus, epsilons in blocks:
+            for lo in range(0, len(taus), BLOCK_ROWS):
+                eps = epsilons[lo : lo + BLOCK_ROWS].tolist()
+                yield zip(itertools.count(k), taus[lo : lo + BLOCK_ROWS].tolist(), eps,
+                          [e ** 2 / 4.0 for e in eps])
+                k += len(eps)
+            del taus, epsilons  # freed before the map makes the next block
 
     return write_csv(
         path,
         b"k,tau_k,epsilon,eps_sq_over_4\n",
         b"%d,%.17g,%.17g,%.17g\n",
-        itertools.chain.from_iterable(blocks()),
+        itertools.chain.from_iterable(slices()),
     )
 
 
-def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float) -> None:
+def write_outputs(parsed: ParsedConfig, result, out_dir,
+                  duration_seconds: Callable[[], float]) -> None:
     """Write the command's CSV outputs plus a manifest with their digests into out_dir.
 
-    The manifest holds the resolved config tokens; a sweep's also names each
-    failed cell's error and each sampled cell's count of failed outcomes.
+    The manifest holds the resolved config tokens and `duration_seconds()`,
+    read once the CSVs are written; a sweep's also names each failed cell's
+    error and each sampled cell's count of failed outcomes.  A classical
+    result is the map's blocks, computed as its CSV is written; if the map or
+    the write fails, the partial CSV is removed.
     """
     out = Path(out_dir)
+    # Written last; until then an earlier run's manifest would misdescribe the files.
+    (out / "manifest.txt").unlink(missing_ok=True)
     outputs: dict[str, str] = {}
     terminated = None
     sections: dict[str, dict[int, object]] = {}
@@ -414,8 +425,13 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
         )
         terminated = result.terminated_early
     elif parsed.command == "classical":
-        taus, epsilons = result
-        outputs["classical.csv"] = write_classical_csv(out / "classical.csv", taus, epsilons)
+        path = out / "classical.csv"
+        try:
+            outputs["classical.csv"] = write_classical_csv(path, parsed.classical.epsilon0, result)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                path.unlink()
+            raise
     elif parsed.command == "sweep":
         outputs["sweep.csv"] = write_sweep_csv(out / "sweep.csv", result)
         sections["errors"] = {cell.cell: cell.error for cell in result if cell.error is not None}
@@ -425,7 +441,7 @@ def write_outputs(parsed: ParsedConfig, result, out_dir, duration_seconds: float
         f"artifact_version = {__version__}",
         f"command = {parsed.command}",
         f"master_seed = {parsed.tokens['seed']}",
-        f"duration_seconds = {format(duration_seconds, '.6g')}",
+        f"duration_seconds = {format(duration_seconds(), '.6g')}",
         f"terminated_early = {terminated or 'none'}",
         "",
         "[config]",
@@ -555,12 +571,23 @@ def _make_out_dir(path: str) -> list[Path]:
 
 
 def _simulate(parsed: ParsedConfig):
-    """The command's result: a RunResult, (taus, epsilons) or the sweep's cells."""
+    """The command's result: a RunResult, the classical map's blocks or the sweep's cells."""
     if parsed.command == "run":
         return run_sequence(parsed.run)
     if parsed.command == "classical":
         return classical_trajectory(parsed.classical)
     return sweep(parsed.run, *parsed.sweep)
+
+
+def _timed(blocks: Iterator, elapsed: list[float]) -> Iterator:
+    """Yield each block, adding the seconds spent making it to elapsed[0]."""
+    start = time.perf_counter()
+    for block in blocks:
+        elapsed[0] += time.perf_counter() - start
+        yield block
+        del block  # freed before the next block is made
+        start = time.perf_counter()
+    elapsed[0] += time.perf_counter() - start
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -576,20 +603,24 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     parsed = _resolve(args, args.subcommand)
     made = _make_out_dir(args.out_dir)
-    start = time.perf_counter()
+    elapsed = [0.0]  # seconds spent simulating; the classical map runs as it is written
     try:
+        start = time.perf_counter()
         result = _simulate(parsed)
+        elapsed[0] = time.perf_counter() - start
+        if parsed.command == "classical":
+            result = _timed(result, elapsed)
+        try:  # write_outputs writes the manifest last, so a failed write leaves none
+            write_outputs(parsed, result, args.out_dir, lambda: elapsed[0])
+        except OSError as exc:
+            raise ConfigError(
+                f"out-dir: cannot write {exc.filename!r}: {exc.strerror or exc}") from None
     except BaseException:
-        # A run that ends before its outputs leaves no directory behind.
+        # A failed command removes the directories it made, where it left them empty.
         for path in made:
             with contextlib.suppress(OSError):
                 path.rmdir()
         raise
-    try:  # write_outputs writes the manifest last, so a failed write leaves none
-        write_outputs(parsed, result, args.out_dir, time.perf_counter() - start)
-    except OSError as exc:
-        raise ConfigError(
-            f"out-dir: cannot write {exc.filename!r}: {exc.strerror or exc}") from None
     if parsed.command == "run" and result.terminated_early:
         print(f"run terminated early: {result.terminated_early}", file=sys.stderr)
         return 2

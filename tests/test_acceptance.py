@@ -105,12 +105,17 @@ def test_criterion_4_nsm_fixed_vs_fluctuating():
     )
 
 
+def _epsilons(config):
+    """epsilon after each step of a trajectory, entry 0 its start: the blocks concatenated."""
+    return np.concatenate([[config.epsilon0], *(eps for _, eps in classical_trajectory(config))])
+
+
 def test_criterion_5a_classical_fixed_point():
     # With fixed times the map is tangent to the identity at eps* = sqrt(199):
     # for delta = eps* - eps it reads delta <- delta - (g tau)^2 delta^2 / (2 eps*),
     # so the energy gap closes as gap_k ~ C / k with C = 199^2 / (4 pi^2) = 1003.1.
     cfg = preset("fig1c").classical
-    _, eps = classical_trajectory(replace(cfg, n_steps=110_000))
+    eps = _epsilons(replace(cfg, n_steps=110_000))
     trace = eps * eps / 4.0
     c_law = 199.0**2 / (4.0 * math.pi**2)
     gap = 199.0 / 4.0 - trace
@@ -132,7 +137,7 @@ def test_criterion_5b_classical_escape():
     cfg = preset("fig1d").classical
     escaped = 0
     for stream in range(10):
-        _, eps = classical_trajectory(replace(cfg, stream_id=stream))
+        eps = _epsilons(replace(cfg, stream_id=stream))
         if (eps * eps / 4.0).max() > 60.0:
             escaped += 1
     _report(

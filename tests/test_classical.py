@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jctrap.classical import (
+    MAP_BLOCK,
     ClassicalConfig,
     PendulumState,
     build_classical_config,
@@ -108,10 +109,16 @@ class TestReturnMap:
         assert above - eps_star > 1.3e-3  # moved away from it
 
 
+def whole_trajectory(config):
+    """(taus, epsilons) of a trajectory's blocks concatenated; epsilons[0] is the start."""
+    blocks = list(classical_trajectory(config))
+    taus = np.concatenate([np.empty(0), *(taus for taus, _ in blocks)])
+    return taus, np.concatenate([[config.epsilon0], *(eps for _, eps in blocks)])
+
+
 def quarter_energies(epsilon0, n_steps, timing, master_seed, stream_id=0):
     """Field energy eps^2/4 after each atom of a trajectory; entry 0 is the start."""
-    _, eps = classical_trajectory(
-        ClassicalConfig(epsilon0, n_steps, timing, master_seed, stream_id))
+    _, eps = whole_trajectory(ClassicalConfig(epsilon0, n_steps, timing, master_seed, stream_id))
     return eps * eps / 4.0
 
 
@@ -165,19 +172,20 @@ class TestClassicalRun:
                                           spread_time=0.01 * GTAU_199, master_seed=master_seed,
                                           stream_id=stream_id)
 
-        taus, eps = classical_trajectory(config(1000, np.int64(7), np.int64(3)))
-        expected_taus, expected_eps = classical_trajectory(config(1000, 7, 3))
+        taus, eps = whole_trajectory(config(1000, np.int64(7), np.int64(3)))
+        expected_taus, expected_eps = whole_trajectory(config(1000, 7, 3))
         assert np.array_equal(taus, expected_taus) and np.array_equal(eps, expected_eps)
         for seed, token in (((1.5, 0), "seed"), ((7, 1.5), "stream")):
             with pytest.raises(ConfigError, match=f"^{token}: must be an integer, got 1.5$"):
-                classical_trajectory(config(10, *seed))
+                whole_trajectory(config(10, *seed))
 
     def test_trajectory_csv(self, tmp_path):
         timing = TimingModel(tau_bar=GTAU_199, spread=0.0)
-        taus, epsilons = classical_trajectory(ClassicalConfig(6.0, 25, timing, 0, 0))
+        config = ClassicalConfig(6.0, 25, timing, 0, 0)
+        taus, epsilons = whole_trajectory(config)
         assert len(taus) == 25 and len(epsilons) == 26
         path = tmp_path / "classical.csv"
-        write_classical_csv(path, taus, epsilons)
+        write_classical_csv(path, config.epsilon0, classical_trajectory(config))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,tau_k,epsilon,eps_sq_over_4"
         assert len(lines) == 27
@@ -190,10 +198,32 @@ class TestClassicalRun:
         # bit here, as on 843 of fig1d's 10^6 rows; the CSV writes the former.
         eps = 13.950552987911985
         path = tmp_path / "classical.csv"
-        write_classical_csv(path, np.array([0.5]), np.array([6.0, eps]))
+        write_classical_csv(path, 6.0, [(np.array([0.5]), np.array([eps]))])
         rows = path.read_text().splitlines()
         assert rows[1:] == ["0,0,6,9", "1,0.5,13.950552987911985,48.654482167135008"]
         assert format((np.array([eps]) ** 2 / 4)[0], ".17g") == "48.654482167135001"
+
+    def test_start_row_takes_the_same_energy_expression(self, tmp_path):
+        # Row 0 writes epsilon0 ** 2 / 4 as every later row writes its epsilon,
+        # not epsilon0 * epsilon0 / 4, which differs in the last bit here.
+        eps = 13.950552987911985
+        path = tmp_path / "classical.csv"
+        write_classical_csv(path, eps, [(np.array([0.5]), np.array([eps]))])
+        rows = path.read_text().splitlines()
+        assert rows[1:] == ["0,0,13.950552987911985,48.654482167135008",
+                            "1,0.5,13.950552987911985,48.654482167135008"]
+        assert format(eps * eps / 4.0, ".17g") == "48.654482167135001"
+
+    def test_blocks_cover_the_steps(self):
+        # One block per MAP_BLOCK steps, each the next slice of the trajectory.
+        timing = TimingModel(tau_bar=GTAU_199, spread=0.01 * GTAU_199)
+        config = ClassicalConfig(6.0, 2 * MAP_BLOCK + 5, timing, 3, 1)
+        blocks = list(classical_trajectory(config))
+        assert [len(taus) for taus, _ in blocks] == [MAP_BLOCK, MAP_BLOCK, 5]
+        assert all(len(taus) == len(eps) for taus, eps in blocks)
+        _, eps = whole_trajectory(config)
+        assert eps[MAP_BLOCK] == blocks[0][1][-1] and eps[-1] == blocks[-1][1][-1]
+        assert list(classical_trajectory(replace(config, n_steps=0))) == []
 
 
 class TestClassicalConfig:

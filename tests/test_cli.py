@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -339,6 +340,21 @@ class TestCliEndToEnd:
         lines = (out_dir / "classical.csv").read_text().strip().splitlines()
         assert len(lines) == 52
         assert float(lines[1].split(",")[3]) == 9.0
+
+    def test_classical_memory_does_not_grow_with_steps(self, tmp_path):
+        # The map's blocks are written as they are made, so no array holds the
+        # whole trajectory: four times the steps take the same traced peak.
+        def traced_peak(steps):
+            tracemalloc.start()
+            try:
+                assert main(["classical", "--preset", "fig1c", "--steps", str(steps),
+                             "--out-dir", str(tmp_path / str(steps))]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(10)  # builds the parser and loads numpy.random outside the count
+        assert traced_peak(40_000) - traced_peak(10_000) < 64 * 1024
 
     def test_sweep_subcommand(self, tmp_path):
         out_dir = tmp_path / "sw"
@@ -974,6 +990,42 @@ class TestConfigErrors:
         assert main([*argv, str(tmp_path / "kept")]) == 2
         assert (tmp_path / "kept").is_dir()
         assert capsys.readouterr().err.count("simulation error: coherent state") == 2
+
+    def test_failed_write_leaves_no_earlier_manifest(self, tmp_path, capsys):
+        # The earlier run's manifest would name digests the new files do not have.
+        out_dir = tmp_path / "out"
+        argv = ["run", "--preset", "fig2a", "--out-dir", str(out_dir)]
+        assert main([*argv, "--atoms", "3"]) == 0
+        (out_dir / "distribution.csv").unlink()
+        (out_dir / "distribution.csv").mkdir()
+        assert main([*argv, "--atoms", "4"]) == 1
+        path = str(out_dir / "distribution.csv")
+        assert capsys.readouterr().err == (
+            f"config error: out-dir: cannot write {path!r}: Is a directory\n")
+        assert not (out_dir / "manifest.txt").exists()
+
+    # fig1c's trajectory trips the overflow check at its second block of map
+    # steps, after the first block's rows have been written.
+    LATE_OVERFLOW = [
+        "classical", "--preset", "fig1c", "--steps", "16384",
+        "--epsilon0", "1.2220491288071541e-150", "--gtau-bar", "1.6365954140912536e+150",
+    ]
+
+    def test_map_failure_after_the_first_block_leaves_no_output(self, tmp_path, capsys):
+        out_dir = tmp_path / "made" / "out"
+        assert main([*self.LATE_OVERFLOW, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "simulation error: return map may overflow in steps 8193-16384: ")
+        assert not (tmp_path / "made").exists()
+
+    def test_map_failure_after_the_first_block_in_a_used_directory(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["classical", "--preset", "fig1c", "--steps", "3",
+                     "--out-dir", str(out_dir)]) == 0
+        (out_dir / "notes.txt").write_text("kept")
+        assert main([*self.LATE_OVERFLOW, "--out-dir", str(out_dir)]) == 2
+        assert "steps 8193-16384" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt"]
 
     @pytest.mark.parametrize("keyword, token", [("master_seed", "seed"), ("stream_id", "stream")])
     def test_classical_seed_read_as_int(self, keyword, token):
