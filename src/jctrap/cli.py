@@ -408,34 +408,38 @@ def write_outputs(parsed: ParsedConfig, result, out_dir,
     The manifest holds the resolved config tokens and `duration_seconds()`,
     read once the CSVs are written; a sweep's also names each failed cell's
     error and each sampled cell's count of failed outcomes.  A classical
-    result is the map's blocks, computed as its CSV is written; if the map or
-    the write fails, the partial CSV is removed.
+    result is the map's blocks, computed as its CSV is written.  If the map
+    or any write fails, every CSV this call opened is removed.
     """
     out = Path(out_dir)
     # Written last; until then an earlier run's manifest would misdescribe the files.
     (out / "manifest.txt").unlink(missing_ok=True)
-    outputs: dict[str, str] = {}
     terminated = None
     sections: dict[str, dict[int, object]] = {}
 
+    # Per CSV: its name, its writer and the writer's arguments after the path.
     if parsed.command == "run":
-        outputs["trajectory.csv"] = write_trajectory_csv(out / "trajectory.csv", result)
-        outputs["distribution.csv"] = write_distribution_csv(
-            out / "distribution.csv", result.final_distribution
-        )
+        writes = [("trajectory.csv", write_trajectory_csv, result),
+                  ("distribution.csv", write_distribution_csv, result.final_distribution)]
         terminated = result.terminated_early
     elif parsed.command == "classical":
-        path = out / "classical.csv"
-        try:
-            outputs["classical.csv"] = write_classical_csv(path, parsed.classical.epsilon0, result)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                path.unlink()
-            raise
-    elif parsed.command == "sweep":
-        outputs["sweep.csv"] = write_sweep_csv(out / "sweep.csv", result)
+        writes = [("classical.csv", write_classical_csv, parsed.classical.epsilon0, result)]
+    else:
+        writes = [("sweep.csv", write_sweep_csv, result)]
         sections["errors"] = {cell.cell: cell.error for cell in result if cell.error is not None}
         sections["failures"] = {cell.cell: cell.n_failures for cell in result if cell.n_failures}
+
+    outputs: dict[str, str] = {}
+    opened: list[Path] = []
+    try:
+        for name, write, *args in writes:
+            opened.append(out / name)
+            outputs[name] = write(opened[-1], *args)
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
 
     lines = [
         f"artifact_version = {__version__}",

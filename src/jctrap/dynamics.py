@@ -148,21 +148,21 @@ def _level_roots(n_max: int) -> np.ndarray:
     return roots
 
 
-def rabi_cos_sin(tau, n_max: int, cos: bool = True, first: int | None = 0) -> tuple:
+def rabi_cos_sin(tau, n_max: int, cos: bool = True, first: int = 0) -> tuple:
     """(cos_t, sin_t) of the Rabi phases theta_n, snapped at multiples of pi.
 
     Only the parts asked for are computed: cos_t covers levels 0..n_max, or
-    is None unless cos; sin_t covers levels first..n_max, or is None when
-    first is None (first = n_max gives the top level's alone).  tau is one
-    interaction time, or times of any shape ending in 1, such as (atoms,
-    cells, 1): each row of levels equals the one-time result bit for bit.
+    is None unless cos; sin_t covers levels first..n_max (first = n_max
+    gives the top level's alone).  tau is one interaction time, or times of
+    any shape ending in 1, such as (atoms, cells, 1): each row of levels
+    equals the one-time result bit for bit.
     """
     thetas = tau * _level_roots(n_max)
     ratio = thetas / math.pi
     q = np.rint(ratio)
     snap = np.abs(np.subtract(ratio, q, out=ratio), out=ratio) < TRAP_SNAP_TOL
     snapped = snap.any()
-    cos_t = sin_t = None
+    cos_t = None
     if first:  # some levels' sines, read before the cosines overwrite thetas
         sin_t = np.sin(thetas[..., first:])
     if cos:  # into thetas, unless every level's sines are still to come from it
@@ -171,7 +171,7 @@ def rabi_cos_sin(tau, n_max: int, cos: bool = True, first: int | None = 0) -> tu
             cos_t[snap] = np.where(q[snap].astype(np.int64) % 2 == 0, 1.0, -1.0)
     if first == 0:
         sin_t = np.sin(thetas, out=thetas)
-    if sin_t is not None and snapped:
+    if snapped:
         sin_t[snap[..., first:]] = 0.0
     return cos_t, sin_t
 

@@ -37,7 +37,6 @@ from .errors import ConfigError, LeakageError, OrthogonalOutcomeError, Simulatio
 from .fock import (
     NORM_ATOL,
     ORTHOGONAL_NORM_SQ,
-    FieldState,
     coherent_state,
     default_n_max,
     fock_basis_state,
@@ -60,18 +59,12 @@ TOP_LEVEL_GUARD = 1e-8
 # A trap level counts as converged when it holds more than this probability.
 CONVERGENCE_P = 0.9
 
-# Sweep cells and sampled trajectories advance together in batches of this
-# many cells, or of as many as fill _BATCH_ENTRIES factors (cells x levels)
-# where more fit (264 at 31 levels).  A batch's arrays and streams then stay
-# small while its per-block and per-batch costs are shared.
-_BATCH_CELLS = 64
-_BATCH_ENTRIES = 8192
-
 # A block of atoms, whose times a batch draws at once, has as many atoms as
 # fit in this many factors (atoms x cells x levels), and never fewer than one.
 # A float64 factor array is then 256 KiB, so a block's few such arrays stay
 # in a 2 MiB L2 cache.  A halting sampled batch draws one atom at a time: it
-# may stop at any atom.
+# may stop at any atom.  _batch_cells sizes batches by the same bound, so one
+# atom of a full batch fits in a block.
 _BLOCK_ENTRIES = 32768
 
 OUTCOME_POSTSELECTED = "postselected"
@@ -189,7 +182,6 @@ class RunResult:
 
     steps: list[StepRecord]
     final_distribution: np.ndarray
-    final_state: FieldState | np.ndarray
     terminated_early: str | None = None
     n_failures: int = 0
     final_cum_P: float = 1.0
@@ -459,16 +451,15 @@ def _guard(run: _Run, inputs: tuple[float, ...], atom: int) -> SimulationError |
     return None
 
 
-def _result(run: _Run, cell: _Cell, field_row, dist_row, reason: str | None) -> RunResult | bool:
-    """The RunResult of a cell whose final field is field_row.
+def _result(run: _Run, cell: _Cell, dist_row, reason: str | None) -> RunResult | bool:
+    """The RunResult of a cell whose final populations are dist_row.
 
     A counting run builds none: whether the cell ran to its end with no
     failed outcome.
     """
     if run.counting:
         return reason is None and cell.failures == 0
-    final = dist_row if run.nsm else FieldState(field_row, run.config.n_max)
-    return RunResult(cell.steps, dist_row, final, reason, cell.failures, cell.cum.value)
+    return RunResult(cell.steps, dist_row, reason, cell.failures, cell.cum.value)
 
 
 def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
@@ -535,7 +526,7 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
         if run.sampled:
             cell.failures += failed[at].count(True)
         if isinstance(end, str):  # rows[m, i] is a view of the kernel's buffer for NSM
-            cell.result = _result(run, cell, fields[m, i], rows[m, i].copy(), end)
+            cell.result = _result(run, cell, rows[m, i].copy(), end)
         elif end is not None:
             cell.result = end
     running = [i for i in range(n) if i not in ends]
@@ -577,13 +568,13 @@ def _run_cells(
         k += b
     rows = state if nsm else np.abs(state) ** 2
     for i, cell in enumerate(cells):
-        cell.result = _result(run, cell, state[i], rows[i], None)
+        cell.result = _result(run, cell, rows[i], None)
     return [cell.result for cell in everyone]
 
 
 def _batch_cells(n_max: int) -> int:
-    """How many cells a batch holds at n_max + 1 levels."""
-    return max(_BATCH_CELLS, _BATCH_ENTRIES // (n_max + 1))
+    """How many cells a batch holds at n_max + 1 levels: as many as one atom's fit a block."""
+    return max(1, _BLOCK_ENTRIES // (n_max + 1))
 
 
 def _run_batches(
@@ -594,8 +585,8 @@ def _run_batches(
     Yields, per cell, the SimulationError that ended it or, by collect:
     "steps", its RunResult with step records; "results", its RunResult
     without them; "successes", whether it ran to its end with no failed
-    outcome, for which no RunResult, FieldState or cum_P is built.  Every
-    batch's blocks reuse one scratch buffer.
+    outcome, for which no RunResult or cum_P is built.  Every batch's
+    blocks reuse one scratch buffer.
     """
     nsm = config.scheme == "nsm"
     sampled = config.mode == "sample" and not nsm

@@ -139,12 +139,12 @@ def renormalize(state: FieldState) -> FieldState:
     return FieldState(state.amplitudes / math.sqrt(norm_sq), state.n_max)
 
 
-def top_level_probability(distribution: np.ndarray, levels: int = 3) -> float | np.ndarray:
-    """Probability held by the top `levels` Fock levels of the basis.
+def top_level_probability(distribution: np.ndarray) -> float | np.ndarray:
+    """Probability held by the top 3 Fock levels of the basis.
 
     Monitored every simulation step; values above 1e-8 mean the truncation
     is corrupting the dynamics.  Distributions along the last axis of any
     leading shape, such as (atoms, cells, levels), give one value each.
     """
     p = np.asarray(distribution, dtype=float)
-    return p[..., -levels:].sum(axis=-1)
+    return p[..., -3:].sum(axis=-1)

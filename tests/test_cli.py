@@ -1004,6 +1004,16 @@ class TestConfigErrors:
             f"config error: out-dir: cannot write {path!r}: Is a directory\n")
         assert not (out_dir / "manifest.txt").exists()
 
+    def test_failed_write_removes_every_csv_the_command_wrote(self, tmp_path, capsys):
+        # trajectory.csv is written before distribution.csv fails; neither is left.
+        out_dir = tmp_path / "out"
+        (out_dir / "distribution.csv").mkdir(parents=True)
+        assert main(["run", "--preset", "fig2a", "--atoms", "4", "--out-dir", str(out_dir)]) == 1
+        path = str(out_dir / "distribution.csv")
+        assert capsys.readouterr().err == (
+            f"config error: out-dir: cannot write {path!r}: Is a directory\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["distribution.csv"]
+
     # fig1c's trajectory trips the overflow check at its second block of map
     # steps, after the first block's rows have been written.
     LATE_OVERFLOW = [

@@ -363,7 +363,6 @@ class TestPrunedFactors:
         snap = np.abs(thetas / math.pi - q) < 1e-12
         assert self.same(np.where(snap, np.where(q % 2 == 0, 1.0, -1.0), np.cos(thetas)), cos_t)
         assert self.same(np.where(snap, 0.0, np.sin(thetas)), sin_t)
-        assert self.same_parts(rabi_cos_sin(tau, n_max, first=None), (cos_t, None))
         assert self.same_parts(rabi_cos_sin(tau, n_max, cos=False), (None, sin_t))
         for first in (1, 21, n_max):
             for cos in (False, True):

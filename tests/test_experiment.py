@@ -435,11 +435,8 @@ def _reference_run(config):
 def _assert_equals_reference(config, result):
     """result is run_sequence(config) with steps, bit for bit as _reference_run."""
     field, steps = _reference_run(config)
-    if config.scheme == "nsm":
-        assert np.array_equal(result.final_state, field)
-    else:
-        assert np.array_equal(result.final_state.amplitudes, field.amplitudes)
-        assert np.array_equal(result.final_distribution, field.probabilities())
+    dist = field if config.scheme == "nsm" else field.probabilities()
+    assert result.final_distribution.tobytes() == dist.tobytes()
     assert len(result.steps) == len(steps)
     outcome = {None: "postselected", True: "sampled_success", False: "sampled_failure"}
     for step, (tau, p_k, success, dist) in zip(result.steps, steps):
@@ -636,10 +633,8 @@ class TestKernel:
 
 def _fingerprint(result):
     """Everything a RunResult holds, comparable with ==."""
-    state = result.final_state
-    amplitudes = state if isinstance(state, np.ndarray) else state.amplitudes
     return (
-        result.steps, amplitudes.tobytes(), result.final_distribution.tobytes(),
+        result.steps, result.final_distribution.tobytes(),
         result.final_cum_P, result.n_failures, result.terminated_early,
     )
 
@@ -768,10 +763,10 @@ class TestBlockSize:
         assert outcomes == [expected] * 9
 
     def test_batches_sized_by_entries(self, monkeypatch):
-        # A batch holds 64 cells, or as many as fill a one-atom block where
-        # more fit: 264 at 31 levels, 64 from 127 levels on.
+        # A batch holds as many cells as one atom of them fills a block:
+        # 1057 at 31 levels, 50 at fig1b's 651.
         assert [experiment._batch_cells(n_max) for n_max in (30, 125, 126, 650)] == [
-            264, 65, 64, 64
+            1057, 260, 258, 50
         ]
         sizes = []
         original = experiment._run_cells
@@ -785,8 +780,13 @@ class TestBlockSize:
             scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=math.pi / 3.0,
             n_max=30, mode="sample",
         )
-        sampled_success_estimate(config, 600)
-        assert sizes == [264, 264, 72]
+        sampled_success_estimate(config, 2200)
+        assert sizes == [1057, 1057, 86]
+
+    def test_one_atom_of_a_full_batch_fits_a_block(self):
+        for n_max in range(1, 2001):
+            cells = experiment._batch_cells(n_max)
+            assert cells >= 1 and cells * (n_max + 1) <= experiment._BLOCK_ENTRIES
 
     def test_post_selection_impossible_at_atom_two(self, monkeypatch):
         # From |19>, the first selected atom leaves |20>, the trap, which no
@@ -980,8 +980,7 @@ class TestScratchBuffer:
         monkeypatch.setattr(experiment, "_run_cells", run_cells)
         monkeypatch.setattr(experiment, "_advance", advance)
         monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", 2000)
-        monkeypatch.setattr(experiment, "_BATCH_CELLS", 2)  # batches of two cells
-        monkeypatch.setattr(experiment, "_BATCH_ENTRIES", 0)
+        monkeypatch.setattr(experiment, "_batch_cells", lambda n_max: 2)
         trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
         config = build_run_config(
             scheme=scheme, trap_target=trap, n_atoms=60, **initial, n_max=n_max,
@@ -1223,8 +1222,8 @@ class TestSampledMode:
         assert sampled_success_estimate(cfg, 300) == successes / 300
 
     def test_estimate_builds_one_field_state_per_batch(self, monkeypatch):
-        # Only each batch's initial field is a FieldState: 600 trajectories
-        # of 31 levels run in three batches.
+        # Only each batch's initial field is a FieldState: 2200 trajectories
+        # of 31 levels run in three batches, and fig2a's 40 sweep cells in one.
         built = []
         original = FieldState.__post_init__
 
@@ -1237,8 +1236,11 @@ class TestSampledMode:
             scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=math.pi / 3.0,
             n_max=30, mode="sample", halt_on_failure=False,
         )
-        sampled_success_estimate(cfg, 600)
+        sampled_success_estimate(cfg, 2200)
         assert len(built) == 3
+        built.clear()
+        cells = sweep(replace(cli.preset("fig2a").run, n_atoms=200), [0.1, 1.0], ensemble=20)
+        assert len(cells) == 40 and len(built) == 1
 
     def test_zero_success_probability_booked(self):
         # |5> is the trap: no atom can emit, so each selected outcome has
