@@ -573,7 +573,7 @@ def _run_cells(
 
 
 def _batch_cells(n_max: int) -> int:
-    """How many cells a batch holds at n_max + 1 levels: as many as one atom's fit a block."""
+    """How many cells a batch holds at n_max + 1 levels: one atom of them fits in a block."""
     return max(1, _BLOCK_ENTRIES // (n_max + 1))
 
 
