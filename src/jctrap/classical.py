@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationError
-from .stochastic import TimingModel, derive_stream, int_token, number_token, sample_timing_array
+from .stochastic import (
+    TimingModel,
+    check_seeds,
+    derive_stream,
+    int_token,
+    number_token,
+    sample_timing_array,
+)
 
 # The smallest epsilon whose 2/epsilon and the largest whose epsilon^2 are finite.
 EPSILON_MIN = math.nextafter(2.0 / sys.float_info.max, 1.0)
@@ -108,9 +115,7 @@ class ClassicalConfig:
             raise ConfigError(f"epsilon0: must be {bound}, got {epsilon0}")
         if int_token("steps", self.n_steps) < 0:
             raise ConfigError(f"steps: must be >= 0, got {self.n_steps}")
-        for token, value in (("seed", self.master_seed), ("stream", self.stream_id)):
-            if not isinstance(value, int):
-                raise ConfigError(f"{token}: must be a Python int, got {value!r}")
+        check_seeds(self.master_seed, self.stream_id)
 
 
 def build_classical_config(

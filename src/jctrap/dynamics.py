@@ -293,11 +293,12 @@ def correlated_cm_factors(
         arg[np.abs(arg) < TRAP_SNAP_TOL] = 0.0
         return (np.cos(arg), np.sin(arg)) if failure else (np.cos(arg, out=arg), None)
     thetas = tau * _level_roots(n_max)
-    half = T / 2.0
+    half = np.asarray(T / 2.0)
     # General final phase: success cosA cos(th) - i e^{-i phi} sinA sin(th),
     # orthogonal -e^{i phi} sinA cos(th) - i cosA sin(th).  math.cos per
     # value, since np.cos may differ from it in the last place.
-    cos_a, sin_a = np.vectorize(math.cos)(half), np.vectorize(math.sin)(half)
+    halves = half.ravel().tolist()
+    cos_a, sin_a = (np.reshape([f(x) for x in halves], half.shape) for f in (math.cos, math.sin))
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     success = cos_a * cos_t - 1j * cmath.exp(-1j * phi_f) * sin_a * sin_t
     failure = -cmath.exp(1j * phi_f) * sin_a * cos_t - 1j * cos_a * sin_t if failure else None

@@ -42,7 +42,15 @@ from .fock import (
     fock_basis_state,
     top_level_probability,
 )
-from .stochastic import TimingModel, derive_streams, int_token, number_token, sample_timing
+from .stochastic import (
+    StreamLanes,
+    TimingModel,
+    check_seeds,
+    derive_streams,
+    int_token,
+    number_token,
+    sample_timing,
+)
 
 # The one-state updates and statistics that _advance and _book reproduce row
 # by row, and the one-stream form of derive_streams.  They stay importable here,
@@ -66,6 +74,11 @@ CONVERGENCE_P = 0.9
 # may stop at any atom.  _batch_cells sizes batches by the same bound, so one
 # atom of a full batch fits in a block.
 _BLOCK_ENTRIES = 32768
+
+# A refill of a uniform-law batch's lanes draws ahead to at least this many
+# values in all, spread over the lanes it refills: each call has a fixed
+# cost of tens of microseconds, so a batch of few cells refills rarely.
+_DRAW_AHEAD = 1024
 
 OUTCOME_POSTSELECTED = "postselected"
 OUTCOME_SUCCESS = "sampled_success"
@@ -128,9 +141,7 @@ class RunConfig:
             raise ConfigError(f"atoms: must be >= 0, got {self.n_atoms}")
         if self.mode not in RUN_MODES:
             raise ConfigError(f"mode: must be one of {RUN_MODES}, got {self.mode!r}")
-        for token, value in (("seed", self.master_seed), ("stream", self.stream_id)):
-            if not isinstance(value, int):
-                raise ConfigError(f"{token}: must be a Python int, got {value!r}")
+        check_seeds(self.master_seed, self.stream_id)
         if not isinstance(self.halt_on_failure, bool):
             raise ConfigError(
                 f"halt_on_failure: must be True or False, got {self.halt_on_failure!r}")
@@ -284,6 +295,55 @@ class _LogSum:
         return math.exp(self.total + self.comp)
 
 
+class _Lanes:
+    """A uniform-law batch's streams, drawn ahead: the one rng that all its cells share.
+
+    Per atom, cell i takes per_atom[i] values of lane i: one for tau_k
+    unless its spread is 0 and, when outcomes are sampled, one for u_k.
+    random() hands out the values of the atoms held, in draw order: per
+    atom, then per running cell.  Value q of held atom j of lane i is
+    held[j, i, q].
+    """
+
+    def __init__(self, seeds: tuple[tuple[int, int], ...], per_atom: np.ndarray):
+        self.streams, self.per_atom = StreamLanes(seeds), per_atom
+        self.held = np.empty((0, len(seeds), per_atom.max()))
+        self.dealt, self.running = 0, len(seeds)  # since random() last started over
+        self.random = iter(()).__next__
+
+    def deal(self, cells: list[_Cell], b: int, left: int) -> None:
+        """Have random() hand out the cells' next b atoms' values.
+
+        random() goes on through the atoms held, unless they end before
+        these b or a cell has ended.  Then it starts over on the atoms not
+        yet dealt, for the running cells.  If they are fewer than b, one
+        lane call per value count an atom takes draws the values of b atoms
+        or more, to _DRAW_AHEAD values over all the cells, but of no more
+        than the left atoms of the run.
+        """
+        n, width = len(cells), self.held.shape[2]
+        start, self.dealt = self.dealt, self.dealt + b
+        if not width or (self.dealt <= len(self.held) and n == self.running):
+            return
+        held = self.held[start:]
+        lanes = slice(None) if n == len(self.per_atom) else np.fromiter(
+            (cell.lane for cell in cells), np.intp, n)
+        per_atom = self.per_atom[lanes]
+        if len(held) < b:
+            atoms = min(max(b, -(-_DRAW_AHEAD // (n * width))), left)
+            held = np.concatenate([held, np.empty((atoms, *held.shape[1:]))])
+            running = np.arange(len(self.per_atom))[lanes]
+            for count in set(per_atom.tolist()) - {0}:
+                group = running[per_atom == count]
+                values = self.streams.random(group, atoms * count).reshape(len(group), atoms, count)
+                held[-atoms:, group, :count] = values.transpose(1, 0, 2)
+        values = held[:, lanes]  # (atoms, cells, values)
+        if per_atom.min() < width:  # some cells take fewer values than others
+            values = values[:, per_atom[:, None] > np.arange(width)]
+        self.held, self.dealt, self.running = held, b, n
+        self.random = iter(values.ravel().tolist()).__next__
+
+
 @dataclass(slots=True)
 class _Cell:
     """What one cell of a running batch keeps outside the batch arrays.
@@ -292,7 +352,8 @@ class _Cell:
     """
 
     timing: TimingModel
-    rng: np.random.Generator
+    rng: np.random.Generator | _Lanes
+    lane: int  # the cell's index in its batch
     cum: _LogSum | None = None
     steps: list[StepRecord] | None = None
     failures: int = 0
@@ -337,8 +398,8 @@ def _draws(cells: list[_Cell], b: int, sampled: bool) -> Iterator[float]:
                 yield cell.rng.random()
 
 
-def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
-    """The next b atoms' (times, edge, outcomes), none of which reads a field.
+def _draw_block(run: _Run, cells: list[_Cell], k: int, b: int) -> tuple:
+    """Atoms k + 1 to k + b's (times, edge, outcomes), none of which reads a field.
 
     times is (atoms, cells, (tau_k, T_k[, u_k])) in a one-cell run's draw
     order; edge the top level's sin^2 theta, or None when no outcome emits.
@@ -352,6 +413,8 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
     once and broadcast to (atoms, cells, levels) without a copy.
     """
     config, nsm, sampled = run.config, run.nsm, run.sampled
+    if config.law == "uniform":  # cells[0].rng is the batch's _Lanes
+        cells[0].rng.deal(cells, b, config.n_atoms - k)
     shape = (b, len(cells), config.n_max + 1)
     times = np.fromiter(_draws(cells, b, sampled), float, b * len(cells) * (2 + sampled))
     times = times.reshape(*shape[:2], -1)
@@ -541,9 +604,10 @@ def _run_cells(
 
     Each cell runs run.config with its own timing model and (master_seed,
     stream_id) pair, its field one row of a (cells, levels) array:
-    amplitudes, or populations for NSM.  Per block, _draw_block draws,
-    _advance updates into buffer, the scratch array of the _run_batches
-    call, and _book guards and books.
+    amplitudes, or populations for NSM.  Under the uniform law the cells
+    share one _Lanes as their rng, under the gaussian law each has its own
+    Generator.  Per block, _draw_block draws, _advance updates into buffer,
+    the scratch array of the _run_batches call, and _book guards and books.
     Returns what _run_batches yields for each of the cells.
     """
     config, nsm = run.config, run.nsm
@@ -554,16 +618,21 @@ def _run_cells(
     state = initial.probabilities() if nsm else initial.amplitudes
     state = state[None].repeat(len(cells), axis=0)
     timings, seeds = zip(*cells)
-    streams = zip(timings, derive_streams(seeds))
+    if config.law == "uniform":
+        per_atom = np.array([t.spread != 0.0 for t in timings], dtype=int) + run.sampled
+        rngs = itertools.repeat(_Lanes(seeds, per_atom))
+    else:  # the gaussian law draws normals from numpy's Generator
+        rngs = derive_streams(seeds)
+    streams = zip(timings, rngs, range(len(timings)))
     if run.counting:
-        cells = everyone = [_Cell(t, rng) for t, rng in streams]
+        cells = everyone = [_Cell(t, rng, i) for t, rng, i in streams]
     else:
-        cells = everyone = [_Cell(t, rng, _LogSum(), []) for t, rng in streams]
+        cells = everyone = [_Cell(t, rng, i, _LogSum(), []) for t, rng, i in streams]
     k = 0
     while k < config.n_atoms and cells:
         b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(cells) * (config.n_max + 1)))
         b = min(b, config.n_atoms - k)
-        draw = _draw_block(run, cells, b)
+        draw = _draw_block(run, cells, k, b)
         cells, state = _book(run, k, cells, _advance(run, state, draw, buffer))
         k += b
     rows = state if nsm else np.abs(state) ** 2

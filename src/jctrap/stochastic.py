@@ -8,6 +8,9 @@ law uses the same rms, spread/sqrt(12), resampling non-positive draws.
 
 Streams derive deterministically from (master_seed, stream_id): every
 trajectory, sweep cell and output file is bit-reproducible on one platform.
+A stream is a numpy Generator (derive_streams) or a lane of StreamLanes,
+which computes numpy's PCG64 over arrays of streams: both give the same
+values.
 """
 from __future__ import annotations
 
@@ -71,11 +74,23 @@ class TimingModel:
 
 
 def int_token(token: str, value) -> int:
-    """value as a Python int, such as derive_streams hashes; a ConfigError names token."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{token}: must be an integer, got {value!r}") from None
+    """value as a Python int, such as derive_streams hashes; a ConfigError names token.
+
+    A bool is refused: True is a flag, not a count or a seed of 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{token}: must be an integer, got {value!r}")
+
+
+def check_seeds(master_seed, stream_id) -> None:
+    """A ConfigError on seed or stream unless it is a Python int, and not a bool."""
+    for token, value in (("seed", master_seed), ("stream", stream_id)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{token}: must be a Python int, got {value!r}")
 
 
 def number_token(token: str, value, kind: type = float) -> float | complex:
@@ -173,32 +188,137 @@ def _seed_words(words: np.ndarray):
     return _seed_words_type()(words)
 
 
-def derive_streams(seeds: Sequence[tuple[int, int]]) -> list[np.random.Generator]:
-    """Deterministic PCG64 generators, one per (master_seed, stream_id) pair of ints.
+def _stream_words(seeds: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The PCG64 seed words of each (master_seed, stream_id) pair of ints: (len(seeds), 4) uint64.
 
-    Distinct pairs give independent streams.  Two SplitMix64 rounds mix
-    each pair into a single 64-bit seed: mix(mix(master) XOR
-    mix(stream_id XOR salt)), every value taken modulo 2^64.  The generator
-    is then np.random.default_rng(seed): PCG64 seeded by numpy's
-    SeedSequence(seed), whose entropy-pool hash this computes for the whole
-    batch in one pass of array arithmetic.  Each generator's state equals
-    default_rng's, so the same pair yields the same sample sequence on
-    every platform and run.
+    Two SplitMix64 rounds mix each pair into a single 64-bit seed:
+    mix(mix(master) XOR mix(stream_id XOR salt)), every value taken modulo
+    2^64.  Its words are those that numpy's SeedSequence(seed) generates
+    for PCG64, a hash this computes for the whole batch in one pass of
+    array arithmetic.
     """
-    from numpy.random import PCG64, Generator  # loaded by the first derivation
-
     pairs = np.array(
         [(master & _MASK64, (stream ^ _STREAM_SALT) & _MASK64) for master, stream in seeds],
         dtype=np.uint64,
     )
     h_master, h_stream = _splitmix64(pairs.reshape(-1, 2).T)
-    words = _pcg64_seed_words(_splitmix64(h_master ^ h_stream))
-    return [Generator(PCG64(_seed_words(row))) for row in words]
+    return _pcg64_seed_words(_splitmix64(h_master ^ h_stream))
+
+
+def derive_streams(seeds: Sequence[tuple[int, int]]) -> list[np.random.Generator]:
+    """Deterministic PCG64 generators, one per (master_seed, stream_id) pair of ints.
+
+    Distinct pairs give independent streams.  Each generator is
+    np.random.default_rng(seed) of the pair's mixed seed (see
+    _stream_words): its state equals default_rng's, so the same pair
+    yields the same sample sequence on every platform and run.
+    """
+    from numpy.random import PCG64, Generator  # loaded by the first derivation
+
+    return [Generator(PCG64(_seed_words(row))) for row in _stream_words(seeds)]
 
 
 def derive_stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     """The generator of one pair: derive_streams([(master_seed, stream_id)])[0]."""
     return derive_streams([(master_seed, stream_id)])[0]
+
+
+# PCG64 as numpy runs it (numpy/random/src/pcg64): a 128-bit LCG state s
+# with an odd increment inc, stepped to s * _PCG_MULT + inc before each
+# output.  A 128-bit array is a (high, low) pair of uint64 arrays.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# A lane draw of up to this many values is one jump from the lane's state.
+_JUMPS = 1024
+_LOW32, _32 = np.uint64(_MASK32), np.uint64(32)
+
+
+def _mulhi64(a: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each product a * b of uint64 arrays, a given as its 32-bit halves."""
+    a0, a1 = a
+    b0, b1 = b & _LOW32, b >> _32
+    low, mid = a0 * b0, a1 * b0
+    # At most (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64: the sum does not wrap.
+    cross = (low >> _32) + (mid & _LOW32) + a0 * b1
+    return a1 * b1 + (mid >> _32) + (cross >> _32)
+
+
+def _mul_add128(a: tuple, s: tuple, c: tuple, inc: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a * s + c * inc modulo 2^128.
+
+    a and c are (high, low, low's 32-bit halves) arrays, s and inc (high, low).
+    """
+    (a_hi, a_lo, a_halves), (c_hi, c_lo, c_halves) = a, c
+    (s_hi, s_lo), (i_hi, i_lo) = s, inc
+    lo_s, lo_i = a_lo * s_lo, c_lo * i_lo
+    lo = lo_s + lo_i
+    hi = (_mulhi64(a_halves, s_lo) + a_hi * s_lo + a_lo * s_hi
+          + _mulhi64(c_halves, i_lo) + c_hi * i_lo + c_lo * i_hi)
+    return hi + (lo < lo_s), lo  # the carry out of the low words
+
+
+@functools.cache
+def _jump_table() -> tuple[tuple, tuple]:
+    """For p = 1.._JUMPS steps, the (A_p, C_p) that take state s to A_p s + C_p inc.
+
+    A_p = mult^p and C_p = mult^(p-1) + ... + mult + 1 modulo 2^128, each
+    as (high, low, low's 32-bit halves) arrays over p.  Built on first use.
+    """
+    a, c, rows = 1, 0, []
+    for _ in range(_JUMPS):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        rows.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    a_hi, a_lo, c_hi, c_lo = (np.array(column, dtype=np.uint64) for column in zip(*rows))
+    return ((a_hi, a_lo, (a_lo & _LOW32, a_lo >> _32)),
+            (c_hi, c_lo, (c_lo & _LOW32, c_lo >> _32)))
+
+
+def _jumped(state: tuple, inc: tuple, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states 1..count steps on from each of the states: (lanes, count) (high, low) arrays."""
+    table = _jump_table()
+    a, c = ((hi[:count], lo[:count], (h0[:count], h1[:count])) for hi, lo, (h0, h1) in table)
+    return _mul_add128(a, tuple(w[:, None] for w in state), c, tuple(w[:, None] for w in inc))
+
+
+def _doubles(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Each state's output as Generator.random() gives it: XSL-RR, then (x >> 11) * 2^-53."""
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (x >> np.uint64(11)) * (1.0 / (1 << 53))
+
+
+class StreamLanes:
+    """The PCG64 streams of (master_seed, stream_id) pairs of ints, drawn as arrays.
+
+    Lane i is the stream of seeds[i]: random(lanes, count) gives each of
+    the lanes the next count values that derive_streams(seeds)[i].random()
+    would, bit for bit, and advances those lanes alone.  A draw of up to
+    _JUMPS values is one jump per lane, s_p = A_p s + C_p inc for p =
+    1..count, a fixed number of array operations whatever its shape.
+    """
+
+    def __init__(self, seeds: Sequence[tuple[int, int]]):
+        words = _stream_words(seeds)
+        # numpy's PCG64 takes initstate = (words 0, 1) and initseq = (words
+        # 2, 3), high word first.  From state 0 it steps to inc, adds
+        # initstate and steps once more.
+        seq_hi, seq_lo = words[:, 2], words[:, 3]
+        self.inc = np.stack([(seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63)),
+                             (seq_lo << np.uint64(1)) | np.uint64(1)])
+        lo = self.inc[1] + words[:, 1]
+        start = (self.inc[0] + words[:, 0] + (lo < words[:, 1]), lo)
+        self.state = np.stack([w[:, 0] for w in _jumped(start, self.inc, 1)])
+
+    def random(self, lanes: Sequence[int] | np.ndarray, count: int) -> np.ndarray:
+        """The next count >= 1 values of each lane in lanes: a (len(lanes), count) array."""
+        state, inc = self.state[:, lanes], self.inc[:, lanes]
+        blocks = []
+        for start in range(0, count, _JUMPS):
+            hi, lo = _jumped(state, inc, min(_JUMPS, count - start))
+            blocks.append(_doubles(hi, lo))
+            state = np.stack([hi[:, -1], lo[:, -1]])
+        self.state[:, lanes] = state
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def sample_timing(model: TimingModel, rng: np.random.Generator) -> tuple[float, float]:

@@ -248,6 +248,10 @@ class TestClassicalConfig:
                          id="seed"),
             pytest.param({"stream_id": 1.5}, "stream: must be a Python int, got 1.5",
                          id="stream"),
+            pytest.param({"master_seed": True}, "seed: must be a Python int, got True",
+                         id="seed-bool"),
+            pytest.param({"stream_id": False}, "stream: must be a Python int, got False",
+                         id="stream-bool"),
         ],
     )
     def test_replace_checked_where_made(self, config, bad, message):
@@ -271,3 +275,8 @@ class TestClassicalConfig:
         assert config.n_steps == 5 and type(config.n_steps) is int
         with pytest.raises(ConfigError, match=r"^steps: must be an integer, got 2\.5$"):
             build_classical_config(**kwargs, n_steps=2.5)
+        # A bool is a flag, not a count or a seed.
+        for keyword, token in (("n_steps", "steps"), ("master_seed", "seed"),
+                               ("stream_id", "stream")):
+            with pytest.raises(ConfigError, match=f"^{token}: must be an integer, got True$"):
+                build_classical_config(**{"n_steps": 5, **kwargs, keyword: True})

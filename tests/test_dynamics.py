@@ -322,6 +322,21 @@ class TestCorrelatedCmFactors:
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
+    @pytest.mark.parametrize("phi_f", [0.0, 0.4])
+    def test_times_of_shape_atoms_cells_1_equal_one_pair_rows(self, phi_f):
+        # Each (atom, cell) row of factors from (atoms, cells, 1) times equals,
+        # bit for bit, the factors of its one pair of times.
+        rng = np.random.default_rng(12)
+        taus = rng.uniform(0.2, 1.2, size=(3, 4, 1))
+        ramsey = 2.0 * math.sqrt(22.0) * taus
+        success, failure = correlated_cm_factors(ramsey, taus, 30, phi_f=phi_f)
+        assert success.shape == failure.shape == (3, 4, 31)
+        for j, i in np.ndindex(3, 4):
+            one = correlated_cm_factors(float(ramsey[j, i, 0]), float(taus[j, i, 0]), 30, phi_f)
+            assert success[j, i].tobytes() == one[0].tobytes()
+            assert failure[j, i].tobytes() == one[1].tobytes()
+
+
 class TestPrunedFactors:
     """A factor function asked for some of its parts returns those parts of its
     whole result bit for bit, and None for the parts not asked for."""

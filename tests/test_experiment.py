@@ -152,6 +152,40 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=message):
             replace(build_run_config(**args), **{field: value})
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "keyword, field, token",
+        [
+            pytest.param("n_atoms", "n_atoms", "atoms", id="atoms"),
+            pytest.param("n_max", "n_max", "nmax", id="nmax"),
+            pytest.param("trap_target", "trap_target", "trap", id="trap"),
+            pytest.param("q", "q", "q", id="q"),
+            pytest.param("fock_n", "fock", "fock", id="fock"),
+            pytest.param("master_seed", "master_seed", "seed", id="seed"),
+            pytest.param("stream_id", "stream_id", "stream", id="stream"),
+            pytest.param("ensemble", None, "ensemble", id="ensemble"),
+            pytest.param("trajectories", None, "trajectories", id="trajectories"),
+        ],
+    )
+    def test_bool_count_or_seed_named(self, keyword, field, token, value):
+        # operator.index reads True as 1: sampled_success_estimate(config,
+        # True) would run one trajectory, and n_atoms=True one atom.
+        args = dict(scheme="elastic", trap_target=5, n_atoms=3, fock_n=0, n_max=30)
+        message = f"^{token}: must be an integer, got {value}$"
+        if field is None:
+            entry = {"ensemble": lambda config, n: sweep(config, [0.1], ensemble=n),
+                     "trajectories": sampled_success_estimate}[keyword]
+            with pytest.raises(ConfigError, match=message):
+                entry(build_run_config(**args, mode="sample"), value)
+            return
+        with pytest.raises(ConfigError, match=message):
+            build_run_config(**{**args, keyword: value})
+        # A replace() that bypasses the builder is caught where it is made.
+        seeds = field in ("master_seed", "stream_id")
+        with pytest.raises(ConfigError, match=(
+                f"^{token}: must be a Python int, got {value}$" if seeds else message)):
+            replace(build_run_config(**args), **{field: value})
+
     def test_numpy_integer_counts_give_the_int_config(self):
         args = dict(scheme="elastic", trap_target=20, n_atoms=40, q=1, fock_n=3, n_max=50,
                     spread_mult=0.5, master_seed=4)
@@ -593,6 +627,39 @@ class TestKernel:
         assert blocks > 2
         assert calls == {**dict.fromkeys(calls, 0), factors: blocks}
 
+    @pytest.mark.parametrize("ahead", [1, 1024, 10**6], ids=["ahead-1", "ahead-1024", "ahead-1e6"])
+    @pytest.mark.parametrize("halt", [True, False], ids=["sample-halting", "sample-continuing"])
+    def test_mixed_spread_sampled_sweep_equals_reference(self, monkeypatch, halt, ahead):
+        # One uniform-law batch deals the cells at multiplier 0 one value an
+        # atom (u_k) and those at 0.5 two (tau_k, u_k), from lanes drawn
+        # ahead by every block (ahead 1), now and then, or once for the
+        # whole run (ahead 10^6).  Each cell equals the reference, which
+        # draws through a Generator, bit for bit: a halting cell up to its
+        # first failure, over blocks of one atom.
+        monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", 2048)
+        monkeypatch.setattr(experiment, "_DRAW_AHEAD", ahead)
+        base = build_run_config(
+            scheme="elastic", trap_target=20, n_atoms=60, alpha=3.0, mode="sample",
+            master_seed=41, halt_on_failure=halt,
+        )
+        mults, ensemble, critical = [0.0, 0.5], 3, critical_spread(base.trap_target)
+        configs = [replace(base, spread=mult * critical, stream_id=i * ensemble + j)
+                   for i, mult in enumerate(mults) for j in range(ensemble)]
+        cells = [(config.timing, (config.master_seed, config.stream_id)) for config in configs]
+        results = list(experiment._run_batches(base, cells, "steps"))
+        table = sweep(base, mults, ensemble)
+        lengths = set()
+        for config, result, cell in zip(configs, results, table, strict=True):
+            lengths.add(len(_assert_equals_reference(config, result)))
+            assert cell.n_failures == result.n_failures
+            if cell.error is None:
+                assert (cell.final_p_trap, cell.cum_P) == (
+                    result.final_distribution[base.trap_target], result.final_cum_P)
+            else:
+                assert cell.error == result.terminated_early
+        assert min(lengths) < 60 and max(lengths) > 1 if halt else lengths == {60}
+        assert sum(result.n_failures for result in results) > 0
+
     @pytest.mark.parametrize(
         "scheme, initial, mults, errors",
         [
@@ -868,15 +935,15 @@ class TestBlockSize:
         # passes every `x > limit`.  The cell is that of stream
         # `poisoned_stream`, the last cell of its batch at every batch size.
         # Times fluctuate, so that every atom and cell has its own row of
-        # factors.
-        original_derive, original_rabi = experiment.derive_streams, experiment.rabi_cos_sin
+        # factors.  A uniform-law batch starts by deriving its cells' lanes.
+        original_lanes, original_rabi = experiment.StreamLanes, experiment.rabi_cos_sin
         poisoned_stream = [0]
         drawn = []  # atoms whose factors the poisoned cell's batch has taken, if it runs
         hits = set()  # the parts computed by the calls whose output took the NaN
 
-        def derive_streams(seeds):
+        def stream_lanes(seeds):
             drawn[:] = [0] if seeds[-1][1] == poisoned_stream[0] else []
-            return original_derive(seeds)
+            return original_lanes(seeds)
 
         def poisoned(taus, n_max, cos=True, first=0):
             factors = original_rabi(taus, n_max, cos=cos, first=first)
@@ -890,7 +957,7 @@ class TestBlockSize:
             return factors
 
         monkeypatch.setattr(experiment, "rabi_cos_sin", poisoned)
-        monkeypatch.setattr(experiment, "derive_streams", derive_streams)
+        monkeypatch.setattr(experiment, "StreamLanes", stream_lanes)
         trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
         base = build_run_config(
             scheme=scheme, trap_target=trap, n_atoms=10, **initial, n_max=n_max, master_seed=3,
@@ -908,18 +975,20 @@ class TestBlockSize:
         # At a fixed time one row of factors serves every atom and cell of a
         # block.  A NaN cos in the row of the block that holds atom 5 ends
         # every cell at that block's first atom: 5 in one-atom blocks, 1 when
-        # one block holds the whole run.
-        original_derive, original_draw = experiment.derive_streams, experiment._draw_block
+        # one block holds the whole run.  A uniform-law batch starts by
+        # deriving its cells' lanes.
+        original_lanes, original_draw = experiment.StreamLanes, experiment._draw_block
         original_rabi = experiment.rabi_cos_sin
         block = {}
 
-        def derive_streams(seeds):
+        def stream_lanes(seeds):
             block["end"] = 0  # atoms the batch has drawn
-            return original_derive(seeds)
+            return original_lanes(seeds)
 
-        def draw_block(run, cells, b):
+        def draw_block(run, cells, k, b):
             block["start"], block["end"] = block["end"] + 1, block["end"] + b
-            return original_draw(run, cells, b)
+            assert k + 1 == block["start"]
+            return original_draw(run, cells, k, b)
 
         def poisoned(taus, n_max, **parts):
             factors = original_rabi(taus, n_max, **parts)
@@ -930,7 +999,7 @@ class TestBlockSize:
                 block["poisoned"] = block["start"]
             return factors
 
-        monkeypatch.setattr(experiment, "derive_streams", derive_streams)
+        monkeypatch.setattr(experiment, "StreamLanes", stream_lanes)
         monkeypatch.setattr(experiment, "_draw_block", draw_block)
         monkeypatch.setattr(experiment, "rabi_cos_sin", poisoned)
         trap, initial, n_max = REFERENCE_SCENARIOS["nsm"]
@@ -1001,23 +1070,31 @@ class TestScratchBuffer:
 
 class TestSeedPairs:
     def test_kernel_derives_streams_from_int_pairs(self, monkeypatch):
-        # Runs, sweeps and sampled estimates hand derive_streams pairs of
-        # Python ints, as the stream contract hashes them.
-        seen = []
-        original = experiment.derive_streams
+        # Runs, sweeps and sampled estimates hand the stream derivation of
+        # their law pairs of Python ints, as the stream contract hashes them:
+        # StreamLanes under the uniform law, derive_streams under the gaussian.
+        for law, hook, other in [("uniform", "StreamLanes", "derive_streams"),
+                                 ("gaussian", "derive_streams", "StreamLanes")]:
+            seen = []
+            original = getattr(experiment, hook)
 
-        def derive_streams(seeds):
-            seen.extend(seeds)
-            return original(seeds)
+            def derive(seeds, original=original, seen=seen):
+                seen.extend(seeds)
+                return original(seeds)
 
-        monkeypatch.setattr(experiment, "derive_streams", derive_streams)
-        config = fig3cd_config(n_atoms=3, stream=5, mode="sample")
-        sampled_success_estimate(config, 4)
-        sweep(config, [0.0, 0.1], ensemble=2)
-        run_sequence(config)
-        assert seen == [(7, 5), (7, 6), (7, 7), (7, 8), (7, 0), (7, 1), (7, 2), (7, 3), (7, 5)]
-        assert {type(seed) for seed in seen} == {tuple}
-        assert {tuple(map(type, seed)) for seed in seen} == {(int, int)}
+            def unused(seeds, law=law):
+                raise AssertionError(f"a {law}-law batch derived its streams through another hook")
+
+            monkeypatch.setattr(experiment, hook, derive)
+            monkeypatch.setattr(experiment, other, unused)
+            config = replace(fig3cd_config(n_atoms=3, stream=5, mode="sample"), law=law)
+            sampled_success_estimate(config, 4)
+            sweep(config, [0.0, 0.1], ensemble=2)
+            run_sequence(config)
+            assert seen == [(7, 5), (7, 6), (7, 7), (7, 8), (7, 0), (7, 1), (7, 2), (7, 3), (7, 5)]
+            assert {type(seed) for seed in seen} == {tuple}
+            assert {tuple(map(type, seed)) for seed in seen} == {(int, int)}
+            monkeypatch.undo()
 
     def test_numpy_integer_seeds_give_the_int_streams(self):
         plain = fig3cd_config(n_atoms=30, stream=5)
@@ -1172,6 +1249,15 @@ class TestSampledMode:
         )
         with pytest.raises(ConfigError, match=r"^trajectories: must be >= 1, got 0$"):
             sampled_success_estimate(cfg, 0)
+
+    def test_gaussian_halting_estimate_keeps_its_fraction(self):
+        # The gaussian law draws through numpy's Generators, not lanes: 1242
+        # of 2000 halting trajectories succeed, as before lanes were added.
+        cfg = build_run_config(
+            scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=0.3, spread_frac=0.5,
+            law="gaussian", n_max=30, mode="sample", master_seed=808,
+        )
+        assert sampled_success_estimate(cfg, 2000) == 1242 / 2000
 
     def test_estimator_raises_the_first_trajectory_error(self):
         # Every trajectory leaks out of the 42-level basis, each at its own

@@ -9,13 +9,36 @@ import pytest
 from jctrap.dynamics import critical_spread, trapping_time
 from jctrap.errors import ConfigError
 from jctrap.stochastic import (
+    _JUMPS,
     _STREAM_SALT,
+    StreamLanes,
     TimingModel,
     derive_stream,
     derive_streams,
+    int_token,
     sample_timing,
     sample_timing_array,
 )
+
+# Pairs at the edges of the stream contract: negative seeds, seeds of 2^63
+# and above, both words at 2^64 - 1, and a stream id equal to the salt.
+EDGE_PAIRS = [
+    (0, 0), (-5, 0), (-1, -1), (2**70, 123),
+    (2**64 - 1, 2**64 - 1), (2**64, 2**65 + 3), (7, _STREAM_SALT),
+    (-(2**63), 2**63), (2**64 - 1, 2**63),
+]
+
+# Recorded first draws of three streams: they change if numpy's seeding or
+# PCG64 ever does.
+KNOWN_ANSWERS = [
+    ((0, 0),
+     ["0x1.701f6ab1b92dcp-3", "0x1.2c4e71eeb0f9dp-1", "0x1.cff75129c9caep-2"]),
+    ((808, 19999),
+     ["0x1.af8e4935af67ep-2", "0x1.9f807c4072c24p-2", "0x1.cf50bbd3eab5bp-1"]),
+    ((2**70, 123),
+     ["0x1.2367b816cc54fp-1", "0x1.09677323376abp-1", "0x1.077d031613a64p-2"]),
+]
+KNOWN_ANSWER_IDS = ["0-0", "808-19999", "2e70-123"]
 
 
 class TestTimingModel:
@@ -150,12 +173,7 @@ class TestDeriveStream:
 
     def test_streams_equal_reference_contract(self):
         draw = random.Random(20261018)
-        edges = [
-            (0, 0), (-5, 0), (-1, -1), (2**70, 123),
-            (2**64 - 1, 2**64 - 1), (2**64, 2**65 + 3), (7, _STREAM_SALT),
-            (-(2**63), 2**63),
-        ]
-        pairs = edges + [
+        pairs = EDGE_PAIRS[:8] + [
             (draw.randrange(-(2**63), 2**63), draw.randrange(-(2**63), 2**63))
             for _ in range(1000)
         ]
@@ -173,22 +191,76 @@ class TestDeriveStream:
         assert again.bit_generator.state == rng.bit_generator.state
         assert again.random() == rng.random()
 
-    @pytest.mark.parametrize(
-        "seed, draws",
-        [
-            ((0, 0),
-             ["0x1.701f6ab1b92dcp-3", "0x1.2c4e71eeb0f9dp-1", "0x1.cff75129c9caep-2"]),
-            ((808, 19999),
-             ["0x1.af8e4935af67ep-2", "0x1.9f807c4072c24p-2", "0x1.cf50bbd3eab5bp-1"]),
-            ((2**70, 123),
-             ["0x1.2367b816cc54fp-1", "0x1.09677323376abp-1", "0x1.077d031613a64p-2"]),
-        ],
-        ids=["0-0", "808-19999", "2e70-123"],
-    )
+    @pytest.mark.parametrize("seed, draws", KNOWN_ANSWERS, ids=KNOWN_ANSWER_IDS)
     def test_known_answers(self, seed, draws):
         # Recorded draws: they change if numpy's seeding or PCG64 ever does.
         rng = derive_stream(*seed)
         assert [float.hex(rng.random()) for _ in range(3)] == draws
+
+
+class TestStreamLanes:
+    """Lane i of StreamLanes(seeds) is the stream of seeds[i], draw for draw."""
+
+    @staticmethod
+    def generators(pairs):
+        """default_rng of each pair's mixed seed, as TestDeriveStream's reference writes it."""
+        return [TestDeriveStream.reference_stream(*pair) for pair in pairs]
+
+    def test_lanes_equal_default_rng(self):
+        # 10^4 pairs, drawn first 5 values at once and then 1 and 3 more.
+        draw = random.Random(20261020)
+        pairs = EDGE_PAIRS + [
+            (draw.randrange(-(2**64), 2**65), draw.randrange(-(2**64), 2**65))
+            for _ in range(10_000 - len(EDGE_PAIRS))
+        ]
+        lanes, every = StreamLanes(pairs), np.arange(len(pairs))
+        drawn = np.hstack([lanes.random(every, 5), lanes.random(every, 1), lanes.random(every, 3)])
+        expected = np.array([rng.random(9) for rng in self.generators(pairs)])
+        assert drawn.tobytes() == expected.tobytes()
+
+    def test_draws_past_the_jump_table(self):
+        # A draw of more values than the table holds chains its jumps.
+        lanes = StreamLanes(EDGE_PAIRS)
+        count = 2 * _JUMPS + 37
+        drawn = lanes.random(np.arange(len(EDGE_PAIRS)), count)
+        assert drawn.shape == (len(EDGE_PAIRS), count)
+        expected = np.array([rng.random(count) for rng in self.generators(EDGE_PAIRS)])
+        assert drawn.tobytes() == expected.tobytes()
+
+    def test_subsets_advance_by_their_own_counts(self):
+        # Each call advances the lanes it names, by its count, and no other.
+        draw = random.Random(7)
+        pairs = EDGE_PAIRS + [(draw.randrange(2**64), t) for t in range(40)]
+        lanes, generators = StreamLanes(pairs), self.generators(pairs)
+        for count in (1, 3, _JUMPS, 2, _JUMPS + 1, 5, 1):
+            subset = sorted(draw.sample(range(len(pairs)), draw.randrange(1, len(pairs))))
+            drawn = lanes.random(np.array(subset), count)
+            expected = np.array([generators[i].random(count) for i in subset])
+            assert drawn.tobytes() == expected.tobytes()
+        rest = np.arange(len(pairs))
+        assert lanes.random(rest, 4).tobytes() == np.array(
+            [rng.random(4) for rng in generators]).tobytes()
+
+    @pytest.mark.parametrize("seed, draws", KNOWN_ANSWERS, ids=KNOWN_ANSWER_IDS)
+    def test_known_answers(self, seed, draws):
+        # The recorded draws, from a lane among others, in one draw and one at a time.
+        lanes = StreamLanes([(1, 2), seed, (3, 4)])
+        assert [float.hex(x) for x in lanes.random([1], 3)[0]] == draws
+        again = StreamLanes([seed])
+        assert [float.hex(again.random([0], 1)[0, 0]) for _ in range(3)] == draws
+
+
+class TestIntToken:
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_refused(self, value):
+        # True is a flag, not a count of 1: operator.index would read it as one.
+        with pytest.raises(ConfigError, match=f"^atoms: must be an integer, got {value}$"):
+            int_token("atoms", value)
+
+    def test_integers_read_as_python_ints(self):
+        assert [int_token("seed", v) for v in (3, np.int64(-4), np.uint64(2**63))] == [
+            3, -4, 2**63]
+        assert {type(int_token("seed", v)) for v in (3, np.int64(3))} == {int}
 
 
 class TestEmpiricalMoments:
