@@ -127,7 +127,7 @@ class RunConfig:
             raise ConfigError(f"scheme: unknown scheme {self.scheme!r}")
         if (self.alpha is None) == (self.fock is None):
             raise ConfigError("alpha/fock: set exactly one initial field (--alpha or --fock)")
-        alpha = number_token("alpha", self.alpha or 0j, complex)
+        alpha = number_token("alpha", 0j if self.alpha is None else self.alpha, complex)
         for token, value in (("alpha", alpha if alpha.imag else alpha.real),
                              ("phi_f_rad", number_token("phi_f_rad", self.phi_f))):
             if not cmath.isfinite(value):
@@ -300,47 +300,39 @@ class _Lanes:
 
     Per atom, cell i takes per_atom[i] values of lane i: one for tau_k
     unless its spread is 0 and, when outcomes are sampled, one for u_k.
-    random() hands out the values of the atoms held, in draw order: per
-    atom, then per running cell.  Value q of held atom j of lane i is
-    held[j, i, q].
+    Value q of lane i's j-th atom not yet dealt is held[j, i, q].
     """
 
     def __init__(self, seeds: tuple[tuple[int, int], ...], per_atom: np.ndarray):
         self.streams, self.per_atom = StreamLanes(seeds), per_atom
         self.held = np.empty((0, len(seeds), per_atom.max()))
-        self.dealt, self.running = 0, len(seeds)  # since random() last started over
         self.random = iter(()).__next__
 
-    def deal(self, cells: list[_Cell], b: int, left: int) -> None:
-        """Have random() hand out the cells' next b atoms' values.
+    def deal(self, cells: list[_Cell], b: int) -> None:
+        """Have random() hand out the cells' next b atoms' values, per atom, then per cell.
 
-        random() goes on through the atoms held, unless they end before
-        these b or a cell has ended.  Then it starts over on the atoms not
-        yet dealt, for the running cells.  If they are fewer than b, one
-        lane call per value count an atom takes draws the values of b atoms
-        or more, to _DRAW_AHEAD values over all the cells, but of no more
-        than the left atoms of the run.
+        If fewer than b atoms are held, one lane call per value count an
+        atom takes first draws b atoms or more for the cells, to
+        _DRAW_AHEAD values over them all.
         """
         n, width = len(cells), self.held.shape[2]
-        start, self.dealt = self.dealt, self.dealt + b
-        if not width or (self.dealt <= len(self.held) and n == self.running):
+        if not width:
             return
-        held = self.held[start:]
         lanes = slice(None) if n == len(self.per_atom) else np.fromiter(
             (cell.lane for cell in cells), np.intp, n)
-        per_atom = self.per_atom[lanes]
+        per_atom, held = self.per_atom[lanes], self.held
         if len(held) < b:
-            atoms = min(max(b, -(-_DRAW_AHEAD // (n * width))), left)
+            atoms = max(b, -(-_DRAW_AHEAD // (n * width)))
             held = np.concatenate([held, np.empty((atoms, *held.shape[1:]))])
             running = np.arange(len(self.per_atom))[lanes]
             for count in set(per_atom.tolist()) - {0}:
                 group = running[per_atom == count]
                 values = self.streams.random(group, atoms * count).reshape(len(group), atoms, count)
                 held[-atoms:, group, :count] = values.transpose(1, 0, 2)
-        values = held[:, lanes]  # (atoms, cells, values)
+        values = held[:b, lanes]  # (atoms, cells, values)
         if per_atom.min() < width:  # some cells take fewer values than others
             values = values[:, per_atom[:, None] > np.arange(width)]
-        self.held, self.dealt, self.running = held, b, n
+        self.held = held[b:]
         self.random = iter(values.ravel().tolist()).__next__
 
 
@@ -398,8 +390,8 @@ def _draws(cells: list[_Cell], b: int, sampled: bool) -> Iterator[float]:
                 yield cell.rng.random()
 
 
-def _draw_block(run: _Run, cells: list[_Cell], k: int, b: int) -> tuple:
-    """Atoms k + 1 to k + b's (times, edge, outcomes), none of which reads a field.
+def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
+    """The next b atoms' (times, edge, outcomes), none of which reads a field.
 
     times is (atoms, cells, (tau_k, T_k[, u_k])) in a one-cell run's draw
     order; edge the top level's sin^2 theta, or None when no outcome emits.
@@ -414,7 +406,7 @@ def _draw_block(run: _Run, cells: list[_Cell], k: int, b: int) -> tuple:
     """
     config, nsm, sampled = run.config, run.nsm, run.sampled
     if config.law == "uniform":  # cells[0].rng is the batch's _Lanes
-        cells[0].rng.deal(cells, b, config.n_atoms - k)
+        cells[0].rng.deal(cells, b)
     shape = (b, len(cells), config.n_max + 1)
     times = np.fromiter(_draws(cells, b, sampled), float, b * len(cells) * (2 + sampled))
     times = times.reshape(*shape[:2], -1)
@@ -632,7 +624,7 @@ def _run_cells(
     while k < config.n_atoms and cells:
         b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(cells) * (config.n_max + 1)))
         b = min(b, config.n_atoms - k)
-        draw = _draw_block(run, cells, k, b)
+        draw = _draw_block(run, cells, b)
         cells, state = _book(run, k, cells, _advance(run, state, draw, buffer))
         k += b
     rows = state if nsm else np.abs(state) ** 2
@@ -675,7 +667,7 @@ def _run_batches(
         yield from _run_cells(run, batch, buffer)
 
 
-def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
+def run_sequence(config: RunConfig) -> RunResult:
     """Run one sequence of config.n_atoms atoms through the scheme.
 
     Mode `postselect` applies the desired projection at every step and
@@ -686,9 +678,8 @@ def run_sequence(config: RunConfig, collect_steps: bool = True) -> RunResult:
     levels exceed the 1e-8 guard aborts the same way.  This is the
     one-cell case of the kernel that `sweep` runs its cells through.
     """
-    collect = "steps" if collect_steps else "results"
     seed = (config.master_seed, config.stream_id)
-    (result,) = _run_batches(config, [(config.timing, seed)], collect)
+    (result,) = _run_batches(config, [(config.timing, seed)], "steps")
     if isinstance(result, SimulationError):
         raise result
     return result

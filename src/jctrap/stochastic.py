@@ -94,8 +94,12 @@ def check_seeds(master_seed, stream_id) -> None:
 
 
 def number_token(token: str, value, kind: type = float) -> float | complex:
-    """value as a float (for kind complex, any number as a complex), else a ConfigError on token."""
-    if isinstance(value, numbers.Real if kind is float else numbers.Complex):
+    """value as a float (for kind complex, any number as a complex), else a ConfigError on token.
+
+    A bool is refused, as int_token refuses it.
+    """
+    numeric = numbers.Real if kind is float else numbers.Complex
+    if isinstance(value, numeric) and not isinstance(value, bool):
         return kind(value)
     raise ConfigError(f"{token}: must be a {'real ' * (kind is float)}number, got {value!r}")
 
@@ -310,15 +314,15 @@ class StreamLanes:
         self.state = np.stack([w[:, 0] for w in _jumped(start, self.inc, 1)])
 
     def random(self, lanes: Sequence[int] | np.ndarray, count: int) -> np.ndarray:
-        """The next count >= 1 values of each lane in lanes: a (len(lanes), count) array."""
+        """The next count >= 0 values of each lane in lanes: a (len(lanes), count) array."""
         state, inc = self.state[:, lanes], self.inc[:, lanes]
-        blocks = []
+        blocks = [np.empty((state.shape[1], 0))]  # a draw of no values
         for start in range(0, count, _JUMPS):
             hi, lo = _jumped(state, inc, min(_JUMPS, count - start))
             blocks.append(_doubles(hi, lo))
             state = np.stack([hi[:, -1], lo[:, -1]])
         self.state[:, lanes] = state
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        return blocks[-1] if len(blocks) <= 2 else np.concatenate(blocks, axis=1)
 
 
 def sample_timing(model: TimingModel, rng: np.random.Generator) -> tuple[float, float]:

@@ -45,7 +45,7 @@ def test_criterion_1_fig4_trap_convergence():
     base = preset("fig4").run
     good = 0
     for stream in range(20):
-        result = run_sequence(_seeded(base, stream), collect_steps=False)
+        result = run_sequence(_seeded(base, stream))
         _, delta_n = distribution_stats(result.final_distribution)
         if result.final_distribution[21] > 0.99 and delta_n < 0.1:
             good += 1
@@ -59,7 +59,7 @@ def test_criterion_1_fig4_trap_convergence():
 def test_criterion_2_success_probability_at_110():
     base = replace(preset("fig4").run, n_atoms=110)
     cums = [
-        run_sequence(_seeded(base, stream), collect_steps=False).final_cum_P
+        run_sequence(_seeded(base, stream)).final_cum_P
         for stream in range(20)
     ]
     median = float(np.median(cums))

@@ -268,6 +268,9 @@ class TestClassicalConfig:
         kwargs = {"epsilon0": 6.0, "n_steps": 10, "tau_bar": GTAU_199, keyword: "0.4"}
         with pytest.raises(ConfigError, match=rf"^{token}: must be a real number, got '0\.4'$"):
             build_classical_config(**kwargs)
+        # A bool is a flag, not a number of 1.
+        with pytest.raises(ConfigError, match=rf"^{token}: must be a real number, got True$"):
+            build_classical_config(**{**kwargs, keyword: True})
 
     def test_builder_reads_steps_as_int(self):
         kwargs = dict(epsilon0=6.0, tau_bar=GTAU_199)

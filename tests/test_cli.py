@@ -1514,10 +1514,12 @@ class TestImport:
         exec("from jctrap import *", namespace)
         assert sorted(set(namespace) - {"__builtins__"}) == sorted(jctrap.__all__)
 
-    def test_import_builds_no_parser(self):
-        # The parser is built on the first main call, once per process.
+    @pytest.mark.parametrize("cached", ["cli._build_parser", "stochastic._jump_table"])
+    def test_import_builds_no_parser(self, cached):
+        # The parser is built on the first main call and the lanes' jump
+        # table on the first lane draw, each once per process.
         env = {**os.environ, "PYTHONPATH": str(Path(jctrap.__file__).parents[1])}
-        code = "import jctrap.cli; print(jctrap.cli._build_parser.cache_info().currsize)"
+        code = f"import jctrap.cli; print(jctrap.{cached}.cache_info().currsize)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "0"

@@ -213,11 +213,20 @@ class TestBuildConfig:
             ({"alpha": complex(math.nan)}, "alpha: must be finite, got nan"),
             ({"phi_f": "0.4"}, "phi_f_rad: must be a real number, got '0.4'"),
             ({"alpha": "3"}, "alpha: must be a number, got '3'"),
+            ({"phi_f": True}, "phi_f_rad: must be a real number, got True"),
+            ({"alpha": False}, "alpha: must be a number, got False"),
         ):
             with pytest.raises(ConfigError, match=message):
                 replace(cfg, **bad)
+        # A bool is a flag, not a number of 1, where the builder reads one too.
+        kwargs = dict(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0)
+        for keyword, message in (("tau_bar", "tau_bar_in_inv_g: must be a real number"),
+                                 ("spread_mult", "spread_mult: must be a real number"),
+                                 ("alpha", "alpha: must be a number")):
+            with pytest.raises(ConfigError, match=f"^{message}, got True$"):
+                build_run_config(**{**kwargs, keyword: True})
         # A TimingModel refuses the value before any config can hold it.
-        elastic = build_run_config(scheme="elastic", trap_target=20, n_atoms=1, alpha=3.0)
+        elastic = build_run_config(**kwargs)
         with pytest.raises(ConfigError, match="ramsey_ratio: must be finite, got nan"):
             replace(elastic.timing, ramsey_ratio=math.nan)
         with pytest.raises(ConfigError, match="tau_bar_in_inv_g: must be a real number, got '1'"):
@@ -394,7 +403,7 @@ class TestRunSequenceBasics:
             law="gaussian",
             master_seed=7,
         )
-        result = run_sequence(cfg, collect_steps=False)
+        result = run_sequence(cfg)
         assert result.final_distribution[21] > 0.9
 
     def test_general_final_phase_driver(self):
@@ -783,7 +792,7 @@ class TestBlockSize:
         errors = {}
         for t in range(12):
             try:
-                run_sequence(replace(cfg, master_seed=0, stream_id=t), collect_steps=False)
+                run_sequence(replace(cfg, master_seed=0, stream_id=t))
             except LeakageError as exc:
                 errors[t] = str(exc)
         assert list(errors) == [7, 11] and errors[7] != errors[11]
@@ -815,7 +824,7 @@ class TestBlockSize:
         for index, mult in enumerate([0.0, 0.0, 0.1, 0.1]):
             config = replace(base, spread=mult * critical_spread(trap), master_seed=13,
                              stream_id=index)
-            result = run_sequence(config, collect_steps=False)
+            result = run_sequence(config)
             values = (result.final_distribution[trap], result.final_cum_P)
             if result.terminated_early is not None:  # a failed cell, with nan values
                 values = (math.nan, math.nan)
@@ -985,10 +994,9 @@ class TestBlockSize:
             block["end"] = 0  # atoms the batch has drawn
             return original_lanes(seeds)
 
-        def draw_block(run, cells, k, b):
+        def draw_block(run, cells, b):
             block["start"], block["end"] = block["end"] + 1, block["end"] + b
-            assert k + 1 == block["start"]
-            return original_draw(run, cells, k, b)
+            return original_draw(run, cells, b)
 
         def poisoned(taus, n_max, **parts):
             factors = original_rabi(taus, n_max, **parts)
@@ -1284,7 +1292,7 @@ class TestSampledMode:
         errors = {}
         for t in range(12):
             try:
-                run_sequence(replace(cfg, master_seed=0, stream_id=t), collect_steps=False)
+                run_sequence(replace(cfg, master_seed=0, stream_id=t))
             except LeakageError as exc:
                 errors[t] = str(exc)
         assert list(errors) == [4, 10] and errors[4] != errors[10]
@@ -1399,7 +1407,7 @@ class TestSweep:
             for cell in table:
                 try:
                     config = replace(base, spread=cell.multiplier * spread, stream_id=cell.cell)
-                    direct = run_sequence(config, collect_steps=False)
+                    direct = run_sequence(config)
                 except (SimulationError, ConfigError) as exc:
                     seen.add(type(exc).__name__)
                     assert cell.error == str(exc)
@@ -1423,7 +1431,7 @@ class TestSweep:
                                 spread_mult=0.1, mode="sample", master_seed=22)
         table = sweep(base, [0.1], ensemble=5)
         for cell in table:
-            direct = run_sequence(replace(base, stream_id=cell.cell), collect_steps=False)
+            direct = run_sequence(replace(base, stream_id=cell.cell))
             assert cell.error == direct.terminated_early
             assert math.isnan(cell.cum_P) == (cell.error is not None)
         assert any(c.error is None for c in table)

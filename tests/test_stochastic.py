@@ -241,6 +241,15 @@ class TestStreamLanes:
         assert lanes.random(rest, 4).tobytes() == np.array(
             [rng.random(4) for rng in generators]).tobytes()
 
+    def test_no_values_leave_the_lanes_unmoved(self):
+        # As Generator.random(0), a draw of 0 values is an empty array.
+        lanes, generators = StreamLanes(EDGE_PAIRS), self.generators(EDGE_PAIRS)
+        every = np.arange(len(EDGE_PAIRS))
+        assert lanes.random(every, 0).shape == (len(EDGE_PAIRS), 0)
+        assert lanes.random(every[1:3], 0).shape == (2, 0)
+        assert lanes.random(every, 2).tobytes() == np.array(
+            [rng.random(2) for rng in generators]).tobytes()
+
     @pytest.mark.parametrize("seed, draws", KNOWN_ANSWERS, ids=KNOWN_ANSWER_IDS)
     def test_known_answers(self, seed, draws):
         # The recorded draws, from a lane among others, in one draw and one at a time.
