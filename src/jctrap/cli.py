@@ -101,10 +101,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_mults(text: str) -> list[float]:
-    mults = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    if not mults:
-        raise ConfigError("spread_mults: at least one multiplier required")
-    return mults
+    items = [tok.strip() for tok in text.split(",")]
+    if not all(items):
+        why = f"empty multiplier in {text!r}" if any(items) else "at least one multiplier required"
+        raise ConfigError(f"spread_mults: {why}")
+    return [float(tok) for tok in items]
 
 
 # What a parser expects, for the error when a token does not parse.
@@ -319,56 +320,144 @@ def preset(name: str) -> ParsedConfig:
 
 
 # ---------------------------------------------------------------------------
-# Output writing, the only code that opens or hashes a file.  Each CSV row is
-# one bytes `%` of a row format such as `b"%d,%.17g\n"`, so every real is
-# written as `format(x, ".17g")` would write it.  Rows go out in blocks of at
-# most BLOCK_ROWS, which bounds the memory a long file costs, and every block
-# goes both to the file and into its sha256, so no digest reads a file back.
+# Output writing, the only code that opens or hashes a file.  Each block of
+# BLOCK_ROWS rows (2048 classical rows are 130 kB) is one uint8 matrix, a field
+# per column and a separator after each, and a keep mask; its kept bytes are
+# the rows, which go to the file and into its sha256 at once.  Numbers are
+# written as `b"%.17g" % x` (so integers below 2^53 as `%d`): the 17 digits
+# N = round(|x| 10^(16-E)) are exact from Dekker's error-free product, and
+# masks place the point and drop trailing zeros.  What %.17g writes with an
+# exponent (E < -4 or E > 16), +-0, inf and nan is formatted one by one.
+BLOCK_ROWS = 2048
+_WIDTH = 24  # bytes per number: "-1.2345678901234567e-308" is the longest %.17g
 
-# Rows per written block: 1024 rows of the classical CSV are about 70 kB.
-BLOCK_ROWS = 1024
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split a = hi + lo, each half with at most 26 significant bits."""
+    hi = a * 134217729.0 - (a * 134217729.0 - a)  # 2^27 + 1
+    return hi, a - hi
 
 
-def write_csv(path, header: bytes, row_format: bytes, rows: Iterable[tuple]) -> str:
-    """Write `header`, then `row_format % row` for each row; return the sha256 hex digest."""
+@functools.cache
+def _format_tables():
+    """Lookup tables for _real_chars, built at the first write, not at import."""
+    # Each 4-digit group's ASCII as a uint32 and its trailing zeros.
+    group, scale = np.arange(10**4, dtype=np.uint16)[:, None], np.uint16([10**4, 1000, 100, 10])
+    digits = (group % scale // (scale // np.uint16(10))).astype(np.uint8)
+    groups = (digits + np.uint8(ord("0"))).view(np.uint32).ravel()
+    zeros = (group % scale == 0).sum(axis=1, dtype=np.uint8)
+    powers = np.array([float(10**p) for p in range(22)])  # exact doubles
+    # Per units-digit column c = E + 4 (E = -5..17), field byte j is the sign,
+    # then `0000` and N's digits, moved a byte right after column c for the point.
+    j, c = np.arange(_WIDTH), np.arange(-1, 22)[:, None]
+    place = np.stack([np.where((j == 0) | (j <= c + 1), 0xFF, 0), np.where(j > c + 2, 0xFF, 0),
+                      np.where(j == c + 2, ord("."), 0)]).astype(np.uint8).view(np.uint64)
+    # Kept per last nonzero digit column t: from min(c, 4) to c, or t if t > c.
+    t, c = np.arange(21)[:, None], c[:, :, None]
+    keep = (j > np.minimum(c, 4)) & (j <= np.where(t <= c, c + 1, t + 2))
+    return groups, zeros, powers, _split(powers), place, keep.view(np.uint64).reshape(-1, 3)
+
+
+def _real_chars(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float64 of x as `b"%.17g" % x`: a (len(x), _WIDTH) uint8 matrix and its keep mask."""
+    groups, zeros, powers, (power_hi, power_lo), place, keeps = _format_tables()
+    fixed = (np.abs(x) >= 1e-5) & (np.abs(x) < 1e17)  # the rest, and E = -5 or 17, are slow
+    mag = np.where(fixed, np.abs(x), 1.0)
+    mag_hi, mag_lo = _split(mag)
+    e = np.clip(np.floor(np.log10(mag)), -5, 16).astype(np.intp)  # may be off by one
+    step = np.ones(1, np.intp)
+    while step.any():  # hi + lo = mag 10^(16-E) exactly; until 10^16 <= hi + lo < 10^17
+        p = 16 - e
+        hi = mag * powers[p]
+        lo = ((mag_hi * power_hi[p] - hi) + mag_hi * power_lo[p] + mag_lo * power_hi[p]
+              + mag_lo * power_lo[p])
+        step = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
+        step -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        e += step
+    # hi is an even integer, so rounding lo half to even rounds hi + lo so.
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = n == 10**17  # rounded up to 10^17: N = 10^16 at E + 1
+    n[carry], e = 10**16, e + carry
+    top, lead = n // 10**8, n // 10**16
+    halves = np.stack([top - lead * 10**8, n - top * 10**8], axis=1)  # digits 1-8, 9-16
+    high = halves // 10**4
+    quarters = np.stack([high, halves - high * 10**4], axis=2)
+    digits = groups.take(quarters).reshape(len(x), 4).view(np.uint64)
+    field = np.empty((len(x), 3), np.uint64)  # bytes `-0000`, then N's digits
+    field[:, 0] = (np.uint64(0x303030302D) | ((lead + ord("0")).astype(np.uint64) << np.uint64(40))
+                   | (digits[:, 0] << np.uint64(48)))
+    field[:, 1] = (digits[:, 0] >> np.uint64(16)) | (digits[:, 1] << np.uint64(48))
+    field[:, 2] = digits[:, 1] >> np.uint64(16)
+    z = np.where(quarters[..., 1] != 0, zeros[quarters[..., 1]], 4 + zeros[quarters[..., 0]])
+    trailing = np.where(halves[:, 1] != 0, z[:, 1], 8 + z[:, 0])
+    c = e + 5  # the table row of units-digit column e + 4
+    moved = field << np.uint64(8)  # every byte one to the right
+    moved.ravel()[1:] |= field.ravel()[:-1] >> np.uint64(56)
+    field &= place[0].take(c, axis=0)
+    field |= moved & place[1].take(c, axis=0)
+    field |= place[2].take(c, axis=0)
+    keep = keeps.take(c * 21 + 20 - trailing, axis=0).view(bool)  # t = 20 - trailing
+    keep[:, 0] = np.signbit(x)
+    chars, slow = field.view(np.uint8), ~fixed | (e < -4) | (e > 16)
+    if slow.any():
+        text = np.array([b"%.17g" % v for v in x[slow].tolist()], dtype=f"S{_WIDTH}")
+        chars[slow] = text.view(np.uint8).reshape(-1, _WIDTH)
+        keep[slow] = chars[slow] != 0
+    return chars, keep
+
+
+def _csv_rows(columns: list[np.ndarray]) -> np.ndarray:
+    """The CSV rows of equal-length columns, each ending in a newline, as uint8 bytes."""
+    chars, keep = [], []
+    for column in columns:
+        if column.dtype.kind == "S":  # written as it is
+            field = column.view(np.uint8).reshape(len(column), -1)
+            field = field, field != 0
+        else:
+            field = _real_chars(column.astype(np.float64, copy=False))
+        chars += [field[0], np.full((len(column), 1), ord(","), np.uint8)]
+        keep += [field[1], np.ones((len(column), 1), bool)]
+    chars[-1][:] = ord("\n")
+    # Each list is dropped as its matrix is made, which bounds a block's memory.
+    chars = np.concatenate(chars, axis=1)
+    keep = np.concatenate(keep, axis=1)
+    return chars[keep]
+
+
+def write_csv(path, header: bytes, columns: Iterable[list[np.ndarray]]) -> str:
+    """Write `header`, then each block of equal-length columns as rows; return the sha256."""
     digest = hashlib.sha256()
-    rows = iter(rows)
     with open(path, "wb") as fh:
-        block = header
-        while block:
-            fh.write(block)
-            digest.update(block)
-            block = b"".join(map(row_format.__mod__, itertools.islice(rows, BLOCK_ROWS)))
+        for rows in itertools.chain([header], (
+                _csv_rows([column[lo : lo + BLOCK_ROWS] for column in block])
+                for block in columns for lo in range(0, len(block[0]), BLOCK_ROWS))):
+            fh.write(rows)
+            digest.update(rows)
     return digest.hexdigest()
+
+
+def _fields(records: list, dtypes: tuple) -> list[np.ndarray]:
+    """Field i of every record as one array of dtypes[i], for the first len(dtypes) fields."""
+    return [np.array([record[i] for record in records], dtype) for i, dtype in enumerate(dtypes)]
 
 
 def write_trajectory_csv(path, result: RunResult) -> str:
     """Per-step CSV `k,tau_k,T_k,P_k,cum_P,mean_n,delta_n,outcome`; returns its sha256."""
-    return write_csv(
-        path,
-        b"k,tau_k,T_k,P_k,cum_P,mean_n,delta_n,outcome\n",
-        b"%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n",
-        (
-            (s.k, s.tau_k, s.T_k, s.P_k, s.cum_P, s.mean_n, s.delta_n, s.outcome.encode())
-            for s in result.steps
-        ),
-    )
+    return write_csv(path, b"k,tau_k,T_k,P_k,cum_P,mean_n,delta_n,outcome\n",
+                     [_fields(result.steps, (int, *(float,) * 6, "S"))])
 
 
 def write_sweep_csv(path, cells: list[SweepCell]) -> str:
     """Per-cell CSV `multiplier,cell,final_P_nt,cum_P,converged`; returns its sha256."""
-    return write_csv(
-        path,
-        b"multiplier,cell,final_P_nt,cum_P,converged\n",
-        b"%.17g,%d,%.17g,%.17g,%d\n",
-        ((c.multiplier, c.cell, c.final_p_trap, c.cum_P, c.converged) for c in cells),
-    )
+    rows = [(c.multiplier, c.cell, c.final_p_trap, c.cum_P, c.converged) for c in cells]
+    return write_csv(path, b"multiplier,cell,final_P_nt,cum_P,converged\n",
+                     [_fields(rows, (float, int, float, float, int))])
 
 
 def write_distribution_csv(path, distribution: np.ndarray) -> str:
     """Write a photon-number distribution as two-column CSV `n,P(n)`; returns its sha256."""
     p = np.asarray(distribution, dtype=float)
-    return write_csv(path, b"n,P(n)\n", b"%d,%.17g\n", enumerate(p.tolist()))
+    return write_csv(path, b"n,P(n)\n", [[np.arange(len(p)), p]])
 
 
 def write_classical_csv(path, epsilon0: float,
@@ -380,25 +469,16 @@ def write_classical_csv(path, epsilon0: float,
     bytes written.
     """
 
-    def slices():
-        # Python's `e ** 2` (libm pow), not `e * e` as numpy squares: the two
-        # differ in the last bit on 843 of fig1d's 10^6 rows.
-        yield [(0, 0, epsilon0, epsilon0 ** 2 / 4.0)]
-        k = 1
-        for taus, epsilons in blocks:
-            for lo in range(0, len(taus), BLOCK_ROWS):
-                eps = epsilons[lo : lo + BLOCK_ROWS].tolist()
-                yield zip(itertools.count(k), taus[lo : lo + BLOCK_ROWS].tolist(), eps,
-                          [e ** 2 / 4.0 for e in eps])
-                k += len(eps)
-            del taus, epsilons  # freed before the map makes the next block
+    def columns():
+        k = 0
+        for taus, epsilons in itertools.chain([(np.zeros(1), np.array([epsilon0]))], blocks):
+            # Python's `e ** 2` (libm pow), not `e * e` as numpy squares: the two
+            # differ in the last bit on 843 of fig1d's 10^6 rows.
+            squares = np.fromiter((e ** 2 / 4.0 for e in epsilons.tolist()), float, len(taus))
+            yield [np.arange(k, k + len(taus), dtype=float), taus, epsilons, squares]
+            k += len(taus)
 
-    return write_csv(
-        path,
-        b"k,tau_k,epsilon,eps_sq_over_4\n",
-        b"%d,%.17g,%.17g,%.17g\n",
-        itertools.chain.from_iterable(slices()),
-    )
+    return write_csv(path, b"k,tau_k,epsilon,eps_sq_over_4\n", columns())
 
 
 def write_outputs(parsed: ParsedConfig, result, out_dir,
@@ -589,7 +669,6 @@ def _timed(blocks: Iterator, elapsed: list[float]) -> Iterator:
     for block in blocks:
         elapsed[0] += time.perf_counter() - start
         yield block
-        del block  # freed before the next block is made
         start = time.perf_counter()
     elapsed[0] += time.perf_counter() - start
 

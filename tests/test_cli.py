@@ -735,6 +735,8 @@ class TestConfigErrors:
                           "2.5"], "ensemble", id="ensemble"),
             pytest.param(["sweep", "--preset", "fig2a", "--spread-mults", "0.1,x"],
                          "spread_mults", id="spread-mults"),
+            pytest.param(["sweep", "--preset", "fig2a", "--spread-mults", "0.1,,1"],
+                         "spread_mults", id="spread-mults-empty"),
         ],
     )
     def test_flag_value_read_as_a_file_value(self, tmp_path, capsys, argv, token):
@@ -1053,6 +1055,12 @@ class TestConfigErrors:
                          "halt_on_failure: expected true or false, got 'maybe'", id="bool"),
             pytest.param("sweep", "spread_mults = ,",
                          "spread_mults: at least one multiplier required", id="mults"),
+            pytest.param("sweep", "spread_mults = 0.1,,1",
+                         "spread_mults: empty multiplier in '0.1,,1'", id="mults-empty-inner"),
+            pytest.param("sweep", "spread_mults = 0.1,",
+                         "spread_mults: empty multiplier in '0.1,'", id="mults-empty-last"),
+            pytest.param("sweep", "spread_mults = ,0.1",
+                         "spread_mults: empty multiplier in ',0.1'", id="mults-empty-first"),
             pytest.param("run", "alpha = sqrtx", "alpha: cannot parse sqrt expression 'sqrtx'",
                          id="alpha"),
         ],
@@ -1514,10 +1522,12 @@ class TestImport:
         exec("from jctrap import *", namespace)
         assert sorted(set(namespace) - {"__builtins__"}) == sorted(jctrap.__all__)
 
-    @pytest.mark.parametrize("cached", ["cli._build_parser", "stochastic._jump_table"])
+    @pytest.mark.parametrize(
+        "cached", ["cli._build_parser", "stochastic._jump_table", "cli._format_tables"])
     def test_import_builds_no_parser(self, cached):
-        # The parser is built on the first main call and the lanes' jump
-        # table on the first lane draw, each once per process.
+        # The parser is built on the first main call, the lanes' jump table
+        # on the first lane draw and the CSV formatters' tables on the first
+        # write, each once per process.
         env = {**os.environ, "PYTHONPATH": str(Path(jctrap.__file__).parents[1])}
         code = f"import jctrap.cli; print(jctrap.{cached}.cache_info().currsize)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
