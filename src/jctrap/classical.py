@@ -40,46 +40,38 @@ EPSILON_MAX = math.sqrt(sys.float_info.max)
 MAP_BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class PendulumState:
-    """Tipping angle theta (unwrapped) and dimensionless field epsilon."""
-
-    theta: float
-    epsilon: float
-
-
-def pendulum_rhs(state: PendulumState) -> tuple[float, float]:
+def pendulum_rhs(theta: float, epsilon: float) -> tuple[float, float]:
     """(d theta, d epsilon) per unit scaled time: (epsilon, sin theta)."""
-    return state.epsilon, math.sin(state.theta)
+    return epsilon, math.sin(theta)
 
 
-def pendulum_energy(state: PendulumState) -> float:
+def pendulum_energy(theta: float, epsilon: float) -> float:
     """First integral epsilon^2/2 + cos(theta) of the pendulum flow."""
-    return state.epsilon**2 / 2.0 + math.cos(state.theta)
+    return epsilon**2 / 2.0 + math.cos(theta)
 
 
-def integrate_pendulum(state: PendulumState, duration: float, step: float) -> PendulumState:
-    """Fixed-step 4th-order Runge-Kutta integration over `duration`.
+def integrate_pendulum(theta: float, epsilon: float, duration: float,
+                       step: float) -> tuple[float, float]:
+    """(theta, epsilon) after fixed-step 4th-order Runge-Kutta over `duration`.
 
-    At step <= 1e-3 the first integral drifts by well under 1e-9 per unit
-    scaled time.
+    theta is the unwrapped tipping angle.  At step <= 1e-3 the first
+    integral drifts by well under 1e-9 per unit scaled time.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
     if duration < 0:
         raise ValueError("duration must be >= 0")
-    th, eps = state.theta, state.epsilon
     remaining = duration
     while remaining > 0.0:
         h = step if remaining >= step else remaining
-        k1t, k1e = eps, math.sin(th)
-        k2t, k2e = eps + 0.5 * h * k1e, math.sin(th + 0.5 * h * k1t)
-        k3t, k3e = eps + 0.5 * h * k2e, math.sin(th + 0.5 * h * k2t)
-        k4t, k4e = eps + h * k3e, math.sin(th + h * k3t)
-        th += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
-        eps += h * (k1e + 2.0 * k2e + 2.0 * k3e + k4e) / 6.0
+        k1t, k1e = pendulum_rhs(theta, epsilon)
+        k2t, k2e = pendulum_rhs(theta + 0.5 * h * k1t, epsilon + 0.5 * h * k1e)
+        k3t, k3e = pendulum_rhs(theta + 0.5 * h * k2t, epsilon + 0.5 * h * k2e)
+        k4t, k4e = pendulum_rhs(theta + h * k3t, epsilon + h * k3e)
+        theta += h * (k1t + 2.0 * k2t + 2.0 * k3t + k4t) / 6.0
+        epsilon += h * (k1e + 2.0 * k2e + 2.0 * k3e + k4e) / 6.0
         remaining -= h
-    return PendulumState(th, eps)
+    return theta, epsilon
 
 
 def return_map_approx(epsilon: float, g_tau: float) -> float:

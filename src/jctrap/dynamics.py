@@ -31,11 +31,12 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import LeakageError, OrthogonalOutcomeError
-from .fock import ORTHOGONAL_NORM_SQ, FieldState, renormalize
+from .fock import NORM_ATOL, ORTHOGONAL_NORM_SQ, FieldState, renormalize
 
 # Rabi phases within this fraction of pi from an exact multiple q*pi are
 # snapped onto it.  Without the snap, sin(theta) at a trapping time computed
@@ -50,33 +51,15 @@ TRAP_SNAP_TOL = 1e-12
 LEAK_P_TOL = 1e-16
 
 
-@dataclass(frozen=True)
-class EntangledState:
+class EntangledState(NamedTuple):
     """Atom-field state after one interaction, split by atomic branch.
 
-    e_branch[n] multiplies |e>|n>, g_branch[n] multiplies |g>|n+1>.
+    e_branch[n] multiplies |e>|n>, g_branch[n] multiplies |g>|n+1>, for
+    n = 0..n_max.
     """
 
     e_branch: np.ndarray
     g_branch: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        e = np.asarray(self.e_branch, dtype=complex).copy()
-        g = np.asarray(self.g_branch, dtype=complex).copy()
-        if e.shape != (self.n_max + 1,) or g.shape != (self.n_max + 1,):
-            raise ValueError("branch arrays must both have length n_max+1")
-        e.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "e_branch", e)
-        object.__setattr__(self, "g_branch", g)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(
-            np.vdot(self.e_branch, self.e_branch).real
-            + np.vdot(self.g_branch, self.g_branch).real
-        )
 
 
 @dataclass(frozen=True)
@@ -194,9 +177,7 @@ def jcm_entangle(field: FieldState, tau: float) -> EntangledState:
     """
     cos_t, sin_t = rabi_cos_sin(tau, field.n_max)
     _check_leak(field.probabilities()[-1], sin_t[-1])
-    e_branch = field.amplitudes * cos_t
-    g_branch = -1j * field.amplitudes * sin_t
-    return EntangledState(e_branch, g_branch, field.n_max)
+    return EntangledState(field.amplitudes * cos_t, -1j * field.amplitudes * sin_t)
 
 
 def nsm_step(probs: np.ndarray, tau: float) -> np.ndarray:
@@ -208,7 +189,7 @@ def nsm_step(probs: np.ndarray, tau: float) -> np.ndarray:
     """
     p = np.asarray(probs, dtype=float)
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > NORM_ATOL:
         raise ValueError(f"input populations sum to {total!r}, expected 1")
     n_max = p.shape[0] - 1
     cos_t, sin_t = rabi_cos_sin(tau, n_max)
@@ -235,9 +216,13 @@ def orthogonal_rotation(rot: AtomRotation) -> AtomRotation:
 
 
 def project_amplitudes(ent: EntangledState, rot: AtomRotation) -> np.ndarray:
-    """Unnormalized field amplitudes after projecting the atom onto rot."""
+    """Unnormalized field amplitudes after projecting the atom onto rot.
+
+    Raises ValueError unless both branches cover the same levels.
+    """
+    if len(ent.e_branch) != len(ent.g_branch):
+        raise ValueError(f"branch lengths differ: {len(ent.e_branch)} and {len(ent.g_branch)}")
     d = rot.alpha_f.conjugate() * ent.e_branch
-    d = d.copy()
     d[1:] += rot.beta_f.conjugate() * ent.g_branch[:-1]
     return d
 
@@ -255,7 +240,7 @@ def cm_project(ent: EntangledState, rot: AtomRotation) -> tuple[FieldState, floa
         raise OrthogonalOutcomeError(
             f"post-selected state is orthogonal to the field (P_k = {p_k:.3e})"
         )
-    state = renormalize(FieldState(d, ent.n_max))
+    state = renormalize(FieldState(d, len(d) - 1))
     return state, min(p_k, 1.0)
 
 

@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 
 from jctrap.classical import classical_trajectory, integrate_pendulum, pendulum_energy
-from jctrap.classical import PendulumState
 from jctrap.cli import main, preset
 from jctrap.dynamics import (
     ELASTIC_ROTATION,
@@ -270,9 +269,9 @@ def test_criterion_9_numerical_hygiene(tmp_path):
         worst = max(worst, abs(float(probs.sum()) - 1.0))
     norm_ok = worst < 1e-10
 
-    start = PendulumState(0.1, 0.0)
-    end = integrate_pendulum(start, 5.0, 1e-3)
-    drift = abs(pendulum_energy(end) - pendulum_energy(start))
+    start = (0.1, 0.0)
+    end = integrate_pendulum(*start, 5.0, 1e-3)
+    drift = abs(pendulum_energy(*end) - pendulum_energy(*start))
     drift_ok = drift < 1e-8
 
     args = [

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from jctrap.classical import (
     MAP_BLOCK,
     ClassicalConfig,
-    PendulumState,
     build_classical_config,
     classical_trajectory,
     integrate_pendulum,
@@ -27,44 +26,44 @@ GTAU_199 = 2.0 * math.pi / math.sqrt(199.0)
 
 class TestPendulumRhs:
     def test_fixed_point(self):
-        assert pendulum_rhs(PendulumState(0.0, 0.0)) == (0.0, 0.0)
+        assert pendulum_rhs(0.0, 0.0) == (0.0, 0.0)
 
     def test_direct_substitution(self):
-        d_theta, d_eps = pendulum_rhs(PendulumState(math.pi / 2.0, 2.0))
+        d_theta, d_eps = pendulum_rhs(math.pi / 2.0, 2.0)
         assert d_theta == 2.0
         assert abs(d_eps - 1.0) < 1e-12
 
     def test_at_pi(self):
-        d_theta, d_eps = pendulum_rhs(PendulumState(math.pi, 1.0))
+        d_theta, d_eps = pendulum_rhs(math.pi, 1.0)
         assert d_theta == 1.0
         assert abs(d_eps) < 1e-12
 
 
 class TestIntegratePendulum:
     def test_equilibrium_is_stationary(self):
-        out = integrate_pendulum(PendulumState(0.0, 0.0), 10.0, 1e-2)
-        assert out.theta == 0.0
-        assert out.epsilon == 0.0
+        theta, epsilon = integrate_pendulum(0.0, 0.0, 10.0, 1e-2)
+        assert theta == 0.0
+        assert epsilon == 0.0
 
     def test_zero_duration(self):
-        start = PendulumState(0.3, -0.2)
-        assert integrate_pendulum(start, 0.0, 1e-3) == start
+        start = (0.3, -0.2)
+        assert integrate_pendulum(*start, 0.0, 1e-3) == start
 
     def test_first_integral_conserved(self):
-        start = PendulumState(0.1, 0.0)
-        out = integrate_pendulum(start, 5.0, 1e-3)
-        assert abs(pendulum_energy(out) - pendulum_energy(start)) < 1e-8
+        start = (0.1, 0.0)
+        out = integrate_pendulum(*start, 5.0, 1e-3)
+        assert abs(pendulum_energy(*out) - pendulum_energy(*start)) < 1e-8
 
     def test_fractional_final_step(self):
-        start = PendulumState(0.5, 0.4)
-        a = integrate_pendulum(start, 1.0005, 1e-3)
-        assert abs(pendulum_energy(a) - pendulum_energy(start)) < 1e-8
+        start = (0.5, 0.4)
+        a = integrate_pendulum(*start, 1.0005, 1e-3)
+        assert abs(pendulum_energy(*a) - pendulum_energy(*start)) < 1e-8
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            integrate_pendulum(PendulumState(0, 0), 1.0, 0.0)
+            integrate_pendulum(0, 0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            integrate_pendulum(PendulumState(0, 0), -1.0, 1e-3)
+            integrate_pendulum(0, 0, -1.0, 1e-3)
 
 
 class TestReturnMap:

@@ -199,6 +199,17 @@ class TestParseConfig:
         assert parsed.run.n_atoms == 7
         assert parsed.run.master_seed == 5
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Some editors start a UTF-8 file with U+FEFF; it is not part of the first key.
+        text = "command = run\nscheme = elastic\ntrap = 20\natoms = 5\nalpha = 3\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        argv = ["run", "--atoms", "2"]
+        assert (manifest_tokens(tmp_path, [*argv, "--config", str(marked)], out="marked")
+                == manifest_tokens(tmp_path, [*argv, "--config", str(plain)], out="plain"))
+
     def test_command_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("command = classical\nepsilon0 = 6\nsteps = 10\ntau_bar_in_inv_g = 0.5\n")

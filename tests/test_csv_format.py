@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jctrap import cli
+from jctrap.classical import classical_trajectory
 from jctrap.experiment import RunResult, StepRecord, SweepCell
 
 CHUNK = 1 << 16  # values formatted per call: bounds the test's memory
@@ -73,6 +74,35 @@ class TestRealFormat:
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_matches_percent_g(self, values):
         assert_formats_as_g17(values)
+
+
+class TestEpsilonSquare:
+    """`eps_sq_over_4` squares through numpy's `float_power`, pinned to Python's `e ** 2`.
+
+    Both call libm `pow`; numpy's `x * x` and `np.power` differ from it in
+    the last bit on some of fig1d's rows, so a numpy whose `float_power`
+    stops matching fails here before `classical.csv` moves.
+    """
+
+    @staticmethod
+    def assert_squares_as_pow(values):
+        x = np.asarray(values, dtype=float)
+        want = np.array([e ** 2 for e in x.tolist()])
+        assert np.array_equal(np.float_power(x, 2.0).view(np.uint64), want.view(np.uint64))
+
+    def test_random_finite_doubles(self):
+        # Uniform exponents up to EPSILON_MAX's: about a third of the squares underflow
+        # to a subnormal or to zero.
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**63, 10**6, dtype=np.uint64) & np.uint64((1 << 52) - 1)
+        bits |= rng.integers(0, 1023 + 512, 10**6, dtype=np.uint64) << np.uint64(52)
+        x = bits.view(np.float64) * rng.choice([-1.0, 1.0], 10**6)
+        assert np.isfinite(x * x).all() and (x * x < 2.0 ** -1022).sum() > 10**5
+        self.assert_squares_as_pow(x)
+
+    def test_fig1c_epsilons(self):
+        epsilons = [eps for _, eps in classical_trajectory(cli.preset("fig1c").classical)]
+        self.assert_squares_as_pow(np.concatenate(epsilons))
 
 
 class TestWritersMatchRowFormat:

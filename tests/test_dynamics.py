@@ -122,7 +122,8 @@ class TestJcmEntangle:
     def test_property_norm_preserved(self, seed, tau):
         state = random_state(np.random.default_rng(seed), 16)
         ent = jcm_entangle(state, tau)
-        assert abs(ent.norm_sq - 1.0) < 1e-12
+        e, g = ent
+        assert abs(np.vdot(e, e).real + np.vdot(g, g).real - 1.0) < 1e-12
 
 
 class TestNsmStep:
@@ -211,10 +212,19 @@ class TestCmProject:
         # P_k at ORTHOGONAL_NORM_SQ is orthogonal, as renormalize refuses that norm.
         e_branch = np.zeros(6, dtype=complex)
         e_branch[2] = 1e-6
-        ent = EntangledState(e_branch, np.zeros(6, dtype=complex), 5)
+        ent = EntangledState(e_branch, np.zeros(6, dtype=complex))
         message = r"orthogonal to the field \(P_k = 1\.000e-12\)"
         with pytest.raises(OrthogonalOutcomeError, match=message):
             cm_project(ent, ELASTIC_ROTATION)
+
+    def test_branches_of_unequal_length_refused(self):
+        # Unchecked, a 2-level g branch would broadcast over a 6-level e branch.
+        ent = EntangledState(np.ones(6, dtype=complex), np.ones(2, dtype=complex))
+        rot = ramsey_coeffs(math.pi / 2.0, -math.pi / 2.0)
+        with pytest.raises(ValueError, match="branch lengths differ: 6 and 2"):
+            project_amplitudes(ent, rot)
+        with pytest.raises(ValueError, match="branch lengths differ: 6 and 2"):
+            cm_project(ent, rot)
 
     def test_inelastic_after_full_transfer(self):
         ent = jcm_entangle(fock_basis_state(0, 5), math.pi / 2.0)
