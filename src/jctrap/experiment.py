@@ -50,6 +50,7 @@ from .stochastic import (
     int_token,
     number_token,
     sample_timing,
+    stream_id_range,
 )
 
 # The one-state updates and statistics that _advance and _book reproduce row
@@ -296,60 +297,53 @@ class _LogSum:
 
 
 class _Lanes:
-    """A uniform-law batch's streams, drawn ahead: the one rng that all its cells share.
+    """A uniform-law batch's streams, drawn ahead: the one rng that all its lanes share.
 
-    Per atom, cell i takes per_atom[i] values of lane i: one for tau_k
-    unless its spread is 0 and, when outcomes are sampled, one for u_k.
-    Value q of lane i's j-th atom not yet dealt is held[j, i, q].
+    Per atom, lane i takes per_atom[i] values: one for tau_k unless its
+    spread is 0 and, when outcomes are sampled, one for u_k.  Value q of
+    lane i's j-th atom not yet dealt is held[j, i, q].
     """
 
-    def __init__(self, seeds: tuple[tuple[int, int], ...], per_atom: np.ndarray):
-        self.streams, self.per_atom = StreamLanes(seeds), per_atom
-        self.held = np.empty((0, len(seeds), per_atom.max()))
+    def __init__(self, master: int, ids: np.ndarray, per_atom: np.ndarray):
+        self.streams, self.per_atom = StreamLanes(master, ids), per_atom
+        self.held = np.empty((0, len(ids), per_atom.max()))
         self.random = iter(()).__next__
 
-    def deal(self, cells: list[_Cell], b: int) -> None:
-        """Have random() hand out the cells' next b atoms' values, per atom, then per cell.
+    def deal(self, lanes: np.ndarray, b: int) -> None:
+        """Have random() hand out the lanes' next b atoms' values, per atom, then per lane.
 
         If fewer than b atoms are held, one lane call per value count an
-        atom takes first draws b atoms or more for the cells, to
+        atom takes first draws b atoms or more for the lanes, to
         _DRAW_AHEAD values over them all.
         """
-        n, width = len(cells), self.held.shape[2]
+        n, width = len(lanes), self.held.shape[2]
         if not width:
             return
-        lanes = slice(None) if n == len(self.per_atom) else np.fromiter(
-            (cell.lane for cell in cells), np.intp, n)
-        per_atom, held = self.per_atom[lanes], self.held
+        at = slice(None) if n == len(self.per_atom) else lanes  # a slice takes views
+        per_atom, held = self.per_atom[at], self.held
         if len(held) < b:
             atoms = max(b, -(-_DRAW_AHEAD // (n * width)))
             held = np.concatenate([held, np.empty((atoms, *held.shape[1:]))])
-            running = np.arange(len(self.per_atom))[lanes]
             for count in set(per_atom.tolist()) - {0}:
-                group = running[per_atom == count]
+                group = lanes[per_atom == count]
                 values = self.streams.random(group, atoms * count).reshape(len(group), atoms, count)
                 held[-atoms:, group, :count] = values.transpose(1, 0, 2)
-        values = held[:b, lanes]  # (atoms, cells, values)
-        if per_atom.min() < width:  # some cells take fewer values than others
+        values = held[:b, at]  # (atoms, lanes, values)
+        if per_atom.min() < width:  # some lanes take fewer values than others
             values = values[:, per_atom[:, None] > np.arange(width)]
         self.held = held[b:]
         self.random = iter(values.ravel().tolist()).__next__
 
 
-@dataclass(slots=True)
-class _Cell:
-    """What one cell of a running batch keeps outside the batch arrays.
+class _Batch(NamedTuple):
+    """A batch's lists, one entry per lane (a cell's index); counting keeps no cums or steps."""
 
-    A counting cell keeps no cum and no steps; its result stays False unless it succeeds.
-    """
-
-    timing: TimingModel
-    rng: np.random.Generator | _Lanes
-    lane: int  # the cell's index in its batch
-    cum: _LogSum | None = None
-    steps: list[StepRecord] | None = None
-    failures: int = 0
-    result: RunResult | bool | SimulationError = False  # set when the cell ends
+    timings: list[TimingModel]
+    rngs: list[np.random.Generator | _Lanes]
+    cums: list[_LogSum] | None
+    steps: list[list[StepRecord]] | None
+    failures: list[int]
+    results: list[RunResult | bool | SimulationError]  # False until the lane ends
 
 
 class _Run(NamedTuple):
@@ -381,19 +375,21 @@ def _conditioned(s: np.ndarray, keep, emit, d: np.ndarray, shifted: np.ndarray) 
         d += keep * s
 
 
-def _draws(cells: list[_Cell], b: int, sampled: bool) -> Iterator[float]:
-    """Per atom, then per cell: tau_k, T_k and, when outcomes are sampled, u_k."""
+def _draws(batch: _Batch, lanes: np.ndarray, b: int, sampled: bool) -> Iterator[float]:
+    """Per atom, then per lane: tau_k, T_k and, when outcomes are sampled, u_k."""
+    at = lanes.tolist()
+    cells = list(zip(map(batch.timings.__getitem__, at), map(batch.rngs.__getitem__, at)))
     for _ in range(b):
-        for cell in cells:
-            yield from sample_timing(cell.timing, cell.rng)
+        for timing, rng in cells:
+            yield from sample_timing(timing, rng)
             if sampled:
-                yield cell.rng.random()
+                yield rng.random()
 
 
-def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
+def _draw_block(run: _Run, batch: _Batch, lanes: np.ndarray, b: int) -> tuple:
     """The next b atoms' (times, edge, outcomes), none of which reads a field.
 
-    times is (atoms, cells, (tau_k, T_k[, u_k])) in a one-cell run's draw
+    times is (atoms, lanes, (tau_k, T_k[, u_k])) in a one-cell run's draw
     order; edge the top level's sin^2 theta, or None when no outcome emits.
     outcomes are the selected and, in sampled mode, the orthogonal (keep,
     emit) factors: elastic keeps level n by cos theta_n, else emits into
@@ -405,10 +401,10 @@ def _draw_block(run: _Run, cells: list[_Cell], b: int) -> tuple:
     once and broadcast to (atoms, cells, levels) without a copy.
     """
     config, nsm, sampled = run.config, run.nsm, run.sampled
-    if config.law == "uniform":  # cells[0].rng is the batch's _Lanes
-        cells[0].rng.deal(cells, b)
-    shape = (b, len(cells), config.n_max + 1)
-    times = np.fromiter(_draws(cells, b, sampled), float, b * len(cells) * (2 + sampled))
+    if config.law == "uniform":  # every lane's rng is the batch's _Lanes
+        batch.rngs[0].deal(lanes, b)
+    shape = (b, len(lanes), config.n_max + 1)
+    times = np.fromiter(_draws(batch, lanes, b, sampled), float, b * len(lanes) * (2 + sampled))
     times = times.reshape(*shape[:2], -1)
     pair = times[..., :2]
     shared = bool((pair == pair[0, 0]).all())
@@ -506,35 +502,42 @@ def _guard(run: _Run, inputs: tuple[float, ...], atom: int) -> SimulationError |
     return None
 
 
-def _result(run: _Run, cell: _Cell, dist_row, reason: str | None) -> RunResult | bool:
-    """The RunResult of a cell whose final populations are dist_row.
+def _populations(run: _Run, fields: np.ndarray) -> np.ndarray:
+    """|fields|^2, a new array; for NSM, whose fields are populations, fields itself."""
+    return fields if run.nsm else np.square(rows := np.abs(fields), out=rows)
 
-    A counting run builds none: whether the cell ran to its end with no
+
+def _result(run: _Run, batch: _Batch, lane: int, dist_row, reason: str | None) -> RunResult | bool:
+    """The RunResult of a lane whose final populations are dist_row.
+
+    A counting run builds none: whether the lane ran to its end with no
     failed outcome.
     """
     if run.counting:
-        return reason is None and cell.failures == 0
-    return RunResult(cell.steps, dist_row, reason, cell.failures, cell.cum.value)
+        return reason is None and batch.failures[lane] == 0
+    return RunResult(batch.steps[lane], dist_row, reason, batch.failures[lane],
+                     batch.cums[lane].value)
 
 
-def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
-    """Guard and book a block after atom k: (cells that go on, their fields).
+def _book(run: _Run, k: int, batch: _Batch, lanes: np.ndarray, block: tuple):
+    """Guard and book a block after atom k: (lanes that go on, their fields).
 
-    Reads populations only.  Guard inputs, step statistics and cum_P run once
-    per block.  The block clears when the guard passes on its worst value of
+    Reads populations only, of the rows after each atom and the top level
+    before the first.  Guard inputs, step statistics and cum_P run once per
+    block.  The block clears when the guard passes on its worst value of
     each input; else each cell runs the guard atom by atom in a one-cell
-    run's order, books the atoms before its first trip and ends, as a halting
-    cell does at a failure.  A counting run books failures alone.
+    run's order, books the atoms before its first trip and ends, as a
+    halting cell does at a failure.  A counting run books failures alone.
     """
     times, edge, fields, norms, successes, failed = block
     b, n = failed.shape
-    rows = fields if run.nsm else np.abs(fields) ** 2  # row j: before block atom j
-    after = rows[1:]
+    after = _populations(run, fields[1:])  # row j: after block atom j
     total = after.sum(axis=-1)
     top = top_level_probability(after)
     # Every input is an (atoms, cells) array: superposition leaks nothing,
-    # and NSM's successes and norms are all 1.
-    leak = np.zeros((b, n)) if edge is None else rows[:b, :, -1] * edge
+    # and NSM's successes and norms are all 1.  A leak reads the top level before its atom.
+    leak = np.zeros((b, n)) if edge is None else edge * np.concatenate(
+        [_populations(run, fields[:1, :, -1]), after[:-1, :, -1]])
     p_k = np.minimum(successes, 1.0)
     ends = {}  # per cell that ends: (atoms booked, its error or reason)
     # The guard on the block's worst value of each input; numpy's max and
@@ -547,9 +550,9 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
             j, i = divmod(at, n)
             if i not in ends and (end := _guard(run, atom, k + j + 1)) is not None:
                 ends[i] = (j, end)
-    elif run.counting and run.halting:  # one atom a block; a failed cell stays False
+    elif run.counting and run.halting:  # one atom a block; a failed lane stays False
         keep = np.flatnonzero(~failed[0])
-        return [cells[i] for i in keep.tolist()], fields[1].take(keep, axis=0)
+        return lanes[keep], fields[1].take(keep, axis=0)
     # NSM books no P_k: each is 1.0, one float object every step record shares.
     p_k = None if run.counting or run.nsm else p_k.ravel().tolist()
     failed = failed.ravel().tolist()
@@ -566,71 +569,69 @@ def _book(run: _Run, k: int, cells: list[_Cell], block: tuple):
         named = (OUTCOME_SUCCESS, OUTCOME_FAILURE) if run.sampled else (OUTCOME_POSTSELECTED,) * 2
         columns.append([named[f] for f in failed])  # outcome by failure flag
 
-    for i, cell in enumerate(cells):
+    for i, lane in enumerate(lanes.tolist()):
         m, end = ends.get(i, (b, None))
         at = slice(i, m * n, n)  # cell i's booked atoms in the (atoms, cells) lists
         if p_k is None:  # counting books no cum_P, and NSM's stays 1.0 since log 1 = 0
             p_ks, cums = itertools.repeat(1.0), itertools.repeat(1.0)
         else:
             p_ks, cums = p_k[at], [] if run.collect_steps else None
-            cell.cum.extend(p_ks, cums)
+            batch.cums[lane].extend(p_ks, cums)
         if run.collect_steps:
             tau_k, t_k, mean, delta, p_trap, p_above, outcome = (c[at] for c in columns)
-            cell.steps.extend(map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_ks, cums,
-                                  mean, delta, outcome, p_trap, p_above))
+            batch.steps[lane].extend(map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_ks,
+                                         cums, mean, delta, outcome, p_trap, p_above))
         if run.sampled:
-            cell.failures += failed[at].count(True)
-        if isinstance(end, str):  # rows[m, i] is a view of the kernel's buffer for NSM
-            cell.result = _result(run, cell, rows[m, i].copy(), end)
+            batch.failures[lane] += failed[at].count(True)
+        if isinstance(end, str):  # for NSM, after[m - 1] is a view of the kernel's buffer
+            row = after[m - 1, i] if m else _populations(run, fields[0, i])
+            batch.results[lane] = _result(run, batch, lane, row.copy(), end)
         elif end is not None:
-            cell.result = end
-    running = [i for i in range(n) if i not in ends]
-    keep = np.array(running, dtype=np.intp)  # take() is quicker with an index array
-    return [cells[i] for i in running], fields[b].take(keep, axis=0)
+            batch.results[lane] = end
+    # take() is quicker with an index array; a list builds one faster than np.delete for few cells
+    keep = np.array([i for i in range(n) if i not in ends], dtype=np.intp)
+    return lanes[keep], fields[b].take(keep, axis=0)
 
 
 def _run_cells(
-    run: _Run, cells: list[tuple[TimingModel, tuple[int, int]]], buffer: np.ndarray
+    run: _Run, timings: list[TimingModel], ids: np.ndarray, buffer: np.ndarray
 ) -> list[RunResult | bool | SimulationError]:
     """Run a batch of cells, a block of atoms at a time, through one update kernel.
 
-    Each cell runs run.config with its own timing model and (master_seed,
-    stream_id) pair, its field one row of a (cells, levels) array:
-    amplitudes, or populations for NSM.  Under the uniform law the cells
-    share one _Lanes as their rng, under the gaussian law each has its own
-    Generator.  Per block, _draw_block draws, _advance updates into buffer,
-    the scratch array of the _run_batches call, and _book guards and books.
-    Returns what _run_batches yields for each of the cells.
+    Cell i runs run.config with timings[i] and the stream (config.master_seed,
+    ids[i]), its field one row of a (cells, levels) array: amplitudes, or
+    populations for NSM.  The running cells are an index array of lanes
+    into the _Batch.  Under the uniform law the lanes share one _Lanes as
+    their rng, under the gaussian law each has its own Generator.  Per
+    block, _draw_block draws, _advance updates into buffer, the scratch
+    array of the _run_batches call, and _book guards and books.
     """
-    config, nsm = run.config, run.nsm
+    config, n = run.config, len(ids)
     if config.fock is None:
         initial, _ = coherent_state(config.alpha, config.n_max)
     else:
         initial = fock_basis_state(config.fock, config.n_max)
-    state = initial.probabilities() if nsm else initial.amplitudes
-    state = state[None].repeat(len(cells), axis=0)
-    timings, seeds = zip(*cells)
+    state = initial.probabilities() if run.nsm else initial.amplitudes
+    state = state[None].repeat(n, axis=0)
     if config.law == "uniform":
         per_atom = np.array([t.spread != 0.0 for t in timings], dtype=int) + run.sampled
-        rngs = itertools.repeat(_Lanes(seeds, per_atom))
+        rngs = [_Lanes(config.master_seed, ids, per_atom)] * n
     else:  # the gaussian law draws normals from numpy's Generator
-        rngs = derive_streams(seeds)
-    streams = zip(timings, rngs, range(len(timings)))
-    if run.counting:
-        cells = everyone = [_Cell(t, rng, i) for t, rng, i in streams]
-    else:
-        cells = everyone = [_Cell(t, rng, i, _LogSum(), []) for t, rng, i in streams]
-    k = 0
-    while k < config.n_atoms and cells:
-        b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(cells) * (config.n_max + 1)))
+        rngs = derive_streams(config.master_seed, ids)
+    keeps = not run.counting  # a counting batch keeps no cums and no steps
+    batch = _Batch(timings, rngs, [_LogSum() for _ in range(n)] if keeps else None,
+                   [[] for _ in range(n)] if keeps else None, [0] * n, [False] * n)
+    lanes, k = np.arange(n), 0
+    while k < config.n_atoms and len(lanes):
+        b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(lanes) * (config.n_max + 1)))
         b = min(b, config.n_atoms - k)
-        draw = _draw_block(run, cells, b)
-        cells, state = _book(run, k, cells, _advance(run, state, draw, buffer))
+        draw = _draw_block(run, batch, lanes, b)
+        lanes, state = _book(run, k, batch, lanes, _advance(run, state, draw, buffer))
         k += b
-    rows = state if nsm else np.abs(state) ** 2
-    for i, cell in enumerate(cells):
-        cell.result = _result(run, cell, rows[i], None)
-    return [cell.result for cell in everyone]
+    rows = _populations(run, state)
+    for i, lane in enumerate(lanes.tolist()):
+        batch.results[lane] = _result(run, batch, lane, rows[i], None)
+    return batch.results
 
 
 def _batch_cells(n_max: int) -> int:
@@ -639,32 +640,33 @@ def _batch_cells(n_max: int) -> int:
 
 
 def _run_batches(
-    config: RunConfig, cells: Iterable[tuple[TimingModel, tuple[int, int]]], collect: str
+    config: RunConfig, timings: list[TimingModel], stream_ids: np.ndarray, collect: str
 ) -> Iterator[RunResult | bool | SimulationError]:
     """_run_cells over the cells, in batches of _batch_cells(config.n_max) cells.
 
-    Yields, per cell, the SimulationError that ended it or, by collect:
-    "steps", its RunResult with step records; "results", its RunResult
-    without them; "successes", whether it ran to its end with no failed
-    outcome, for which no RunResult or cum_P is built.  Every batch's
-    blocks reuse one scratch buffer.
+    Cell i runs with timings[i] and the stream (config.master_seed,
+    stream_ids[i]) of a uint64 id array.  Yields, per cell, the
+    SimulationError that ended it or, by collect: "steps", its RunResult
+    with step records; "results", its RunResult without them; "successes",
+    whether it ran to its end with no failed outcome, for which no
+    RunResult or cum_P is built.  Every batch's blocks reuse one scratch
+    buffer.
     """
     nsm = config.scheme == "nsm"
     sampled = config.mode == "sample" and not nsm
     run = _Run(config, collect == "steps", collect == "successes", nsm, sampled,
                sampled and config.halt_on_failure)
-    cells, batch_cells = iter(cells), _batch_cells(config.n_max)
-    buffer = None
-    while batch := list(itertools.islice(cells, batch_cells)):
-        if buffer is None:
-            # It holds _advance's largest block, which the first batch, the
-            # largest, sets: a block's atoms x cells x levels is one atom of
-            # every cell at most in a halting batch, else at most the run's
-            # atoms of them and max(_BLOCK_ENTRIES, one atom of them).
-            size = len(batch) * (config.n_max + 1)
-            most = size if run.halting else min(config.n_atoms * size, max(_BLOCK_ENTRIES, size))
-            buffer = np.empty(most + (1 + sampled) * (size + 1), float if nsm else complex)
-        yield from _run_cells(run, batch, buffer)
+    batch_cells = _batch_cells(config.n_max)
+    # The buffer holds _advance's largest block, which the first batch, the
+    # largest, sets: a block's atoms x cells x levels is one atom of every
+    # cell at most in a halting batch, else at most the run's atoms of them
+    # and max(_BLOCK_ENTRIES, one atom of them).
+    size = min(len(stream_ids), batch_cells) * (config.n_max + 1)
+    most = size if run.halting else min(config.n_atoms * size, max(_BLOCK_ENTRIES, size))
+    buffer = np.empty(most + (1 + sampled) * (size + 1), float if nsm else complex)
+    for start in range(0, len(stream_ids), batch_cells):
+        batch = slice(start, start + batch_cells)
+        yield from _run_cells(run, timings[batch], stream_ids[batch], buffer)
 
 
 def run_sequence(config: RunConfig) -> RunResult:
@@ -678,8 +680,7 @@ def run_sequence(config: RunConfig) -> RunResult:
     levels exceed the 1e-8 guard aborts the same way.  This is the
     one-cell case of the kernel that `sweep` runs its cells through.
     """
-    seed = (config.master_seed, config.stream_id)
-    (result,) = _run_batches(config, [(config.timing, seed)], "steps")
+    (result,) = _run_batches(config, [config.timing], stream_id_range(config.stream_id, 1), "steps")
     if isinstance(result, SimulationError):
         raise result
     return result
@@ -713,35 +714,29 @@ def sweep(
     if ensemble < 1:
         raise ConfigError(f"ensemble: must be >= 1, got {ensemble}")
     multipliers = [number_token("spread_mults", mult) for mult in spread_multipliers]
-    jobs = [
-        (mult, i * ensemble + j)
-        for i, mult in enumerate(multipliers)
-        for j in range(ensemble)
-    ]
     critical = critical_spread(base.trap_target)
-    outcomes: dict[int, RunResult | Exception] = {}
-    runs: dict[int, tuple[TimingModel, tuple[int, int]]] = {}
-    for mult, index in jobs:
-        try:  # each cell's config checks itself, its Rabi phases included
-            timing = replace(base, spread=mult * critical).timing
+    timings: list[TimingModel | ConfigError] = []
+    for mult in multipliers:
+        try:  # a multiplier's config checks itself, its Rabi phases included
+            timings.append(replace(base, spread=mult * critical).timing)
         except ConfigError as exc:
-            outcomes[index] = exc
-        else:
-            runs[index] = (timing, (base.master_seed, index))
-    outcomes.update(zip(runs, _run_batches(base, runs.values(), "results")))
-
+            timings.append(exc)
+    valid = [i for i, timing in enumerate(timings) if isinstance(timing, TimingModel)]
+    ids = np.array([i * ensemble + j for i in valid for j in range(ensemble)], dtype=np.uint64)
+    runs = _run_batches(base, [timings[i] for i in valid for _ in range(ensemble)], ids, "results")
     cells = []
-    for mult, index in jobs:
-        outcome = outcomes[index]
-        failed = isinstance(outcome, Exception)
-        error = str(outcome) if failed else outcome.terminated_early
-        failures = 0 if failed else outcome.n_failures
-        if error is not None:
-            cells.append(SweepCell(mult, index, math.nan, math.nan, False, error, failures))
-            continue
-        p_trap = float(outcome.final_distribution[base.trap_target])
-        cells.append(SweepCell(mult, index, p_trap, outcome.final_cum_P, p_trap > CONVERGENCE_P,
-                               None, failures))
+    for i, mult in enumerate(multipliers):
+        for index in range(i * ensemble, (i + 1) * ensemble):
+            outcome = timings[i] if isinstance(timings[i], ConfigError) else next(runs)
+            failed = isinstance(outcome, Exception)
+            error = str(outcome) if failed else outcome.terminated_early
+            failures = 0 if failed else outcome.n_failures
+            if error is not None:
+                cells.append(SweepCell(mult, index, math.nan, math.nan, False, error, failures))
+                continue
+            p_trap = float(outcome.final_distribution[base.trap_target])
+            cells.append(SweepCell(mult, index, p_trap, outcome.final_cum_P,
+                                   p_trap > CONVERGENCE_P, None, failures))
     return cells
 
 
@@ -759,10 +754,9 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     trajectories = int_token("trajectories", trajectories)
     if trajectories < 1:
         raise ConfigError(f"trajectories: must be >= 1, got {trajectories}")
-    master, first, timing = config.master_seed, config.stream_id, config.timing
-    cells = ((timing, (master, first + t)) for t in range(trajectories))
+    ids = stream_id_range(config.stream_id, trajectories)
     successes = 0
-    for success in _run_batches(config, cells, "successes"):
+    for success in _run_batches(config, [config.timing] * trajectories, ids, "successes"):
         if isinstance(success, SimulationError):
             raise success
         successes += success

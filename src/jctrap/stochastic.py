@@ -8,7 +8,8 @@ law uses the same rms, spread/sqrt(12), resampling non-positive draws.
 
 Streams derive deterministically from (master_seed, stream_id): every
 trajectory, sweep cell and output file is bit-reproducible on one platform.
-A stream is a numpy Generator (derive_streams) or a lane of StreamLanes,
+A batch of streams is a master seed and a uint64 array of stream ids.  A
+stream is a numpy Generator (derive_streams) or a lane of StreamLanes,
 which computes numpy's PCG64 over arrays of streams: both give the same
 values.
 """
@@ -74,7 +75,7 @@ class TimingModel:
 
 
 def int_token(token: str, value) -> int:
-    """value as a Python int, such as derive_streams hashes; a ConfigError names token.
+    """value as a Python int, such as a seed or a count; a ConfigError names token.
 
     A bool is refused: True is a flag, not a count or a seed of 1.
     """
@@ -192,39 +193,42 @@ def _seed_words(words: np.ndarray):
     return _seed_words_type()(words)
 
 
-def _stream_words(seeds: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The PCG64 seed words of each (master_seed, stream_id) pair of ints: (len(seeds), 4) uint64.
+def _stream_words(masters: int | np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The PCG64 seed words of each stream: a (len(ids), 4) uint64 array.
 
+    masters is one master seed, a Python int, or a uint64 array of one per
+    stream; ids is a uint64 array of stream ids, each reduced modulo 2^64.
     Two SplitMix64 rounds mix each pair into a single 64-bit seed:
     mix(mix(master) XOR mix(stream_id XOR salt)), every value taken modulo
     2^64.  Its words are those that numpy's SeedSequence(seed) generates
     for PCG64, a hash this computes for the whole batch in one pass of
     array arithmetic.
     """
-    pairs = np.array(
-        [(master & _MASK64, (stream ^ _STREAM_SALT) & _MASK64) for master, stream in seeds],
-        dtype=np.uint64,
-    )
-    h_master, h_stream = _splitmix64(pairs.reshape(-1, 2).T)
-    return _pcg64_seed_words(_splitmix64(h_master ^ h_stream))
+    if isinstance(masters, int):  # an array: a uint64 scalar's multiply warns on wraparound
+        masters = np.array([masters & _MASK64], dtype=np.uint64)
+    mixed = _splitmix64(masters) ^ _splitmix64(ids ^ np.uint64(_STREAM_SALT))
+    return _pcg64_seed_words(_splitmix64(mixed))
 
 
-def derive_streams(seeds: Sequence[tuple[int, int]]) -> list[np.random.Generator]:
-    """Deterministic PCG64 generators, one per (master_seed, stream_id) pair of ints.
+def derive_streams(masters: int | np.ndarray, ids: np.ndarray) -> list[np.random.Generator]:
+    """Deterministic PCG64 generators, one per stream id in ids (see _stream_words).
 
-    Distinct pairs give independent streams.  Each generator is
-    np.random.default_rng(seed) of the pair's mixed seed (see
-    _stream_words): its state equals default_rng's, so the same pair
-    yields the same sample sequence on every platform and run.
+    Generator i is np.random.default_rng of (masters, ids[i])'s mixed seed,
+    its state equal to default_rng's on every platform and run.
     """
     from numpy.random import PCG64, Generator  # loaded by the first derivation
 
-    return [Generator(PCG64(_seed_words(row))) for row in _stream_words(seeds)]
+    return [Generator(PCG64(_seed_words(row))) for row in _stream_words(masters, ids)]
+
+
+def stream_id_range(first: int, count: int) -> np.ndarray:
+    """The uint64 stream ids first, ..., first + count - 1 of an int first, modulo 2^64."""
+    return np.uint64(first & _MASK64) + np.arange(count, dtype=np.uint64)
 
 
 def derive_stream(master_seed: int, stream_id: int = 0) -> np.random.Generator:
-    """The generator of one pair: derive_streams([(master_seed, stream_id)])[0]."""
-    return derive_streams([(master_seed, stream_id)])[0]
+    """The generator of one pair of Python ints, each taken modulo 2^64."""
+    return derive_streams(master_seed, stream_id_range(stream_id, 1))[0]
 
 
 # PCG64 as numpy runs it (numpy/random/src/pcg64): a 128-bit LCG state s
@@ -292,17 +296,17 @@ def _doubles(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 class StreamLanes:
-    """The PCG64 streams of (master_seed, stream_id) pairs of ints, drawn as arrays.
+    """The PCG64 streams of derive_streams(masters, ids), drawn as arrays.
 
-    Lane i is the stream of seeds[i]: random(lanes, count) gives each of
-    the lanes the next count values that derive_streams(seeds)[i].random()
+    Lane i is the stream of ids[i]: random(lanes, count) gives each of the
+    lanes the next count values that derive_streams(masters, ids)[i].random()
     would, bit for bit, and advances those lanes alone.  A draw of up to
     _JUMPS values is one jump per lane, s_p = A_p s + C_p inc for p =
     1..count, a fixed number of array operations whatever its shape.
     """
 
-    def __init__(self, seeds: Sequence[tuple[int, int]]):
-        words = _stream_words(seeds)
+    def __init__(self, masters: int | np.ndarray, ids: np.ndarray):
+        words = _stream_words(masters, ids)
         # numpy's PCG64 takes initstate = (words 0, 1) and initseq = (words
         # 2, 3), high word first.  From state 0 it steps to inc, adds
         # initstate and steps once more.

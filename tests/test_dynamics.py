@@ -265,6 +265,51 @@ class TestCmProject:
         assert np.max(np.abs(mixture - direct)) < 1e-10
 
 
+class TestOutcomeMixture:
+    """Criterion 6's identity for every Ramsey rotation, through the references.
+
+    The exact projection's two outcomes, onto ramsey_coeffs(T, phi_f) and
+    its orthogonal_rotation, sum to the non-selective update.  The large-n
+    factors' two outcomes sum to the populations they started from: that
+    approximation moves no population between levels, which is its defect
+    and not a fault of the kernel that applies it.
+    """
+
+    PHASES = [-math.pi / 2, 0.0, 0.4, math.pi / 2, 2.5]
+
+    @staticmethod
+    def cases(seed, count=40, n_max=60):
+        """(state, tau, T) of count random states with random times."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            state = random_state(rng, n_max)
+            yield state, rng.uniform(0.05, 2.0), rng.uniform(0.0, 4.0 * math.pi)
+
+    @pytest.mark.parametrize("phi_f", PHASES)
+    def test_exact_outcomes_sum_to_nsm(self, phi_f):
+        worst = 0.0
+        for state, tau, T in self.cases(60):
+            ent = jcm_entangle(state, tau)
+            rot = ramsey_coeffs(T, phi_f)
+            d_s = project_amplitudes(ent, rot)
+            d_f = project_amplitudes(ent, orthogonal_rotation(rot))
+            mixture = np.abs(d_s) ** 2 + np.abs(d_f) ** 2
+            worst = max(worst, np.max(np.abs(mixture - nsm_step(state.probabilities(), tau))))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("phi_f", PHASES)
+    def test_large_n_outcomes_leave_populations_unchanged(self, phi_f):
+        unchanged = from_nsm = 0.0
+        for state, tau, T in self.cases(61):
+            success, failure = correlated_cm_factors(T, tau, state.n_max, phi_f)
+            p = state.probabilities()
+            mixture = p * np.abs(success) ** 2 + p * np.abs(failure) ** 2
+            unchanged = max(unchanged, np.max(np.abs(mixture - p)))
+            from_nsm = max(from_nsm, np.max(np.abs(mixture - nsm_step(p, tau))))
+        assert unchanged <= 1e-15
+        assert from_nsm > 0.01  # where NSM moves population, this form does not
+
+
 class TestTrappingBlockage:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
     @settings(max_examples=40, deadline=None)

@@ -40,7 +40,7 @@ from jctrap.fock import (
     fock_basis_state,
     renormalize,
 )
-from jctrap.stochastic import TimingModel, derive_stream, sample_timing
+from jctrap.stochastic import TimingModel, derive_stream, sample_timing, stream_id_range
 
 
 def fig3cd_config(n_atoms=300, stream=0, mode="postselect"):
@@ -654,8 +654,8 @@ class TestKernel:
         mults, ensemble, critical = [0.0, 0.5], 3, critical_spread(base.trap_target)
         configs = [replace(base, spread=mult * critical, stream_id=i * ensemble + j)
                    for i, mult in enumerate(mults) for j in range(ensemble)]
-        cells = [(config.timing, (config.master_seed, config.stream_id)) for config in configs]
-        results = list(experiment._run_batches(base, cells, "steps"))
+        timings, ids = _cells(configs)
+        results = list(experiment._run_batches(base, timings, ids, "steps"))
         table = sweep(base, mults, ensemble)
         lengths = set()
         for config, result, cell in zip(configs, results, table, strict=True):
@@ -705,6 +705,13 @@ class TestKernel:
             assert len(steps) == 300
             dist = field if scheme == "nsm" else field.probabilities()
             assert cell.final_p_trap == dist[base.trap_target]
+
+
+def _cells(configs):
+    """The kernel's (timings, uint64 stream ids) for configs of one master seed."""
+    assert len({config.master_seed for config in configs}) == 1
+    ids = np.array([config.stream_id for config in configs], dtype=np.uint64)
+    return [config.timing for config in configs], ids
 
 
 def _fingerprint(result):
@@ -847,9 +854,9 @@ class TestBlockSize:
         sizes = []
         original = experiment._run_cells
 
-        def recorded(config, cells, collect):
-            sizes.append(len(cells))
-            return original(config, cells, collect)
+        def recorded(run, timings, ids, buffer):
+            sizes.append(len(ids))
+            return original(run, timings, ids, buffer)
 
         monkeypatch.setattr(experiment, "_run_cells", recorded)
         config = build_run_config(
@@ -888,10 +895,10 @@ class TestBlockSize:
         ]
         expected = [_fingerprint(run_sequence(config)) for config in configs]
         assert [len(result[0]) for result in expected] == [1, 20, 1, 20, 1]
-        cells = [(config.timing, (config.master_seed, config.stream_id)) for config in configs]
+        timings, ids = _cells(configs)
         outcomes = self.each_block_size(
             monkeypatch,
-            lambda: [_fingerprint(r) for r in experiment._run_batches(base, cells, "steps")],
+            lambda: [_fingerprint(r) for r in experiment._run_batches(base, timings, ids, "steps")],
         )
         assert outcomes == [expected] * 9
 
@@ -950,9 +957,9 @@ class TestBlockSize:
         drawn = []  # atoms whose factors the poisoned cell's batch has taken, if it runs
         hits = set()  # the parts computed by the calls whose output took the NaN
 
-        def stream_lanes(seeds):
-            drawn[:] = [0] if seeds[-1][1] == poisoned_stream[0] else []
-            return original_lanes(seeds)
+        def stream_lanes(master, ids):
+            drawn[:] = [0] if ids[-1] == poisoned_stream[0] else []
+            return original_lanes(master, ids)
 
         def poisoned(taus, n_max, cos=True, first=0):
             factors = original_rabi(taus, n_max, cos=cos, first=first)
@@ -990,13 +997,13 @@ class TestBlockSize:
         original_rabi = experiment.rabi_cos_sin
         block = {}
 
-        def stream_lanes(seeds):
+        def stream_lanes(master, ids):
             block["end"] = 0  # atoms the batch has drawn
-            return original_lanes(seeds)
+            return original_lanes(master, ids)
 
-        def draw_block(run, cells, b):
+        def draw_block(run, batch, lanes, b):
             block["start"], block["end"] = block["end"] + 1, block["end"] + b
-            return original_draw(run, cells, b)
+            return original_draw(run, batch, lanes, b)
 
         def poisoned(taus, n_max, **parts):
             factors = original_rabi(taus, n_max, **parts)
@@ -1039,13 +1046,13 @@ class TestScratchBuffer:
         original_batches = experiment._run_batches
         original_cells, original_advance = experiment._run_cells, experiment._advance
 
-        def run_batches(config, cells, collect):
+        def run_batches(config, timings, ids, collect):
             calls.append({"batches": 0, "buffers": []})
-            yield from original_batches(config, cells, collect)
+            yield from original_batches(config, timings, ids, collect)
 
-        def run_cells(run, cells, buffer):
+        def run_cells(run, timings, ids, buffer):
             calls[-1]["batches"] += 1
-            return original_cells(run, cells, buffer)
+            return original_cells(run, timings, ids, buffer)
 
         def advance(run, state, draw, buffer):
             block = original_advance(run, state, draw, buffer)
@@ -1077,20 +1084,22 @@ class TestScratchBuffer:
 
 
 class TestSeedPairs:
-    def test_kernel_derives_streams_from_int_pairs(self, monkeypatch):
+    def test_kernel_derives_streams_from_a_master_and_an_id_array(self, monkeypatch):
         # Runs, sweeps and sampled estimates hand the stream derivation of
-        # their law pairs of Python ints, as the stream contract hashes them:
-        # StreamLanes under the uniform law, derive_streams under the gaussian.
+        # their law the config's master seed, a Python int, and a uint64
+        # array of stream ids: StreamLanes under the uniform law,
+        # derive_streams under the gaussian.
         for law, hook, other in [("uniform", "StreamLanes", "derive_streams"),
                                  ("gaussian", "derive_streams", "StreamLanes")]:
             seen = []
             original = getattr(experiment, hook)
 
-            def derive(seeds, original=original, seen=seen):
-                seen.extend(seeds)
-                return original(seeds)
+            def derive(master, ids, original=original, seen=seen):
+                assert type(master) is int and ids.dtype == np.uint64
+                seen.extend((master, stream) for stream in ids.tolist())
+                return original(master, ids)
 
-            def unused(seeds, law=law):
+            def unused(master, ids, law=law):
                 raise AssertionError(f"a {law}-law batch derived its streams through another hook")
 
             monkeypatch.setattr(experiment, hook, derive)
@@ -1103,6 +1112,57 @@ class TestSeedPairs:
             assert {type(seed) for seed in seen} == {tuple}
             assert {tuple(map(type, seed)) for seed in seen} == {(int, int)}
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("first", [2**64 - 6, -6, 2**65 - 6],
+                             ids=["below-2e64", "negative", "below-2e65"])
+    def test_estimate_stream_ids_wrap_modulo_2_64(self, monkeypatch, first):
+        # Trajectory t runs the stream first + t modulo 2^64, so these 12 ids
+        # cross 2^64, from a negative stream_id too.  The estimate counts
+        # each lane's success as run_sequence at its id gives it, and each
+        # lane's step records equal that run's.
+        config = build_run_config(
+            scheme="elastic", trap_target=5, n_atoms=2, fock_n=0, tau_bar=0.5, spread_frac=0.1,
+            n_max=30, mode="sample", master_seed=808, stream_id=first,
+        )
+        seen = []
+        original = experiment._run_batches
+
+        def run_batches(config, timings, ids, collect):
+            outcomes = list(original(config, timings, ids, collect))
+            seen.append((ids.tolist(), outcomes))
+            yield from outcomes
+
+        monkeypatch.setattr(experiment, "_run_batches", run_batches)
+        estimate = sampled_success_estimate(config, 12)
+        monkeypatch.undo()
+        ((ids, successes),) = seen
+        assert ids == [2**64 - 6 + t for t in range(6)] + list(range(6))
+        runs = [run_sequence(replace(config, stream_id=stream)) for stream in ids]
+        expected = [run.terminated_early is None and run.n_failures == 0 for run in runs]
+        assert successes == expected and 0 < sum(expected) < 12
+        assert estimate == sum(expected) / 12
+        steps = experiment._run_batches(config, [config.timing] * 12, stream_id_range(first, 12),
+                                        "steps")
+        assert [_fingerprint(result) for result in steps] == [_fingerprint(run) for run in runs]
+
+    @pytest.mark.parametrize("master", [-7, 2**64 + 7, 2**70], ids=["negative", "2e64+7", "2e70"])
+    def test_sweep_cells_equal_runs_at_any_master(self, master):
+        # A sweep's ids are its cell indices, whatever the base stream_id; its
+        # master seed, of any sign or size, is taken modulo 2^64.  Each cell
+        # equals run_sequence at (master, cell index).
+        base = build_run_config(
+            scheme="elastic", trap_target=20, n_atoms=30, alpha=3.0, mode="sample",
+            master_seed=master, stream_id=-3, halt_on_failure=False,
+        )
+        table = sweep(base, [0.0, 0.5], ensemble=3)
+        assert sweep(replace(base, master_seed=master + 2**64, stream_id=0), [0.0, 0.5], 3) == table
+        critical = critical_spread(base.trap_target)
+        for cell in table:
+            run = run_sequence(replace(base, spread=cell.multiplier * critical, stream_id=cell.cell))
+            assert (cell.error, cell.n_failures) == (run.terminated_early, run.n_failures)
+            assert (cell.final_p_trap, cell.cum_P) == (
+                run.final_distribution[base.trap_target], run.final_cum_P)
+        assert sum(cell.n_failures for cell in table) > 0
 
     def test_numpy_integer_seeds_give_the_int_streams(self):
         plain = fig3cd_config(n_atoms=30, stream=5)

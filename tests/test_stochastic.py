@@ -18,6 +18,7 @@ from jctrap.stochastic import (
     int_token,
     sample_timing,
     sample_timing_array,
+    stream_id_range,
 )
 
 # Pairs at the edges of the stream contract: negative seeds, seeds of 2^63
@@ -27,6 +28,21 @@ EDGE_PAIRS = [
     (2**64 - 1, 2**64 - 1), (2**64, 2**65 + 3), (7, _STREAM_SALT),
     (-(2**63), 2**63), (2**64 - 1, 2**63),
 ]
+
+# 10^4 pairs: the edge pairs, then random ones from -2^64 up to 2^65.
+_DRAW = random.Random(20261020)
+RANDOM_PAIRS = EDGE_PAIRS + [
+    (_DRAW.randrange(-(2**64), 2**65), _DRAW.randrange(-(2**64), 2**65))
+    for _ in range(10_000 - len(EDGE_PAIRS))
+]
+
+
+def split(pairs):
+    """The (masters, ids) uint64 arrays of (master_seed, stream_id) pairs of ints, modulo 2^64."""
+    mask = (1 << 64) - 1
+    masters = np.array([master & mask for master, _ in pairs], dtype=np.uint64)
+    return masters, np.array([stream & mask for _, stream in pairs], dtype=np.uint64)
+
 
 # Recorded first draws of three streams: they change if numpy's seeding or
 # PCG64 ever does.
@@ -172,17 +188,32 @@ class TestDeriveStream:
         return np.random.default_rng(splitmix64(h_master ^ h_stream))
 
     def test_streams_equal_reference_contract(self):
-        draw = random.Random(20261018)
-        pairs = EDGE_PAIRS[:8] + [
-            (draw.randrange(-(2**63), 2**63), draw.randrange(-(2**63), 2**63))
-            for _ in range(1000)
-        ]
+        pairs = RANDOM_PAIRS
         batches = [pairs[:1], pairs[1:64], pairs[64:128], pairs[128:]]
         assert [len(b) for b in batches[:3]] == [1, 63, 64]
         for batch in batches:
-            for seed, rng in zip(batch, derive_streams(batch), strict=True):
+            for seed, rng in zip(batch, derive_streams(*split(batch)), strict=True):
                 assert rng.bit_generator.state == self.reference_stream(*seed).bit_generator.state
-        assert derive_streams([]) == []
+        assert derive_streams(*split([])) == []
+        assert derive_streams(5, split([])[1]) == []
+
+    def test_one_master_broadcasts(self):
+        # A Python int master, of any size or sign, is one master for every id.
+        ids = split(RANDOM_PAIRS[:300])[1]
+        for master in (0, -5, 2**64 - 1, 2**70):
+            masters = np.full(len(ids), master & ((1 << 64) - 1), dtype=np.uint64)
+            assert [rng.bit_generator.state for rng in derive_streams(master, ids)] == [
+                rng.bit_generator.state for rng in derive_streams(masters, ids)]
+
+    def test_stream_id_range_wraps_modulo_2_64(self):
+        top = 2**64
+        assert stream_id_range(top - 2, 4).tolist() == [top - 2, top - 1, 0, 1]
+        assert stream_id_range(-2, 3).tolist() == [top - 2, top - 1, 0]
+        assert stream_id_range(top + 5, 2).tolist() == [5, 6]
+        assert stream_id_range(3, 0).dtype == np.uint64
+        for stream in (-2, top - 1, top + 5):
+            assert derive_stream(9, stream).bit_generator.state == self.reference_stream(
+                9, stream).bit_generator.state
 
     def test_stream_pickles(self):
         rng = derive_stream(3, 4)
@@ -199,7 +230,7 @@ class TestDeriveStream:
 
 
 class TestStreamLanes:
-    """Lane i of StreamLanes(seeds) is the stream of seeds[i], draw for draw."""
+    """Lane i of StreamLanes(masters, ids) is the stream of (masters[i], ids[i]), draw for draw."""
 
     @staticmethod
     def generators(pairs):
@@ -208,19 +239,15 @@ class TestStreamLanes:
 
     def test_lanes_equal_default_rng(self):
         # 10^4 pairs, drawn first 5 values at once and then 1 and 3 more.
-        draw = random.Random(20261020)
-        pairs = EDGE_PAIRS + [
-            (draw.randrange(-(2**64), 2**65), draw.randrange(-(2**64), 2**65))
-            for _ in range(10_000 - len(EDGE_PAIRS))
-        ]
-        lanes, every = StreamLanes(pairs), np.arange(len(pairs))
+        pairs = RANDOM_PAIRS
+        lanes, every = StreamLanes(*split(pairs)), np.arange(len(pairs))
         drawn = np.hstack([lanes.random(every, 5), lanes.random(every, 1), lanes.random(every, 3)])
         expected = np.array([rng.random(9) for rng in self.generators(pairs)])
         assert drawn.tobytes() == expected.tobytes()
 
     def test_draws_past_the_jump_table(self):
         # A draw of more values than the table holds chains its jumps.
-        lanes = StreamLanes(EDGE_PAIRS)
+        lanes = StreamLanes(*split(EDGE_PAIRS))
         count = 2 * _JUMPS + 37
         drawn = lanes.random(np.arange(len(EDGE_PAIRS)), count)
         assert drawn.shape == (len(EDGE_PAIRS), count)
@@ -231,7 +258,7 @@ class TestStreamLanes:
         # Each call advances the lanes it names, by its count, and no other.
         draw = random.Random(7)
         pairs = EDGE_PAIRS + [(draw.randrange(2**64), t) for t in range(40)]
-        lanes, generators = StreamLanes(pairs), self.generators(pairs)
+        lanes, generators = StreamLanes(*split(pairs)), self.generators(pairs)
         for count in (1, 3, _JUMPS, 2, _JUMPS + 1, 5, 1):
             subset = sorted(draw.sample(range(len(pairs)), draw.randrange(1, len(pairs))))
             drawn = lanes.random(np.array(subset), count)
@@ -243,7 +270,7 @@ class TestStreamLanes:
 
     def test_no_values_leave_the_lanes_unmoved(self):
         # As Generator.random(0), a draw of 0 values is an empty array.
-        lanes, generators = StreamLanes(EDGE_PAIRS), self.generators(EDGE_PAIRS)
+        lanes, generators = StreamLanes(*split(EDGE_PAIRS)), self.generators(EDGE_PAIRS)
         every = np.arange(len(EDGE_PAIRS))
         assert lanes.random(every, 0).shape == (len(EDGE_PAIRS), 0)
         assert lanes.random(every[1:3], 0).shape == (2, 0)
@@ -252,10 +279,11 @@ class TestStreamLanes:
 
     @pytest.mark.parametrize("seed, draws", KNOWN_ANSWERS, ids=KNOWN_ANSWER_IDS)
     def test_known_answers(self, seed, draws):
-        # The recorded draws, from a lane among others, in one draw and one at a time.
-        lanes = StreamLanes([(1, 2), seed, (3, 4)])
+        # The recorded draws, from a lane among others, in one draw and one
+        # at a time, the second time from one master of a Python int.
+        lanes = StreamLanes(*split([(1, 2), seed, (3, 4)]))
         assert [float.hex(x) for x in lanes.random([1], 3)[0]] == draws
-        again = StreamLanes([seed])
+        again = StreamLanes(seed[0], split([seed])[1])
         assert [float.hex(again.random([0], 1)[0, 0]) for _ in range(3)] == draws
 
 
