@@ -7,17 +7,19 @@ on the desired outcome at every step and books its probability; mode
 orthogonal one.  Per-step statistics, the cumulative success probability
 and the final photon-number distribution are collected; `sweep` scans
 spread multiples over seeded ensembles.  Every run goes through one
-update kernel that advances a batch of independent cells per block of
+update kernel that advances a window of independent cells per block of
 atoms in three stages (draw, advance, book): `run_sequence` is its one-cell
 case, while the cells of a sweep and the trajectories of
-`sampled_success_estimate` advance together.
+`sampled_success_estimate` advance together, a waiting cell taking the
+place of each one that ends.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -68,17 +70,17 @@ TOP_LEVEL_GUARD = 1e-8
 # A trap level counts as converged when it holds more than this probability.
 CONVERGENCE_P = 0.9
 
-# A block of atoms, whose times a batch draws at once, has as many atoms as
-# fit in this many factors (atoms x cells x levels), and never fewer than one.
-# A float64 factor array is then 256 KiB, so a block's few such arrays stay
-# in a 2 MiB L2 cache.  A halting sampled batch draws one atom at a time: it
-# may stop at any atom.  _batch_cells sizes batches by the same bound, so one
-# atom of a full batch fits in a block.
+# A block of atoms, whose times the running cells draw at once, has as many
+# atoms as fit in this many factors (atoms x cells x levels), and never fewer
+# than one.  A float64 factor array is then 256 KiB, so a block's few such
+# arrays stay in a 2 MiB L2 cache.  A halting sampled run draws one atom at a
+# time: a cell may stop at any atom.  _batch_cells sizes the window of
+# running cells by the same bound, so one atom of a full window fits in a block.
 _BLOCK_ENTRIES = 32768
 
-# A refill of a uniform-law batch's lanes draws ahead to at least this many
+# A refill of a uniform-law window's lanes draws ahead to at least this many
 # values in all, spread over the lanes it refills: each call has a fixed
-# cost of tens of microseconds, so a batch of few cells refills rarely.
+# cost of tens of microseconds, so a window of few cells refills rarely.
 _DRAW_AHEAD = 1024
 
 OUTCOME_POSTSELECTED = "postselected"
@@ -296,54 +298,123 @@ class _LogSum:
         return math.exp(self.total + self.comp)
 
 
-class _Lanes:
-    """A uniform-law batch's streams, drawn ahead: the one rng that all its lanes share.
+_SPREAD = operator.attrgetter("spread")  # of a TimingModel
 
-    Per atom, lane i takes per_atom[i] values: one for tau_k unless its
-    spread is 0 and, when outcomes are sampled, one for u_k.  Value q of
-    lane i's j-th atom not yet dealt is held[j, i, q].
+
+class _Lanes:
+    """A uniform-law window's streams, drawn ahead: the one rng that all its lanes share.
+
+    Slot i runs one cell's stream.  Per atom it takes per_atom[i] values:
+    one for tau_k unless the cell's spread is 0 and, when outcomes are
+    sampled, one for u_k.  Value q of slot i's j-th atom not yet dealt is
+    held[j, i, q]; every running slot holds the same atoms ahead.
     """
 
-    def __init__(self, master: int, ids: np.ndarray, per_atom: np.ndarray):
-        self.streams, self.per_atom = StreamLanes(master, ids), per_atom
-        self.held = np.empty((0, len(ids), per_atom.max()))
+    def __init__(self, width: int, timed: bool, sampled: bool):
+        """Lanes for width slots; timed when some cell's spread is not 0."""
+        self.streams: StreamLanes | None = None
+        self.sampled = sampled
+        self.per_atom = np.zeros(width, dtype=int)
+        self.held = np.empty((0, width, timed + sampled))
         self.random = iter(()).__next__
 
-    def deal(self, lanes: np.ndarray, b: int) -> None:
-        """Have random() hand out the lanes' next b atoms' values, per atom, then per lane.
+    def admit(self, slots: np.ndarray, streams: StreamLanes, lanes: np.ndarray,
+              timed: np.ndarray) -> None:
+        """Run the lanes of streams in slots and draw them as many atoms as the others hold.
 
-        If fewer than b atoms are held, one lane call per value count an
-        atom takes first draws b atoms or more for the lanes, to
-        _DRAW_AHEAD values over them all.
+        timed says which of them draw tau_k.  The window's first chunk,
+        cell i in slot i, becomes its streams; a later chunk's lanes are
+        copied into their slots.
+        """
+        if self.streams is None:
+            self.streams = streams
+        else:
+            self.streams.state[:, slots] = streams.state[:, lanes]
+            self.streams.inc[:, slots] = streams.inc[:, lanes]
+        self.per_atom[slots] = timed.astype(int) + self.sampled
+        self._draw(self.held, slots)
+
+    def _draw(self, held: np.ndarray, slots: np.ndarray) -> None:
+        """Fill held[:, slots] with the slots' next len(held) atoms: one lane call per value count."""
+        atoms, per_atom = len(held), self.per_atom[slots]
+        if not atoms:
+            return
+        for count in range(1, held.shape[2] + 1):
+            group = slots[per_atom == count]
+            if len(group):
+                values = self.streams.random(group, atoms * count)
+                held[:, group, :count] = values.reshape(len(group), atoms, count).transpose(1, 0, 2)
+
+    def deal(self, lanes: np.ndarray, b: int) -> np.ndarray | None:
+        """The lanes' next b atoms: random() hands out their tau_k, per atom, then per lane.
+
+        Returns their u_k as an (atoms, lanes) array when outcomes are
+        sampled, else None.  If fewer than b atoms are held, one lane call
+        per value count an atom takes first draws b atoms or more for the
+        lanes, to _DRAW_AHEAD values over them all.
         """
         n, width = len(lanes), self.held.shape[2]
         if not width:
-            return
-        at = slice(None) if n == len(self.per_atom) else lanes  # a slice takes views
-        per_atom, held = self.per_atom[at], self.held
-        if len(held) < b:
+            return None
+        if len(self.held) < b:
             atoms = max(b, -(-_DRAW_AHEAD // (n * width)))
-            held = np.concatenate([held, np.empty((atoms, *held.shape[1:]))])
-            for count in set(per_atom.tolist()) - {0}:
-                group = lanes[per_atom == count]
-                values = self.streams.random(group, atoms * count).reshape(len(group), atoms, count)
-                held[-atoms:, group, :count] = values.transpose(1, 0, 2)
-        values = held[:b, at]  # (atoms, lanes, values)
-        if per_atom.min() < width:  # some lanes take fewer values than others
-            values = values[:, per_atom[:, None] > np.arange(width)]
+            self.held = np.concatenate([self.held, np.empty((atoms, *self.held.shape[1:]))])
+            self._draw(self.held[-atoms:], lanes)
+        held, per_atom = self.held, self.per_atom[lanes]
         self.held = held[b:]
-        self.random = iter(values.ravel().tolist()).__next__
+        self.random = iter(held[:b, lanes[per_atom > self.sampled], 0].ravel().tolist()).__next__
+        return held[:b, lanes, per_atom - 1] if self.sampled else None  # u_k, the last value
 
 
-class _Batch(NamedTuple):
-    """A batch's lists, one entry per lane (a cell's index); counting keeps no cums or steps."""
+class _Window:
+    """The cells a run keeps running, one per slot; a slot whose cell ends takes the next.
 
-    timings: list[TimingModel]
-    rngs: list[np.random.Generator | _Lanes]
-    cums: list[_LogSum] | None
-    steps: list[list[StepRecord]] | None
-    failures: list[int]
-    results: list[RunResult | bool | SimulationError]  # False until the lane ends
+    Per slot: the cell it runs (cell), the atoms that cell has run (k) and
+    its failed outcomes (failures) and, unless the run counts, its
+    _LogSum (cums) and step records (steps).  Under the uniform law every
+    slot draws from the window's _Lanes, under the gaussian law from its
+    own Generator (rngs).  The streams of a chunk of width cells are
+    derived when its first cell is admitted.  results holds each cell's
+    outcome, False until the cell ends, or until the run ends for a cell
+    never admitted.
+    """
+
+    def __init__(self, run: _Run, timings: list[TimingModel], ids: np.ndarray, width: int):
+        self.master, self.timings, self.ids, self.admitted = run.config.master_seed, timings, ids, 0
+        self.last = len(ids)  # the cells before it may be admitted
+        self.results: list[RunResult | bool | SimulationError] = [False] * len(ids)
+        self.cell, self.k, self.failures = (np.zeros(width, dtype=np.intp) for _ in range(3))
+        keeps = not run.counting  # a counting run keeps no cums and no steps
+        self.cums: list[_LogSum] | None = [None] * width if keeps else None
+        self.steps: list[list[StepRecord]] | None = [None] * width if keeps else None
+        self.lanes: _Lanes | None = None
+        self.rngs: list[np.random.Generator] = [None] * width
+        # The streams of the chunk whose first cell was admitted last.
+        self.streams: StreamLanes | list[np.random.Generator] | None = None
+        if run.config.law == "uniform":
+            self.lanes = _Lanes(width, any(map(_SPREAD, timings)), run.sampled)
+
+    def admit(self, slots: np.ndarray) -> None:
+        """Start the next len(slots) waiting cells in slots, in cell order, each at atom 0."""
+        width, first = len(self.cell), self.admitted
+        self.admitted += len(slots)
+        self.cell[slots], self.k[slots], self.failures[slots] = np.arange(first, self.admitted), 0, 0
+        if self.cums is not None:
+            for slot in slots.tolist():
+                self.cums[slot], self.steps[slot] = _LogSum(), []
+        for start in range(first - first % width, self.admitted, width):  # the chunks they reach
+            if start >= first:  # its first cell is admitted now
+                ids = self.ids[start : start + width]
+                self.streams = derive_streams(self.master, ids) if self.lanes is None else (
+                    StreamLanes(self.master, ids))
+            low, high = max(start, first), min(start + width, self.admitted)
+            into, offsets = slots[low - first : high - first], np.arange(low - start, high - start)
+            if self.lanes is not None:
+                spreads = np.fromiter(map(_SPREAD, self.timings[low:high]), float, high - low)
+                self.lanes.admit(into, self.streams, offsets, spreads != 0.0)
+            else:  # the gaussian law draws normals from numpy's Generator
+                for slot, offset in zip(into.tolist(), offsets.tolist()):
+                    self.rngs[slot] = self.streams[offset]
 
 
 class _Run(NamedTuple):
@@ -375,22 +446,17 @@ def _conditioned(s: np.ndarray, keep, emit, d: np.ndarray, shifted: np.ndarray) 
         d += keep * s
 
 
-def _draws(batch: _Batch, lanes: np.ndarray, b: int, sampled: bool) -> Iterator[float]:
-    """Per atom, then per lane: tau_k, T_k and, when outcomes are sampled, u_k."""
-    at = lanes.tolist()
-    cells = list(zip(map(batch.timings.__getitem__, at), map(batch.rngs.__getitem__, at)))
-    for _ in range(b):
-        for timing, rng in cells:
-            yield from sample_timing(timing, rng)
-            if sampled:
-                yield rng.random()
+def _timed_outcome(timing: TimingModel, rng: np.random.Generator) -> tuple[float, float, float]:
+    """A gaussian-law atom's tau_k, T_k and then u_k, from the cell's Generator."""
+    return (*sample_timing(timing, rng), rng.random())
 
 
-def _draw_block(run: _Run, batch: _Batch, lanes: np.ndarray, b: int) -> tuple:
-    """The next b atoms' (times, edge, outcomes), none of which reads a field.
+def _draw_block(run: _Run, window: _Window, lanes: np.ndarray, b: int) -> tuple:
+    """The next b atoms' (times, u, edge, outcomes), none of which reads a field.
 
-    times is (atoms, lanes, (tau_k, T_k[, u_k])) in a one-cell run's draw
-    order; edge the top level's sin^2 theta, or None when no outcome emits.
+    times is (atoms, lanes, (tau_k, T_k)) and u the (atoms, lanes) outcome
+    uniforms, or None when outcomes are not sampled, in a one-cell run's
+    draw order; edge the top level's sin^2 theta, or None when no outcome emits.
     outcomes are the selected and, in sampled mode, the orthogonal (keep,
     emit) factors: elastic keeps level n by cos theta_n, else emits into
     n + 1 by -i sin theta_n; inelastic the reverse, keeping by -cos theta_n;
@@ -401,15 +467,22 @@ def _draw_block(run: _Run, batch: _Batch, lanes: np.ndarray, b: int) -> tuple:
     once and broadcast to (atoms, cells, levels) without a copy.
     """
     config, nsm, sampled = run.config, run.nsm, run.sampled
-    if config.law == "uniform":  # every lane's rng is the batch's _Lanes
-        batch.rngs[0].deal(lanes, b)
     shape = (b, len(lanes), config.n_max + 1)
-    times = np.fromiter(_draws(batch, lanes, b, sampled), float, b * len(lanes) * (2 + sampled))
-    times = times.reshape(*shape[:2], -1)
-    pair = times[..., :2]
-    shared = bool((pair == pair[0, 0]).all())
-    if shared:  # a row equals the one-time result bit for bit
-        pair = pair[:1, :1]
+    # One experiment.sample_timing call per atom and cell, per atom, then per lane.
+    timings = list(map(window.timings.__getitem__, window.cell[lanes].tolist())) * b
+    if config.law == "uniform":  # every lane's rng is the window's _Lanes
+        u = window.lanes.deal(lanes, b)
+        draws = map(sample_timing, timings, itertools.repeat(window.lanes))
+    else:
+        u, rngs = None, list(map(window.rngs.__getitem__, lanes.tolist())) * b
+        draws = map(_timed_outcome if sampled else sample_timing, timings, rngs)
+    per_draw = 2 + (u is None and sampled)  # a gaussian atom's u_k follows its times
+    times = np.fromiter(itertools.chain.from_iterable(draws), float, len(timings) * per_draw)
+    times = times.reshape(*shape[:2], per_draw)
+    if per_draw == 3:
+        times, u = times[..., :2], times[..., 2]
+    shared = bool((times == times[0, 0]).all())
+    pair = times[:1, :1] if shared else times  # a row equals the one-time result bit for bit
     taus, ramsey, n_max = pair[..., :1], pair[..., 1:], config.n_max
     if config.scheme == "superposition":
         success, failure = correlated_cm_factors(ramsey, taus, n_max, config.phi_f, sampled)
@@ -432,7 +505,7 @@ def _draw_block(run: _Run, batch: _Batch, lanes: np.ndarray, b: int) -> tuple:
         edge = None if edge is None else np.broadcast_to(edge, shape[:2])
         outcomes = [tuple(None if f is None else np.broadcast_to(f, shape) for f in outcome)
                     for outcome in outcomes]
-    return times, edge, outcomes
+    return times, u, edge, outcomes
 
 
 def _advance(run: _Run, state: np.ndarray, draw: tuple, buffer: np.ndarray) -> tuple:
@@ -442,13 +515,13 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple, buffer: np.ndarray) -> t
     the one-state references' up to the sign of a zero amplitude.  Per (atom,
     cell): the squared norm it renormalized by, the selected outcome's (by
     np.vecdot, which sums as np.vdot does), and whether the draw failed.
-    fields is a view of buffer, the _run_batches call's flat scratch array,
+    fields is a view of buffer, the _run_cells call's flat scratch array,
     which the next block overwrites: its first (atoms + 1) x state.size + 1
     values hold fields and their spare value (see _conditioned), and in
     sampled mode its last state.size + 1 values the orthogonal rows.  The
     loop walks per-atom row views, each array's made once per block.
     """
-    times, edge, outcomes = draw
+    times, u, edge, outcomes = draw
     (b, n), nsm, sampled = times.shape[:2], run.nsm, run.sampled
     shape, size = (b + 1, *state.shape), (b + 1) * state.size
     fields, shifted = buffer[:size].reshape(shape), buffer[1 : size + 1].reshape(shape)
@@ -457,26 +530,30 @@ def _advance(run: _Run, state: np.ndarray, draw: tuple, buffer: np.ndarray) -> t
     successes = np.empty((b, n)) if sampled else norms
     failed = np.zeros((b, n), dtype=bool)
     factors = (*outcomes[0], *(outcomes[1] if sampled else (None, None)))
-    rows = zip(fields[:-1], fields[1:], shifted[1:],
+    # A complex row's float64 view: its real and imaginary parts side by side.
+    parts = fields.view(float) if fields.dtype == complex else fields
+    rows = zip(fields[:-1], fields[1:], shifted[1:], parts[1:],
                *(itertools.repeat(None) if f is None else f for f in factors))
     if sampled:
         orth = buffer[-(state.size + 1) :]
         d_orth, shifted_orth = orth[:-1].reshape(state.shape), orth[1:].reshape(state.shape)
-    for j, (s, d, emit_to, keep, emit, keep_orth, emit_orth) in enumerate(rows):
+    for j, (s, d, emit_to, d_parts, keep, emit, keep_orth, emit_orth) in enumerate(rows):
         _conditioned(s, keep, emit, d, emit_to)
         if nsm:  # populations need no renormalization
             continue
         norm = successes[j] = np.vecdot(d, d).real
         if sampled:
             # u_k < 1, so u_k < min(norm, 1) exactly when u_k < norm.
-            failed[j] = fails = ~(times[j, :, 2] < norm)
+            failed[j] = fails = ~(u[j] < norm)
             if fails.any():
                 _conditioned(s, keep_orth, emit_orth, d_orth, shifted_orth)
                 np.copyto(d, d_orth, where=fails[:, None])
                 norm = np.where(fails, np.vecdot(d_orth, d_orth).real, norm)
             norms[j] = norm  # else norms is successes
-        # A row at or below the floor ends below; the floor keeps 0/0 out.
-        d /= np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ))[:, None]
+        # A row at or below the floor ends below; the floor keeps 0/0 out.  Both
+        # parts times the reciprocal is numpy's complex / real division, which
+        # multiplies by 1 / x, and gives the same values up to the sign of a zero.
+        d_parts *= (1.0 / np.sqrt(np.maximum(norm, ORTHOGONAL_NORM_SQ)))[:, None]
     return times, edge, fields, norms, successes, failed
 
 
@@ -507,20 +584,21 @@ def _populations(run: _Run, fields: np.ndarray) -> np.ndarray:
     return fields if run.nsm else np.square(rows := np.abs(fields), out=rows)
 
 
-def _result(run: _Run, batch: _Batch, lane: int, dist_row, reason: str | None) -> RunResult | bool:
-    """The RunResult of a lane whose final populations are dist_row.
+def _result(run: _Run, window: _Window, slot: int, dist_row, reason: str | None
+            ) -> RunResult | bool:
+    """The RunResult of the cell in slot, whose final populations are dist_row.
 
-    A counting run builds none: whether the lane ran to its end with no
+    A counting run builds none: whether the cell ran to its end with no
     failed outcome.
     """
     if run.counting:
-        return reason is None and batch.failures[lane] == 0
-    return RunResult(batch.steps[lane], dist_row, reason, batch.failures[lane],
-                     batch.cums[lane].value)
+        return reason is None and not window.failures[slot]
+    return RunResult(window.steps[slot], dist_row, reason, int(window.failures[slot]),
+                     window.cums[slot].value)
 
 
-def _book(run: _Run, k: int, batch: _Batch, lanes: np.ndarray, block: tuple):
-    """Guard and book a block after atom k: (lanes that go on, their fields).
+def _book(run: _Run, window: _Window, lanes: np.ndarray, block: tuple):
+    """Guard and book a block: (lanes that go on, their fields).
 
     Reads populations only, of the rows after each atom and the top level
     before the first.  Guard inputs, step statistics and cum_P run once per
@@ -528,6 +606,7 @@ def _book(run: _Run, k: int, batch: _Batch, lanes: np.ndarray, block: tuple):
     each input; else each cell runs the guard atom by atom in a one-cell
     run's order, books the atoms before its first trip and ends, as a
     halting cell does at a failure.  A counting run books failures alone.
+    Each lane numbers its atoms on from its own count, window.k.
     """
     times, edge, fields, norms, successes, failed = block
     b, n = failed.shape
@@ -541,24 +620,27 @@ def _book(run: _Run, k: int, batch: _Batch, lanes: np.ndarray, block: tuple):
     p_k = np.minimum(successes, 1.0)
     ends = {}  # per cell that ends: (atoms booked, its error or reason)
     # The guard on the block's worst value of each input; numpy's max and
-    # min return a NaN if there is one, and a NaN trips the guard.
+    # min return a NaN if there is one, and a NaN trips the guard.  Its atom
+    # number only enters a message.
     far = max(total.min(), total.max(), key=lambda t: abs(t - 1.0))
     worst = (leak.max(), p_k.min(), norms.min(), far, top.max())
-    if _guard(run, worst, k + 1) is not None:
+    tripped = _guard(run, worst, 0) is not None
+    if not tripped and run.counting and run.halting:  # one atom a block; a failed lane stays False
+        keep = np.flatnonzero(~failed[0])
+        return lanes[keep], fields[1].take(keep, axis=0)
+    ks = window.k[lanes].tolist()
+    if tripped:
         inputs = (a.ravel().tolist() for a in (leak, p_k, norms, total, top))
         for at, atom in enumerate(zip(*inputs)):
             j, i = divmod(at, n)
-            if i not in ends and (end := _guard(run, atom, k + j + 1)) is not None:
+            if i not in ends and (end := _guard(run, atom, ks[i] + j + 1)) is not None:
                 ends[i] = (j, end)
-    elif run.counting and run.halting:  # one atom a block; a failed lane stays False
-        keep = np.flatnonzero(~failed[0])
-        return lanes[keep], fields[1].take(keep, axis=0)
     # NSM books no P_k: each is 1.0, one float object every step record shares.
     p_k = None if run.counting or run.nsm else p_k.ravel().tolist()
     failed = failed.ravel().tolist()
-    if run.halting:  # a halting batch runs one atom a block
+    if run.halting:  # a halting run runs one atom a block
         for i in itertools.compress(range(n), failed):
-            ends.setdefault(i, (1, f"sampled orthogonal outcome at atom {k + 1}"))
+            ends.setdefault(i, (1, f"sampled orthogonal outcome at atom {ks[i] + 1}"))
     if run.collect_steps:
         ns, trap = np.arange(run.config.n_max + 1, dtype=float), run.config.trap_target
         mean_n = np.vecdot(after, ns)
@@ -569,104 +651,98 @@ def _book(run: _Run, k: int, batch: _Batch, lanes: np.ndarray, block: tuple):
         named = (OUTCOME_SUCCESS, OUTCOME_FAILURE) if run.sampled else (OUTCOME_POSTSELECTED,) * 2
         columns.append([named[f] for f in failed])  # outcome by failure flag
 
-    for i, lane in enumerate(lanes.tolist()):
+    for i, (slot, k) in enumerate(zip(lanes.tolist(), ks)):
         m, end = ends.get(i, (b, None))
         at = slice(i, m * n, n)  # cell i's booked atoms in the (atoms, cells) lists
         if p_k is None:  # counting books no cum_P, and NSM's stays 1.0 since log 1 = 0
             p_ks, cums = itertools.repeat(1.0), itertools.repeat(1.0)
         else:
             p_ks, cums = p_k[at], [] if run.collect_steps else None
-            batch.cums[lane].extend(p_ks, cums)
+            window.cums[slot].extend(p_ks, cums)
         if run.collect_steps:
             tau_k, t_k, mean, delta, p_trap, p_above, outcome = (c[at] for c in columns)
-            batch.steps[lane].extend(map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_ks,
-                                         cums, mean, delta, outcome, p_trap, p_above))
+            window.steps[slot].extend(map(StepRecord, range(k + 1, k + m + 1), tau_k, t_k, p_ks,
+                                          cums, mean, delta, outcome, p_trap, p_above))
         if run.sampled:
-            batch.failures[lane] += failed[at].count(True)
+            window.failures[slot] += failed[at].count(True)
         if isinstance(end, str):  # for NSM, after[m - 1] is a view of the kernel's buffer
             row = after[m - 1, i] if m else _populations(run, fields[0, i])
-            batch.results[lane] = _result(run, batch, lane, row.copy(), end)
+            window.results[window.cell[slot]] = _result(run, window, slot, row.copy(), end)
         elif end is not None:
-            batch.results[lane] = end
+            window.results[window.cell[slot]] = end
+            if run.counting:  # it raises: no waiting cell can raise before it
+                window.last = window.admitted
     # take() is quicker with an index array; a list builds one faster than np.delete for few cells
     keep = np.array([i for i in range(n) if i not in ends], dtype=np.intp)
     return lanes[keep], fields[b].take(keep, axis=0)
 
 
-def _run_cells(
-    run: _Run, timings: list[TimingModel], ids: np.ndarray, buffer: np.ndarray
-) -> list[RunResult | bool | SimulationError]:
-    """Run a batch of cells, a block of atoms at a time, through one update kernel.
-
-    Cell i runs run.config with timings[i] and the stream (config.master_seed,
-    ids[i]), its field one row of a (cells, levels) array: amplitudes, or
-    populations for NSM.  The running cells are an index array of lanes
-    into the _Batch.  Under the uniform law the lanes share one _Lanes as
-    their rng, under the gaussian law each has its own Generator.  Per
-    block, _draw_block draws, _advance updates into buffer, the scratch
-    array of the _run_batches call, and _book guards and books.
-    """
-    config, n = run.config, len(ids)
-    if config.fock is None:
-        initial, _ = coherent_state(config.alpha, config.n_max)
-    else:
-        initial = fock_basis_state(config.fock, config.n_max)
-    state = initial.probabilities() if run.nsm else initial.amplitudes
-    state = state[None].repeat(n, axis=0)
-    if config.law == "uniform":
-        per_atom = np.array([t.spread != 0.0 for t in timings], dtype=int) + run.sampled
-        rngs = [_Lanes(config.master_seed, ids, per_atom)] * n
-    else:  # the gaussian law draws normals from numpy's Generator
-        rngs = derive_streams(config.master_seed, ids)
-    keeps = not run.counting  # a counting batch keeps no cums and no steps
-    batch = _Batch(timings, rngs, [_LogSum() for _ in range(n)] if keeps else None,
-                   [[] for _ in range(n)] if keeps else None, [0] * n, [False] * n)
-    lanes, k = np.arange(n), 0
-    while k < config.n_atoms and len(lanes):
-        b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(lanes) * (config.n_max + 1)))
-        b = min(b, config.n_atoms - k)
-        draw = _draw_block(run, batch, lanes, b)
-        lanes, state = _book(run, k, batch, lanes, _advance(run, state, draw, buffer))
-        k += b
-    rows = _populations(run, state)
-    for i, lane in enumerate(lanes.tolist()):
-        batch.results[lane] = _result(run, batch, lane, rows[i], None)
-    return batch.results
-
-
 def _batch_cells(n_max: int) -> int:
-    """How many cells a batch holds at n_max + 1 levels: one atom of them fits in a block."""
+    """How many cells run at once at n_max + 1 levels: one atom of them fits in a block."""
     return max(1, _BLOCK_ENTRIES // (n_max + 1))
 
 
-def _run_batches(
+def _run_cells(
     config: RunConfig, timings: list[TimingModel], stream_ids: np.ndarray, collect: str
-) -> Iterator[RunResult | bool | SimulationError]:
-    """_run_cells over the cells, in batches of _batch_cells(config.n_max) cells.
+) -> list[RunResult | bool | SimulationError]:
+    """Run the cells through one update kernel, in a window of lanes that refills.
 
-    Cell i runs with timings[i] and the stream (config.master_seed,
-    stream_ids[i]) of a uint64 id array.  Yields, per cell, the
-    SimulationError that ended it or, by collect: "steps", its RunResult
-    with step records; "results", its RunResult without them; "successes",
-    whether it ran to its end with no failed outcome, for which no
-    RunResult or cum_P is built.  Every batch's blocks reuse one scratch
-    buffer.
+    Cell i runs config with timings[i] and the stream (config.master_seed,
+    stream_ids[i]) of a uint64 id array, its field one row of a (lanes,
+    levels) array: amplitudes, or populations for NSM.  At most
+    _batch_cells(config.n_max) cells run at once, each in a slot of the
+    _Window; the running ones are an index array of lanes into it.  After
+    each block, the slots whose cells ended take the next waiting cells,
+    in cell order, each from the initial state at atom 0.  Per block,
+    _draw_block draws, _advance updates into one scratch buffer and _book
+    guards and books; a block runs no more atoms than any running cell has
+    left.  Returns, per cell, the SimulationError that ended it or, by
+    collect: "steps", its RunResult with step records; "results", its
+    RunResult without them; "successes", whether it ran to its end with no
+    failed outcome, for which no RunResult or cum_P is built.  A counting
+    run admits no cell after one raises, and those cells stay False.
     """
     nsm = config.scheme == "nsm"
     sampled = config.mode == "sample" and not nsm
     run = _Run(config, collect == "steps", collect == "successes", nsm, sampled,
                sampled and config.halt_on_failure)
-    batch_cells = _batch_cells(config.n_max)
-    # The buffer holds _advance's largest block, which the first batch, the
-    # largest, sets: a block's atoms x cells x levels is one atom of every
-    # cell at most in a halting batch, else at most the run's atoms of them
-    # and max(_BLOCK_ENTRIES, one atom of them).
-    size = min(len(stream_ids), batch_cells) * (config.n_max + 1)
+    levels = config.n_max + 1
+    window = _Window(run, timings, stream_ids, min(len(stream_ids), _batch_cells(config.n_max)))
+    width = len(window.cell)
+    if config.fock is None:
+        initial, _ = coherent_state(config.alpha, config.n_max)
+    else:
+        initial = fock_basis_state(config.fock, config.n_max)
+    initial = initial.probabilities() if nsm else initial.amplitudes
+    # The buffer holds _advance's largest block: a block's atoms x cells x
+    # levels is one atom of a full window at most in a halting run, else at
+    # most the run's atoms of it and max(_BLOCK_ENTRIES, one atom of it).
+    size = width * levels
     most = size if run.halting else min(config.n_atoms * size, max(_BLOCK_ENTRIES, size))
-    buffer = np.empty(most + (1 + sampled) * (size + 1), float if nsm else complex)
-    for start in range(0, len(stream_ids), batch_cells):
-        batch = slice(start, start + batch_cells)
-        yield from _run_cells(run, timings[batch], stream_ids[batch], buffer)
+    buffer = np.empty(most + (1 + sampled) * (size + 1), initial.dtype)
+    lanes, state = np.arange(0), initial[None][:0]
+    while True:
+        if len(lanes) < width and window.admitted < window.last:
+            free = np.ones(width, dtype=bool)
+            free[lanes] = False
+            slots = np.flatnonzero(free)[: window.last - window.admitted]
+            window.admit(slots)
+            lanes = np.concatenate([lanes, slots])
+            state = np.concatenate([state, np.broadcast_to(initial, (len(slots), levels))])
+        done = window.k[lanes] == config.n_atoms
+        if done.any():  # cells that ran every atom end with their fields
+            rows = _populations(run, state[done])
+            for row, slot in zip(rows, lanes[done].tolist()):
+                window.results[window.cell[slot]] = _result(run, window, slot, row, None)
+            lanes, state = lanes[~done], state[~done]
+            continue
+        if not len(lanes):
+            return window.results
+        b = 1 if run.halting else max(1, _BLOCK_ENTRIES // (len(lanes) * levels))
+        b = min(b, config.n_atoms - int(window.k[lanes].max()))
+        draw = _draw_block(run, window, lanes, b)
+        lanes, state = _book(run, window, lanes, _advance(run, state, draw, buffer))
+        window.k[lanes] += b
 
 
 def run_sequence(config: RunConfig) -> RunResult:
@@ -680,7 +756,7 @@ def run_sequence(config: RunConfig) -> RunResult:
     levels exceed the 1e-8 guard aborts the same way.  This is the
     one-cell case of the kernel that `sweep` runs its cells through.
     """
-    (result,) = _run_batches(config, [config.timing], stream_id_range(config.stream_id, 1), "steps")
+    (result,) = _run_cells(config, [config.timing], stream_id_range(config.stream_id, 1), "steps")
     if isinstance(result, SimulationError):
         raise result
     return result
@@ -706,9 +782,9 @@ def sweep(
 
     Cell (i, j) uses stream_id = i * ensemble + j derived from the base
     master seed, so the whole table is reproducible from that one seed.
-    The cells advance together through the batch kernel; per-cell failures,
-    an invalid spread or a run that ended early among them, are recorded in
-    the cell as its error, with nan values, not raised.
+    The cells advance together through the kernel's window; per-cell
+    failures, an invalid spread or a run that ended early among them, are
+    recorded in the cell as its error, with nan values, not raised.
     """
     ensemble = int_token("ensemble", ensemble)
     if ensemble < 1:
@@ -723,7 +799,8 @@ def sweep(
             timings.append(exc)
     valid = [i for i, timing in enumerate(timings) if isinstance(timing, TimingModel)]
     ids = np.array([i * ensemble + j for i in valid for j in range(ensemble)], dtype=np.uint64)
-    runs = _run_batches(base, [timings[i] for i in valid for _ in range(ensemble)], ids, "results")
+    runs = iter(_run_cells(base, [timings[i] for i in valid for _ in range(ensemble)], ids,
+                           "results"))
     cells = []
     for i, mult in enumerate(multipliers):
         for index in range(i * ensemble, (i + 1) * ensemble):
@@ -746,7 +823,7 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     Trajectory t runs with stream_id = config.stream_id + t.  For
     fixed times this estimates the `postselect` cumulative probability to
     within binomial error.  The trajectories advance together through the
-    batch kernel, as sweep cells do, and each returns only whether it
+    kernel's window, as sweep cells do, and each returns only whether it
     succeeded; the first one to raise, in trajectory order, raises here.
     """
     if config.mode != "sample":
@@ -755,9 +832,8 @@ def sampled_success_estimate(config: RunConfig, trajectories: int) -> float:
     if trajectories < 1:
         raise ConfigError(f"trajectories: must be >= 1, got {trajectories}")
     ids = stream_id_range(config.stream_id, trajectories)
-    successes = 0
-    for success in _run_batches(config, [config.timing] * trajectories, ids, "successes"):
-        if isinstance(success, SimulationError):
-            raise success
-        successes += success
+    results = _run_cells(config, [config.timing] * trajectories, ids, "successes")
+    successes = results.count(True)
+    if successes + results.count(False) < trajectories:  # the others raised
+        raise next(result for result in results if isinstance(result, SimulationError))
     return successes / trajectories

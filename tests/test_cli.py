@@ -1513,6 +1513,34 @@ class TestOutputDigests:
         assert first == second and set(first) == {"sweep.csv"}
 
 
+class TestCpuDispatch:
+    def test_outputs_do_not_depend_on_cpu_dispatch(self, tmp_path):
+        # np.log, np.exp and np.log10 give different bytes under different
+        # CPU features, so none may feed a written byte uncorrected.  fig2a
+        # at 300 atoms, run here and in a process with every feature numpy
+        # dispatches on disabled, writes the same files.
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+
+        argv = ["run", "--preset", "fig2a", "--atoms", "300"]
+        assert main([*argv, "--out-dir", str(tmp_path / "here")]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(jctrap.__file__).parents[1]),
+               "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
+        code = (
+            "import sys\n"
+            "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+            "from jctrap.cli import main\n"
+            "print([f for f in __cpu_dispatch__ if __cpu_features__[f]])\n"
+            f"sys.exit(main({[*argv, '--out-dir', str(tmp_path / 'there')]!r}))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"  # every dispatched feature was off
+        here, there = manifest_outputs(tmp_path / "here"), manifest_outputs(tmp_path / "there")
+        assert set(here) == {"trajectory.csv", "distribution.csv"} and there == here
+        for name in here:
+            assert (tmp_path / "there" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
 class TestImport:
     def test_simulation_modules_write_no_files(self):
         # cli alone opens and hashes output files; the simulation only computes.

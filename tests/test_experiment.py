@@ -33,6 +33,7 @@ from jctrap.experiment import (
     sweep,
 )
 from jctrap.fock import (
+    ORTHOGONAL_NORM_SQ,
     FieldState,
     coherent_state,
     default_n_max,
@@ -639,7 +640,7 @@ class TestKernel:
     @pytest.mark.parametrize("ahead", [1, 1024, 10**6], ids=["ahead-1", "ahead-1024", "ahead-1e6"])
     @pytest.mark.parametrize("halt", [True, False], ids=["sample-halting", "sample-continuing"])
     def test_mixed_spread_sampled_sweep_equals_reference(self, monkeypatch, halt, ahead):
-        # One uniform-law batch deals the cells at multiplier 0 one value an
+        # One uniform-law window deals the cells at multiplier 0 one value an
         # atom (u_k) and those at 0.5 two (tau_k, u_k), from lanes drawn
         # ahead by every block (ahead 1), now and then, or once for the
         # whole run (ahead 10^6).  Each cell equals the reference, which
@@ -655,7 +656,7 @@ class TestKernel:
         configs = [replace(base, spread=mult * critical, stream_id=i * ensemble + j)
                    for i, mult in enumerate(mults) for j in range(ensemble)]
         timings, ids = _cells(configs)
-        results = list(experiment._run_batches(base, timings, ids, "steps"))
+        results = experiment._run_cells(base, timings, ids, "steps")
         table = sweep(base, mults, ensemble)
         lengths = set()
         for config, result, cell in zip(configs, results, table, strict=True):
@@ -707,6 +708,39 @@ class TestKernel:
             assert cell.final_p_trap == dist[base.trap_target]
 
 
+class TestRenormalization:
+    @pytest.mark.parametrize("divisors", ["norms", "magnitudes"])
+    def test_float_view_times_reciprocal_equals_complex_division(self, divisors):
+        # _advance scales each row's float64 view by 1 / x where it used to
+        # divide the complex row by x.  numpy's complex / real division
+        # multiplies by that same reciprocal, so every nonzero part is the
+        # same double, bit for bit; a zero part may differ only in its sign.
+        # 200 shapes of parts from 1e-150 to 1e150 in size, a fifth +0 and a
+        # tenth -0, divided by their floored row norms or by any magnitude.
+        rng = np.random.default_rng(32)
+        nonzeros = values = 0
+        for _ in range(200):
+            rows, levels = (int(v) for v in rng.integers(1, 80, size=2))
+            parts = rng.standard_normal((rows, 2 * levels))
+            parts *= 10.0 ** rng.uniform(-150, 150, size=parts.shape)
+            parts[rng.random(parts.shape) < 0.2] = 0.0
+            parts[rng.random(parts.shape) < 0.1] = -0.0
+            d = parts.view(complex)
+            if divisors == "norms":
+                x = np.sqrt(np.maximum(np.vecdot(d, d).real, ORTHOGONAL_NORM_SQ))
+            else:
+                x = 10.0 ** rng.uniform(-150, 150, size=rows)
+            expected = (d / x[:, None]).view(float)
+            scaled = parts.copy()
+            scaled *= (1.0 / x)[:, None]
+            nonzero = expected != 0.0
+            assert np.array_equal(scaled.view(np.uint64)[nonzero],
+                                  expected.view(np.uint64)[nonzero])
+            assert (scaled[~nonzero] == 0.0).all()
+            nonzeros, values = nonzeros + nonzero.sum(), values + parts.size
+        assert 0.6 < nonzeros / values < 0.8
+
+
 def _cells(configs):
     """The kernel's (timings, uint64 stream ids) for configs of one master seed."""
     assert len({config.master_seed for config in configs}) == 1
@@ -723,23 +757,23 @@ def _fingerprint(result):
 
 
 class TestBlockSize:
-    """Results do not depend on how many atoms a block or cells a batch holds."""
+    """Results do not depend on how many atoms a block or cells a window holds."""
 
     @staticmethod
     def each_block_size(monkeypatch, run):
         """run() with one atom a block, the default blocks and whole-run blocks.
 
-        Each block size runs in batches of one cell, of three cells and of the
+        Each block size runs in windows of one cell, of three cells and of the
         size the entries rule gives at that block size; the outcomes for one
-        block size, batch sizes in that order, follow one another.
+        block size, window sizes in that order, follow one another.
         """
         outcomes = []
         rule = experiment._batch_cells
-        batches = (lambda n_max: 1, lambda n_max: 3, rule)
+        windows = (lambda n_max: 1, lambda n_max: 3, rule)
         for entries in (1, experiment._BLOCK_ENTRIES, 10**6):
             monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", entries)
-            for batch in batches:
-                monkeypatch.setattr(experiment, "_batch_cells", batch)
+            for window in windows:
+                monkeypatch.setattr(experiment, "_batch_cells", window)
                 try:
                     outcomes.append(run())
                 except SimulationError as exc:
@@ -821,7 +855,7 @@ class TestBlockSize:
     )
     def test_sweep_mixing_fixed_and_fluctuating_times(self, monkeypatch, scheme, phi_f, mode, halt):
         # Run alone, a cell at multiplier 0 shares one row of factors a block;
-        # in most of the sweep's batches it sits beside fluctuating cells.
+        # at most window sizes it sits beside fluctuating cells.
         trap, initial, n_max = REFERENCE_SCENARIOS[scheme]
         base = build_run_config(
             scheme=scheme, trap_target=trap, n_atoms=60, **initial, n_max=n_max, phi_f=phi_f,
@@ -845,26 +879,118 @@ class TestBlockSize:
         outcomes = self.each_block_size(monkeypatch, cells)
         assert outcomes == [expected] * 9
 
+    @pytest.mark.parametrize("window", [2, 5, 8, 11])
+    def test_first_error_in_trajectory_order_raises_at_any_window(self, monkeypatch, window):
+        # In windows smaller than the 12 trajectories, halted cells make room
+        # for later ones, which may leak before trajectory 7 does: 11 leaks
+        # at its atom 4, 7 at its atom 6.  Trajectory 7's error still raises.
+        cfg = build_run_config(
+            scheme="inelastic", trap_target=20, n_atoms=40, alpha=3.0, n_max=46,
+            spread_mult=1.0, mode="sample",
+        )
+        with pytest.raises(LeakageError) as first:
+            run_sequence(replace(cfg, stream_id=7))
+        monkeypatch.setattr(experiment, "_batch_cells", lambda n_max: window)
+        with pytest.raises(LeakageError) as raised:
+            sampled_success_estimate(cfg, 12)
+        assert str(raised.value) == str(first.value)
+
+    def test_estimate_admits_no_trajectory_after_one_raises(self, monkeypatch):
+        # Trajectory 0 leaks out of the 42-level basis.  In a window of one,
+        # no later trajectory is admitted, since none can raise before it:
+        # only trajectory 0's lane is derived.
+        cfg = build_run_config(
+            scheme="elastic", trap_target=20, n_atoms=300, alpha=3.0, n_max=41, spread_mult=1.0,
+            mode="sample", halt_on_failure=False,
+        )
+        with pytest.raises(LeakageError) as first:
+            run_sequence(cfg)
+        derived, original = [], experiment.StreamLanes
+
+        def stream_lanes(master, ids):
+            derived.extend(ids.tolist())
+            return original(master, ids)
+
+        monkeypatch.setattr(experiment, "StreamLanes", stream_lanes)
+        monkeypatch.setattr(experiment, "_batch_cells", lambda n_max: 1)
+        with pytest.raises(LeakageError) as raised:
+            sampled_success_estimate(cfg, 50)
+        assert str(raised.value) == str(first.value) and derived == [0]
+
+    @pytest.mark.parametrize("law", ["uniform", "gaussian"])
+    def test_halting_cells_equal_one_run_per_stream(self, monkeypatch, law):
+        # Halting cells end at different atoms, so a window smaller than the
+        # cells refills while others run on.  At every block and window size,
+        # each cell of a halting sweep over spreads 0, 0.5 and 1 (critical)
+        # and each trajectory of a halting estimate equal run_sequence at
+        # their stream ids: result, failures and the atom that failed.
+        base = build_run_config(
+            scheme="superposition", trap_target=21, n_atoms=30, alpha=math.sqrt(21.0),
+            mode="sample", law=law, master_seed=11,
+        )
+        critical, mults, ensemble = critical_spread(base.trap_target), [0.0, 0.5, 1.0], 4
+        runs = [run_sequence(replace(base, spread=mult * critical, stream_id=i * ensemble + j))
+                for i, mult in enumerate(mults) for j in range(ensemble)]
+        expected_cells = [
+            repr((run.terminated_early, run.n_failures) + (
+                (math.nan, math.nan) if run.terminated_early else
+                (float(run.final_distribution[base.trap_target]), run.final_cum_P)))
+            for run in runs
+        ]
+        errors = {run.terminated_early for run in runs}
+        assert len(errors) > 3 and None in errors  # cells end at several atoms, some at none
+        estimate = replace(base, spread=0.5 * critical, stream_id=3)
+        expected_successes = [
+            run_sequence(replace(estimate, stream_id=3 + t)).terminated_early is None
+            for t in range(12)
+        ]
+        assert 0 < sum(expected_successes) < 12
+        original = experiment._run_cells
+        seen = []
+
+        def run_cells(config, timings, ids, collect):
+            seen.append(results := original(config, timings, ids, collect))
+            return results
+
+        monkeypatch.setattr(experiment, "_run_cells", run_cells)
+
+        def outcomes():
+            cells = [repr((c.error, c.n_failures, c.final_p_trap, c.cum_P))
+                     for c in sweep(base, mults, ensemble)]
+            fraction = sampled_success_estimate(estimate, 12)
+            return cells, fraction, seen.pop()
+
+        assert self.each_block_size(monkeypatch, outcomes) == [
+            (expected_cells, sum(expected_successes) / 12, expected_successes)] * 9
+
     def test_batches_sized_by_entries(self, monkeypatch):
-        # A batch holds as many cells as one atom of them fills a block:
-        # 1057 at 31 levels, 50 at fig1b's 651.
+        # A window runs as many cells as one atom of them fills a block:
+        # 1057 at 31 levels, 50 at fig1b's 651.  It derives its lanes that
+        # many ids at a time, and never runs more cells at once.
         assert [experiment._batch_cells(n_max) for n_max in (30, 125, 126, 650)] == [
             1057, 260, 258, 50
         ]
-        sizes = []
-        original = experiment._run_cells
+        sizes, running = [], []
+        original_lanes, original_draw = experiment.StreamLanes, experiment._draw_block
 
-        def recorded(run, timings, ids, buffer):
+        def recorded(master, ids):
             sizes.append(len(ids))
-            return original(run, timings, ids, buffer)
+            return original_lanes(master, ids)
 
-        monkeypatch.setattr(experiment, "_run_cells", recorded)
+        def draw_block(run, window, lanes, b):
+            running.append(len(lanes))
+            return original_draw(run, window, lanes, b)
+
+        monkeypatch.setattr(experiment, "StreamLanes", recorded)
+        monkeypatch.setattr(experiment, "_draw_block", draw_block)
         config = build_run_config(
             scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=math.pi / 3.0,
             n_max=30, mode="sample",
         )
         sampled_success_estimate(config, 2200)
         assert sizes == [1057, 1057, 86]
+        # Ended lanes take waiting cells: the window stays full until the last chunk.
+        assert running[:2] == [1057, 1057] and max(running) == 1057
 
     def test_one_atom_of_a_full_batch_fits_a_block(self):
         for n_max in range(1, 2001):
@@ -898,7 +1024,7 @@ class TestBlockSize:
         timings, ids = _cells(configs)
         outcomes = self.each_block_size(
             monkeypatch,
-            lambda: [_fingerprint(r) for r in experiment._run_batches(base, timings, ids, "steps")],
+            lambda: [_fingerprint(r) for r in experiment._run_cells(base, timings, ids, "steps")],
         )
         assert outcomes == [expected] * 9
 
@@ -919,14 +1045,9 @@ class TestBlockSize:
         [
             ("nsm", "postselect", "cos", 3, ("cos", "sin"),
              "SimulationError: state norm drifted to nan at atom 5"),
-            # The NaN norm divides the row: numpy warns of it, and the guard ends the cell.
-            pytest.param(
-                "elastic", "postselect", "cos", 3, ("cos", "top sin"),
-                "OrthogonalOutcomeError: cannot renormalize state with squared norm nan",
-                marks=pytest.mark.filterwarnings(
-                    "ignore:invalid value encountered in divide:RuntimeWarning"
-                ),
-            ),
+            # The NaN norm scales the row to NaNs, and the guard ends the cell.
+            ("elastic", "postselect", "cos", 3, ("cos", "top sin"),
+             "OrthogonalOutcomeError: cannot renormalize state with squared norm nan"),
             # A NaN selected norm fails the draw and the orthogonal row is finite:
             # the NaN P_k alone ends the cell, before the atom is booked.
             ("elastic", "sample", "cos", 3, ("cos", "sin"),
@@ -943,18 +1064,20 @@ class TestBlockSize:
     def test_nan_factor_ends_the_cell(
         self, monkeypatch, scheme, mode, factor, level, source, message
     ):
-        # A NaN cos or sin at atom 5 of one cell, at every block and batch
+        # A NaN cos or sin at atom 5 of one cell, at every block and window
         # size, in the parts of rabi_cos_sin that compute that factor: the
         # whole pair for NSM and sampled mode, the cos and the top level's sin
         # alone for a post-selected elastic run.  The block's test must see it
         # wherever it sits among the block's guard inputs, although a NaN
         # passes every `x > limit`.  The cell is that of stream
-        # `poisoned_stream`, the last cell of its batch at every batch size.
-        # Times fluctuate, so that every atom and cell has its own row of
-        # factors.  A uniform-law batch starts by deriving its cells' lanes.
+        # `poisoned_stream`, the last cell of its chunk of lanes and of its
+        # window at every window size; the cells before it end at atom 10,
+        # so it runs from its chunk's first block.  Times fluctuate, so that
+        # every atom and cell has its own row of factors.  A uniform-law
+        # window derives a chunk's lanes when it admits the chunk's first cell.
         original_lanes, original_rabi = experiment.StreamLanes, experiment.rabi_cos_sin
         poisoned_stream = [0]
-        drawn = []  # atoms whose factors the poisoned cell's batch has taken, if it runs
+        drawn = []  # atoms whose factors the poisoned cell's chunk has taken, if it runs
         hits = set()  # the parts computed by the calls whose output took the NaN
 
         def stream_lanes(master, ids):
@@ -991,19 +1114,21 @@ class TestBlockSize:
         # At a fixed time one row of factors serves every atom and cell of a
         # block.  A NaN cos in the row of the block that holds atom 5 ends
         # every cell at that block's first atom: 5 in one-atom blocks, 1 when
-        # one block holds the whole run.  A uniform-law batch starts by
-        # deriving its cells' lanes.
+        # one block holds the whole run.  A uniform-law window derives a
+        # chunk's lanes when it admits the chunk's first cell, and every
+        # cell of a window admits together here or (at a window of one)
+        # after the one before it has ended.
         original_lanes, original_draw = experiment.StreamLanes, experiment._draw_block
         original_rabi = experiment.rabi_cos_sin
         block = {}
 
         def stream_lanes(master, ids):
-            block["end"] = 0  # atoms the batch has drawn
+            block["end"] = 0  # atoms the chunk's cells have drawn
             return original_lanes(master, ids)
 
-        def draw_block(run, batch, lanes, b):
+        def draw_block(run, window, lanes, b):
             block["start"], block["end"] = block["end"] + 1, block["end"] + b
-            return original_draw(run, batch, lanes, b)
+            return original_draw(run, window, lanes, b)
 
         def poisoned(taus, n_max, **parts):
             factors = original_rabi(taus, n_max, **parts)
@@ -1033,35 +1158,36 @@ class TestBlockSize:
 
 
 class TestScratchBuffer:
-    """Each _run_batches call allocates one scratch buffer, which every block
-    of every one of its batches reuses."""
+    """Each _run_cells call allocates one scratch buffer, which every block
+    reuses, whichever cells its window runs."""
 
     @pytest.mark.parametrize(
         "scheme, mode, halt",
         [("nsm", "postselect", True), ("elastic", "postselect", True),
          ("superposition", "sample", True), ("elastic", "sample", False)],
     )
-    def test_one_buffer_per_run_batches_call(self, monkeypatch, scheme, mode, halt):
-        calls = []  # per _run_batches call: its batches, and the buffer each block was handed
-        original_batches = experiment._run_batches
+    def test_one_buffer_per_run_cells_call(self, monkeypatch, scheme, mode, halt):
+        calls = []  # per _run_cells call: its chunks of lanes, and the buffer each block was handed
         original_cells, original_advance = experiment._run_cells, experiment._advance
+        original_lanes = experiment.StreamLanes
 
-        def run_batches(config, timings, ids, collect):
-            calls.append({"batches": 0, "buffers": []})
-            yield from original_batches(config, timings, ids, collect)
+        def run_cells(config, timings, ids, collect):
+            calls.append({"chunks": 0, "buffers": []})
+            return original_cells(config, timings, ids, collect)
 
-        def run_cells(run, timings, ids, buffer):
-            calls[-1]["batches"] += 1
-            return original_cells(run, timings, ids, buffer)
+        def stream_lanes(master, ids):
+            calls[-1]["chunks"] += 1
+            return original_lanes(master, ids)
 
         def advance(run, state, draw, buffer):
             block = original_advance(run, state, draw, buffer)
             assert np.shares_memory(block[2], buffer)  # the block's fields
+            assert len(state) <= 2  # the window's running lanes
             calls[-1]["buffers"].append(buffer)
             return block
 
-        monkeypatch.setattr(experiment, "_run_batches", run_batches)
         monkeypatch.setattr(experiment, "_run_cells", run_cells)
+        monkeypatch.setattr(experiment, "StreamLanes", stream_lanes)
         monkeypatch.setattr(experiment, "_advance", advance)
         monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", 2000)
         monkeypatch.setattr(experiment, "_batch_cells", lambda n_max: 2)
@@ -1074,8 +1200,8 @@ class TestScratchBuffer:
         sweep(config, [0.1, 0.5], ensemble=3)
         if mode == "sample":
             sampled_success_estimate(config, 70)
-        assert [call["batches"] for call in calls] == [1, 3, 35][: 2 + (mode == "sample")]
-        # A halting sampled run may end at its first atom; the batches run on.
+        assert [call["chunks"] for call in calls] == [1, 3, 35][: 2 + (mode == "sample")]
+        # A halting sampled run may end at its first atom; the window runs on.
         assert sum(len(call["buffers"]) > 1 for call in calls) >= 2
         for call in calls:
             first = call["buffers"][0]
@@ -1125,14 +1251,14 @@ class TestSeedPairs:
             n_max=30, mode="sample", master_seed=808, stream_id=first,
         )
         seen = []
-        original = experiment._run_batches
+        original = experiment._run_cells
 
-        def run_batches(config, timings, ids, collect):
-            outcomes = list(original(config, timings, ids, collect))
+        def run_cells(config, timings, ids, collect):
+            outcomes = original(config, timings, ids, collect)
             seen.append((ids.tolist(), outcomes))
-            yield from outcomes
+            return outcomes
 
-        monkeypatch.setattr(experiment, "_run_batches", run_batches)
+        monkeypatch.setattr(experiment, "_run_cells", run_cells)
         estimate = sampled_success_estimate(config, 12)
         monkeypatch.undo()
         ((ids, successes),) = seen
@@ -1141,8 +1267,8 @@ class TestSeedPairs:
         expected = [run.terminated_early is None and run.n_failures == 0 for run in runs]
         assert successes == expected and 0 < sum(expected) < 12
         assert estimate == sum(expected) / 12
-        steps = experiment._run_batches(config, [config.timing] * 12, stream_id_range(first, 12),
-                                        "steps")
+        steps = experiment._run_cells(config, [config.timing] * 12, stream_id_range(first, 12),
+                                      "steps")
         assert [_fingerprint(result) for result in steps] == [_fingerprint(run) for run in runs]
 
     @pytest.mark.parametrize("master", [-7, 2**64 + 7, 2**70], ids=["negative", "2e64+7", "2e70"])
@@ -1222,10 +1348,14 @@ class TestDrawAccounting:
         assert all(cell.error is None for cell in table)
         assert len(draws) == 150 * 6
 
-    def test_halting_estimate_draws_only_the_atoms_run(self, draws):
+    @pytest.mark.parametrize("window", [1, 7, None], ids=["window-1", "window-7", "window-rule"])
+    @pytest.mark.parametrize("law", ["uniform", "gaussian"])
+    def test_halting_estimate_draws_only_the_atoms_run(self, draws, monkeypatch, law, window):
+        if window is not None:
+            monkeypatch.setattr(experiment, "_batch_cells", lambda n_max: window)
         config = build_run_config(
             scheme="elastic", trap_target=5, n_atoms=5, fock_n=0, tau_bar=math.pi / 3.0,
-            spread_frac=0.1, n_max=30, mode="sample", master_seed=808,
+            spread_frac=0.1, n_max=30, mode="sample", master_seed=808, law=law,
         )
         sampled_success_estimate(config, 300)
         counted = len(draws)
@@ -1375,9 +1505,9 @@ class TestSampledMode:
         assert 0 < successes < 300
         assert sampled_success_estimate(cfg, 300) == successes / 300
 
-    def test_estimate_builds_one_field_state_per_batch(self, monkeypatch):
-        # Only each batch's initial field is a FieldState: 2200 trajectories
-        # of 31 levels run in three batches, and fig2a's 40 sweep cells in one.
+    def test_estimate_builds_one_field_state_per_run(self, monkeypatch):
+        # Only a run's initial field is a FieldState: 2200 trajectories of 31
+        # levels, which run in a window of 1057, and fig2a's 40 sweep cells.
         built = []
         original = FieldState.__post_init__
 
@@ -1391,7 +1521,7 @@ class TestSampledMode:
             n_max=30, mode="sample", halt_on_failure=False,
         )
         sampled_success_estimate(cfg, 2200)
-        assert len(built) == 3
+        assert len(built) == 1
         built.clear()
         cells = sweep(replace(cli.preset("fig2a").run, n_atoms=200), [0.1, 1.0], ensemble=20)
         assert len(cells) == 40 and len(built) == 1
@@ -1536,7 +1666,7 @@ class TestSweep:
         table = sweep(self.base(n_atoms=5), [-0.1], ensemble=1)
         assert table[0].error.startswith("spread_in_inv_g: ")
         batches = []
-        monkeypatch.setattr(experiment, "_run_batches", lambda *args: batches.append(args))
+        monkeypatch.setattr(experiment, "_run_cells", lambda *args: batches.append(args))
         with pytest.raises(ConfigError, match="^spread_mults: must be a real number, got "):
             sweep(self.base(), [0.1, multiplier], ensemble=2)
         assert batches == []
